@@ -50,7 +50,7 @@ from .network import (
     snap_point,
     tract_network_distance,
 )
-from .report import BOX_CLASSES, ReportBundle, boxmap_classify, emit_geojson, emit_svg_choropleth, emit_tables
+from .report import BOX_CLASSES, boxmap_classify, emit_geojson, emit_svg_choropleth
 from .stats import (
     ContributorThresholds,
     MoranResult,

@@ -5,7 +5,12 @@ Subcommands
     pca         PCA tables (variance, loadings, contributors, correlations, scores)
     moran       global spatial autocorrelation per variable (moran.csv)
     boxmap      per-component box-map classes (scores GeoJSON + one SVG per component)
-    report      all of the above in one run
+    report      all of the above
+
+Each subcommand is a subset of the steps of one pass: the inputs are read
+once, each artefact is computed once, and files are written only after all
+computation has succeeded. `report` runs every step and writes the same
+bytes as the four subcommands run in turn.
 
 Exit codes: 0 success, 2 ingest failure, 3 numerical precondition,
 4 invalid configuration, 5 output I/O failure.
@@ -63,6 +68,7 @@ def _load_inputs(cfg: RunConfig):
 
 
 def _build_table(cfg: RunConfig):
+    # the raw node and edge records are freed before the table is built
     tracts, providers, net, demographics = _load_inputs(cfg)
     table = ingest.assemble_variable_table(
         tracts,
@@ -72,7 +78,8 @@ def _build_table(cfg: RunConfig):
         ace_net_mode=cfg.ace_net_mode,
         max_snap_m=cfg.snap_max_m,
     )
-    return tracts, table
+    by_id = {t.tract_id: t for t in tracts}
+    return tracts, [by_id[tid] for tid in table.tract_ids], table
 
 
 def _analyze(table: VariableTable):
@@ -83,21 +90,12 @@ def _analyze(table: VariableTable):
     return pca_result, var_corr, loading_corr
 
 
-def _moran_rows(table: VariableTable, tracts, cfg: RunConfig):
-    by_id = {t.tract_id: t for t in tracts}
-    retained = [by_id[tid] for tid in table.tract_ids]
+def _moran_rows(table: VariableTable, retained, cfg: RunConfig):
     adjacency = queen_adjacency([t.parts for t in retained])
-    rows = []
-    for j, name in enumerate(VARIABLE_COLUMNS):
-        rows.append(
-            (
-                name,
-                stats.morans_i(
-                    table.values[:, j], adjacency, cfg.moran_permutations, cfg.seed
-                ),
-            )
-        )
-    return rows
+    return [
+        (name, stats.morans_i(table.values[:, j], adjacency, cfg.moran_permutations, cfg.seed))
+        for j, name in enumerate(VARIABLE_COLUMNS)
+    ]
 
 
 def _boxmap_products(table: VariableTable, pca_result, cfg: RunConfig):
@@ -128,89 +126,62 @@ def _ensure_out_dir(cfg: RunConfig) -> str:
     return cfg.out_dir
 
 
-# ------------------------------------------------------------- subcommands
+def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
+    """Run the chosen steps in one pass: every artefact they need is
+    computed once, and nothing is written until all of it succeeded."""
+    tracts, retained, table = _stage(EXIT_INGEST, _build_table, cfg)
+    if "pca" in steps or "boxmap" in steps:
+        pca_result, var_corr, loading_corr = _stage(EXIT_NUMERIC, _analyze, table)
+    if "moran" in steps:
+        rows = _stage(EXIT_NUMERIC, _moran_rows, table, retained, cfg)
+    if "boxmap" in steps:
+        k, scores, classes = _stage(EXIT_NUMERIC, _boxmap_products, table, pca_result, cfg)
 
-
-def cmd_variables(cfg: RunConfig) -> int:
-    _, table = _stage(EXIT_INGEST, _build_table, cfg)
     out = _ensure_out_dir(cfg)
-    _stage(EXIT_IO, report.emit_variables_csv, table, out)
-    log.info("variables table: %d tracts retained, %d dropped", table.n, len(table.dropped))
-    return EXIT_OK
-
-
-def cmd_pca(cfg: RunConfig) -> int:
-    _, table = _stage(EXIT_INGEST, _build_table, cfg)
-    pca_result, var_corr, loading_corr = _stage(EXIT_NUMERIC, _analyze, table)
-    out = _ensure_out_dir(cfg)
-    thresholds = stats.ContributorThresholds(cfg.sig_threshold, cfg.sec_threshold)
-    _stage(
-        EXIT_IO,
-        report.emit_pca_tables,
-        table,
-        pca_result,
-        var_corr,
-        loading_corr,
-        thresholds,
-        out,
-    )
-    return EXIT_OK
-
-
-def cmd_moran(cfg: RunConfig) -> int:
-    tracts, table = _stage(EXIT_INGEST, _build_table, cfg)
-    rows = _stage(EXIT_NUMERIC, _moran_rows, table, tracts, cfg)
-    out = _ensure_out_dir(cfg)
-    _stage(EXIT_IO, report.emit_moran_csv, rows, out)
-    return EXIT_OK
-
-
-def cmd_boxmap(cfg: RunConfig) -> int:
-    tracts, table = _stage(EXIT_INGEST, _build_table, cfg)
-    pca_result, _, _ = _stage(EXIT_NUMERIC, _analyze, table)
-    k, scores, classes = _stage(EXIT_NUMERIC, _boxmap_products, table, pca_result, cfg)
-    out = _ensure_out_dir(cfg)
-    dropped = dict(table.dropped)
-    _stage(
-        EXIT_IO,
-        report.emit_geojson,
-        tracts,
-        scores,
-        classes,
-        os.path.join(out, "scores.geojson"),
-        dropped=dropped,
-        components=k,
-    )
-    by_id = {t.tract_id: t for t in tracts}
-    retained = [by_id[tid] for tid in table.tract_ids]
-    for c in range(k):
+    if "variables" in steps:
+        _stage(EXIT_IO, report.emit_variables_csv, table, out)
+        log.info("variables table: %d tracts retained, %d dropped", table.n, len(table.dropped))
+    if "pca" in steps:
+        thresholds = stats.ContributorThresholds(cfg.sig_threshold, cfg.sec_threshold)
         _stage(
             EXIT_IO,
-            report.emit_svg_choropleth,
-            retained,
-            {tid: classes[tid][c] for tid in table.tract_ids},
-            c,
-            os.path.join(out, f"boxmap_pc{c + 1}.svg"),
+            report.emit_pca_tables,
+            table,
+            pca_result,
+            var_corr,
+            loading_corr,
+            thresholds,
+            out,
         )
+    if "moran" in steps:
+        _stage(EXIT_IO, report.emit_moran_csv, rows, out)
+    if "boxmap" in steps:
+        _stage(
+            EXIT_IO,
+            report.emit_geojson,
+            tracts,
+            scores,
+            classes,
+            os.path.join(out, "scores.geojson"),
+            dropped=dict(table.dropped),
+            components=k,
+        )
+        for c in range(k):
+            _stage(
+                EXIT_IO,
+                report.emit_svg_choropleth,
+                retained,
+                {tid: classes[tid][c] for tid in table.tract_ids},
+                c,
+                os.path.join(out, f"boxmap_pc{c + 1}.svg"),
+            )
     return EXIT_OK
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    # Literally the composition of the other four, sharing one out_dir.
-    for sub in (cmd_variables, cmd_pca, cmd_moran, cmd_boxmap):
-        code = sub(cfg)
-        if code != EXIT_OK:
-            return code
-    return EXIT_OK
-
-
-COMMANDS = {
-    "variables": cmd_variables,
-    "pca": cmd_pca,
-    "moran": cmd_moran,
-    "boxmap": cmd_boxmap,
-    "report": cmd_report,
-}
+# Each subcommand is a subset of the steps; `report` runs all of them.
+STEPS = ("variables", "pca", "moran", "boxmap")
+COMMANDS = {step: (step,) for step in STEPS}
+COMMANDS["report"] = STEPS
 
 
 # -------------------------------------------------------------- arg parsing
@@ -272,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        return COMMANDS[args.command](cfg)
+        return run(cfg, COMMANDS[args.command])
     except _StageFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

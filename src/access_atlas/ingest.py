@@ -9,7 +9,6 @@ reason rather than imputed.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass, field
@@ -35,6 +34,8 @@ from .geometry import (
 from .network import (
     RoadNetwork,
     multisource_shortest_distances,
+    parse_finite,
+    read_csv_rows,
     snap_point,
     tract_network_distance,
 )
@@ -156,6 +157,10 @@ def _feature_polygons(
     return parts
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
 def load_tracts(path: str, ref_lon: float, ref_lat: float) -> list[TractGeometry]:
     """Read a FeatureCollection of Polygon/MultiPolygon tracts.
 
@@ -163,8 +168,11 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> list[TractGeometry
     projected into local meters about (ref_lon, ref_lat); a degenerate ring
     fails with the tract id attached.
     """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh, parse_constant=_reject_constant)
+    except ValueError as exc:  # bad JSON, bad UTF-8, or a NaN/Infinity literal
+        raise SchemaError(f"{path}: not a UTF-8 JSON file: {exc}") from None
     if doc.get("type") != "FeatureCollection":
         raise SchemaError(f"{path}: expected a FeatureCollection")
     tracts: list[TractGeometry] = []
@@ -198,109 +206,97 @@ def load_providers(path: str, ref_lon: float, ref_lat: float) -> list[ProviderPo
     An empty radius falls back to the kind default. A bare `grocery` kind
     (no size class) is treated as grocery_large with a logged warning.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty provider file")
-        cols = [h.strip().lower() for h in header]
-        if cols not in (["id", "kind", "lon", "lat"], ["id", "kind", "lon", "lat", "radius_m"]):
+    reader = read_csv_rows(path)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty provider file")
+    cols = [h.strip().lower() for h in header]
+    if cols not in (["id", "kind", "lon", "lat"], ["id", "kind", "lon", "lat", "radius_m"]):
+        raise SchemaError(
+            f"{path}: header must be id,kind,lon,lat[,radius_m], got {header}"
+        )
+    has_radius = len(cols) == 5
+    providers: list[ProviderPoint] = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(cols):
             raise SchemaError(
-                f"{path}: header must be id,kind,lon,lat[,radius_m], got {header}"
+                f"{path} row {row_no}: expected {len(cols)} fields, got {len(row)}"
             )
-        has_radius = len(cols) == 5
-        providers: list[ProviderPoint] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(cols):
-                raise SchemaError(
-                    f"{path} row {row_no}: expected {len(cols)} fields, got {len(row)}"
-                )
-            pid, kind = row[0].strip(), row[1].strip()
-            if kind == "grocery":
-                log.warning(
-                    "%s row %d: provider %s has no grocery size class; assuming grocery_large",
-                    path,
-                    row_no,
-                    pid,
-                )
-                kind = "grocery_large"
-            if kind not in KIND_RADII:
-                raise SchemaError(f"{path} row {row_no}: unknown provider kind {kind!r}")
-            try:
-                lon, lat = float(row[2]), float(row[3])
-            except ValueError:
-                raise SchemaError(f"{path} row {row_no}: non-numeric coordinates") from None
-            raw_radius = row[4].strip() if has_radius else ""
-            if raw_radius:
-                try:
-                    radius = float(raw_radius)
-                except ValueError:
-                    raise SchemaError(f"{path} row {row_no}: non-numeric radius") from None
-                if radius <= 0:
-                    raise RangeError(f"{path} row {row_no}: radius must be > 0")
-            else:
-                radius = KIND_RADII[kind]
-            providers.append(
-                ProviderPoint(
-                    id=pid,
-                    kind=kind,
-                    location=project_lonlat(lon, lat, ref_lon, ref_lat),
-                    radius_m=radius,
-                )
+        pid, kind = row[0].strip(), row[1].strip()
+        if kind == "grocery":
+            log.warning(
+                "%s row %d: provider %s has no grocery size class; assuming grocery_large",
+                path,
+                row_no,
+                pid,
             )
+            kind = "grocery_large"
+        if kind not in KIND_RADII:
+            raise SchemaError(f"{path} row {row_no}: unknown provider kind {kind!r}")
+        lon = parse_finite(row[2], f"{path} row {row_no} lon")
+        lat = parse_finite(row[3], f"{path} row {row_no} lat")
+        raw_radius = row[4].strip() if has_radius else ""
+        if raw_radius:
+            radius = parse_finite(raw_radius, f"{path} row {row_no} radius_m")
+            if radius <= 0:
+                raise RangeError(f"{path} row {row_no}: radius must be > 0")
+        else:
+            radius = KIND_RADII[kind]
+        providers.append(
+            ProviderPoint(
+                id=pid,
+                kind=kind,
+                location=project_lonlat(lon, lat, ref_lon, ref_lat),
+                radius_m=radius,
+            )
+        )
     return providers
 
 
 def load_demographics(path: str) -> list[DemographicRecord]:
     """Read the demographic CSV; empty cells become missing values.
 
-    Percent columns must land in [0, 100] and AV_POP must be nonnegative,
-    otherwise RangeError names the tract.
+    Every value must be finite, percent columns must land in [0, 100] and
+    AV_POP must be nonnegative, otherwise RangeError names the tract.
     """
     expected = ["tract_id", *DEMOGRAPHIC_COLUMNS]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty demographics file")
-        cols = [h.strip() for h in header]
-        if cols != expected:
-            raise SchemaError(f"{path}: header must be {','.join(expected)}, got {header}")
-        records: list[DemographicRecord] = []
-        seen: set[str] = set()
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+    reader = read_csv_rows(path)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty demographics file")
+    cols = [h.strip() for h in header]
+    if cols != expected:
+        raise SchemaError(f"{path}: header must be {','.join(expected)}, got {header}")
+    records: list[DemographicRecord] = []
+    seen: set[str] = set()
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(expected):
+            raise SchemaError(
+                f"{path} row {row_no}: expected {len(expected)} fields, got {len(row)}"
+            )
+        tract_id = row[0].strip()
+        if tract_id in seen:
+            raise SchemaError(f"{path} row {row_no}: duplicate tract_id {tract_id!r}")
+        seen.add(tract_id)
+        values: dict[str, float | None] = {}
+        for name, cell in zip(DEMOGRAPHIC_COLUMNS, row[1:]):
+            cell = cell.strip()
+            if cell == "":
+                values[name] = None
                 continue
-            if len(row) != len(expected):
-                raise SchemaError(
-                    f"{path} row {row_no}: expected {len(expected)} fields, got {len(row)}"
+            v = parse_finite(cell, f"{path} row {row_no}: {name} for tract {tract_id}")
+            if name in PERCENT_COLUMNS and not (0.0 <= v <= 100.0):
+                raise RangeError(
+                    f"tract {tract_id}: {name}={v} outside [0, 100]"
                 )
-            tract_id = row[0].strip()
-            if tract_id in seen:
-                raise SchemaError(f"{path} row {row_no}: duplicate tract_id {tract_id!r}")
-            seen.add(tract_id)
-            values: dict[str, float | None] = {}
-            for name, cell in zip(DEMOGRAPHIC_COLUMNS, row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    values[name] = None
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise SchemaError(
-                        f"{path} row {row_no}: non-numeric {name} for tract {tract_id}"
-                    ) from None
-                if name in PERCENT_COLUMNS and not (0.0 <= v <= 100.0):
-                    raise RangeError(
-                        f"tract {tract_id}: {name}={v} outside [0, 100]"
-                    )
-                if name == "AV_POP" and v < 0:
-                    raise RangeError(f"tract {tract_id}: AV_POP={v} is negative")
-                values[name] = v
-            records.append(DemographicRecord(tract_id=tract_id, values=values))
+            if name == "AV_POP" and v < 0:
+                raise RangeError(f"tract {tract_id}: AV_POP={v} is negative")
+            values[name] = v
+        records.append(DemographicRecord(tract_id=tract_id, values=values))
     return records
 
 

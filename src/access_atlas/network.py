@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError, SchemaError, SnapError
+from .errors import DomainError, RangeError, SchemaError, SnapError
 from .geometry import Polygon, ProjectedPoint, parts_area_centroid, point_in_polygon, project_lonlat
 
 DEFAULT_ROAD_CLASSES = frozenset(
@@ -87,6 +87,30 @@ def build_network(
     return RoadNetwork(nodes=nodes, adjacency=adjacency)
 
 
+def read_csv_rows(path: str):
+    """Yield the rows of a UTF-8 CSV file.
+
+    A file that is not UTF-8 or not CSV raises SchemaError naming the path.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield from csv.reader(fh)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaError(f"{path}: not a UTF-8 CSV file: {exc}") from None
+
+
+def parse_finite(cell: str, what: str) -> float:
+    """Parse one numeric cell: SchemaError if it is not a number, RangeError
+    if it is nan or infinite."""
+    try:
+        v = float(cell)
+    except ValueError:
+        raise SchemaError(f"{what}: non-numeric value {cell!r}") from None
+    if not math.isfinite(v):
+        raise RangeError(f"{what}: non-finite value {cell!r}")
+    return v
+
+
 def load_road_nodes(
     path: str,
     ref_lon: float | None = None,
@@ -97,73 +121,63 @@ def load_road_nodes(
     `node_id,x,y` is taken as projected meters; `node_id,lon,lat` is
     projected with the supplied reference point at ingest.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty node file")
-        cols = [h.strip().lower() for h in header]
-        if cols == ["node_id", "x", "y"]:
-            geographic = False
-        elif cols == ["node_id", "lon", "lat"]:
-            geographic = True
-            if ref_lon is None or ref_lat is None:
-                raise SchemaError(f"{path}: lon/lat nodes need a projection reference")
+    reader = read_csv_rows(path)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty node file")
+    cols = [h.strip().lower() for h in header]
+    if cols == ["node_id", "x", "y"]:
+        geographic = False
+    elif cols == ["node_id", "lon", "lat"]:
+        geographic = True
+        if ref_lon is None or ref_lat is None:
+            raise SchemaError(f"{path}: lon/lat nodes need a projection reference")
+    else:
+        raise SchemaError(
+            f"{path}: header must be node_id,x,y or node_id,lon,lat, got {header}"
+        )
+    nodes: dict[str, ProjectedPoint] = {}
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 3:
+            raise SchemaError(f"{path} row {row_no}: expected 3 fields, got {len(row)}")
+        nid = row[0].strip()
+        if not nid:
+            raise SchemaError(f"{path} row {row_no}: empty node_id")
+        if nid in nodes:
+            raise SchemaError(f"{path} row {row_no}: duplicate node_id {nid!r}")
+        u = parse_finite(row[1], f"{path} row {row_no} {cols[1]}")
+        v = parse_finite(row[2], f"{path} row {row_no} {cols[2]}")
+        if geographic:
+            nodes[nid] = project_lonlat(u, v, ref_lon, ref_lat)
         else:
-            raise SchemaError(
-                f"{path}: header must be node_id,x,y or node_id,lon,lat, got {header}"
-            )
-        nodes: dict[str, ProjectedPoint] = {}
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise SchemaError(f"{path} row {row_no}: expected 3 fields, got {len(row)}")
-            nid = row[0].strip()
-            if not nid:
-                raise SchemaError(f"{path} row {row_no}: empty node_id")
-            if nid in nodes:
-                raise SchemaError(f"{path} row {row_no}: duplicate node_id {nid!r}")
-            try:
-                u, v = float(row[1]), float(row[2])
-            except ValueError:
-                raise SchemaError(f"{path} row {row_no}: non-numeric coordinates") from None
-            if geographic:
-                nodes[nid] = project_lonlat(u, v, ref_lon, ref_lat)
-            else:
-                nodes[nid] = ProjectedPoint(u, v)
+            nodes[nid] = ProjectedPoint(u, v)
     return nodes
 
 
 def load_road_edges(path: str) -> list[tuple[str, str, float | None, str]]:
     """Read the edge CSV: from_node,to_node,length_m,road_class."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty edge file")
-        cols = [h.strip().lower() for h in header]
-        if cols != ["from_node", "to_node", "length_m", "road_class"]:
-            raise SchemaError(
-                f"{path}: header must be from_node,to_node,length_m,road_class, got {header}"
-            )
-        edges: list[tuple[str, str, float | None, str]] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise SchemaError(f"{path} row {row_no}: expected 4 fields, got {len(row)}")
-            a, b, raw_len, road_class = (c.strip() for c in row)
-            if not a or not b:
-                raise SchemaError(f"{path} row {row_no}: empty endpoint id")
-            if raw_len == "":
-                length: float | None = None
-            else:
-                try:
-                    length = float(raw_len)
-                except ValueError:
-                    raise SchemaError(f"{path} row {row_no}: non-numeric length") from None
-            edges.append((a, b, length, road_class))
+    reader = read_csv_rows(path)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: empty edge file")
+    cols = [h.strip().lower() for h in header]
+    if cols != ["from_node", "to_node", "length_m", "road_class"]:
+        raise SchemaError(
+            f"{path}: header must be from_node,to_node,length_m,road_class, got {header}"
+        )
+    edges: list[tuple[str, str, float | None, str]] = []
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 4:
+            raise SchemaError(f"{path} row {row_no}: expected 4 fields, got {len(row)}")
+        a, b, raw_len, road_class = (c.strip() for c in row)
+        if not a or not b:
+            raise SchemaError(f"{path} row {row_no}: empty endpoint id")
+        length = parse_finite(raw_len, f"{path} row {row_no} length_m") if raw_len else None
+        edges.append((a, b, length, road_class))
     return edges
 
 

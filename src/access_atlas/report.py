@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -92,19 +91,6 @@ def boxmap_classify(values: np.ndarray, hinge: float = 1.5) -> list[str]:
         else:
             classes.append("q4")
     return classes
-
-
-@dataclass
-class ReportBundle:
-    """Everything the emitters need, computed once by the pipeline."""
-
-    table: VariableTable
-    pca: PcaResult
-    var_corr: np.ndarray
-    loading_corr: np.ndarray
-    thresholds: ContributorThresholds
-    moran: list[tuple[str, MoranResult]]
-    variable_names: tuple[str, ...] = VARIABLE_COLUMNS
 
 
 def _fmt(v: float) -> str:
@@ -213,21 +199,6 @@ def emit_pca_tables(
     path = os.path.join(out_dir, "scores.csv")
     _write_text(path, "\n".join(lines) + "\n")
     written.append(path)
-    return written
-
-
-def emit_tables(bundle: ReportBundle, out_dir: str) -> list[str]:
-    """Write all seven report CSVs (PCA tables plus moran.csv)."""
-    written = emit_pca_tables(
-        bundle.table,
-        bundle.pca,
-        bundle.var_corr,
-        bundle.loading_corr,
-        bundle.thresholds,
-        out_dir,
-        bundle.variable_names,
-    )
-    written.insert(5, emit_moran_csv(bundle.moran, out_dir))
     return written
 
 

@@ -187,12 +187,7 @@ def pca(values: np.ndarray, names: list[str] | None = None) -> PcaResult:
     n, p = values.shape
     if n < 2:
         raise DomainError(f"PCA needs at least 2 rows, got {n}")
-    z = standardize_table(values, names)
-    r = (z.T @ z) / (n - 1)
-    r = 0.5 * (r + r.T)
-    np.clip(r, -1.0, 1.0, out=r)
-    np.fill_diagonal(r, 1.0)
-    eigenvalues, vectors = _jacobi_eigh(r)
+    eigenvalues, vectors = _jacobi_eigh(correlation_matrix(values, names))
     if eigenvalues.min() < -1e-8:
         raise NumericalError(
             f"correlation matrix produced eigenvalue {eigenvalues.min()}; expected PSD"
@@ -211,7 +206,7 @@ def pca(values: np.ndarray, names: list[str] | None = None) -> PcaResult:
         eigenvalues=eigenvalues,
         proportions=eigenvalues / total,
         loadings=loadings,
-        scores=z @ loadings,
+        scores=standardize_table(values, names) @ loadings,
     )
 
 

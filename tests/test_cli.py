@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from access_atlas import cli
+from access_atlas import cli, ingest, stats
 
 
 def run(args):
@@ -17,6 +18,12 @@ def run(args):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def minitown_copy(minitown_dir, tmp_path):
+    work = tmp_path / "fixture"
+    shutil.copytree(minitown_dir, work)
+    return work
 
 
 def tree_bytes(root):
@@ -49,6 +56,27 @@ def test_missing_demographics_file_exits_2(minitown_dir, tmp_path, capsys):
     code = run(["variables", "--config", str(cfg_path)])
     assert code == 2
     assert "nope.csv" in capsys.readouterr().err  # message names the path
+
+
+def test_invalid_json_tracts_exits_2(minitown_dir, tmp_path, capsys):
+    work = minitown_copy(minitown_dir, tmp_path)
+    (work / "tracts.geojson").write_text("{not json")
+    code = run(
+        ["variables", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert "tracts.geojson" in capsys.readouterr().err
+
+
+def test_non_utf8_demographics_exits_2(minitown_dir, tmp_path, capsys):
+    work = minitown_copy(minitown_dir, tmp_path)
+    with open(work / "demographics.csv", "ab") as fh:
+        fh.write(b"t99,caf\xe9,1,1,1,1,1,1,1\n")  # latin-1 byte
+    code = run(
+        ["variables", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert "demographics.csv" in capsys.readouterr().err
 
 
 def test_grid_mode_changes_only_ace_net(minitown_config, tmp_path):
@@ -92,6 +120,31 @@ def test_single_tract_input_exits_3(minitown_dir, tmp_path):
     (work / "tracts.geojson").write_text(json.dumps(doc))
     code = run(["pca", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")])
     assert code == 3
+
+
+def single_tract_fixture(minitown_dir, tmp_path):
+    with open(os.path.join(minitown_dir, "tracts.geojson")) as fh:
+        doc = json.load(fh)
+    doc["features"] = doc["features"][:1]
+    work = minitown_copy(minitown_dir, tmp_path)
+    (work / "tracts.geojson").write_text(json.dumps(doc))
+    return str(work / "config.json")
+
+
+def test_single_tract_report_exits_3_and_writes_nothing(minitown_dir, tmp_path):
+    out = tmp_path / "out"
+    config = single_tract_fixture(minitown_dir, tmp_path)
+    code = run(["report", "--config", config, "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+
+
+def test_single_tract_variables_still_succeeds(minitown_dir, tmp_path):
+    out = tmp_path / "out"
+    config = single_tract_fixture(minitown_dir, tmp_path)
+    code = run(["variables", "--config", config, "--out", str(out)])
+    assert code == 0
+    assert len(read_csv(out / "variables.csv")) == 1
 
 
 # --------------------------------------------------------------------- moran
@@ -160,6 +213,43 @@ def test_report_equals_subcommand_composition(minitown_config, tmp_path):
     for sub in ("variables", "pca", "moran", "boxmap"):
         assert run([sub, "--config", minitown_config, "--out", str(steps)]) == 0
     assert tree_bytes(whole) == tree_bytes(steps)
+
+
+def test_report_builds_table_and_pca_once(minitown_config, tmp_path, monkeypatch):
+    calls = {"assemble": 0, "pca": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        ingest, "assemble_variable_table", counted("assemble", ingest.assemble_variable_table)
+    )
+    monkeypatch.setattr(stats, "pca", counted("pca", stats.pca))
+    assert run(["report", "--config", minitown_config, "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"assemble": 1, "pca": 1}
+
+
+# sha256 of the minitown files that do not depend on the eigensolver; the
+# PCA-side files are left out until the null-space convention is settled
+GOLDEN_SHA256 = {
+    "variables.csv": "2e07a409ccffd0d135ddc36c32e33a40648342f80d9b437b85dce6babb435815",
+    "dropped.csv": "1bdf67f2f674f68a35617070a52b57a0a949395b44b9757897982a9c1f7a49e2",
+    "var_corr.csv": "8f9a592a50769a1dd27bf9ad73fb360fe948b2b52911c8cddc6601ff2577b8c1",
+    "moran.csv": "48decbd5c78da7e3834a6b60d25e092b0fb559c4e95e245ed1a222833100dcbe",
+}
+
+
+def test_report_golden_bytes(minitown_config, tmp_path):
+    out = tmp_path / "out"
+    assert run(["report", "--config", minitown_config, "--out", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256
 
 
 def test_unwritable_out_dir_exits_5(minitown_config, tmp_path):

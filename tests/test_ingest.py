@@ -99,6 +99,18 @@ def test_degenerate_ring_names_tract(tmp_path):
         ingest.load_tracts(path, 0.0, 0.0)
 
 
+def test_non_finite_tract_coordinate_rejected(tmp_path):
+    # Python's json module accepts NaN/Infinity literals; ingest must not
+    text = (
+        '{"type": "FeatureCollection", "features": [{"type": "Feature", '
+        '"properties": {"tract_id": "a"}, "geometry": {"type": "Polygon", '
+        '"coordinates": [[[NaN, 0], [0.01, 0], [0.01, 0.01], [0, 0.01], [NaN, 0]]]}}]}'
+    )
+    path = write(tmp_path / "t.geojson", text)
+    with pytest.raises(SchemaError, match="NaN"):
+        ingest.load_tracts(path, 0.0, 0.0)
+
+
 # ------------------------------------------------------------- providers
 
 
@@ -142,6 +154,21 @@ def test_non_numeric_coordinates_name_row(tmp_path):
         ingest.load_providers(path, *REF)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        "s1,supermarket,nan,41.85,",
+        "s1,supermarket,-87.7,inf,",
+        "s1,supermarket,-87.7,41.85,nan",
+        "s1,supermarket,-87.7,41.85,inf",
+    ],
+)
+def test_non_finite_provider_number_rejected(tmp_path, row):
+    path = write(tmp_path / "p.csv", "id,kind,lon,lat,radius_m\n" + row + "\n")
+    with pytest.raises(RangeError, match="row 2"):
+        ingest.load_providers(path, *REF)
+
+
 # ---------------------------------------------------------- demographics
 
 
@@ -172,6 +199,35 @@ def test_negative_density_rejected(tmp_path):
     path = write(tmp_path / "d.csv", demo_header() + "t1,-5,10,10,10,20,10,10,10\n")
     with pytest.raises(RangeError, match="AV_POP"):
         ingest.load_demographics(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_demographic_value_rejected(tmp_path, cell):
+    path = write(tmp_path / "d.csv", demo_header() + f"t1,{cell},10,10,10,20,10,10,10\n")
+    with pytest.raises(RangeError, match="AV_POP for tract t1"):
+        ingest.load_demographics(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "node_id,x,y\n1,0,0\n2,nan,5\n",
+        "node_id,x,y\n1,0,0\n2,5,-inf\n",
+        "node_id,lon,lat\n1,-87.7,41.85\n2,nan,41.85\n",
+    ],
+)
+def test_non_finite_road_node_coordinate_rejected(tmp_path, text):
+    path = write(tmp_path / "n.csv", text)
+    with pytest.raises(RangeError, match="row 3"):
+        load_road_nodes(path, *REF)
+
+
+def test_non_finite_road_edge_length_rejected(tmp_path):
+    path = write(
+        tmp_path / "e.csv", "from_node,to_node,length_m,road_class\n1,2,inf,residential\n"
+    )
+    with pytest.raises(RangeError, match="length_m"):
+        load_road_edges(path)
 
 
 def test_wrong_header_rejected(tmp_path):

@@ -10,12 +10,12 @@ from access_atlas.errors import DomainError
 from access_atlas.ingest import VARIABLE_COLUMNS
 from access_atlas.report import (
     BOX_CLASSES,
-    ReportBundle,
     boxmap_classify,
     class_rank,
     emit_geojson,
+    emit_moran_csv,
+    emit_pca_tables,
     emit_svg_choropleth,
-    emit_tables,
 )
 
 
@@ -87,28 +87,32 @@ def test_quartile_bin_counts_balanced_without_ties():
 # ------------------------------------------------------------- emit: tables
 
 
+def write_report_csvs(
+    table, pca_result, var_corr, loading_corr, moran, out_dir, names=VARIABLE_COLUMNS
+):
+    """Write the seven report CSVs with the emitters the CLI uses."""
+    thresholds = stats.ContributorThresholds()
+    written = emit_pca_tables(
+        table, pca_result, var_corr, loading_corr, thresholds, out_dir, names
+    )
+    written.append(emit_moran_csv(moran, out_dir))
+    return written
+
+
 def small_bundle(minitown_table):
-    _, table = minitown_table
+    tracts, table = minitown_table
     names = list(VARIABLE_COLUMNS)
     pca_result = stats.pca(table.values, names)
     var_corr = stats.correlation_matrix(table.values, names)
     loading_corr = stats.loading_profile_correlation(pca_result.loadings, names)
     from access_atlas.geometry import queen_adjacency
 
-    tracts, _ = minitown_table
     adjacency = queen_adjacency([t.parts for t in tracts])
     moran = [
         (name, stats.morans_i(table.values[:, j], adjacency, 99, 7))
         for j, name in enumerate(names[:2])
     ]
-    return ReportBundle(
-        table=table,
-        pca=pca_result,
-        var_corr=var_corr,
-        loading_corr=loading_corr,
-        thresholds=stats.ContributorThresholds(),
-        moran=moran,
-    )
+    return table, pca_result, var_corr, loading_corr, moran
 
 
 def test_emit_tables_shapes_and_determinism(minitown_table, tmp_path):
@@ -117,7 +121,7 @@ def test_emit_tables_shapes_and_determinism(minitown_table, tmp_path):
     out_b = tmp_path / "b"
     out_a.mkdir()
     out_b.mkdir()
-    files = emit_tables(bundle, str(out_a))
+    files = write_report_csvs(*bundle, str(out_a))
     assert sorted(os.path.basename(f) for f in files) == [
         "contributors.csv",
         "loading_corr.csv",
@@ -132,7 +136,7 @@ def test_emit_tables_shapes_and_determinism(minitown_table, tmp_path):
     assert len(rows) == 11  # header + 10 variables
     assert all(len(r.split(",")) == 11 for r in rows)  # variable + 10 PCs
     assert [r.split(",")[0] for r in rows[1:]] == list(VARIABLE_COLUMNS)
-    emit_tables(bundle, str(out_b))
+    write_report_csvs(*bundle, str(out_b))
     for f in files:
         name = os.path.basename(f)
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
@@ -148,16 +152,8 @@ def test_emit_tables_single_component_edge(tmp_path):
     from access_atlas.ingest import VariableTable
 
     table = VariableTable(tract_ids=[f"t{i}" for i in range(12)], values=t)
-    bundle = ReportBundle(
-        table=table,
-        pca=pca_result,
-        var_corr=np.array([[1.0]]),
-        loading_corr=np.array([[1.0]]),
-        thresholds=stats.ContributorThresholds(),
-        moran=[],
-        variable_names=("A",),
-    )
-    emit_tables(bundle, str(tmp_path))
+    unit = np.array([[1.0]])
+    write_report_csvs(table, pca_result, unit, unit, [], str(tmp_path), names=("A",))
     with open(tmp_path / "loadings.csv") as fh:
         rows = fh.read().strip().split("\n")
     assert rows[0] == "variable,PC1"
