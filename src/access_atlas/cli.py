@@ -9,8 +9,11 @@ Subcommands
 
 Each subcommand is a subset of the steps of one pass: the inputs are read
 once, each artefact is computed once, and files are written only after all
-computation has succeeded. `report` runs every step and writes the same
-bytes as the four subcommands run in turn.
+computation has succeeded, into a temporary directory beside the output
+directory; they are moved into the output directory once all of them were
+written, so a failed run leaves the previous bundle as it was. `report`
+runs every step and writes the same bytes as the four subcommands run in
+turn.
 
 Exit codes: 0 success, 2 ingest failure, 3 numerical precondition,
 4 invalid configuration, 5 output I/O failure.
@@ -21,7 +24,10 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 
 from . import ingest, report, stats
 from .config import RunConfig, apply_overrides, load_config_file, resolve_seed
@@ -126,9 +132,31 @@ def _ensure_out_dir(cfg: RunConfig) -> str:
     return cfg.out_dir
 
 
+@contextmanager
+def _staged_bundle(out_dir: str):
+    """Yield a temporary directory beside out_dir for the emitters; once
+    the block succeeds, move every file from it into out_dir. On failure
+    out_dir keeps its previous files, and the temporary directory is
+    removed either way."""
+    out_abs = os.path.abspath(out_dir)
+    stage = _stage(
+        EXIT_IO,
+        tempfile.mkdtemp,
+        prefix=f".{os.path.basename(out_abs)}.tmp-",
+        dir=os.path.dirname(out_abs),
+    )
+    try:
+        yield stage
+        for name in sorted(os.listdir(stage)):
+            _stage(EXIT_IO, os.replace, os.path.join(stage, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
     """Run the chosen steps in one pass: every artefact they need is
-    computed once, and nothing is written until all of it succeeded."""
+    computed once, nothing is written until all of it succeeded, and the
+    files reach out_dir only after every emitter succeeded."""
     tracts, retained, table = _stage(EXIT_INGEST, _build_table, cfg)
     if "pca" in steps or "boxmap" in steps:
         pca_result, var_corr, loading_corr = _stage(EXIT_NUMERIC, _analyze, table)
@@ -137,44 +165,44 @@ def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
     if "boxmap" in steps:
         k, scores, classes = _stage(EXIT_NUMERIC, _boxmap_products, table, pca_result, cfg)
 
-    out = _ensure_out_dir(cfg)
-    if "variables" in steps:
-        _stage(EXIT_IO, report.emit_variables_csv, table, out)
-        log.info("variables table: %d tracts retained, %d dropped", table.n, len(table.dropped))
-    if "pca" in steps:
-        thresholds = stats.ContributorThresholds(cfg.sig_threshold, cfg.sec_threshold)
-        _stage(
-            EXIT_IO,
-            report.emit_pca_tables,
-            table,
-            pca_result,
-            var_corr,
-            loading_corr,
-            thresholds,
-            out,
-        )
-    if "moran" in steps:
-        _stage(EXIT_IO, report.emit_moran_csv, rows, out)
-    if "boxmap" in steps:
-        _stage(
-            EXIT_IO,
-            report.emit_geojson,
-            tracts,
-            scores,
-            classes,
-            os.path.join(out, "scores.geojson"),
-            dropped=dict(table.dropped),
-            components=k,
-        )
-        for c in range(k):
+    with _staged_bundle(_ensure_out_dir(cfg)) as out:
+        if "variables" in steps:
+            _stage(EXIT_IO, report.emit_variables_csv, table, out)
+            log.info("variables table: %d tracts retained, %d dropped", table.n, len(table.dropped))
+        if "pca" in steps:
+            thresholds = stats.ContributorThresholds(cfg.sig_threshold, cfg.sec_threshold)
             _stage(
                 EXIT_IO,
-                report.emit_svg_choropleth,
-                retained,
-                {tid: classes[tid][c] for tid in table.tract_ids},
-                c,
-                os.path.join(out, f"boxmap_pc{c + 1}.svg"),
+                report.emit_pca_tables,
+                table,
+                pca_result,
+                var_corr,
+                loading_corr,
+                thresholds,
+                out,
             )
+        if "moran" in steps:
+            _stage(EXIT_IO, report.emit_moran_csv, rows, out)
+        if "boxmap" in steps:
+            _stage(
+                EXIT_IO,
+                report.emit_geojson,
+                tracts,
+                scores,
+                classes,
+                os.path.join(out, "scores.geojson"),
+                dropped=dict(table.dropped),
+                components=k,
+            )
+            for c in range(k):
+                _stage(
+                    EXIT_IO,
+                    report.emit_svg_choropleth,
+                    retained,
+                    {tid: classes[tid][c] for tid in table.tract_ids},
+                    c,
+                    os.path.join(out, f"boxmap_pc{c + 1}.svg"),
+                )
     return EXIT_OK
 
 

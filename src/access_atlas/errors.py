@@ -27,7 +27,14 @@ class RangeError(AccessAtlasError):
 
 
 class SnapError(AccessAtlasError):
-    """No road node lies within the snapping radius of a point."""
+    """No road node lies within the snapping radius of a point.
+
+    distance_m is the distance from the point to its nearest node.
+    """
+
+    def __init__(self, message: str, distance_m: float):
+        super().__init__(message)
+        self.distance_m = distance_m
 
 
 class EmptyTableError(AccessAtlasError):

@@ -3,8 +3,8 @@ ten-variable analysis table.
 
 Inputs are deliberately plain: a GeoJSON FeatureCollection for tracts, and
 comma-delimited UTF-8 CSVs with mandatory headers for everything else.
-Tracts with any missing or unreachable value are dropped with an audit
-reason rather than imputed.
+Tracts with any missing, unreachable or unsnappable value are dropped with
+an audit reason rather than imputed.
 """
 
 from __future__ import annotations
@@ -314,8 +314,10 @@ def assemble_variable_table(
     AV_INT counts provider-buffer intersections, ACE_NET comes from one
     shared multi-source Dijkstra pass over the supermarket snap nodes, and
     the demographic columns join by tract_id. Tracts with any missing or
-    unreachable value land in `dropped` with a reason; rows are ordered by
-    tract_id so the output is independent of input file order.
+    unreachable value, or with a point that lies beyond max_snap_m from
+    every road node, land in `dropped` with a reason; rows are ordered by
+    tract_id so the output is independent of input file order. A
+    supermarket that cannot snap raises SnapError.
     """
     supermarkets = [p for p in providers if p.kind == "supermarket"]
     if not supermarkets:
@@ -325,7 +327,7 @@ def assemble_variable_table(
         try:
             sources.add(snap_point(p.location, net, max_snap_m))
         except SnapError as exc:
-            raise SnapError(f"supermarket {p.id}: {exc}") from None
+            raise SnapError(f"supermarket {p.id}: {exc}", exc.distance_m) from None
     distances = multisource_shortest_distances(net, sources)
 
     demo_by_id = {rec.tract_id: rec for rec in demographics}
@@ -343,15 +345,19 @@ def assemble_variable_table(
         if missing:
             dropped.append((tract.tract_id, f"missing {missing[0]}"))
             continue
-        result = tract_network_distance(
-            tract.tract_id,
-            tract.parts,
-            net,
-            sources,
-            ace_net_mode,
-            max_snap_m=max_snap_m,
-            distances=distances,
-        )
+        try:
+            result = tract_network_distance(
+                tract.tract_id,
+                tract.parts,
+                net,
+                sources,
+                ace_net_mode,
+                max_snap_m=max_snap_m,
+                distances=distances,
+            )
+        except SnapError as exc:
+            dropped.append((tract.tract_id, f"unsnappable ({exc.distance_m:.0f} m)"))
+            continue
         if result.unreachable:
             dropped.append((tract.tract_id, "unreachable"))
             continue

@@ -198,7 +198,8 @@ def snap_point(
     assert best_id is not None
     if best_d > max_snap_m:
         raise SnapError(
-            f"nearest node {best_id!r} is {best_d:.1f} m away (max {max_snap_m:.0f} m)"
+            f"nearest node {best_id!r} is {best_d:.1f} m away (max {max_snap_m:.0f} m)",
+            best_d,
         )
     return best_id
 

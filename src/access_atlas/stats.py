@@ -10,6 +10,14 @@ Eigenvector signs are arbitrary, so a fixed convention is applied: within
 each loading column the entry of largest absolute value is made positive.
 Everything downstream (contributor thresholds, loading-profile
 correlations) is invariant under per-column sign flips.
+
+Global Moran's I uses row-standardised weights, built once per call as
+flat (row, column, weight) arrays. One kernel evaluates any stack of
+value vectors: the observed vector and, for the permutation test, the
+permuted vectors, streamed through it in blocks of bounded size. A
+permutation counts as a hit when it is at least as extreme as the
+observed I up to a relative tolerance (MORAN_TIE_RTOL), so exact ties are
+hits whatever order the floating-point sums ran in.
 """
 
 from __future__ import annotations
@@ -24,6 +32,18 @@ from .geometry import AdjacencyList
 
 JACOBI_TOL = 1e-12
 JACOBI_MAX_SWEEPS = 100
+
+# Permuted vectors are evaluated in blocks of about this many
+# (row x weight entry) products, so the memory held by one morans_i call
+# stays bounded whatever the permutation count.
+MORAN_BLOCK = 1 << 15
+
+# A permutation counts as at least as extreme as the observed statistic
+# when |I_perm| >= |I| * (1 - MORAN_TIE_RTOL). Permutations that tie the
+# observed I exactly in rational arithmetic (common with integer-valued
+# columns such as AV_INT) then count as hits, whatever order the floating
+# point sums ran in; that rounding error is orders of magnitude smaller.
+MORAN_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -246,30 +266,65 @@ def loading_profile_correlation(
     return correlation_matrix(loadings.T, names)
 
 
-def moran_statistic(values: np.ndarray, adjacency: AdjacencyList) -> float:
-    """Global Moran's I with row-standardized weights.
+@dataclass(frozen=True)
+class MoranWeights:
+    """Row-standardised spatial weights as flat coordinate arrays.
 
-    I = (n / S0) * sum_ij w_ij z_i z_j / sum_i z_i^2, where w_ij = 1/|N(i)|
-    for j in N(i) and S0 is the total weight (the number of tracts that
-    have at least one neighbor, since rows sum to 1).
+    Entry k is the weight w[k] = 1/|N(rows[k])| that tract rows[k] gives
+    its neighbour cols[k]; each tract's neighbours appear in ascending
+    order. s0 is the total weight, i.e. the number of tracts that have at
+    least one neighbour, since every non-empty row sums to 1.
     """
-    x = np.asarray(values, dtype=float)
-    n = x.size
-    z = x - x.mean()
-    denom = float(z @ z)
-    if denom == 0.0:
-        raise ConstantColumnError("values are constant; Moran's I is undefined")
-    num = 0.0
+
+    rows: np.ndarray
+    cols: np.ndarray
+    w: np.ndarray
+    s0: float
+
+
+def moran_weights(adjacency: AdjacencyList) -> MoranWeights:
+    """Row-standardised weights of an adjacency; DomainError if no tract
+    has a neighbour."""
+    rows: list[int] = []
+    cols: list[int] = []
+    w: list[float] = []
     s0 = 0.0
     for i, neigh in enumerate(adjacency.neighbors):
         if not neigh:
             continue
-        w = 1.0 / len(neigh)
+        rows.extend([i] * len(neigh))
+        cols.extend(sorted(neigh))
+        w.extend([1.0 / len(neigh)] * len(neigh))
         s0 += 1.0
-        num += w * z[i] * sum(z[j] for j in neigh)
     if s0 == 0.0:
         raise DomainError("no tract has a neighbor; Moran's I is undefined")
-    return float((n / s0) * num / denom)
+    return MoranWeights(
+        rows=np.array(rows, dtype=np.intp),
+        cols=np.array(cols, dtype=np.intp),
+        w=np.array(w, dtype=float),
+        s0=s0,
+    )
+
+
+def _moran_kernel(x: np.ndarray, weights: MoranWeights) -> np.ndarray:
+    """Moran's I of every row of the m x n matrix x."""
+    z = x - x.mean(axis=1, keepdims=True)
+    denom = np.einsum("ij,ij->i", z, z)
+    if not denom.all():
+        raise ConstantColumnError("values are constant; Moran's I is undefined")
+    num = (z[:, weights.rows] * z[:, weights.cols]) @ weights.w
+    return (x.shape[1] / weights.s0) * num / denom
+
+
+def moran_statistic(values: np.ndarray, adjacency: AdjacencyList) -> float:
+    """Global Moran's I with row-standardized weights.
+
+    I = (n / S0) * sum_ij w_ij z_i z_j / sum_i z_i^2, where z = x - mean(x),
+    w_ij = 1/|N(i)| for j in N(i) and S0 is the total weight (see
+    MoranWeights).
+    """
+    x = np.asarray(values, dtype=float)
+    return float(_moran_kernel(x[None, :], moran_weights(adjacency))[0])
 
 
 def morans_i(
@@ -281,9 +336,11 @@ def morans_i(
     """Moran's I plus a two-sided permutation pseudo p-value.
 
     Permutation t shuffles the values with an RNG seeded as seed + t, so
-    the result is independent of execution order. pseudo_p counts
-    permuted |I| values at least as extreme as the observed |I|:
-    (#{|I_perm| >= |I|} + 1) / (permutations + 1).
+    the result is independent of execution order. The weights are built
+    once; the permuted vectors go through the same kernel as the observed
+    one, MORAN_BLOCK // (weight entries) rows at a time. pseudo_p is
+    (hits + 1) / (permutations + 1), where a permutation is a hit when
+    |I_perm| >= |I| * (1 - MORAN_TIE_RTOL).
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -295,13 +352,19 @@ def morans_i(
         )
     if permutations < 99:
         raise DomainError(f"permutations must be >= 99, got {permutations}")
-    observed = moran_statistic(x, adjacency)
+    weights = moran_weights(adjacency)
+    observed = float(_moran_kernel(x[None, :], weights)[0])
+    threshold = abs(observed) * (1.0 - MORAN_TIE_RTOL)
+    block = max(1, MORAN_BLOCK // weights.w.size)
     hits = 0
-    for t in range(permutations):
-        rng = np.random.default_rng(seed + t)
-        perm = x[rng.permutation(n)]
-        if abs(moran_statistic(perm, adjacency)) >= abs(observed):
-            hits += 1
+    for start in range(0, permutations, block):
+        perms = np.stack(
+            [
+                x[np.random.default_rng(seed + t).permutation(n)]
+                for t in range(start, min(start + block, permutations))
+            ]
+        )
+        hits += int(np.count_nonzero(np.abs(_moran_kernel(perms, weights)) >= threshold))
     return MoranResult(
         I=observed,
         expected=-1.0 / (n - 1),

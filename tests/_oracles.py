@@ -3,8 +3,9 @@
 Everything here is deliberately written with different algorithms than the
 code under test: Floyd-Warshall instead of Dijkstra, the closed-form
 characteristic-cubic solution instead of Jacobi sweeps, winding numbers
-instead of ray casting, and dense boundary sampling instead of exact
-segment distances.
+instead of ray casting, dense boundary sampling instead of exact
+segment distances, and a per-tract loop (in floats or exact fractions)
+instead of the batched Moran kernel.
 """
 
 from __future__ import annotations
@@ -121,3 +122,22 @@ def disk_intersects_sampled(rings, center, radius_m, step_m: float = 1.0) -> boo
     if winding_inside(center, rings):
         return True
     return sampled_boundary_distance(rings, center, step_m) <= radius_m
+
+
+def moran_loop(values, neighbors, number=float):
+    """Global Moran's I, one tract at a time:
+    (n / S0) * sum_i (1/|N(i)|) z_i sum_{j in N(i)} z_j / sum_i z_i^2.
+
+    With number=Fraction the arithmetic is exact, provided the values are
+    exact in binary floating point (integers, halves, ...)."""
+    x = [number(v) for v in values]
+    n = len(x)
+    mean = sum(x) / n
+    z = [v - mean for v in x]
+    num = sum(
+        z[i] * sum(z[j] for j in neigh) / len(neigh)
+        for i, neigh in enumerate(neighbors)
+        if neigh
+    )
+    s0 = sum(1 for neigh in neighbors if neigh)
+    return n * num / (s0 * sum(v * v for v in z))

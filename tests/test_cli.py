@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from access_atlas import cli, ingest, stats
+from access_atlas import cli, ingest, report, stats
+from access_atlas.errors import IoError
 
 
 def run(args):
@@ -109,6 +110,41 @@ def test_pca_proportions_conserved(minitown_config, tmp_path):
     assert len(rows) == 10
     total = sum(float(r["proportion"]) for r in rows)
     assert total == pytest.approx(1.0, abs=5e-6)  # 6dp rendering granularity
+
+
+def test_unsnappable_tract_is_dropped_not_fatal(minitown_dir, tmp_path):
+    work = minitown_copy(minitown_dir, tmp_path)
+    with open(work / "tracts.geojson") as fh:
+        doc = json.load(fh)
+    feature = doc["features"][0]
+    tract_id = feature["properties"]["tract_id"]
+    # shift the tract 0.2 degrees (about 16 km) east, far beyond snap_max_m
+    assert feature["geometry"]["type"] == "Polygon"
+    feature["geometry"]["coordinates"] = [
+        [[lon + 0.2, lat] for lon, lat in ring] for ring in feature["geometry"]["coordinates"]
+    ]
+    (work / "tracts.geojson").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+    dropped = read_csv(out / "dropped.csv")
+    assert [r["tract_id"] for r in dropped] == [tract_id]
+    reason = dropped[0]["reason"]
+    assert reason.startswith("unsnappable (") and reason.endswith(" m)")
+    assert float(reason[len("unsnappable ("):-len(" m)")]) > 700
+    assert len(read_csv(out / "variables.csv")) == 8
+
+
+def test_unsnappable_supermarket_exits_2(minitown_dir, tmp_path, capsys):
+    work = minitown_copy(minitown_dir, tmp_path)
+    providers = (work / "providers.csv").read_text()
+    (work / "providers.csv").write_text(
+        providers.replace("s2,supermarket,-87.695,", "s2,supermarket,-87.495,")
+    )
+    code = run(
+        ["variables", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert "supermarket s2" in capsys.readouterr().err
 
 
 def test_single_tract_input_exits_3(minitown_dir, tmp_path):
@@ -239,7 +275,7 @@ GOLDEN_SHA256 = {
     "variables.csv": "2e07a409ccffd0d135ddc36c32e33a40648342f80d9b437b85dce6babb435815",
     "dropped.csv": "1bdf67f2f674f68a35617070a52b57a0a949395b44b9757897982a9c1f7a49e2",
     "var_corr.csv": "8f9a592a50769a1dd27bf9ad73fb360fe948b2b52911c8cddc6601ff2577b8c1",
-    "moran.csv": "48decbd5c78da7e3834a6b60d25e092b0fb559c4e95e245ed1a222833100dcbe",
+    "moran.csv": "9ae560335a0d377e9e21c3254fe65836db9a83e75f3a883e1181db85db1d650c",
 }
 
 
@@ -250,6 +286,21 @@ def test_report_golden_bytes(minitown_config, tmp_path):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+
+
+def test_failed_emitter_leaves_previous_bundle(minitown_config, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert run(["report", "--config", minitown_config, "--out", str(out)]) == 0
+    before = tree_bytes(out)
+
+    def failing_emitter(*args, **kwargs):
+        raise IoError("disk full")
+
+    monkeypatch.setattr(report, "emit_svg_choropleth", failing_emitter)
+    code = run(["report", "--config", minitown_config, "--out", str(out), "--seed", "7"])
+    assert code == 5
+    assert tree_bytes(out) == before
+    assert os.listdir(tmp_path) == ["out"]  # no temporary directory left behind
 
 
 def test_unwritable_out_dir_exits_5(minitown_config, tmp_path):

@@ -1,20 +1,29 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from access_atlas import stats
 from access_atlas.errors import ConstantColumnError, DomainError
-from access_atlas.geometry import AdjacencyList
+from access_atlas.geometry import AdjacencyList, queen_adjacency
 from access_atlas.stats import (
     ContributorThresholds,
     classify_contributors,
     correlation_matrix,
     loading_profile_correlation,
     moran_statistic,
+    moran_weights,
     morans_i,
     pca,
     standardize,
 )
 
-from _oracles import cubic_eigenvalues, cubic_eigenvector, pearson_brute
+from _oracles import (
+    cubic_eigenvalues,
+    cubic_eigenvector,
+    moran_loop,
+    pearson_brute,
+)
 
 CHAIN4 = AdjacencyList([{1}, {0, 2}, {1, 3}, {2}])
 
@@ -340,3 +349,86 @@ def test_morans_i_pseudo_p_definition():
         if abs(moran_statistic(perm, CHAIN4)) >= abs(res.I):
             hits += 1
     assert res.pseudo_p == pytest.approx((hits + 1) / 100)
+
+
+def random_graph_with_islands(rng, n, p_edge):
+    """Random symmetric neighbour sets; the last three tracts are islands."""
+    neighbors = [set() for _ in range(n)]
+    for i in range(n - 3):
+        for j in range(i + 1, n - 3):
+            if rng.random() < p_edge:
+                neighbors[i].add(j)
+                neighbors[j].add(i)
+    return neighbors
+
+
+def permuted_rows(x, permutations, seed):
+    return [x[np.random.default_rng(seed + t).permutation(x.size)] for t in range(permutations)]
+
+
+@pytest.mark.parametrize(
+    "case, permutations, integer_data",
+    [(0, 101, False), (1, 199, False), (2, 999, False), (3, 199, True), (4, 101, True)],
+)
+def test_batched_moran_matches_per_permutation_loop(case, permutations, integer_data):
+    rng = np.random.default_rng(300 + case)
+    n = int(rng.integers(60, 90))
+    neighbors = random_graph_with_islands(rng, n, 0.15)
+    adj = AdjacencyList(neighbors)
+    weights = moran_weights(adj)
+    # several blocks, the last one partial
+    block = stats.MORAN_BLOCK // weights.w.size
+    assert 1 < block < permutations and permutations % block != 0
+    if integer_data:  # duplicated values: exact ties are possible
+        x = rng.integers(0, 6, size=n).astype(float)
+    else:
+        x = rng.normal(size=n)
+    seed = 17 * case
+    perms = permuted_rows(x, permutations, seed)
+    got = stats._moran_kernel(np.stack(perms), weights)
+    want = [moran_loop(p, neighbors) for p in perms]
+    assert got == pytest.approx(want, rel=1e-12)
+
+    res = morans_i(x, adj, permutations, seed)
+    assert res.I == pytest.approx(moran_loop(x, neighbors), rel=1e-12)
+    if integer_data:
+        observed = abs(moran_loop(x, neighbors, Fraction))
+        hits = sum(abs(moran_loop(p, neighbors, Fraction)) >= observed for p in perms)
+    else:
+        hits = sum(abs(i) >= abs(moran_loop(x, neighbors)) for i in want)
+    assert res.pseudo_p == (hits + 1) / (permutations + 1)
+
+
+def test_morans_i_counts_exact_ties_as_hits(minitown_table):
+    # AV_INT is integer-valued, so permutations can reproduce the observed I
+    # exactly; in rational arithmetic 454 of the 999 permutations are hits
+    tracts, table = minitown_table
+    by_id = {t.tract_id: t for t in tracts}
+    adjacency = queen_adjacency([by_id[tid].parts for tid in table.tract_ids])
+    x = table.column("AV_INT")
+    seed = 20240101
+    observed = moran_loop(x, adjacency.neighbors, Fraction)
+    perm_values = [
+        moran_loop(p, adjacency.neighbors, Fraction) for p in permuted_rows(x, 999, seed)
+    ]
+    assert sum(abs(i) == abs(observed) for i in perm_values) == 13
+    hits = sum(abs(i) >= abs(observed) for i in perm_values)
+    assert hits == 454
+    res = morans_i(x, adjacency, 999, seed)
+    assert res.I == pytest.approx(float(observed), rel=1e-12)
+    assert res.pseudo_p == (hits + 1) / 1000
+
+
+def test_morans_i_does_not_call_moran_statistic_per_permutation(monkeypatch):
+    calls = []
+    original = stats.moran_statistic
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "moran_statistic", counted)
+    values = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
+    adj = AdjacencyList([{1}, {0, 2}, {1, 3}, {2, 4}, {3, 5}, {4}])
+    morans_i(values, adj, permutations=199, seed=5)
+    assert len(calls) <= 1
