@@ -11,9 +11,10 @@ Each subcommand is a subset of the steps of one pass: the inputs are read
 once, each artefact is computed once, and files are written only after all
 computation has succeeded, into a temporary directory beside the output
 directory; they are moved into the output directory once all of them were
-written, so a failed run leaves the previous bundle as it was. `report`
-runs every step and writes the same bytes as the four subcommands run in
-turn.
+written, so a failed run leaves the previous bundle as it was. A run with
+the boxmap step then removes the box maps an earlier run left for
+components this run does not map. `report` runs every step and writes the
+same bytes as the four subcommands run in turn.
 
 Exit codes: 0 success, 2 ingest failure, 3 numerical precondition,
 4 invalid configuration, 5 output I/O failure.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import logging
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -91,9 +93,7 @@ def _build_table(cfg: RunConfig):
 def _analyze(table: VariableTable):
     names = list(VARIABLE_COLUMNS)
     pca_result = stats.pca(table.values, names)
-    var_corr = stats.correlation_matrix(table.values, names)
-    loading_corr = stats.loading_profile_correlation(pca_result.loadings, names)
-    return pca_result, var_corr, loading_corr
+    return pca_result, stats.loading_profile_correlation(pca_result.loadings, names)
 
 
 def _moran_rows(table: VariableTable, retained, cfg: RunConfig):
@@ -132,12 +132,17 @@ def _ensure_out_dir(cfg: RunConfig) -> str:
     return cfg.out_dir
 
 
+# the per-component box maps; how many there are depends on the config
+BOXMAP_SVG = re.compile(r"boxmap_pc\d+\.svg")
+
+
 @contextmanager
-def _staged_bundle(out_dir: str):
+def _staged_bundle(out_dir: str, replaces: re.Pattern | None = None):
     """Yield a temporary directory beside out_dir for the emitters; once
-    the block succeeds, move every file from it into out_dir. On failure
-    out_dir keeps its previous files, and the temporary directory is
-    removed either way."""
+    the block succeeds, move every file from it into out_dir, then remove
+    the files of out_dir whose names match `replaces` and that this run did
+    not write. On failure out_dir keeps its previous files, and the
+    temporary directory is removed either way."""
     out_abs = os.path.abspath(out_dir)
     stage = _stage(
         EXIT_IO,
@@ -147,8 +152,13 @@ def _staged_bundle(out_dir: str):
     )
     try:
         yield stage
-        for name in sorted(os.listdir(stage)):
+        written = sorted(os.listdir(stage))
+        for name in written:
             _stage(EXIT_IO, os.replace, os.path.join(stage, name), os.path.join(out_dir, name))
+        if replaces is not None:
+            for name in sorted(_stage(EXIT_IO, os.listdir, out_dir)):
+                if replaces.fullmatch(name) and name not in written:
+                    _stage(EXIT_IO, os.remove, os.path.join(out_dir, name))
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
@@ -159,13 +169,14 @@ def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
     files reach out_dir only after every emitter succeeded."""
     tracts, retained, table = _stage(EXIT_INGEST, _build_table, cfg)
     if "pca" in steps or "boxmap" in steps:
-        pca_result, var_corr, loading_corr = _stage(EXIT_NUMERIC, _analyze, table)
+        pca_result, loading_corr = _stage(EXIT_NUMERIC, _analyze, table)
     if "moran" in steps:
         rows = _stage(EXIT_NUMERIC, _moran_rows, table, retained, cfg)
     if "boxmap" in steps:
         k, scores, classes = _stage(EXIT_NUMERIC, _boxmap_products, table, pca_result, cfg)
 
-    with _staged_bundle(_ensure_out_dir(cfg)) as out:
+    replaces = BOXMAP_SVG if "boxmap" in steps else None
+    with _staged_bundle(_ensure_out_dir(cfg), replaces) as out:
         if "variables" in steps:
             _stage(EXIT_IO, report.emit_variables_csv, table, out)
             log.info("variables table: %d tracts retained, %d dropped", table.n, len(table.dropped))
@@ -176,7 +187,7 @@ def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
                 report.emit_pca_tables,
                 table,
                 pca_result,
-                var_corr,
+                pca_result.correlation,
                 loading_corr,
                 thresholds,
                 out,

@@ -316,8 +316,9 @@ def assemble_variable_table(
     the demographic columns join by tract_id. Tracts with any missing or
     unreachable value, or with a point that lies beyond max_snap_m from
     every road node, land in `dropped` with a reason; rows are ordered by
-    tract_id so the output is independent of input file order. A
-    supermarket that cannot snap raises SnapError.
+    tract_id so the output is independent of input file order. Demographics
+    rows without tract geometry are ignored with a warning. A supermarket
+    that cannot snap raises SnapError.
     """
     supermarkets = [p for p in providers if p.kind == "supermarket"]
     if not supermarkets:
@@ -371,6 +372,8 @@ def assemble_variable_table(
         rows.append(row)
     for tract_id, reason in dropped:
         log.warning("dropping tract %s: %s", tract_id, reason)
+    for tract_id in sorted(demo_by_id.keys() - {t.tract_id for t in tracts}):
+        log.warning("ignoring demographics row %s: no tract geometry", tract_id)
     if not rows:
         raise EmptyTableError("all tracts were dropped; nothing to analyze")
     return VariableTable(

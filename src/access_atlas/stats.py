@@ -2,9 +2,11 @@
 
 PCA runs on the Pearson correlation matrix (the ten access variables mix
 counts, densities, meters and percentages, so unit variance is the only
-sane common scale). The eigensolver is a cyclic Jacobi sweep: for 10x10
-symmetric matrices it is exact to machine precision, fully deterministic,
-and needs no LAPACK.
+sane common scale), decomposed by numpy's `eigh`. Rank-deficient tables
+(n <= p, duplicated variables) have null components, eigenvalue at most
+NULL_EIGENVALUE_TOL: any basis of the null space is as good as another, so
+the one a solver returns is an artefact of that solver. Their eigenvalue
+is therefore exactly 0 and their loading and score columns are all +0.0.
 
 Eigenvector signs are arbitrary, so a fixed convention is applied: within
 each loading column the entry of largest absolute value is made positive.
@@ -22,7 +24,6 @@ hits whatever order the floating-point sums ran in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,8 @@ import numpy as np
 from .errors import ConstantColumnError, DomainError, NumericalError
 from .geometry import AdjacencyList
 
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
+# eigenvalues at most this belong to null components (see module docstring)
+NULL_EIGENVALUE_TOL = 1e-9
 
 # Permuted vectors are evaluated in blocks of about this many
 # (row x weight entry) products, so the memory held by one morans_i call
@@ -62,16 +63,19 @@ class ContributorThresholds:
 
 @dataclass
 class PcaResult:
-    """Eigenvalues (descending), variance proportions, loadings, scores.
+    """Eigenvalues (descending), variance proportions, loadings, scores,
+    and the correlation matrix they decompose.
 
-    loadings[:, k] is the unit eigenvector for eigenvalues[k]; scores are
-    the standardized data projected onto the loadings (n x p).
+    loadings[:, k] is the unit eigenvector for eigenvalues[k], or all zeros
+    for a null component; scores are the standardized data projected onto
+    the loadings (n x p).
     """
 
     eigenvalues: np.ndarray
     proportions: np.ndarray
     loadings: np.ndarray
     scores: np.ndarray
+    correlation: np.ndarray
 
     @property
     def n_components(self) -> int:
@@ -117,65 +121,16 @@ def standardize_table(values: np.ndarray, names: list[str] | None = None) -> np.
 
 def correlation_matrix(values: np.ndarray, names: list[str] | None = None) -> np.ndarray:
     """Symmetric Pearson correlation matrix with an exact unit diagonal."""
-    z = standardize_table(values, names)
+    return _correlation_of_standardized(standardize_table(values, names))
+
+
+def _correlation_of_standardized(z: np.ndarray) -> np.ndarray:
     n = z.shape[0]
     r = (z.T @ z) / (n - 1)
     r = 0.5 * (r + r.T)
     np.clip(r, -1.0, 1.0, out=r)
     np.fill_diagonal(r, 1.0)
     return r
-
-
-def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Sweeps row-by-row, rotating away each off-diagonal entry, until the
-    off-diagonal Frobenius norm drops below JACOBI_TOL. Returns
-    (eigenvalues, eigenvectors-as-columns), unsorted.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-
-    def off_norm() -> float:
-        # direct sum over off-diagonal entries; subtracting the diagonal
-        # from the total cancels catastrophically near convergence
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.sqrt((off * off).sum()))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_norm() < JACOBI_TOL:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # A <- J^T A J and V <- V J, with the (p,q) Givens rotation J
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if off_norm() < JACOBI_TOL:
-        return np.diag(a).copy(), v
-    raise NumericalError(
-        f"Jacobi eigensolver did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-    )
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
@@ -192,14 +147,11 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
 def pca(values: np.ndarray, names: list[str] | None = None) -> PcaResult:
     """Correlation-matrix PCA of an n x p data table.
 
-    Standardizes each column, eigendecomposes the Pearson correlation
-    matrix with cyclic Jacobi rotations, sorts eigenpairs by descending
-    eigenvalue (ties broken by the sign-fixed eigenvector's lexicographic
-    order), applies the sign convention, and projects the standardized
-    data onto the loadings.
-
-    Rank-deficient tables (n <= p, duplicated variables) are fine: the
-    correlation matrix just picks up zero eigenvalues.
+    Standardizes each column once, eigendecomposes the Pearson correlation
+    matrix, applies the sign convention, zeroes the null components, sorts
+    eigenpairs by descending eigenvalue (ties broken by the eigenvector's
+    lexicographic order), and projects the standardized data onto the
+    loadings.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
@@ -207,13 +159,17 @@ def pca(values: np.ndarray, names: list[str] | None = None) -> PcaResult:
     n, p = values.shape
     if n < 2:
         raise DomainError(f"PCA needs at least 2 rows, got {n}")
-    eigenvalues, vectors = _jacobi_eigh(correlation_matrix(values, names))
+    z = standardize_table(values, names)
+    correlation = _correlation_of_standardized(z)
+    eigenvalues, vectors = np.linalg.eigh(correlation)
     if eigenvalues.min() < -1e-8:
         raise NumericalError(
             f"correlation matrix produced eigenvalue {eigenvalues.min()}; expected PSD"
         )
-    eigenvalues = np.maximum(eigenvalues, 0.0)
+    null = eigenvalues <= NULL_EIGENVALUE_TOL
+    eigenvalues[null] = 0.0
     vectors = _fix_column_signs(vectors)
+    vectors[:, null] = 0.0
     order = sorted(
         range(p), key=lambda k: (-eigenvalues[k], tuple(vectors[:, k]))
     )
@@ -222,11 +178,14 @@ def pca(values: np.ndarray, names: list[str] | None = None) -> PcaResult:
     total = eigenvalues.sum()
     if total <= 0:
         raise NumericalError("eigenvalue sum is not positive")
+    scores = z @ loadings
+    scores[:, eigenvalues == 0.0] = 0.0  # +0.0, whatever the signs in z
     return PcaResult(
         eigenvalues=eigenvalues,
         proportions=eigenvalues / total,
         loadings=loadings,
-        scores=standardize_table(values, names) @ loadings,
+        scores=scores,
+        correlation=correlation,
     )
 
 

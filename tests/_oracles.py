@@ -2,7 +2,7 @@
 
 Everything here is deliberately written with different algorithms than the
 code under test: Floyd-Warshall instead of Dijkstra, the closed-form
-characteristic-cubic solution instead of Jacobi sweeps, winding numbers
+characteristic-cubic solution instead of LAPACK's eigh, winding numbers
 instead of ray casting, dense boundary sampling instead of exact
 segment distances, and a per-tract loop (in floats or exact fractions)
 instead of the batched Moran kernel.

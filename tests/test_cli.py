@@ -269,17 +269,30 @@ def test_report_builds_table_and_pca_once(minitown_config, tmp_path, monkeypatch
     assert calls == {"assemble": 1, "pca": 1}
 
 
-# sha256 of the minitown files that do not depend on the eigensolver; the
-# PCA-side files are left out until the null-space convention is settled
+# sha256 of every file of the minitown bundle. Minitown is rank-deficient
+# (9 tracts, 10 variables), so PC9 and PC10 are null components; their
+# loading and score columns are exact zeros, which makes the PCA-side files
+# independent of the eigensolver and pinnable too.
 GOLDEN_SHA256 = {
     "variables.csv": "2e07a409ccffd0d135ddc36c32e33a40648342f80d9b437b85dce6babb435815",
     "dropped.csv": "1bdf67f2f674f68a35617070a52b57a0a949395b44b9757897982a9c1f7a49e2",
     "var_corr.csv": "8f9a592a50769a1dd27bf9ad73fb360fe948b2b52911c8cddc6601ff2577b8c1",
     "moran.csv": "9ae560335a0d377e9e21c3254fe65836db9a83e75f3a883e1181db85db1d650c",
+    "variance.csv": "986a04c0c918331938d141edc633f7662e5f08fa63443c6e448e522fe14d9f13",
+    "loadings.csv": "f915ddbbb9f36b02a10232c5a2b5b690ff37c19dfa4c8c373b6bcc77ee29bf64",
+    "contributors.csv": "a06bcc4532237326c7e91c343ef4a6cefd7efa56b6896d9abf567a0b18cf1760",
+    "loading_corr.csv": "42e3e5f5beec2384249f12964dc4f76239d5f1160ad3e96fd0d80a6a0ca3992c",
+    "scores.csv": "2951453861237ca90e92ffc5b045048a94c9ca2372536d72635e3fe2dcb99b7d",
+    "scores.geojson": "4153ff6fc16786eabda38bbc458bc68ab7934cbc4b27870caf9905f98507218a",
+    "boxmap_pc1.svg": "61c746f2d5b175395450a52feeb0d978d4d14c53245587cc05d87166d732a0a5",
+    "boxmap_pc2.svg": "a3efde50dabd0105398c8cc05ea072bc9c2e7d67f7f97e8e63e0f84289a28527",
+    "boxmap_pc3.svg": "27fa30f9d271cd88cae5be0f2810212a24eac33a0990c24e0686eb5bbf2b519c",
+    "boxmap_pc4.svg": "ef8a35075d9a915b4fa482e226b828e3caa024d7d0d7b8e8811bcb0048d949d9",
 }
 
 
 def test_report_golden_bytes(minitown_config, tmp_path):
+    assert sorted(GOLDEN_SHA256) == EXPECTED_REPORT_FILES
     out = tmp_path / "out"
     assert run(["report", "--config", minitown_config, "--out", str(out)]) == 0
     digests = {
@@ -301,6 +314,33 @@ def test_failed_emitter_leaves_previous_bundle(minitown_config, tmp_path, monkey
     assert code == 5
     assert tree_bytes(out) == before
     assert os.listdir(tmp_path) == ["out"]  # no temporary directory left behind
+
+
+def svg_files(out):
+    return sorted(name for name in os.listdir(out) if name.endswith(".svg"))
+
+
+def test_fewer_mapped_components_remove_stale_boxmaps(minitown_dir, tmp_path):
+    work = minitown_copy(minitown_dir, tmp_path)
+    config = work / "config.json"
+    out = tmp_path / "out"
+    assert run(["report", "--config", str(config), "--out", str(out)]) == 0
+    assert svg_files(out) == [f"boxmap_pc{k}.svg" for k in (1, 2, 3, 4)]
+
+    doc = json.loads(config.read_text())
+    doc["components_mapped"] = 2
+    config.write_text(json.dumps(doc))
+    assert run(["report", "--config", str(config), "--out", str(out)]) == 0
+    assert svg_files(out) == ["boxmap_pc1.svg", "boxmap_pc2.svg"]
+    assert sorted(os.listdir(out)) == [
+        name for name in EXPECTED_REPORT_FILES if name not in ("boxmap_pc3.svg", "boxmap_pc4.svg")
+    ]
+
+    # a subcommand without the boxmap step leaves the box maps alone
+    doc["components_mapped"] = 1
+    config.write_text(json.dumps(doc))
+    assert run(["pca", "--config", str(config), "--out", str(out)]) == 0
+    assert svg_files(out) == ["boxmap_pc1.svg", "boxmap_pc2.svg"]
 
 
 def test_unwritable_out_dir_exits_5(minitown_config, tmp_path):

@@ -274,6 +274,23 @@ def test_assemble_missing_demographics_row_drops_tract(minitown_dir):
     assert table.dropped == [("t22", "missing demographics")]
 
 
+def test_assemble_reports_demographics_rows_without_geometry(minitown_dir, caplog):
+    tracts, providers, net, demographics = minitown_inputs(minitown_dir)
+    with caplog.at_level("WARNING", logger="access_atlas.ingest"):
+        ingest.assemble_variable_table(tracts, providers, net, demographics, max_snap_m=700.0)
+    assert caplog.messages == []
+
+    kept = [t for t in tracts if t.tract_id not in ("t13", "t22")]
+    with caplog.at_level("WARNING", logger="access_atlas.ingest"):
+        table = ingest.assemble_variable_table(kept, providers, net, demographics, max_snap_m=700.0)
+    assert caplog.messages == [
+        "ignoring demographics row t13: no tract geometry",
+        "ignoring demographics row t22: no tract geometry",
+    ]
+    assert table.n == 7
+    assert table.dropped == []
+
+
 def test_assemble_missing_cell_drops_tract(minitown_dir):
     tracts, providers, net, demographics = minitown_inputs(minitown_dir)
     for rec in demographics:

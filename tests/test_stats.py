@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -169,9 +170,8 @@ def test_pca_scale_invariance():
 
 
 def test_pca_converges_on_many_random_tables():
-    # the off-diagonal norm must be computed directly; a total-minus-diagonal
-    # formulation stalls at the cancellation noise floor (~1e-8) and never
-    # reaches the 1e-12 convergence threshold
+    # the decomposition must rebuild the correlation matrix to well below
+    # the 6 dp the report prints, across sizes from 2 to 11 variables
     rng = np.random.default_rng(99)
     for _ in range(40):
         p = int(rng.integers(2, 12))
@@ -189,6 +189,58 @@ def test_pca_rank_deficient_table_gets_zero_eigenvalues():
     assert np.all(res.eigenvalues >= 0.0)
     assert res.eigenvalues[-1] == 0.0
     assert np.all(np.diff(res.eigenvalues) <= 1e-12)
+
+
+def rank_deficient_table(case):
+    """A rank-deficient table and its number of null components."""
+    rng = np.random.default_rng(11)
+    if case == "n_lt_p":
+        return rng.normal(size=(5, 8)), 4  # rank n - 1 = 4 of 8
+    t = rng.normal(size=(30, 4))
+    return np.column_stack([t, t[:, 2]]), 1
+
+
+RANK_DEFICIENT = ["n_lt_p", "duplicated_column"]
+
+
+@pytest.mark.parametrize("case", RANK_DEFICIENT)
+def test_pca_null_components_are_exact_positive_zeros(case):
+    table, n_null = rank_deficient_table(case)
+    res = pca(table)
+    null = res.eigenvalues <= stats.NULL_EIGENVALUE_TOL
+    assert np.flatnonzero(null).tolist() == list(range(len(null) - n_null, len(null)))
+    assert np.all(res.eigenvalues[null] == 0.0)
+    assert not np.signbit(res.eigenvalues).any()
+    for block in (res.loadings[:, null], res.scores[:, null]):
+        assert np.all(block == 0.0)
+        assert not np.signbit(block).any()
+    names = [f"v{j}" for j in range(table.shape[1])]
+    for k in np.flatnonzero(null):
+        assert classify_contributors(list(zip(names, res.loadings[:, k]))) == (set(), set())
+
+
+@pytest.mark.parametrize("case", RANK_DEFICIENT)
+def test_pca_independent_of_null_space_basis(case, monkeypatch):
+    table, _ = rank_deficient_table(case)
+    base = pca(table)
+    real_eigh = np.linalg.eigh
+    rng = np.random.default_rng(13)
+
+    def rotated_eigh(a):
+        # the same decomposition, but with a random orthonormal basis of
+        # the null space and fresh rounding residues on its eigenvalues
+        w, v = real_eigh(a)
+        null = w <= stats.NULL_EIGENVALUE_TOL
+        q, _ = np.linalg.qr(rng.normal(size=(null.sum(), null.sum())))
+        v[:, null] = v[:, null] @ q
+        w[null] = rng.uniform(-1e-12, 1e-12, size=null.sum())
+        return w, v
+
+    monkeypatch.setattr(stats.np.linalg, "eigh", rotated_eigh)
+    for _ in range(5):
+        res = pca(table)
+        for field in dataclasses.fields(stats.PcaResult):
+            assert np.array_equal(getattr(res, field.name), getattr(base, field.name)), field.name
 
 
 def test_pca_single_row_rejected():
