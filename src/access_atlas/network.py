@@ -5,6 +5,13 @@ filtered to the road classes people actually walk or drive locally
 (motorways are excluded by default). Distances to the nearest supermarket
 come from a single multi-source Dijkstra pass seeded with every
 supermarket's snap node, which is then shared by all tracts.
+
+Snapping a point to its nearest node goes through a coordinate index that
+each `RoadNetwork` builds once, on the first snap: the node ids sorted by
+`_node_sort_key` (decimal ids numerically, then the rest by string) and
+their x and y as float arrays in that order. Building it costs one
+O(N log N) sort; each snap is then one O(N) numpy pass over the arrays.
+Ties go to the lowest id in that order.
 """
 
 from __future__ import annotations
@@ -13,7 +20,10 @@ import csv
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DomainError, RangeError, SchemaError, SnapError
 from .geometry import Polygon, ProjectedPoint, parts_area_centroid, point_in_polygon, project_lonlat
@@ -27,14 +37,19 @@ DEFAULT_SNAP_MAX_M = 500.0
 
 def _node_sort_key(node_id: str) -> tuple[int, int, str]:
     # Numeric ids order numerically, everything else lexicographically.
-    if node_id.isdigit():
+    # isdecimal, not isdigit: "²" is a digit that int() rejects.
+    if node_id.isdecimal():
         return (0, int(node_id), node_id)
     return (1, 0, node_id)
 
 
 @dataclass
 class RoadNetwork:
-    """Undirected road graph: node coordinates plus adjacency with lengths."""
+    """Undirected road graph: node coordinates plus adjacency with lengths.
+
+    `nodes` is not to be changed after the first snap, which derives the
+    snap index from it.
+    """
 
     nodes: dict[str, ProjectedPoint]
     adjacency: dict[str, list[tuple[str, float]]]
@@ -42,6 +57,14 @@ class RoadNetwork:
     @property
     def edge_count(self) -> int:
         return sum(len(v) for v in self.adjacency.values()) // 2
+
+    @cached_property
+    def snap_index(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """Node ids in `_node_sort_key` order and their x and y arrays."""
+        ids = sorted(self.nodes, key=_node_sort_key)
+        xs = np.array([self.nodes[nid].x for nid in ids], dtype=float)
+        ys = np.array([self.nodes[nid].y for nid in ids], dtype=float)
+        return ids, xs, ys
 
 
 @dataclass
@@ -184,17 +207,33 @@ def load_road_edges(path: str) -> list[tuple[str, str, float | None, str]]:
 def snap_point(
     pt: ProjectedPoint, net: RoadNetwork, max_snap_m: float = DEFAULT_SNAP_MAX_M
 ) -> str:
-    """Nearest network node by Euclidean distance; ties go to the lowest id."""
+    """Nearest network node by Euclidean distance; ties go to the lowest id.
+
+    One numpy pass over `net.snap_index` computes the squared distance to
+    every node. The nodes within a relative 1e-12 of the smallest squared
+    distance, far wider than its rounding error, are the candidates; the
+    first of them, in id order, with the strictly smallest `math.hypot`
+    distance wins. That is the node, and the distance, of a scan over all
+    ids in sorted order. A nearest node farther than max_snap_m raises
+    SnapError carrying that distance.
+    """
     if not net.nodes:
         raise DomainError("cannot snap onto an empty network")
+    ids, xs, ys = net.snap_index
+    # Beyond about 1e154 m d2 overflows to inf; the candidate rule still holds.
+    with np.errstate(over="ignore"):
+        dx = xs - pt.x
+        dy = ys - pt.y
+        d2 = dx * dx + dy * dy
+    candidates = np.flatnonzero(d2 <= d2.min() * (1.0 + 1e-12))
     best_id: str | None = None
     best_d = math.inf
-    for nid in sorted(net.nodes, key=_node_sort_key):
-        npt = net.nodes[nid]
+    for i in candidates.tolist():
+        npt = net.nodes[ids[i]]
         d = math.hypot(pt.x - npt.x, pt.y - npt.y)
         if d < best_d:
             best_d = d
-            best_id = nid
+            best_id = ids[i]
     assert best_id is not None
     if best_d > max_snap_m:
         raise SnapError(

@@ -4,8 +4,9 @@ Everything here is deliberately written with different algorithms than the
 code under test: Floyd-Warshall instead of Dijkstra, the closed-form
 characteristic-cubic solution instead of LAPACK's eigh, winding numbers
 instead of ray casting, dense boundary sampling instead of exact
-segment distances, and a per-tract loop (in floats or exact fractions)
-instead of the batched Moran kernel.
+segment distances, a per-tract loop (in floats or exact fractions)
+instead of the batched Moran kernel, and a scan over every node id in
+sorted order instead of the snap index.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from access_atlas.errors import DomainError, SnapError
 
 
 def floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
@@ -141,3 +144,32 @@ def moran_loop(values, neighbors, number=float):
     )
     s0 = sum(1 for neigh in neighbors if neigh)
     return n * num / (s0 * sum(v * v for v in z))
+
+
+def _node_id_key(node_id: str) -> tuple[int, int, str]:
+    # Decimal ids order numerically, everything else lexicographically.
+    if node_id.isdecimal():
+        return (0, int(node_id), node_id)
+    return (1, 0, node_id)
+
+
+def snap_loop(pt, net, max_snap_m: float = 500.0) -> str:
+    """Nearest node by scanning every id in sorted order and keeping the
+    first strict minimum of math.hypot; a drop-in for network.snap_point."""
+    if not net.nodes:
+        raise DomainError("cannot snap onto an empty network")
+    best_id: str | None = None
+    best_d = math.inf
+    for nid in sorted(net.nodes, key=_node_id_key):
+        npt = net.nodes[nid]
+        d = math.hypot(pt.x - npt.x, pt.y - npt.y)
+        if d < best_d:
+            best_d = d
+            best_id = nid
+    assert best_id is not None
+    if best_d > max_snap_m:
+        raise SnapError(
+            f"nearest node {best_id!r} is {best_d:.1f} m away (max {max_snap_m:.0f} m)",
+            best_d,
+        )
+    return best_id

@@ -134,6 +134,18 @@ def test_unsnappable_tract_is_dropped_not_fatal(minitown_dir, tmp_path):
     assert len(read_csv(out / "variables.csv")) == 8
 
 
+def test_non_decimal_digit_node_id_runs(minitown_dir, tmp_path):
+    # "²".isdigit() is True but int("²") raises; it used to crash the run.
+    work = minitown_copy(minitown_dir, tmp_path)
+    for name in ("roads_nodes.csv", "roads_edges.csv"):
+        text = (work / name).read_text(encoding="utf-8")
+        assert "c22," in text
+        (work / name).write_text(text.replace("c22,", "²,"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["variables", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+    assert len(read_csv(out / "variables.csv")) == 9
+
+
 def test_unsnappable_supermarket_exits_2(minitown_dir, tmp_path, capsys):
     work = minitown_copy(minitown_dir, tmp_path)
     providers = (work / "providers.csv").read_text()

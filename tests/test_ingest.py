@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from access_atlas import ingest
+from access_atlas import ingest, network
 from access_atlas.errors import (
     DegenerateGeometry,
     DomainError,
@@ -14,6 +14,8 @@ from access_atlas.errors import (
 )
 from access_atlas.ingest import VARIABLE_COLUMNS
 from access_atlas.network import build_network, load_road_edges, load_road_nodes
+
+from _oracles import snap_loop
 
 REF = (-87.70, 41.85)
 
@@ -322,6 +324,24 @@ def test_assemble_unreachable_tract_dropped(minitown_dir):
     )
     assert ("t11", "unreachable") in table.dropped
     assert table.n == 8
+
+
+@pytest.mark.parametrize("max_snap_m", [700.0, 400.0])  # 400 m drops 4 tracts as unsnappable
+def test_grid_mode_snaps_like_sorted_scan_oracle(minitown_dir, monkeypatch, max_snap_m):
+    tracts, providers, net, demographics = minitown_inputs(minitown_dir)
+
+    def assemble():
+        return ingest.assemble_variable_table(
+            tracts, providers, net, demographics, ace_net_mode="grid-3", max_snap_m=max_snap_m
+        )
+
+    got = assemble()
+    monkeypatch.setattr(network, "snap_point", snap_loop)
+    monkeypatch.setattr(ingest, "snap_point", snap_loop)
+    want = assemble()
+    assert np.array_equal(got.values, want.values)
+    assert got.dropped == want.dropped
+    assert got.tract_ids == want.tract_ids
 
 
 def test_assemble_without_supermarkets_rejected(minitown_dir):

@@ -1,16 +1,21 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from access_atlas import network
 from access_atlas.errors import DomainError, SchemaError, SnapError
 from access_atlas.geometry import Polygon, ProjectedPoint
 from access_atlas.network import (
+    RoadNetwork,
     build_network,
     multisource_shortest_distances,
     snap_point,
     tract_network_distance,
 )
 
-from _oracles import floyd_warshall
+from _oracles import floyd_warshall, snap_loop
 
 
 def chain_network():
@@ -92,6 +97,115 @@ def test_snap_beyond_max_raises():
     net = chain_network()
     with pytest.raises(SnapError):
         snap_point(ProjectedPoint(0, 800), net, max_snap_m=500)
+
+
+def test_non_decimal_digit_id_sorts_as_text():
+    # "²".isdigit() is True but int("²") raises; such an id sorts as text,
+    # after every decimal id.
+    nodes = {"²": ProjectedPoint(-100, 0), "7": ProjectedPoint(100, 0)}
+    net = build_network([("²", "7", 200.0, "residential")], nodes)
+    assert net.adjacency["²"] == [("7", 200.0)]
+    assert snap_point(ProjectedPoint(0, 0), net) == "7"
+    assert multisource_shortest_distances(net, {"²"}) == {"²": 0.0, "7": 200.0}
+
+
+def random_snap_network(rng):
+    """Nodes on a coarse lattice, so distances tie exactly, with duplicated
+    coordinates, mirrored pairs, a ring of nodes around one point whose
+    squared distances and math.hypot distances can order differently in
+    the last bit, and mixed numeric, leading-zero and alphabetic ids, all
+    optionally offset by 1e6 m."""
+    offset = float(rng.choice([0.0, 1e6]))
+    step = float(rng.choice([0.5, 7.0, 125.0]))
+    id_pool = [str(i) for i in range(40)] + ["0" + str(i) for i in range(10)]
+    id_pool += ["n" + str(i) for i in range(10)] + ["A", "B", "a", "b", "Z9", "node"]
+    ids = [id_pool[i] for i in rng.permutation(len(id_pool))[: int(rng.integers(1, 40))]]
+    ring_center = (offset + float(rng.uniform(-1e3, 1e3)), offset + float(rng.uniform(-1e3, 1e3)))
+    ring_radius = float(rng.uniform(1, 300))
+    coords = []
+    for k in range(len(ids)):
+        if rng.random() < 0.2:
+            theta = float(rng.uniform(0, 2 * math.pi))
+            coords.append(
+                (ring_center[0] + ring_radius * math.cos(theta),
+                 ring_center[1] + ring_radius * math.sin(theta))
+            )
+        elif k and rng.random() < 0.2:
+            coords.append(coords[int(rng.integers(0, k))])  # duplicate
+        elif k and rng.random() < 0.2:
+            cx, cy = offset + step * 4, offset + step * 4
+            mx, my = coords[int(rng.integers(0, k))]
+            coords.append((2 * cx - mx, 2 * cy - my))  # mirror about (cx, cy)
+        else:
+            i, j = rng.integers(-8, 9, size=2)
+            coords.append((offset + step * float(i), offset + step * float(j)))
+    nodes = {nid: ProjectedPoint(x, y) for nid, (x, y) in zip(ids, coords)}
+    points = [ProjectedPoint(offset + step * 4, offset + step * 4), ProjectedPoint(*ring_center)]
+    for _ in range(30):
+        i, j = rng.integers(-20, 21, size=2)
+        points.append(ProjectedPoint(offset + step * i / 2.0, offset + step * j / 2.0))
+        a, b = rng.integers(0, len(coords), size=2)
+        points.append(
+            ProjectedPoint((coords[a][0] + coords[b][0]) / 2, (coords[a][1] + coords[b][1]) / 2)
+        )
+        u, v = rng.uniform(-1e4, 1e4, size=2)
+        points.append(ProjectedPoint(offset + float(u), offset + float(v)))
+    max_snap_m = float(rng.choice([0.0, 3 * step, 500.0]))
+    return RoadNetwork(nodes=nodes, adjacency={}), points, max_snap_m
+
+
+def test_snap_point_matches_sorted_scan_oracle():
+    rng = np.random.default_rng(20241018)
+    ties = snapped = too_far = 0
+    for _ in range(200):
+        net, points, max_snap_m = random_snap_network(rng)
+        for pt in points:
+            try:
+                want = snap_loop(pt, net, max_snap_m)
+            except SnapError as exc:
+                with pytest.raises(SnapError) as got:
+                    snap_point(pt, net, max_snap_m)
+                assert got.value.distance_m == exc.distance_m
+                too_far += 1
+                continue
+            assert snap_point(pt, net, max_snap_m) == want
+            snapped += 1
+            best = math.hypot(pt.x - net.nodes[want].x, pt.y - net.nodes[want].y)
+            ties += sum(math.hypot(pt.x - p.x, pt.y - p.y) == best for p in net.nodes.values()) > 1
+    assert min(ties, snapped, too_far) > 500
+
+
+@pytest.mark.parametrize("px, py", [(0.0, 0.0), (-1e308, -1e308), (1e308, 1e308), (3e307, -1e154)])
+def test_snap_point_with_overflowing_squares_matches_oracle(px, py):
+    nodes = {
+        "1": ProjectedPoint(1e308, 1e308),
+        "2": ProjectedPoint(-1e200, 5.0),
+        "3": ProjectedPoint(2.0, -1.0),
+        "x": ProjectedPoint(1e155, 0.0),
+    }
+    net = RoadNetwork(nodes=nodes, adjacency={})
+    pt = ProjectedPoint(px, py)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert snap_point(pt, net, math.inf) == snap_loop(pt, net, math.inf)
+
+
+def test_snap_point_does_not_sort_per_call(monkeypatch):
+    rng = np.random.default_rng(11)
+    n = 300
+    nodes, edges = random_graph(rng, n)
+    net = build_network(edges, nodes)
+    calls = []
+    original = network._node_sort_key
+
+    def counted(node_id):
+        calls.append(1)
+        return original(node_id)
+
+    monkeypatch.setattr(network, "_node_sort_key", counted)
+    for x, y in rng.uniform(0, 1e4, size=(200, 2)):
+        snap_point(ProjectedPoint(float(x), float(y)), net, max_snap_m=1e5)
+    assert len(calls) <= n
 
 
 # ------------------------------------------------------------ shortest paths
