@@ -43,7 +43,6 @@ from .ingest import (
     load_tracts,
 )
 from .network import (
-    NetworkDistanceResult,
     RoadNetwork,
     build_network,
     multisource_shortest_distances,
@@ -58,7 +57,6 @@ from .stats import (
     classify_contributors,
     correlation_matrix,
     loading_profile_correlation,
-    moran_statistic,
     morans_i,
     pca,
     standardize,

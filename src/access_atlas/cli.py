@@ -98,10 +98,8 @@ def _analyze(table: VariableTable):
 
 def _moran_rows(table: VariableTable, retained, cfg: RunConfig):
     adjacency = queen_adjacency([t.parts for t in retained])
-    return [
-        (name, stats.morans_i(table.values[:, j], adjacency, cfg.moran_permutations, cfg.seed))
-        for j, name in enumerate(VARIABLE_COLUMNS)
-    ]
+    results = stats.morans_i(table.values, adjacency, cfg.moran_permutations, cfg.seed)
+    return list(zip(VARIABLE_COLUMNS, results))
 
 
 def _boxmap_products(table: VariableTable, pca_result, cfg: RunConfig):
@@ -187,7 +185,6 @@ def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
                 report.emit_pca_tables,
                 table,
                 pca_result,
-                pca_result.correlation,
                 loading_corr,
                 thresholds,
                 out,

@@ -90,9 +90,6 @@ class TractGeometry:
     parts: list[Polygon]
     source_geometry: dict | None = None
 
-    def centroid(self) -> ProjectedPoint:
-        return parts_area_centroid(self.parts)[1]
-
 
 @dataclass
 class ProviderPoint:
@@ -347,25 +344,19 @@ def assemble_variable_table(
             dropped.append((tract.tract_id, f"missing {missing[0]}"))
             continue
         try:
-            result = tract_network_distance(
-                tract.tract_id,
-                tract.parts,
-                net,
-                sources,
-                ace_net_mode,
-                max_snap_m=max_snap_m,
-                distances=distances,
+            ace_net = tract_network_distance(
+                tract.parts, net, distances, ace_net_mode, max_snap_m=max_snap_m
             )
         except SnapError as exc:
             dropped.append((tract.tract_id, f"unsnappable ({exc.distance_m:.0f} m)"))
             continue
-        if result.unreachable:
+        if ace_net is None:
             dropped.append((tract.tract_id, "unreachable"))
             continue
         av_int = availability_count(tract.parts, buffered)
         row = [float(av_int)]
         row.append(rec.values["AV_POP"])
-        row.append(result.distance_m)
+        row.append(ace_net)
         for name in ("ACE_NV", "ACE_ELD", "ACE_DIS", "AFF_POV", "AFF_UNEMP", "ACO_ENG", "ACO_SNAP"):
             row.append(rec.values[name])
         retained_ids.append(tract.tract_id)

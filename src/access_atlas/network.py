@@ -4,7 +4,8 @@ The network is an undirected weighted graph built from node/edge CSVs,
 filtered to the road classes people actually walk or drive locally
 (motorways are excluded by default). Distances to the nearest supermarket
 come from a single multi-source Dijkstra pass seeded with every
-supermarket's snap node, which is then shared by all tracts.
+supermarket's snap node; `tract_network_distance` reads each tract's
+distance from that one shared map.
 
 Snapping a point to its nearest node goes through a coordinate index that
 each `RoadNetwork` builds once, on the first snap: the node ids sorted by
@@ -67,18 +68,6 @@ class RoadNetwork:
         return ids, xs, ys
 
 
-@dataclass
-class NetworkDistanceResult:
-    """Distance from one tract to its nearest supermarket, or unreachable."""
-
-    tract_id: str
-    distance_m: float | None
-
-    @property
-    def unreachable(self) -> bool:
-        return self.distance_m is None
-
-
 def build_network(
     edge_records: Iterable[tuple[str, str, float | None, str]],
     node_records: Mapping[str, ProjectedPoint],
@@ -88,7 +77,9 @@ def build_network(
 
     Edge records are (from_node, to_node, length_m, road_class); a None
     length means "use the Euclidean distance between the endpoints".
-    Isolated nodes (no surviving edge) are dropped.
+    Isolated nodes (no surviving edge) are dropped. Each adjacency list is
+    sorted by neighbour id in `_node_sort_key` order, computed once per
+    node, then by length.
     """
     adjacency: dict[str, list[tuple[str, float]]] = {}
     for idx, (a, b, length, road_class) in enumerate(edge_records):
@@ -104,9 +95,12 @@ def build_network(
             raise SchemaError(f"edge {idx} ({a}-{b}): non-positive length {length}")
         adjacency.setdefault(a, []).append((b, float(length)))
         adjacency.setdefault(b, []).append((a, float(length)))
+    # each node's rank in _node_sort_key order, freed before `nodes` is built
+    rank = {nid: r for r, nid in enumerate(sorted(adjacency, key=_node_sort_key))}
+    for edges in adjacency.values():
+        edges.sort(key=lambda e: (rank[e[0]], e[1]))
+    del rank
     nodes = {nid: pt for nid, pt in node_records.items() if nid in adjacency}
-    for nid in adjacency:
-        adjacency[nid].sort(key=lambda e: (_node_sort_key(e[0]), e[1]))
     return RoadNetwork(nodes=nodes, adjacency=adjacency)
 
 
@@ -215,7 +209,8 @@ def snap_point(
     first of them, in id order, with the strictly smallest `math.hypot`
     distance wins. That is the node, and the distance, of a scan over all
     ids in sorted order. A nearest node farther than max_snap_m raises
-    SnapError carrying that distance.
+    SnapError carrying that distance, which is inf when `math.hypot`
+    overflows for every candidate.
     """
     if not net.nodes:
         raise DomainError("cannot snap onto an empty network")
@@ -225,16 +220,16 @@ def snap_point(
         dx = xs - pt.x
         dy = ys - pt.y
         d2 = dx * dx + dy * dy
-    candidates = np.flatnonzero(d2 <= d2.min() * (1.0 + 1e-12))
-    best_id: str | None = None
+    candidates = np.flatnonzero(d2 <= d2.min() * (1.0 + 1e-12)).tolist()
+    # seeded with the first candidate, so it stands when every hypot is inf
+    best_id = ids[candidates[0]]
     best_d = math.inf
-    for i in candidates.tolist():
+    for i in candidates:
         npt = net.nodes[ids[i]]
         d = math.hypot(pt.x - npt.x, pt.y - npt.y)
         if d < best_d:
             best_d = d
             best_id = ids[i]
-    assert best_id is not None
     if best_d > max_snap_m:
         raise SnapError(
             f"nearest node {best_id!r} is {best_d:.1f} m away (max {max_snap_m:.0f} m)",
@@ -290,28 +285,23 @@ def _grid_sample_points(parts: Sequence[Polygon], k: int) -> list[ProjectedPoint
 
 
 def tract_network_distance(
-    tract_id: str,
     parts: Sequence[Polygon],
     net: RoadNetwork,
-    supermarket_nodes: set[str] | frozenset[str],
+    distances: Mapping[str, float],
     mode: str = "centroid",
     *,
-    max_snap_m: float = DEFAULT_SNAP_MAX_M,
-    distances: Mapping[str, float] | None = None,
-) -> NetworkDistanceResult:
-    """Network distance from a tract to its nearest supermarket node.
+    max_snap_m: float,
+) -> float | None:
+    """Network distance from a tract to its nearest supermarket, or None if
+    no sample of the tract reaches one.
 
-    mode "centroid" uses the snapped area centroid; mode "grid-K" averages
-    the distances at the snapped nodes of a K x K interior sample grid
-    (sample points outside the polygon are discarded; if none remain the
-    centroid is used). Unreachable samples are excluded from the mean; a
-    tract with no reachable sample is flagged unreachable.
-
-    Pass a precomputed `distances` map (from multisource_shortest_distances)
-    to share one Dijkstra pass across tracts.
+    `distances` is the shared map from multisource_shortest_distances. Mode
+    "centroid" uses the snapped area centroid; mode "grid-K" averages the
+    distances at the snapped nodes of a K x K interior sample grid (sample
+    points outside the polygon are discarded; if none remain the centroid
+    is used). Unreachable samples are excluded from the mean. A sample
+    beyond max_snap_m from every node raises SnapError.
     """
-    if distances is None:
-        distances = multisource_shortest_distances(net, supermarket_nodes)
     _, centroid = parts_area_centroid(parts)
     if mode == "centroid":
         sample_points = [centroid]
@@ -327,10 +317,9 @@ def tract_network_distance(
         raise DomainError(f"unknown sampling mode {mode!r}")
     values = []
     for pt in sample_points:
-        node = snap_point(pt, net, max_snap_m)
-        d = distances.get(node)
+        d = distances.get(snap_point(pt, net, max_snap_m))
         if d is not None:
             values.append(d)
     if not values:
-        return NetworkDistanceResult(tract_id=tract_id, distance_m=None)
-    return NetworkDistanceResult(tract_id=tract_id, distance_m=sum(values) / len(values))
+        return None
+    return sum(values) / len(values)

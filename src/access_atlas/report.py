@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
+from typing import Iterable
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -38,14 +40,6 @@ CLASS_LABELS = {
     "q4": "> 75%",
     "upper_outlier": "upper outlier",
 }
-
-
-def class_rank(cls: str) -> int:
-    """Position of a class in the low-to-high ordering."""
-    try:
-        return BOX_CLASSES.index(cls)
-    except ValueError:
-        raise DomainError(f"unknown box-map class {cls!r}") from None
 
 
 def _interpolated_quantile(sorted_values: np.ndarray, p: float) -> float:
@@ -97,10 +91,11 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write a string, or the chunks of one in order, as UTF-8."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -144,13 +139,13 @@ def emit_moran_csv(moran: list[tuple[str, MoranResult]], out_dir: str) -> str:
 def emit_pca_tables(
     table: VariableTable,
     pca: PcaResult,
-    var_corr: np.ndarray,
     loading_corr: np.ndarray,
     thresholds: ContributorThresholds,
     out_dir: str,
     names: tuple[str, ...] = VARIABLE_COLUMNS,
 ) -> list[str]:
-    """Write the six PCA-side report CSVs; numbers carry 6 decimal places."""
+    """Write the six PCA-side report CSVs; numbers carry 6 decimal places.
+    var_corr.csv is the correlation matrix the PCA decomposed."""
     names = list(names)
     p = pca.n_components
     pcs = [f"PC{k + 1}" for k in range(p)]
@@ -186,7 +181,7 @@ def emit_pca_tables(
     written.append(path)
 
     path = os.path.join(out_dir, "var_corr.csv")
-    _write_text(path, _matrix_csv(names, var_corr))
+    _write_text(path, _matrix_csv(names, pca.correlation))
     written.append(path)
 
     path = os.path.join(out_dir, "loading_corr.csv")
@@ -247,12 +242,8 @@ def emit_geojson(
             }
         )
     doc = {"type": "FeatureCollection", "features": features}
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {out_path}: {exc}") from exc
+    # streamed chunk by chunk, so the document is never held as one string
+    _write_text(out_path, chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"]))
     return out_path
 
 

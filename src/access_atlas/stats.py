@@ -13,10 +13,13 @@ each loading column the entry of largest absolute value is made positive.
 Everything downstream (contributor thresholds, loading-profile
 correlations) is invariant under per-column sign flips.
 
-Global Moran's I uses row-standardised weights, built once per call as
-flat (row, column, weight) arrays. One kernel evaluates any stack of
-value vectors: the observed vector and, for the permutation test, the
-permuted vectors, streamed through it in blocks of bounded size. A
+Global Moran's I is computed for every column of the n x p table in one
+call, with row-standardised weights built once as flat (row, column,
+weight) arrays. One kernel evaluates any stack of value vectors: the
+observed columns and, for the permutation test, the permuted columns.
+Permutation t draws one index from an RNG seeded as seed + t and applies
+it to every column, so all columns share one permutation stream; the
+permuted columns go through the kernel in blocks of bounded size. A
 permutation counts as a hit when it is at least as extreme as the
 observed I up to a relative tolerance (MORAN_TIE_RTOL), so exact ties are
 hits whatever order the floating-point sums ran in.
@@ -34,9 +37,9 @@ from .geometry import AdjacencyList
 # eigenvalues at most this belong to null components (see module docstring)
 NULL_EIGENVALUE_TOL = 1e-9
 
-# Permuted vectors are evaluated in blocks of about this many
+# Permuted columns are evaluated in blocks of about this many
 # (row x weight entry) products, so the memory held by one morans_i call
-# stays bounded whatever the permutation count.
+# stays bounded whatever the permutation count (see morans_i).
 MORAN_BLOCK = 1 << 15
 
 # A permutation counts as at least as extreme as the observed statistic
@@ -275,34 +278,32 @@ def _moran_kernel(x: np.ndarray, weights: MoranWeights) -> np.ndarray:
     return (x.shape[1] / weights.s0) * num / denom
 
 
-def moran_statistic(values: np.ndarray, adjacency: AdjacencyList) -> float:
-    """Global Moran's I with row-standardized weights.
-
-    I = (n / S0) * sum_ij w_ij z_i z_j / sum_i z_i^2, where z = x - mean(x),
-    w_ij = 1/|N(i)| for j in N(i) and S0 is the total weight (see
-    MoranWeights).
-    """
-    x = np.asarray(values, dtype=float)
-    return float(_moran_kernel(x[None, :], moran_weights(adjacency))[0])
-
-
 def morans_i(
     values: np.ndarray,
     adjacency: AdjacencyList,
     permutations: int = 999,
     seed: int = 0,
-) -> MoranResult:
-    """Moran's I plus a two-sided permutation pseudo p-value.
+) -> list[MoranResult]:
+    """Moran's I of every column of the n x p table `values`, each with a
+    two-sided permutation pseudo p-value; the p results in column order.
 
-    Permutation t shuffles the values with an RNG seeded as seed + t, so
-    the result is independent of execution order. The weights are built
-    once; the permuted vectors go through the same kernel as the observed
-    one, MORAN_BLOCK // (weight entries) rows at a time. pseudo_p is
-    (hits + 1) / (permutations + 1), where a permutation is a hit when
+    I = (n / S0) * sum_ij w_ij z_i z_j / sum_i z_i^2, where z = x - mean(x),
+    w_ij = 1/|N(i)| for j in N(i) and S0 is the total weight (see
+    MoranWeights). The weights are built once and the observed I of every
+    column comes from one kernel call. Permutation t shuffles the rows with
+    an RNG seeded as seed + t, drawn once and applied to every column, so
+    each column's result is independent of execution order and of the
+    other columns. A block holds max(1, MORAN_BLOCK // (p * weight
+    entries)) permutations of all p columns; when one permutation alone
+    exceeds MORAN_BLOCK products, a block is p * weight entries products
+    (about 1.2 MB per temporary at 10 columns and 15,350 entries). pseudo_p
+    is (hits + 1) / (permutations + 1), where a permutation is a hit when
     |I_perm| >= |I| * (1 - MORAN_TIE_RTOL).
     """
     x = np.asarray(values, dtype=float)
-    n = x.size
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise DomainError(f"expected an n x p table with p >= 1, got shape {x.shape}")
+    n, p = x.shape
     if n < 3:
         raise DomainError(f"Moran's I needs n >= 3, got {n}")
     if len(adjacency) != n:
@@ -312,22 +313,29 @@ def morans_i(
     if permutations < 99:
         raise DomainError(f"permutations must be >= 99, got {permutations}")
     weights = moran_weights(adjacency)
-    observed = float(_moran_kernel(x[None, :], weights)[0])
-    threshold = abs(observed) * (1.0 - MORAN_TIE_RTOL)
-    block = max(1, MORAN_BLOCK // weights.w.size)
-    hits = 0
+    columns = np.ascontiguousarray(x.T)
+    observed = _moran_kernel(columns, weights)
+    thresholds = np.abs(observed) * (1.0 - MORAN_TIE_RTOL)
+    block = max(1, MORAN_BLOCK // (p * weights.w.size))
+    hits = np.zeros(p, dtype=np.int64)
     for start in range(0, permutations, block):
-        perms = np.stack(
+        index = np.stack(
             [
-                x[np.random.default_rng(seed + t).permutation(n)]
+                np.random.default_rng(seed + t).permutation(n)
                 for t in range(start, min(start + block, permutations))
             ]
         )
-        hits += int(np.count_nonzero(np.abs(_moran_kernel(perms, weights)) >= threshold))
-    return MoranResult(
-        I=observed,
-        expected=-1.0 / (n - 1),
-        permutations=permutations,
-        pseudo_p=(hits + 1) / (permutations + 1),
-        seed=seed,
-    )
+        # row j * len(index) + k is column j under permutation start + k
+        perms = columns[:, index].reshape(-1, n)
+        stat = _moran_kernel(perms, weights).reshape(p, -1)
+        hits += np.count_nonzero(np.abs(stat) >= thresholds[:, None], axis=1)
+    return [
+        MoranResult(
+            I=float(observed[j]),
+            expected=-1.0 / (n - 1),
+            permutations=permutations,
+            pseudo_p=(int(hits[j]) + 1) / (permutations + 1),
+            seed=seed,
+        )
+        for j in range(p)
+    ]

@@ -6,7 +6,9 @@ characteristic-cubic solution instead of LAPACK's eigh, winding numbers
 instead of ray casting, dense boundary sampling instead of exact
 segment distances, a per-tract loop (in floats or exact fractions)
 instead of the batched Moran kernel, and a scan over every node id in
-sorted order instead of the snap index.
+sorted order instead of the snap index. Tests that need scipy compare
+against it where it is installed: csgraph's Dijkstra and LAPACK's eigh
+through scipy.linalg.
 """
 
 from __future__ import annotations
@@ -155,18 +157,19 @@ def _node_id_key(node_id: str) -> tuple[int, int, str]:
 
 def snap_loop(pt, net, max_snap_m: float = 500.0) -> str:
     """Nearest node by scanning every id in sorted order and keeping the
-    first strict minimum of math.hypot; a drop-in for network.snap_point."""
+    first strict minimum of math.hypot (the first id when every distance
+    overflows to inf); a drop-in for network.snap_point."""
     if not net.nodes:
         raise DomainError("cannot snap onto an empty network")
-    best_id: str | None = None
+    ordered = sorted(net.nodes, key=_node_id_key)
+    best_id = ordered[0]
     best_d = math.inf
-    for nid in sorted(net.nodes, key=_node_id_key):
+    for nid in ordered:
         npt = net.nodes[nid]
         d = math.hypot(pt.x - npt.x, pt.y - npt.y)
         if d < best_d:
             best_d = d
             best_id = nid
-    assert best_id is not None
     if best_d > max_snap_m:
         raise SnapError(
             f"nearest node {best_id!r} is {best_d:.1f} m away (max {max_snap_m:.0f} m)",

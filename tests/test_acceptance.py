@@ -26,7 +26,7 @@ from access_atlas.stats import (
     classify_contributors,
     correlation_matrix,
     loading_profile_correlation,
-    moran_statistic,
+    morans_i,
     pca,
 )
 
@@ -34,6 +34,7 @@ from _oracles import (
     cubic_eigenvalues,
     disk_intersects_sampled,
     floyd_warshall,
+    moran_loop,
     sampled_boundary_distance,
     winding_inside,
 )
@@ -192,8 +193,10 @@ def test_c7_moran_exact_values_and_permutation_null(minitown_table):
     from access_atlas.geometry import AdjacencyList
 
     chain = AdjacencyList([{1}, {0, 2}, {1, 3}, {2}])
-    assert moran_statistic(np.array([1.0, -1.0, 1.0, -1.0]), chain) == -1.0
-    assert moran_statistic(np.array([5.0, 5.0, 0.0, 0.0]), chain) == 0.5
+    chain_values = np.array([[1.0, 5.0], [-1.0, 5.0], [1.0, 0.0], [-1.0, 0.0]])
+    alternating, blocked = morans_i(chain_values, chain, 99, 0)
+    assert alternating.I == -1.0
+    assert blocked.I == 0.5
 
     tracts, table = minitown_table
     adjacency = queen_adjacency([t.parts for t in tracts])
@@ -202,7 +205,7 @@ def test_c7_moran_exact_values_and_permutation_null(minitown_table):
     n = len(values)
     sims = np.empty(10_000)
     for t in range(10_000):
-        sims[t] = moran_statistic(values[rng.permutation(n)], adjacency)
+        sims[t] = moran_loop(values[rng.permutation(n)], adjacency.neighbors)
     null_mean = sims.mean()
     expected = -1.0 / (n - 1)
     assert abs(null_mean - expected) <= 0.01, f"null mean {null_mean} vs {expected}"

@@ -2,11 +2,15 @@ import csv
 import hashlib
 import json
 import os
+import pathlib
+import random
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from access_atlas import cli, ingest, report, stats
 from access_atlas.errors import IoError
@@ -157,6 +161,27 @@ def test_unsnappable_supermarket_exits_2(minitown_dir, tmp_path, capsys):
     )
     assert code == 2
     assert "supermarket s2" in capsys.readouterr().err
+
+
+def test_overflowing_snap_distance_exits_2(minitown_dir, tmp_path, capsys):
+    # every node is about 1.7e308 m from the city, so math.hypot overflows to
+    # inf; the lengths are explicit because Euclidean ones would overflow too
+    work = minitown_copy(minitown_dir, tmp_path)
+    (work / "roads_nodes.csv").write_text(
+        "node_id,x,y\na,1.7e308,1.7e308\nb,-1.7e308,1.7e308\n"
+        "c,-1.7e308,-1.7e308\nd,1.7e308,-1.7e308\n"
+    )
+    (work / "roads_edges.csv").write_text(
+        "from_node,to_node,length_m,road_class\n"
+        "a,b,10,residential\nb,c,10,residential\nc,d,10,residential\n"
+    )
+    code = run(
+        ["variables", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: supermarket")
+    assert "inf m away" in err
 
 
 def test_single_tract_input_exits_3(minitown_dir, tmp_path):
@@ -310,6 +335,32 @@ def test_report_golden_bytes(minitown_config, tmp_path):
     digests = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
     }
+    assert digests == GOLDEN_SHA256
+
+
+def shuffle_inputs(work, rnd):
+    """Shuffle the data rows of every CSV and the features of the GeoJSON."""
+    for name in ("providers.csv", "roads_nodes.csv", "roads_edges.csv", "demographics.csv"):
+        header, *rows = (work / name).read_text(encoding="utf-8").splitlines()
+        rnd.shuffle(rows)
+        (work / name).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    doc = json.loads((work / "tracts.geojson").read_text(encoding="utf-8"))
+    rnd.shuffle(doc["features"])
+    (work / "tracts.geojson").write_text(json.dumps(doc), encoding="utf-8")
+
+
+@settings(max_examples=4)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_report_bytes_independent_of_input_row_order(minitown_dir, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = minitown_copy(minitown_dir, pathlib.Path(tmp))
+        shuffle_inputs(work, random.Random(seed))
+        out = os.path.join(tmp, "out")
+        assert run(["report", "--config", str(work / "config.json"), "--out", out]) == 0
+        digests = {
+            name: hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+            for name in sorted(os.listdir(out))
+        }
     assert digests == GOLDEN_SHA256
 
 

@@ -15,7 +15,7 @@ from access_atlas.network import (
     tract_network_distance,
 )
 
-from _oracles import floyd_warshall, snap_loop
+from _oracles import _node_id_key, floyd_warshall, snap_loop
 
 
 def chain_network():
@@ -65,6 +65,24 @@ def test_build_rejects_missing_node():
     nodes = {"A": ProjectedPoint(0, 0)}
     with pytest.raises(SchemaError):
         build_network([("A", "Z", 10.0, "residential")], nodes)
+
+
+def test_build_computes_each_sort_key_once(monkeypatch):
+    rng = np.random.default_rng(12)
+    nodes, edges = random_graph(rng, 300)
+    nodes["isolated"] = ProjectedPoint(0.0, 0.0)
+    calls = []
+    original = network._node_sort_key
+
+    def counted(node_id):
+        calls.append(node_id)
+        return original(node_id)
+
+    monkeypatch.setattr(network, "_node_sort_key", counted)
+    net = build_network(edges, nodes)
+    assert len(calls) <= len(net.nodes)
+    for neighbors in net.adjacency.values():
+        assert neighbors == sorted(neighbors, key=lambda e: (_node_id_key(e[0]), e[1]))
 
 
 def test_build_computes_euclidean_length_when_missing():
@@ -190,6 +208,16 @@ def test_snap_point_with_overflowing_squares_matches_oracle(px, py):
         assert snap_point(pt, net, math.inf) == snap_loop(pt, net, math.inf)
 
 
+def test_snap_point_overflowing_distance_raises_snap_error():
+    # math.hypot overflows to inf for both nodes: the first id in order is
+    # named, and it is beyond any finite max_snap_m
+    nodes = {"2": ProjectedPoint(-1.7e308, 1.7e308), "1": ProjectedPoint(1.7e308, 1.7e308)}
+    net = RoadNetwork(nodes=nodes, adjacency={})
+    with pytest.raises(SnapError, match="'1'") as exc:
+        snap_point(ProjectedPoint(0.0, -1e7), net, max_snap_m=1e300)
+    assert exc.value.distance_m == math.inf
+
+
 def test_snap_point_does_not_sort_per_call(monkeypatch):
     rng = np.random.default_rng(11)
     n = 300
@@ -244,6 +272,36 @@ def test_matches_floyd_warshall_on_random_graphs():
         for v in range(n):
             want = min(dmat[int(s), v] for s in sources)
             assert got[str(v)] == pytest.approx(want, rel=1e-12)
+
+
+def test_matches_scipy_dijkstra_on_random_graphs():
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(2025)
+    for _ in range(10):
+        n = int(rng.integers(5, 60))
+        nodes, edges = random_graph(rng, n)
+        # a second component that no source reaches
+        m = int(rng.integers(2, 6))
+        far_nodes, far_edges = random_graph(rng, m)
+        nodes.update({str(n + int(i)): pt for i, pt in far_nodes.items()})
+        edges += [(str(n + int(a)), str(n + int(b)), w, c) for a, b, w, c in far_edges]
+        net = build_network(edges, nodes)
+        sources = {str(int(s)) for s in rng.choice(n, size=int(rng.integers(1, 4)), replace=False)}
+        shortest: dict[tuple[int, int], float] = {}
+        for a, b, w, _ in edges:
+            key = (min(int(a), int(b)), max(int(a), int(b)))
+            shortest[key] = min(w, shortest.get(key, math.inf))
+        rows, cols = zip(*shortest)
+        graph = sparse.csr_matrix((list(shortest.values()), (rows, cols)), shape=(n + m, n + m))
+        want = csgraph.dijkstra(
+            graph, directed=False, indices=sorted(int(s) for s in sources), min_only=True
+        )
+        got = multisource_shortest_distances(net, sources)
+        assert set(got) == {str(v) for v in range(n + m) if math.isfinite(want[v])}
+        assert set(got) == {str(v) for v in range(n)}
+        for node, d in got.items():
+            assert d == pytest.approx(want[int(node)], rel=1e-12)
 
 
 def test_multisource_equals_per_source_minimum():
@@ -312,19 +370,23 @@ def tract_at(x0, y0, size=100.0):
     ]
 
 
+def distance_to(parts, net, sources, mode="centroid", max_snap_m=network.DEFAULT_SNAP_MAX_M):
+    """tract_network_distance over the shared Dijkstra map of `sources`."""
+    distances = multisource_shortest_distances(net, sources)
+    return tract_network_distance(parts, net, distances, mode, max_snap_m=max_snap_m)
+
+
 def test_centroid_mode_uses_snapped_centroid():
     net = chain_network()
     parts = tract_at(-50, -50)  # centroid (0, 0) snaps to A
-    res = tract_network_distance("t", parts, net, {"C"})
-    assert res.distance_m == 300.0
-    assert not res.unreachable
+    assert distance_to(parts, net, {"C"}) == 300.0
 
 
 def test_grid_mode_degenerates_to_single_node():
     net = chain_network()
     parts = tract_at(-50, -50)
-    res = tract_network_distance("t", parts, net, {"C"}, "grid-2", max_snap_m=500)
-    assert res.distance_m == 300.0  # all four samples snap to A
+    # all four samples snap to A
+    assert distance_to(parts, net, {"C"}, "grid-2", max_snap_m=500) == 300.0
 
 
 def test_grid_mode_averages_distinct_nodes():
@@ -338,11 +400,9 @@ def test_grid_mode_averages_distinct_nodes():
     )
     parts = [Polygon([[(-100, -50), (1100, -50), (1100, 50), (-100, 50)]])]
     # grid-2 samples at x=200 (snap L, 2000 m) and x=800 (snap R, 1000 m)
-    res = tract_network_distance("t", parts, net, {"S"}, "grid-2", max_snap_m=600)
-    assert res.distance_m == pytest.approx(1500.0)
+    assert distance_to(parts, net, {"S"}, "grid-2", max_snap_m=600) == pytest.approx(1500.0)
     # centroid (500, 0) is equidistant from L and R; tie goes to L
-    centroid = tract_network_distance("t", parts, net, {"S"}, max_snap_m=600)
-    assert centroid.distance_m == 2000.0
+    assert distance_to(parts, net, {"S"}, max_snap_m=600) == 2000.0
 
 
 def test_disconnected_tract_is_unreachable():
@@ -356,22 +416,20 @@ def test_disconnected_tract_is_unreachable():
         [("A", "B", 100.0, "residential"), ("X", "Y", 100.0, "residential")], nodes
     )
     parts = tract_at(-50, -50)  # snaps to A, component {A, B}
-    res = tract_network_distance("t", parts, net, {"X"})
-    assert res.unreachable
-    assert res.distance_m is None
+    assert distance_to(parts, net, {"X"}) is None
 
 
 def test_snap_error_propagates():
     net = chain_network()
     parts = tract_at(10000, 10000)
     with pytest.raises(SnapError):
-        tract_network_distance("t", parts, net, {"C"})
+        distance_to(parts, net, {"C"})
 
 
 def test_bad_mode_rejected():
     net = chain_network()
     with pytest.raises(DomainError):
-        tract_network_distance("t", tract_at(-50, -50), net, {"C"}, "hexgrid")
+        distance_to(tract_at(-50, -50), net, {"C"}, "hexgrid")
 
 
 def test_road_csvs_tolerate_crlf_and_blank_lines(tmp_path):

@@ -11,7 +11,6 @@ from access_atlas.ingest import VARIABLE_COLUMNS
 from access_atlas.report import (
     BOX_CLASSES,
     boxmap_classify,
-    class_rank,
     emit_geojson,
     emit_moran_csv,
     emit_pca_tables,
@@ -59,7 +58,7 @@ def test_every_value_gets_exactly_one_known_class():
 def test_classes_monotone_when_sorted():
     rng = np.random.default_rng(32)
     values = np.sort(rng.normal(size=40))
-    ranks = [class_rank(c) for c in boxmap_classify(values)]
+    ranks = [BOX_CLASSES.index(c) for c in boxmap_classify(values)]
     assert ranks == sorted(ranks)
 
 
@@ -87,13 +86,11 @@ def test_quartile_bin_counts_balanced_without_ties():
 # ------------------------------------------------------------- emit: tables
 
 
-def write_report_csvs(
-    table, pca_result, var_corr, loading_corr, moran, out_dir, names=VARIABLE_COLUMNS
-):
+def write_report_csvs(table, pca_result, loading_corr, moran, out_dir, names=VARIABLE_COLUMNS):
     """Write the seven report CSVs with the emitters the CLI uses."""
     thresholds = stats.ContributorThresholds()
     written = emit_pca_tables(
-        table, pca_result, var_corr, loading_corr, thresholds, out_dir, names
+        table, pca_result, loading_corr, thresholds, out_dir, names
     )
     written.append(emit_moran_csv(moran, out_dir))
     return written
@@ -103,16 +100,12 @@ def small_bundle(minitown_table):
     tracts, table = minitown_table
     names = list(VARIABLE_COLUMNS)
     pca_result = stats.pca(table.values, names)
-    var_corr = stats.correlation_matrix(table.values, names)
     loading_corr = stats.loading_profile_correlation(pca_result.loadings, names)
     from access_atlas.geometry import queen_adjacency
 
     adjacency = queen_adjacency([t.parts for t in tracts])
-    moran = [
-        (name, stats.morans_i(table.values[:, j], adjacency, 99, 7))
-        for j, name in enumerate(names[:2])
-    ]
-    return table, pca_result, var_corr, loading_corr, moran
+    moran = list(zip(names[:2], stats.morans_i(table.values[:, :2], adjacency, 99, 7)))
+    return table, pca_result, loading_corr, moran
 
 
 def test_emit_tables_shapes_and_determinism(minitown_table, tmp_path):
@@ -153,7 +146,7 @@ def test_emit_tables_single_component_edge(tmp_path):
 
     table = VariableTable(tract_ids=[f"t{i}" for i in range(12)], values=t)
     unit = np.array([[1.0]])
-    write_report_csvs(table, pca_result, unit, unit, [], str(tmp_path), names=("A",))
+    write_report_csvs(table, pca_result, unit, [], str(tmp_path), names=("A",))
     with open(tmp_path / "loadings.csv") as fh:
         rows = fh.read().strip().split("\n")
     assert rows[0] == "variable,PC1"

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from access_atlas.stats import (
     classify_contributors,
     correlation_matrix,
     loading_profile_correlation,
-    moran_statistic,
     moran_weights,
     morans_i,
     pca,
@@ -124,6 +124,17 @@ def test_pca_matches_cubic_oracle():
         v = cubic_eigenvector(r, want[k])
         got = res.loadings[:, k]
         assert min(np.abs(got - v).max(), np.abs(got + v).max()) < 1e-6
+
+
+def test_pca_eigenvalues_match_scipy_eigh():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(77)
+    for n, p in ((40, 10), (12, 5), (9, 10), (6, 3)):
+        table = rng.normal(size=(n, p))
+        table[:, -1] = table[:, 0] + 0.5 * table[:, 1]  # one exact null direction
+        want = linalg.eigh(correlation_matrix(table), eigvals_only=True)[::-1]
+        want[want <= stats.NULL_EIGENVALUE_TOL] = 0.0
+        assert pca(table).eigenvalues == pytest.approx(want, abs=1e-10)
 
 
 def test_pca_reconstruction_and_trace():
@@ -325,40 +336,51 @@ def test_non_square_loading_matrix_rejected():
 # ----------------------------------------------------------------- moran
 
 
+def observed_i(values, adjacency):
+    """Moran's I of one vector, through the one-column table path."""
+    return morans_i(np.asarray(values, dtype=float)[:, None], adjacency, 99, 0)[0].I
+
+
 def test_moran_alternating_chain():
-    assert moran_statistic(np.array([1.0, -1.0, 1.0, -1.0]), CHAIN4) == -1.0
+    assert observed_i([1.0, -1.0, 1.0, -1.0], CHAIN4) == -1.0
 
 
 def test_moran_blocked_chain():
-    assert moran_statistic(np.array([5.0, 5.0, 0.0, 0.0]), CHAIN4) == 0.5
+    assert observed_i([5.0, 5.0, 0.0, 0.0], CHAIN4) == 0.5
 
 
 def test_moran_constant_values_rejected():
     with pytest.raises(ConstantColumnError):
-        moran_statistic(np.array([3.0, 3.0, 3.0, 3.0]), CHAIN4)
+        observed_i([3.0, 3.0, 3.0, 3.0], CHAIN4)
 
 
 def test_moran_isolates_only_rejected():
     adj = AdjacencyList([set(), set(), set()])
     with pytest.raises(DomainError):
-        moran_statistic(np.array([1.0, 2.0, 3.0]), adj)
+        observed_i([1.0, 2.0, 3.0], adj)
 
 
 def test_morans_i_needs_three_values():
     with pytest.raises(DomainError):
-        morans_i(np.array([1.0, 2.0]), AdjacencyList([{1}, {0}]), 99, 0)
+        morans_i(np.array([[1.0], [2.0]]), AdjacencyList([{1}, {0}]), 99, 0)
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 0)])
+def test_morans_i_needs_a_table(shape):
+    with pytest.raises(DomainError):
+        morans_i(np.ones(shape), CHAIN4, 99, 0)
 
 
 def test_morans_i_needs_99_permutations():
-    values = np.array([1.0, -1.0, 1.0, -1.0])
+    values = np.array([[1.0], [-1.0], [1.0], [-1.0]])
     with pytest.raises(DomainError):
         morans_i(values, CHAIN4, permutations=10, seed=0)
 
 
 def test_morans_i_deterministic_given_seed():
-    values = np.array([1.0, -1.0, 1.0, -1.0])
-    a = morans_i(values, CHAIN4, permutations=199, seed=11)
-    b = morans_i(values, CHAIN4, permutations=199, seed=11)
+    values = np.array([[1.0], [-1.0], [1.0], [-1.0]])
+    [a] = morans_i(values, CHAIN4, permutations=199, seed=11)
+    [b] = morans_i(values, CHAIN4, permutations=199, seed=11)
     assert a == b
     assert a.expected == pytest.approx(-1.0 / 3.0)
     assert 0 < a.pseudo_p <= 1.0
@@ -387,18 +409,18 @@ def test_moran_matches_dense_double_sum_oracle():
                 w[i, j] = 1.0 / len(neigh)
         z = x - x.mean()
         want = (n / w.sum()) * (z @ w @ z) / (z @ z)
-        assert moran_statistic(x, adj) == pytest.approx(want, rel=1e-12)
+        assert observed_i(x, adj) == pytest.approx(want, rel=1e-12)
 
 
 def test_morans_i_pseudo_p_definition():
     # recompute the pseudo p-value from the documented permutation scheme
     values = np.array([5.0, 5.0, 0.0, 0.0])
-    res = morans_i(values, CHAIN4, permutations=99, seed=42)
+    [res] = morans_i(values[:, None], CHAIN4, permutations=99, seed=42)
     hits = 0
     for t in range(99):
         rng = np.random.default_rng(42 + t)
         perm = values[rng.permutation(4)]
-        if abs(moran_statistic(perm, CHAIN4)) >= abs(res.I):
+        if abs(observed_i(perm, CHAIN4)) >= abs(res.I):
             hits += 1
     assert res.pseudo_p == pytest.approx((hits + 1) / 100)
 
@@ -418,6 +440,17 @@ def permuted_rows(x, permutations, seed):
     return [x[np.random.default_rng(seed + t).permutation(x.size)] for t in range(permutations)]
 
 
+def loop_hits(x, neighbors, permutations, seed, exact):
+    """Permutations at least as extreme as x, by one moran_loop per
+    permutation, in exact fractions when `exact`."""
+    number = Fraction if exact else float
+    observed = abs(moran_loop(x, neighbors, number))
+    return sum(
+        abs(moran_loop(p, neighbors, number)) >= observed
+        for p in permuted_rows(x, permutations, seed)
+    )
+
+
 @pytest.mark.parametrize(
     "case, permutations, integer_data",
     [(0, 101, False), (1, 199, False), (2, 999, False), (3, 199, True), (4, 101, True)],
@@ -431,24 +464,32 @@ def test_batched_moran_matches_per_permutation_loop(case, permutations, integer_
     # several blocks, the last one partial
     block = stats.MORAN_BLOCK // weights.w.size
     assert 1 < block < permutations and permutations % block != 0
-    if integer_data:  # duplicated values: exact ties are possible
-        x = rng.integers(0, 6, size=n).astype(float)
-    else:
-        x = rng.normal(size=n)
+    def draw():
+        if integer_data:  # duplicated values: exact ties are possible
+            return rng.integers(0, 6, size=n).astype(float)
+        return rng.normal(size=n)
+
+    x = draw()
     seed = 17 * case
     perms = permuted_rows(x, permutations, seed)
     got = stats._moran_kernel(np.stack(perms), weights)
     want = [moran_loop(p, neighbors) for p in perms]
     assert got == pytest.approx(want, rel=1e-12)
 
-    res = morans_i(x, adj, permutations, seed)
+    [res] = morans_i(x[:, None], adj, permutations, seed)
     assert res.I == pytest.approx(moran_loop(x, neighbors), rel=1e-12)
-    if integer_data:
-        observed = abs(moran_loop(x, neighbors, Fraction))
-        hits = sum(abs(moran_loop(p, neighbors, Fraction)) >= observed for p in perms)
-    else:
-        hits = sum(abs(i) >= abs(moran_loop(x, neighbors)) for i in want)
+    hits = loop_hits(x, neighbors, permutations, seed, integer_data)
     assert res.pseudo_p == (hits + 1) / (permutations + 1)
+
+    # three columns share every permutation: fewer per block, the last
+    # block still partial
+    block = max(1, stats.MORAN_BLOCK // (3 * weights.w.size))
+    assert 1 < block < permutations and permutations % block != 0
+    table = np.column_stack([x, draw(), draw()])
+    for column, res in zip(table.T, morans_i(table, adj, permutations, seed)):
+        assert res.I == pytest.approx(moran_loop(column, neighbors), rel=1e-12)
+        hits = loop_hits(column, neighbors, permutations, seed, integer_data)
+        assert res.pseudo_p == (hits + 1) / (permutations + 1)
 
 
 def test_morans_i_counts_exact_ties_as_hits(minitown_table):
@@ -466,21 +507,66 @@ def test_morans_i_counts_exact_ties_as_hits(minitown_table):
     assert sum(abs(i) == abs(observed) for i in perm_values) == 13
     hits = sum(abs(i) >= abs(observed) for i in perm_values)
     assert hits == 454
-    res = morans_i(x, adjacency, 999, seed)
+    [res] = morans_i(x[:, None], adjacency, 999, seed)
     assert res.I == pytest.approx(float(observed), rel=1e-12)
     assert res.pseudo_p == (hits + 1) / 1000
 
 
-def test_morans_i_does_not_call_moran_statistic_per_permutation(monkeypatch):
+def random_table(rng, n, p):
+    """An n x p table whose odd columns are small integers (exact ties)."""
+    table = rng.normal(size=(n, p))
+    table[:, 1::2] = rng.integers(0, 5, size=(n, p // 2))
+    return table
+
+
+def test_morans_i_calls_kernel_once_per_block(monkeypatch):
+    rng = np.random.default_rng(41)
+    n, permutations = 70, 199
+    adj = AdjacencyList(random_graph_with_islands(rng, n, 0.15))
+    table = random_table(rng, n, 10)
+    block = max(1, stats.MORAN_BLOCK // (10 * moran_weights(adj).w.size))
     calls = []
-    original = stats.moran_statistic
+    original = stats._moran_kernel
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(stats, "moran_statistic", counted)
-    values = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0])
-    adj = AdjacencyList([{1}, {0, 2}, {1, 3}, {2, 4}, {3, 5}, {4}])
-    morans_i(values, adj, permutations=199, seed=5)
-    assert len(calls) <= 1
+    monkeypatch.setattr(stats, "_moran_kernel", counted)
+    morans_i(table, adj, permutations, seed=5)
+    assert len(calls) <= 1 + math.ceil(permutations / block)
+
+
+def test_morans_i_draws_each_permutation_once_for_all_columns(monkeypatch):
+    rng = np.random.default_rng(42)
+    n, permutations = 40, 149
+    adj = AdjacencyList(random_graph_with_islands(rng, n, 0.2))
+    table = random_table(rng, n, 10)
+    seeds = []
+    original = np.random.default_rng
+
+    def counted(seed=None):
+        seeds.append(seed)
+        return original(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    morans_i(table, adj, permutations, seed=9)
+    assert seeds == [9 + t for t in range(permutations)]
+
+
+def test_morans_i_column_equals_column_alone():
+    rng = np.random.default_rng(43)
+    for n, permutations in ((30, 99), (75, 301)):
+        adj = AdjacencyList(random_graph_with_islands(rng, n, 0.15))
+        table = random_table(rng, n, 10)
+        results = morans_i(table, adj, permutations, seed=13)
+        assert len(results) == 10
+        for j, res in enumerate(results):
+            [alone] = morans_i(table[:, j : j + 1], adj, permutations, seed=13)
+            assert res.pseudo_p == alone.pseudo_p
+            assert res.I == pytest.approx(alone.I, rel=1e-12)
+            assert (res.expected, res.permutations, res.seed) == (
+                alone.expected,
+                alone.permutations,
+                alone.seed,
+            )
