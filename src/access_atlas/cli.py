@@ -98,8 +98,9 @@ def _analyze(table: VariableTable):
 
 def _moran_rows(table: VariableTable, retained, cfg: RunConfig):
     adjacency = queen_adjacency([t.parts for t in retained])
-    results = stats.morans_i(table.values, adjacency, cfg.moran_permutations, cfg.seed)
-    return list(zip(VARIABLE_COLUMNS, results))
+    names = list(VARIABLE_COLUMNS)
+    results = stats.morans_i(table.values, adjacency, cfg.moran_permutations, cfg.seed, names)
+    return list(zip(names, results))
 
 
 def _boxmap_products(table: VariableTable, pca_result, cfg: RunConfig):

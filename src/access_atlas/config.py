@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
-from .network import DEFAULT_ROAD_CLASSES
+from .errors import ConfigError, DomainError
+from .network import DEFAULT_ROAD_CLASSES, DEFAULT_SNAP_MAX_M, sampling_grid_size
 
 SEED_ENV_VAR = "ACCESS_ATLAS_SEED"
-
-_MODE_RE = re.compile(r"^(centroid|grid-[1-9][0-9]*)$")
 
 _PATH_KEYS = ("tracts", "providers", "roads_nodes", "roads_edges", "demographics")
 
@@ -34,7 +31,7 @@ class RunConfig:
     ref_lon: float | None = None
     ref_lat: float | None = None
     road_classes: frozenset[str] = DEFAULT_ROAD_CLASSES
-    snap_max_m: float = 500.0
+    snap_max_m: float = DEFAULT_SNAP_MAX_M
     ace_net_mode: str = "centroid"
     hinge: float = 1.5
     sig_threshold: float = 0.4000
@@ -55,10 +52,12 @@ class RunConfig:
             raise ConfigError(
                 f"config: moran_permutations must be >= 99, got {self.moran_permutations}"
             )
-        if not _MODE_RE.match(self.ace_net_mode):
+        try:
+            sampling_grid_size(self.ace_net_mode)
+        except DomainError:
             raise ConfigError(
                 f"config: ace_net_mode must be 'centroid' or 'grid-K', got {self.ace_net_mode!r}"
-            )
+            ) from None
         if not (0 < self.sec_threshold < self.sig_threshold):
             raise ConfigError(
                 "config: need 0 < sec_threshold < sig_threshold, got "

@@ -32,6 +32,7 @@ from .geometry import (
     project_lonlat,
 )
 from .network import (
+    DEFAULT_SNAP_MAX_M,
     RoadNetwork,
     multisource_shortest_distances,
     parse_finite,
@@ -304,7 +305,7 @@ def assemble_variable_table(
     demographics: list[DemographicRecord],
     *,
     ace_net_mode: str = "centroid",
-    max_snap_m: float = 500.0,
+    max_snap_m: float = DEFAULT_SNAP_MAX_M,
 ) -> VariableTable:
     """Join geometry, network and demographics into the n x 10 matrix.
 

@@ -12,7 +12,8 @@ each `RoadNetwork` builds once, on the first snap: the node ids sorted by
 `_node_sort_key` (decimal ids numerically, then the rest by string) and
 their x and y as float arrays in that order. Building it costs one
 O(N log N) sort; each snap is then one O(N) numpy pass over the arrays.
-Ties go to the lowest id in that order.
+Ties go to the lowest id in that order. The snap index is the only user of
+that order: no distance depends on adjacency or heap order.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -77,9 +79,8 @@ def build_network(
 
     Edge records are (from_node, to_node, length_m, road_class); a None
     length means "use the Euclidean distance between the endpoints".
-    Isolated nodes (no surviving edge) are dropped. Each adjacency list is
-    sorted by neighbour id in `_node_sort_key` order, computed once per
-    node, then by length.
+    Isolated nodes (no surviving edge) are dropped. Adjacency lists keep
+    edge-record order, which no distance depends on (fl(d + w) never falls as d grows).
     """
     adjacency: dict[str, list[tuple[str, float]]] = {}
     for idx, (a, b, length, road_class) in enumerate(edge_records):
@@ -95,11 +96,6 @@ def build_network(
             raise SchemaError(f"edge {idx} ({a}-{b}): non-positive length {length}")
         adjacency.setdefault(a, []).append((b, float(length)))
         adjacency.setdefault(b, []).append((a, float(length)))
-    # each node's rank in _node_sort_key order, freed before `nodes` is built
-    rank = {nid: r for r, nid in enumerate(sorted(adjacency, key=_node_sort_key))}
-    for edges in adjacency.values():
-        edges.sort(key=lambda e: (rank[e[0]], e[1]))
-    del rank
     nodes = {nid: pt for nid, pt in node_records.items() if nid in adjacency}
     return RoadNetwork(nodes=nodes, adjacency=adjacency)
 
@@ -244,7 +240,8 @@ def multisource_shortest_distances(
     """Shortest distance from every node to its nearest source.
 
     One Dijkstra pass over a heap initialised with all sources. Nodes with
-    no path to any source are absent from the returned mapping.
+    no path to any source are absent from the returned mapping. No pop
+    order changes a distance: for w > 0, fl(d + w) >= d and never falls as d grows.
     """
     if not sources:
         raise DomainError("source set is empty")
@@ -252,17 +249,17 @@ def multisource_shortest_distances(
     if missing:
         raise DomainError(f"source nodes not in network: {sorted(missing)}")
     dist: dict[str, float] = {s: 0.0 for s in sources}
-    heap = [(0.0, _node_sort_key(s), s) for s in sources]
+    heap = [(0.0, s) for s in sources]
     heapq.heapify(heap)
     while heap:
-        d, _, u = heapq.heappop(heap)
+        d, u = heapq.heappop(heap)
         if d > dist.get(u, math.inf):
             continue
         for v, w in net.adjacency[u]:
             nd = d + w
             if nd < dist.get(v, math.inf):
                 dist[v] = nd
-                heapq.heappush(heap, (nd, _node_sort_key(v), v))
+                heapq.heappush(heap, (nd, v))
     return dist
 
 
@@ -284,6 +281,14 @@ def _grid_sample_points(parts: Sequence[Polygon], k: int) -> list[ProjectedPoint
     return pts
 
 
+def sampling_grid_size(mode: str) -> int | None:
+    """K of ace_net_mode "grid-K", None for "centroid"; DomainError otherwise."""
+    m = re.fullmatch(r"centroid|grid-([1-9][0-9]*)", mode)
+    if m is None:
+        raise DomainError(f"bad sampling mode {mode!r}: expected 'centroid' or 'grid-K'")
+    return int(m[1]) if m[1] else None
+
+
 def tract_network_distance(
     parts: Sequence[Polygon],
     net: RoadNetwork,
@@ -302,19 +307,9 @@ def tract_network_distance(
     is used). Unreachable samples are excluded from the mean. A sample
     beyond max_snap_m from every node raises SnapError.
     """
+    k = sampling_grid_size(mode)
     _, centroid = parts_area_centroid(parts)
-    if mode == "centroid":
-        sample_points = [centroid]
-    elif mode.startswith("grid-"):
-        try:
-            k = int(mode.split("-", 1)[1])
-        except ValueError:
-            raise DomainError(f"bad sampling mode {mode!r}") from None
-        if k < 1:
-            raise DomainError(f"grid size must be >= 1, got {k}")
-        sample_points = _grid_sample_points(parts, k) or [centroid]
-    else:
-        raise DomainError(f"unknown sampling mode {mode!r}")
+    sample_points = [centroid] if k is None else (_grid_sample_points(parts, k) or [centroid])
     values = []
     for pt in sample_points:
         d = distances.get(snap_point(pt, net, max_snap_m))

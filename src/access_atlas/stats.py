@@ -105,7 +105,8 @@ def standardize(column: np.ndarray, name: str = "column") -> np.ndarray:
         raise DomainError(f"{name} contains non-finite values")
     mean = col.mean()
     sd = col.std(ddof=1)
-    if sd == 0.0:
+    # min == max too: the mean of seven 0.1s is not 0.1, so its sd is not 0
+    if sd == 0.0 or col.min() == col.max():
         raise ConstantColumnError(f"{name} has zero variance")
     return (col - mean) / sd
 
@@ -269,11 +270,9 @@ def moran_weights(adjacency: AdjacencyList) -> MoranWeights:
 
 
 def _moran_kernel(x: np.ndarray, weights: MoranWeights) -> np.ndarray:
-    """Moran's I of every row of the m x n matrix x."""
+    """Moran's I of every row of the m x n matrix x; no row may be constant."""
     z = x - x.mean(axis=1, keepdims=True)
     denom = np.einsum("ij,ij->i", z, z)
-    if not denom.all():
-        raise ConstantColumnError("values are constant; Moran's I is undefined")
     num = (z[:, weights.rows] * z[:, weights.cols]) @ weights.w
     return (x.shape[1] / weights.s0) * num / denom
 
@@ -283,6 +282,7 @@ def morans_i(
     adjacency: AdjacencyList,
     permutations: int = 999,
     seed: int = 0,
+    names: list[str] | None = None,
 ) -> list[MoranResult]:
     """Moran's I of every column of the n x p table `values`, each with a
     two-sided permutation pseudo p-value; the p results in column order.
@@ -298,7 +298,8 @@ def morans_i(
     exceeds MORAN_BLOCK products, a block is p * weight entries products
     (about 1.2 MB per temporary at 10 columns and 15,350 entries). pseudo_p
     is (hits + 1) / (permutations + 1), where a permutation is a hit when
-    |I_perm| >= |I| * (1 - MORAN_TIE_RTOL).
+    |I_perm| >= |I| * (1 - MORAN_TIE_RTOL). A constant column (so also its
+    permutations) raises ConstantColumnError naming it, as in standardize_table.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -313,6 +314,7 @@ def morans_i(
     if permutations < 99:
         raise DomainError(f"permutations must be >= 99, got {permutations}")
     weights = moran_weights(adjacency)
+    standardize_table(x, names)  # names the first constant column
     columns = np.ascontiguousarray(x.T)
     observed = _moran_kernel(columns, weights)
     thresholds = np.abs(observed) * (1.0 - MORAN_TIE_RTOL)

@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written with different algorithms than the
-code under test: Floyd-Warshall instead of Dijkstra, the closed-form
+code under test: Floyd-Warshall and Bellman-Ford instead of Dijkstra, the closed-form
 characteristic-cubic solution instead of LAPACK's eigh, winding numbers
 instead of ray casting, dense boundary sampling instead of exact
 segment distances, a per-tract loop (in floats or exact fractions)
@@ -31,6 +31,25 @@ def floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
     for k in range(n):
         d = np.minimum(d, d[:, k, None] + d[None, k, :])
     return d
+
+
+def bellman_ford(
+    edges: list[tuple[str, str, float]], sources: set[str]
+) -> dict[str, float]:
+    """Distance from every reachable node to its nearest source, by relaxing
+    every undirected edge until nothing changes. Each distance is the
+    smallest float sum over all paths, taken from the source outward, as in
+    Dijkstra, but reached in no particular order."""
+    dist = {s: 0.0 for s in sources}
+    changed = True
+    while changed:
+        changed = False
+        for a, b, w in edges:
+            for u, v in ((a, b), (b, a)):
+                if u in dist and dist[u] + w < dist.get(v, math.inf):
+                    dist[v] = dist[u] + w
+                    changed = True
+    return dist
 
 
 def cubic_eigenvalues(a: np.ndarray) -> np.ndarray:

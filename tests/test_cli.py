@@ -234,6 +234,20 @@ def test_moran_planted_gradient_detected(minitown_config, tmp_path):
     assert pov["permutations"] == "999"
 
 
+def test_constant_moran_column_exits_3_naming_it(minitown_dir, tmp_path, capsys):
+    work = minitown_copy(minitown_dir, tmp_path)
+    rows = read_csv(work / "demographics.csv")
+    for row in rows:
+        row["AFF_POV"] = "30"
+    with open(work / "demographics.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    code = run(["moran", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "AFF_POV" in capsys.readouterr().err
+
+
 def test_moran_rerun_identical(minitown_config, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -440,11 +454,12 @@ def test_env_seed_fallback(minitown_dir, tmp_path, monkeypatch):
 
 
 def test_bad_ace_net_mode_exits_4(minitown_config, tmp_path):
-    code = run(
-        ["variables", "--config", minitown_config, "--out", str(tmp_path / "out"),
-         "--ace-net-mode", "hexgrid"]
-    )
-    assert code == 4
+    for mode in ("hexgrid", "grid-0", "grid-03", "grid-+3", "grid- 3"):
+        code = run(
+            ["variables", "--config", minitown_config, "--out", str(tmp_path / "out"),
+             "--ace-net-mode", mode]
+        )
+        assert code == 4, mode
 
 
 def test_missing_config_paths_exit_4(tmp_path):

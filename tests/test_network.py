@@ -15,7 +15,7 @@ from access_atlas.network import (
     tract_network_distance,
 )
 
-from _oracles import _node_id_key, floyd_warshall, snap_loop
+from _oracles import bellman_ford, floyd_warshall, snap_loop
 
 
 def chain_network():
@@ -67,22 +67,15 @@ def test_build_rejects_missing_node():
         build_network([("A", "Z", 10.0, "residential")], nodes)
 
 
-def test_build_computes_each_sort_key_once(monkeypatch):
+def test_build_and_dijkstra_make_no_sort_key_calls(monkeypatch):
+    # the snap index is the only user of the node-id order
     rng = np.random.default_rng(12)
     nodes, edges = random_graph(rng, 300)
-    nodes["isolated"] = ProjectedPoint(0.0, 0.0)
     calls = []
-    original = network._node_sort_key
-
-    def counted(node_id):
-        calls.append(node_id)
-        return original(node_id)
-
-    monkeypatch.setattr(network, "_node_sort_key", counted)
+    monkeypatch.setattr(network, "_node_sort_key", calls.append)
     net = build_network(edges, nodes)
-    assert len(calls) <= len(net.nodes)
-    for neighbors in net.adjacency.values():
-        assert neighbors == sorted(neighbors, key=lambda e: (_node_id_key(e[0]), e[1]))
+    assert multisource_shortest_distances(net, {"0", "7", "150"})
+    assert calls == []
 
 
 def test_build_computes_euclidean_length_when_missing():
@@ -348,6 +341,50 @@ def test_scaling_edge_lengths_scales_distances():
         assert got[node] == pytest.approx(3.5 * d, rel=1e-12)
 
 
+def order_prone_graph(rng):
+    """Random multigraph whose lengths make float sums depend on the order
+    they are added in (0.1 + 0.2 != 0.3, 1/3, 1e-17 beside 1e16), drawn from
+    a small pool, 0.1, 0.2 and 0.3 twice as often, so that many nodes tie in
+    distance; with mixed numeric and alphabetic ids and a two-node component
+    that no source reaches."""
+    pool = [0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.6, 0.7, 1 / 3, 2 / 3, 1e-17, 1e16]
+    n = int(rng.integers(3, 30))
+    ids = [str(i) if rng.random() < 0.7 else f"n{i}" for i in range(n)]
+    edges = [
+        (ids[i], ids[int(rng.integers(0, i))], float(rng.choice(pool)))
+        for i in range(1, n)
+    ]
+    for _ in range(int(rng.integers(n, 4 * n))):
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            edges.append((ids[i], ids[j], float(rng.choice(pool))))
+    edges.append(("far-a", "far-b", 0.1))
+    nodes = {nid: ProjectedPoint(0.0, 0.0) for nid in [*ids, "far-a", "far-b"]}
+    sources = [ids[int(i)] for i in rng.choice(n, size=int(rng.integers(1, 4)), replace=False)]
+    return nodes, edges, sources
+
+
+def test_distances_independent_of_adjacency_edge_and_source_order():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        nodes, edges, sources = order_prone_graph(rng)
+        records = [(a, b, w, "residential") for a, b, w in edges]
+        want = bellman_ford(edges, set(sources))
+        assert "far-a" not in want and "far-b" not in want
+        net = build_network(records, nodes)
+        assert multisource_shortest_distances(net, set(sources)) == want
+        reversed_net = build_network(records[::-1], nodes)
+        assert multisource_shortest_distances(reversed_net, set(sources[::-1])) == want
+        keys = list(net.adjacency)
+        shuffled = {}
+        for k in rng.permutation(len(keys)):
+            neighbors = net.adjacency[keys[k]]
+            shuffled[keys[k]] = [neighbors[i] for i in rng.permutation(len(neighbors))]
+        shuffled_net = RoadNetwork(nodes=net.nodes, adjacency=shuffled)
+        reordered = set(sources[i] for i in rng.permutation(len(sources)))
+        assert multisource_shortest_distances(shuffled_net, reordered) == want
+
+
 def test_result_independent_of_edge_order():
     rng = np.random.default_rng(9)
     nodes, edges = random_graph(rng, 25)
@@ -428,8 +465,18 @@ def test_snap_error_propagates():
 
 def test_bad_mode_rejected():
     net = chain_network()
-    with pytest.raises(DomainError):
-        distance_to(tract_at(-50, -50), net, {"C"}, "hexgrid")
+    for mode in ("hexgrid", "grid-0", "grid-03", "grid-+3", "grid- 3"):
+        with pytest.raises(DomainError):
+            distance_to(tract_at(-50, -50), net, {"C"}, mode)
+
+
+def test_sampling_grid_size():
+    assert network.sampling_grid_size("centroid") is None
+    assert network.sampling_grid_size("grid-1") == 1
+    assert network.sampling_grid_size("grid-10") == 10
+    for mode in ("grid-3\n", "grid-٣", "Centroid", "grid-"):
+        with pytest.raises(DomainError):
+            network.sampling_grid_size(mode)
 
 
 def test_road_csvs_tolerate_crlf_and_blank_lines(tmp_path):

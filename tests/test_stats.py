@@ -54,6 +54,14 @@ def test_standardize_constant_column_named():
         standardize(np.array([5.0, 5.0, 5.0]), "AFF_POV")
 
 
+def test_standardize_rejects_constant_column_with_inexact_mean():
+    # seven copies of 0.1 have a mean that is not 0.1, hence a tiny nonzero sd
+    col = np.full(7, 0.1)
+    assert col.std(ddof=1) != 0.0
+    with pytest.raises(ConstantColumnError, match="AFF_POV"):
+        standardize(col, "AFF_POV")
+
+
 def test_standardize_long_vector_recomputation():
     rng = np.random.default_rng(123)
     x = rng.normal(40.0, 12.0, size=791)
@@ -352,6 +360,17 @@ def test_moran_blocked_chain():
 def test_moran_constant_values_rejected():
     with pytest.raises(ConstantColumnError):
         observed_i([3.0, 3.0, 3.0, 3.0], CHAIN4)
+
+
+def test_morans_i_names_the_constant_column():
+    # the mean of seven copies of 0.1 is not 0.1 in floats
+    x = np.column_stack([np.arange(7.0), np.full(7, 0.1)])
+    assert x[:, 1].mean() != 0.1
+    ring = AdjacencyList([{(i - 1) % 7, (i + 1) % 7} for i in range(7)])
+    with pytest.raises(ConstantColumnError, match="^AFF_POV has zero variance"):
+        morans_i(x, ring, 99, 0, names=["AV_INT", "AFF_POV"])
+    with pytest.raises(ConstantColumnError, match="^col1 has zero variance"):
+        morans_i(x, ring, 99, 0)
 
 
 def test_moran_isolates_only_rejected():
