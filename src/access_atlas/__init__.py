@@ -13,7 +13,6 @@ from .errors import (
     DegenerateGeometry,
     DomainError,
     EmptyTableError,
-    IoError,
     NumericalError,
     RangeError,
     SchemaError,

@@ -8,13 +8,14 @@ Subcommands
     report      all of the above
 
 Each subcommand is a subset of the steps of one pass: the inputs are read
-once, each artefact is computed once, and files are written only after all
-computation has succeeded, into a temporary directory beside the output
-directory; they are moved into the output directory once all of them were
-written, so a failed run leaves the previous bundle as it was. A run with
-the boxmap step then removes the box maps an earlier run left for
-components this run does not map. `report` runs every step and writes the
-same bytes as the four subcommands run in turn.
+once and each artefact is computed once. The `report` module renders the
+contents of every file; this module is the only one that writes them, and
+only after all computation has succeeded: into a temporary directory
+beside the output directory first, then moved into the output directory
+once all of them were written, so a failed run leaves the previous bundle
+as it was. A run with the boxmap step then removes the box maps an earlier
+run left for components this run does not map. `report` runs every step
+and writes the same bytes as the four subcommands run in turn.
 
 Exit codes: 0 success, 2 ingest failure, 3 numerical precondition,
 4 invalid configuration, 5 output I/O failure.
@@ -30,6 +31,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
+from typing import Iterable
 
 from . import ingest, report, stats
 from .config import RunConfig, apply_overrides, load_config_file, resolve_seed
@@ -55,9 +57,11 @@ class _StageFailure(Exception):
         self.exit_code = exit_code
 
 
-def _stage(exit_code: int, fn, *args, **kwargs):
+@contextmanager
+def _stage(exit_code: int):
+    """Map a package error or an OSError raised in the block to exit_code."""
     try:
-        return fn(*args, **kwargs)
+        yield
     except (AccessAtlasError, OSError) as exc:
         raise _StageFailure(exit_code, exc) from exc
 
@@ -119,99 +123,73 @@ def _boxmap_products(table: VariableTable, pca_result, cfg: RunConfig):
     return k, scores, classes
 
 
-def _ensure_out_dir(cfg: RunConfig) -> str:
-    try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise _StageFailure(EXIT_IO, exc) from exc
-    if not os.access(cfg.out_dir, os.W_OK):
-        raise _StageFailure(
-            EXIT_IO, PermissionError(f"out_dir {cfg.out_dir} is not writable")
-        )
-    return cfg.out_dir
-
-
 # the per-component box maps; how many there are depends on the config
 BOXMAP_SVG = re.compile(r"boxmap_pc\d+\.svg")
 
 
-@contextmanager
-def _staged_bundle(out_dir: str, replaces: re.Pattern | None = None):
-    """Yield a temporary directory beside out_dir for the emitters; once
-    the block succeeds, move every file from it into out_dir, then remove
-    the files of out_dir whose names match `replaces` and that this run did
-    not write. On failure out_dir keeps its previous files, and the
-    temporary directory is removed either way."""
+def _write_bundle(
+    out_dir: str, files: dict[str, str | Iterable[str]], replaces: re.Pattern | None
+) -> None:
+    """Write each file (its text, or the chunks of it in order, as UTF-8)
+    into a temporary directory beside out_dir, then move all of them into
+    out_dir and remove the files of out_dir whose names match `replaces`
+    and that this run did not write. On failure out_dir keeps its previous
+    files, and the temporary directory is removed either way."""
+    os.makedirs(out_dir, exist_ok=True)
+    if not os.access(out_dir, os.W_OK):
+        raise PermissionError(f"out_dir {out_dir} is not writable")
     out_abs = os.path.abspath(out_dir)
-    stage = _stage(
-        EXIT_IO,
-        tempfile.mkdtemp,
-        prefix=f".{os.path.basename(out_abs)}.tmp-",
-        dir=os.path.dirname(out_abs),
+    tmp = tempfile.mkdtemp(
+        prefix=f".{os.path.basename(out_abs)}.tmp-", dir=os.path.dirname(out_abs)
     )
     try:
-        yield stage
-        written = sorted(os.listdir(stage))
-        for name in written:
-            _stage(EXIT_IO, os.replace, os.path.join(stage, name), os.path.join(out_dir, name))
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
+        for name in sorted(files):
+            os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
         if replaces is not None:
-            for name in sorted(_stage(EXIT_IO, os.listdir, out_dir)):
-                if replaces.fullmatch(name) and name not in written:
-                    _stage(EXIT_IO, os.remove, os.path.join(out_dir, name))
+            for name in sorted(os.listdir(out_dir)):
+                if replaces.fullmatch(name) and name not in files:
+                    os.remove(os.path.join(out_dir, name))
     finally:
-        shutil.rmtree(stage, ignore_errors=True)
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
     """Run the chosen steps in one pass: every artefact they need is
     computed once, nothing is written until all of it succeeded, and the
-    files reach out_dir only after every emitter succeeded."""
-    tracts, retained, table = _stage(EXIT_INGEST, _build_table, cfg)
-    if "pca" in steps or "boxmap" in steps:
-        pca_result, loading_corr = _stage(EXIT_NUMERIC, _analyze, table)
-    if "moran" in steps:
-        rows = _stage(EXIT_NUMERIC, _moran_rows, table, retained, cfg)
-    if "boxmap" in steps:
-        k, scores, classes = _stage(EXIT_NUMERIC, _boxmap_products, table, pca_result, cfg)
+    files reach out_dir only after every one of them was rendered and
+    written."""
+    with _stage(EXIT_INGEST):
+        tracts, retained, table = _build_table(cfg)
+    with _stage(EXIT_NUMERIC):
+        if "pca" in steps or "boxmap" in steps:
+            pca_result, loading_corr = _analyze(table)
+        if "moran" in steps:
+            rows = _moran_rows(table, retained, cfg)
+        if "boxmap" in steps:
+            k, scores, classes = _boxmap_products(table, pca_result, cfg)
 
-    replaces = BOXMAP_SVG if "boxmap" in steps else None
-    with _staged_bundle(_ensure_out_dir(cfg), replaces) as out:
+    with _stage(EXIT_IO):
+        files: dict[str, str | Iterable[str]] = {}
         if "variables" in steps:
-            _stage(EXIT_IO, report.emit_variables_csv, table, out)
+            files.update(report.emit_variables_csv(table))
             log.info("variables table: %d tracts retained, %d dropped", table.n, len(table.dropped))
         if "pca" in steps:
             thresholds = stats.ContributorThresholds(cfg.sig_threshold, cfg.sec_threshold)
-            _stage(
-                EXIT_IO,
-                report.emit_pca_tables,
-                table,
-                pca_result,
-                loading_corr,
-                thresholds,
-                out,
-            )
+            files.update(report.emit_pca_tables(table, pca_result, loading_corr, thresholds))
         if "moran" in steps:
-            _stage(EXIT_IO, report.emit_moran_csv, rows, out)
+            files.update(report.emit_moran_csv(rows))
         if "boxmap" in steps:
-            _stage(
-                EXIT_IO,
-                report.emit_geojson,
-                tracts,
-                scores,
-                classes,
-                os.path.join(out, "scores.geojson"),
-                dropped=dict(table.dropped),
-                components=k,
+            files["scores.geojson"] = report.emit_geojson(
+                tracts, scores, classes, dropped=dict(table.dropped), components=k
             )
             for c in range(k):
-                _stage(
-                    EXIT_IO,
-                    report.emit_svg_choropleth,
-                    retained,
-                    {tid: classes[tid][c] for tid in table.tract_ids},
-                    c,
-                    os.path.join(out, f"boxmap_pc{c + 1}.svg"),
+                files[f"boxmap_pc{c + 1}.svg"] = report.emit_svg_choropleth(
+                    retained, {tid: classes[tid][c] for tid in table.tract_ids}, c
                 )
+        _write_bundle(cfg.out_dir, files, BOXMAP_SVG if "boxmap" in steps else None)
     return EXIT_OK
 
 

@@ -78,6 +78,11 @@ _INT_KEYS = ("moran_permutations", "seed", "components_mapped")
 
 
 def _coerce(key: str, value):
+    # JSON true/false would pass as 1/0, and int() would truncate 2.7 to 2
+    if isinstance(value, bool) and key in (*_FLOAT_KEYS, *_INT_KEYS):
+        raise ConfigError(f"config: {key} must be numeric, got {value!r}")
+    if key in _INT_KEYS and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config: {key} must be an integer, got {value!r}")
     try:
         if key in _FLOAT_KEYS:
             return float(value)

@@ -49,9 +49,5 @@ class NumericalError(AccessAtlasError):
     """An iterative numerical routine failed to converge."""
 
 
-class IoError(AccessAtlasError):
-    """Writing an output file failed."""
-
-
 class ConfigError(AccessAtlasError):
     """A run configuration is invalid."""

@@ -78,11 +78,12 @@ class Polygon:
             closed.append(pts)
         self.rings = closed
 
-    def bounds(self) -> tuple[float, float, float, float]:
-        """(xmin, ymin, xmax, ymax) over all rings."""
-        xs = [p.x for ring in self.rings for p in ring]
-        ys = [p.y for ring in self.rings for p in ring]
-        return min(xs), min(ys), max(xs), max(ys)
+
+def parts_bounds(parts: Sequence[Polygon]) -> tuple[float, float, float, float]:
+    """(xmin, ymin, xmax, ymax) over every ring of every part."""
+    xs = [p.x for part in parts for ring in part.rings for p in ring]
+    ys = [p.y for part in parts for ring in part.rings for p in ring]
+    return min(xs), min(ys), max(xs), max(ys)
 
 
 @dataclass
@@ -283,17 +284,7 @@ def queen_adjacency(
         [t] if isinstance(t, Polygon) else list(t) for t in tracts
     ]
     verts = [_geometry_vertices(parts) for parts in parts_list]
-    boxes = []
-    for parts in parts_list:
-        bs = [part.bounds() for part in parts]
-        boxes.append(
-            (
-                min(b[0] for b in bs),
-                min(b[1] for b in bs),
-                max(b[2] for b in bs),
-                max(b[3] for b in bs),
-            )
-        )
+    boxes = [parts_bounds(parts) for parts in parts_list]
     n = len(parts_list)
     adj: list[set[int]] = [set() for _ in range(n)]
     for i in range(n):

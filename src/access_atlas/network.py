@@ -29,7 +29,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DomainError, RangeError, SchemaError, SnapError
-from .geometry import Polygon, ProjectedPoint, parts_area_centroid, point_in_polygon, project_lonlat
+from .geometry import (
+    Polygon,
+    ProjectedPoint,
+    parts_area_centroid,
+    parts_bounds,
+    point_in_polygon,
+    project_lonlat,
+)
 
 DEFAULT_ROAD_CLASSES = frozenset(
     {"residential", "living_street", "unclassified", "tertiary", "secondary", "primary"}
@@ -265,10 +272,7 @@ def multisource_shortest_distances(
 
 def _grid_sample_points(parts: Sequence[Polygon], k: int) -> list[ProjectedPoint]:
     """Cell centers of a k x k grid over the bbox, kept if inside a part."""
-    xmin = min(p.bounds()[0] for p in parts)
-    ymin = min(p.bounds()[1] for p in parts)
-    xmax = max(p.bounds()[2] for p in parts)
-    ymax = max(p.bounds()[3] for p in parts)
+    xmin, ymin, xmax, ymax = parts_bounds(parts)
     pts = []
     for j in range(k):
         for i in range(k):

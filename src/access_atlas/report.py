@@ -1,21 +1,24 @@
-"""Box-map classification and file emission (CSV tables, GeoJSON, SVG).
+"""Box-map classification and rendering of the bundle files (CSV tables,
+GeoJSON, SVG).
 
 Box maps split a variable into its four quartile bins plus hinge-rule
-outliers (fences at Q1 - h*IQR and Q3 + h*IQR, default h = 1.5). All
-emitters are deterministic: identical inputs produce byte-identical files.
+outliers (fences at Q1 - h*IQR and Q3 + h*IQR, default h = 1.5). The
+emitters only render: each returns the contents of its files and opens
+none (the CLI writes the bundle). All of them are deterministic: identical
+inputs produce byte-identical contents.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from itertools import chain
-from typing import Iterable
+from typing import Iterator
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .errors import DomainError, IoError
+from .errors import DomainError
+from .geometry import parts_bounds
 from .ingest import TractGeometry, VariableTable, VARIABLE_COLUMNS
 from .stats import ContributorThresholds, MoranResult, PcaResult, classify_contributors
 
@@ -91,15 +94,6 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-def _write_text(path: str, text: str | Iterable[str]) -> None:
-    """Write a string, or the chunks of one in order, as UTF-8."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
 def _matrix_csv(names, matrix) -> str:
     lines = ["variable," + ",".join(names)]
     for name, row in zip(names, matrix):
@@ -107,33 +101,30 @@ def _matrix_csv(names, matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_variables_csv(table: VariableTable, out_dir: str) -> list[str]:
-    """Write variables.csv (the n x 10 matrix) and dropped.csv (the audit)."""
+def emit_variables_csv(table: VariableTable) -> dict[str, str]:
+    """Render variables.csv (the n x 10 matrix) and dropped.csv (the audit)."""
     lines = ["tract_id," + ",".join(VARIABLE_COLUMNS)]
     for tract_id, row in zip(table.tract_ids, table.values):
         cells = [tract_id, str(int(row[0]))]  # AV_INT is a count
         cells.extend(_fmt(v) for v in row[1:])
         lines.append(",".join(cells))
-    path = os.path.join(out_dir, "variables.csv")
-    _write_text(path, "\n".join(lines) + "\n")
     dropped_lines = ["tract_id,reason"]
     for tract_id, reason in table.dropped:
         dropped_lines.append(f"{tract_id},{reason}")
-    dropped_path = os.path.join(out_dir, "dropped.csv")
-    _write_text(dropped_path, "\n".join(dropped_lines) + "\n")
-    return [path, dropped_path]
+    return {
+        "variables.csv": "\n".join(lines) + "\n",
+        "dropped.csv": "\n".join(dropped_lines) + "\n",
+    }
 
 
-def emit_moran_csv(moran: list[tuple[str, MoranResult]], out_dir: str) -> str:
+def emit_moran_csv(moran: list[tuple[str, MoranResult]]) -> dict[str, str]:
     lines = ["variable,moran_i,expected,pseudo_p,permutations,seed"]
     for name, res in moran:
         lines.append(
             f"{name},{_fmt(res.I)},{_fmt(res.expected)},{_fmt(res.pseudo_p)},"
             f"{res.permutations},{res.seed}"
         )
-    path = os.path.join(out_dir, "moran.csv")
-    _write_text(path, "\n".join(lines) + "\n")
-    return path
+    return {"moran.csv": "\n".join(lines) + "\n"}
 
 
 def emit_pca_tables(
@@ -141,15 +132,14 @@ def emit_pca_tables(
     pca: PcaResult,
     loading_corr: np.ndarray,
     thresholds: ContributorThresholds,
-    out_dir: str,
     names: tuple[str, ...] = VARIABLE_COLUMNS,
-) -> list[str]:
-    """Write the six PCA-side report CSVs; numbers carry 6 decimal places.
+) -> dict[str, str]:
+    """Render the six PCA-side report CSVs; numbers carry 6 decimal places.
     var_corr.csv is the correlation matrix the PCA decomposed."""
     names = list(names)
     p = pca.n_components
     pcs = [f"PC{k + 1}" for k in range(p)]
-    written = []
+    files = {}
 
     lines = ["component,eigenvalue,proportion,cumulative"]
     cum = 0.0
@@ -158,16 +148,12 @@ def emit_pca_tables(
         lines.append(
             f"{pcs[k]},{_fmt(pca.eigenvalues[k])},{_fmt(pca.proportions[k])},{_fmt(cum)}"
         )
-    path = os.path.join(out_dir, "variance.csv")
-    _write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
+    files["variance.csv"] = "\n".join(lines) + "\n"
 
     lines = ["variable," + ",".join(pcs)]
     for i, name in enumerate(names):
         lines.append(name + "," + ",".join(_fmt(v) for v in pca.loadings[i]))
-    path = os.path.join(out_dir, "loadings.csv")
-    _write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
+    files["loadings.csv"] = "\n".join(lines) + "\n"
 
     lines = ["component,significant,secondary"]
     for k in range(p):
@@ -176,39 +162,31 @@ def emit_pca_tables(
         sig = "|".join(n for n in names if n in significant)
         sec = "|".join(n for n in names if n in secondary)
         lines.append(f"{pcs[k]},{sig},{sec}")
-    path = os.path.join(out_dir, "contributors.csv")
-    _write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
-
-    path = os.path.join(out_dir, "var_corr.csv")
-    _write_text(path, _matrix_csv(names, pca.correlation))
-    written.append(path)
-
-    path = os.path.join(out_dir, "loading_corr.csv")
-    _write_text(path, _matrix_csv(names, loading_corr))
-    written.append(path)
+    files["contributors.csv"] = "\n".join(lines) + "\n"
+    files["var_corr.csv"] = _matrix_csv(names, pca.correlation)
+    files["loading_corr.csv"] = _matrix_csv(names, loading_corr)
 
     lines = ["tract_id," + ",".join(pcs)]
     for tract_id, row in zip(table.tract_ids, pca.scores):
         lines.append(tract_id + "," + ",".join(_fmt(v) for v in row))
-    path = os.path.join(out_dir, "scores.csv")
-    _write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
-    return written
+    files["scores.csv"] = "\n".join(lines) + "\n"
+    return files
 
 
 def emit_geojson(
     tracts: list[TractGeometry],
     scores: dict[str, list[float]],
     classes: dict[str, list[str]],
-    out_path: str,
     *,
     dropped: dict[str, str] | None = None,
     components: int = 4,
-) -> str:
-    """Write a FeatureCollection echoing input geometry with score/class
+) -> Iterator[str]:
+    """Render a FeatureCollection echoing input geometry with score/class
     properties (pcK_score, pcK_class). Dropped tracts keep their geometry,
-    carry null scores, and record dropped_reason."""
+    carry null scores, and record dropped_reason.
+
+    The inputs are checked now; the document comes back as a lazy stream
+    of text chunks, so it is never held as one string."""
     dropped = dropped or {}
     known = {t.tract_id for t in tracts}
     for tract_id in scores:
@@ -242,9 +220,7 @@ def emit_geojson(
             }
         )
     doc = {"type": "FeatureCollection", "features": features}
-    # streamed chunk by chunk, so the document is never held as one string
-    _write_text(out_path, chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"]))
-    return out_path
+    return chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])
 
 
 def _svg_path(tract: TractGeometry, to_svg) -> str:
@@ -264,7 +240,6 @@ def emit_svg_choropleth(
     tracts: list[TractGeometry],
     classes: dict[str, str],
     component_index: int,
-    out_path: str,
     *,
     width: int = 640,
     height: int = 560,
@@ -278,10 +253,7 @@ def emit_svg_choropleth(
         cls = classes.get(tract.tract_id)
         if cls not in BOX_PALETTE:
             raise DomainError(f"tract {tract.tract_id}: unknown class {cls!r}")
-    xmin = min(p.bounds()[0] for t in tracts for p in t.parts)
-    ymin = min(p.bounds()[1] for t in tracts for p in t.parts)
-    xmax = max(p.bounds()[2] for t in tracts for p in t.parts)
-    ymax = max(p.bounds()[3] for t in tracts for p in t.parts)
+    xmin, ymin, xmax, ymax = parts_bounds([p for t in tracts for p in t.parts])
     pad = 10.0
     legend_w = 150.0
     map_w = width - legend_w - 2 * pad
@@ -316,5 +288,4 @@ def emit_svg_choropleth(
             f'font-family="sans-serif">{escape(CLASS_LABELS[cls])}</text>'
         )
     parts.append("</svg>")
-    _write_text(out_path, "\n".join(parts) + "\n")
-    return out_path
+    return "\n".join(parts) + "\n"

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from access_atlas import cli, ingest, report, stats
-from access_atlas.errors import IoError
 
 
 def run(args):
@@ -384,13 +383,37 @@ def test_failed_emitter_leaves_previous_bundle(minitown_config, tmp_path, monkey
     before = tree_bytes(out)
 
     def failing_emitter(*args, **kwargs):
-        raise IoError("disk full")
+        raise OSError("disk full")
 
     monkeypatch.setattr(report, "emit_svg_choropleth", failing_emitter)
     code = run(["report", "--config", minitown_config, "--out", str(out), "--seed", "7"])
     assert code == 5
     assert tree_bytes(out) == before
     assert os.listdir(tmp_path) == ["out"]  # no temporary directory left behind
+
+
+def test_failed_geojson_stream_leaves_previous_bundle(minitown_config, tmp_path, monkeypatch):
+    # emit_geojson hands back a lazy stream, so its failure surfaces only
+    # while the bundle is written, after some chunks reached the file
+    out = tmp_path / "out"
+    assert run(["report", "--config", minitown_config, "--out", str(out)]) == 0
+    before = tree_bytes(out)
+    emit_geojson = report.emit_geojson
+    yielded = []
+
+    def failing_stream(*args, **kwargs):
+        for i, chunk in enumerate(emit_geojson(*args, **kwargs)):
+            if i == 3:
+                raise OSError("disk full")
+            yielded.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(report, "emit_geojson", failing_stream)
+    code = run(["report", "--config", minitown_config, "--out", str(out), "--seed", "7"])
+    assert code == 5
+    assert len(yielded) == 3
+    assert tree_bytes(out) == before
+    assert os.listdir(tmp_path) == ["out"]  # no .out.tmp-* directory left behind
 
 
 def svg_files(out):
@@ -467,11 +490,19 @@ def test_missing_config_paths_exit_4(tmp_path):
 
 
 def test_non_numeric_config_value_exits_4(minitown_dir, tmp_path):
-    cfg = json.load(open(os.path.join(minitown_dir, "config.json")))
-    cfg["hinge"] = "steep"
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert run(["report", "--config", str(cfg_path)]) == 4
+    # booleans are not numbers, and an integer key takes no fraction
+    for key, value in (
+        ("hinge", "steep"),
+        ("components_mapped", 2.7),
+        ("moran_permutations", 99.9),
+        ("seed", True),
+        ("hinge", True),
+    ):
+        cfg = json.load(open(os.path.join(minitown_dir, "config.json")))
+        cfg[key] = value
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run(["report", "--config", str(cfg_path)]) == 4, (key, value)
 
 
 def test_console_script_help():

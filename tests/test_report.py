@@ -1,5 +1,4 @@
 import json
-import os
 
 import numpy as np
 import pytest
@@ -86,14 +85,12 @@ def test_quartile_bin_counts_balanced_without_ties():
 # ------------------------------------------------------------- emit: tables
 
 
-def write_report_csvs(table, pca_result, loading_corr, moran, out_dir, names=VARIABLE_COLUMNS):
-    """Write the seven report CSVs with the emitters the CLI uses."""
+def write_report_csvs(table, pca_result, loading_corr, moran, names=VARIABLE_COLUMNS):
+    """Render the seven report CSVs with the emitters the CLI uses: {name: text}."""
     thresholds = stats.ContributorThresholds()
-    written = emit_pca_tables(
-        table, pca_result, loading_corr, thresholds, out_dir, names
-    )
-    written.append(emit_moran_csv(moran, out_dir))
-    return written
+    files = emit_pca_tables(table, pca_result, loading_corr, thresholds, names)
+    files.update(emit_moran_csv(moran))
+    return files
 
 
 def small_bundle(minitown_table):
@@ -108,14 +105,10 @@ def small_bundle(minitown_table):
     return table, pca_result, loading_corr, moran
 
 
-def test_emit_tables_shapes_and_determinism(minitown_table, tmp_path):
+def test_emit_tables_shapes_and_determinism(minitown_table):
     bundle = small_bundle(minitown_table)
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    out_a.mkdir()
-    out_b.mkdir()
-    files = write_report_csvs(*bundle, str(out_a))
-    assert sorted(os.path.basename(f) for f in files) == [
+    files = write_report_csvs(*bundle)
+    assert sorted(files) == [
         "contributors.csv",
         "loading_corr.csv",
         "loadings.csv",
@@ -124,18 +117,16 @@ def test_emit_tables_shapes_and_determinism(minitown_table, tmp_path):
         "var_corr.csv",
         "variance.csv",
     ]
-    with open(out_a / "loadings.csv") as fh:
-        rows = fh.read().strip().split("\n")
+    rows = files["loadings.csv"].strip().split("\n")
     assert len(rows) == 11  # header + 10 variables
     assert all(len(r.split(",")) == 11 for r in rows)  # variable + 10 PCs
     assert [r.split(",")[0] for r in rows[1:]] == list(VARIABLE_COLUMNS)
-    write_report_csvs(*bundle, str(out_b))
-    for f in files:
-        name = os.path.basename(f)
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    again = write_report_csvs(*bundle)
+    for name in files:
+        assert again[name].encode() == files[name].encode()
 
 
-def test_emit_tables_single_component_edge(tmp_path):
+def test_emit_tables_single_component_edge():
     # p=1: the loading matrix is [[1.0]] and profile correlation is
     # definitionally the unit diagonal
     rng = np.random.default_rng(40)
@@ -146,9 +137,8 @@ def test_emit_tables_single_component_edge(tmp_path):
 
     table = VariableTable(tract_ids=[f"t{i}" for i in range(12)], values=t)
     unit = np.array([[1.0]])
-    write_report_csvs(table, pca_result, unit, [], str(tmp_path), names=("A",))
-    with open(tmp_path / "loadings.csv") as fh:
-        rows = fh.read().strip().split("\n")
+    files = write_report_csvs(table, pca_result, unit, [], names=("A",))
+    rows = files["loadings.csv"].strip().split("\n")
     assert rows[0] == "variable,PC1"
     assert rows[1] == "A,1.000000"
     assert len(rows) == 2
@@ -157,7 +147,7 @@ def test_emit_tables_single_component_edge(tmp_path):
 # ------------------------------------------------------------ emit: geojson
 
 
-def test_geojson_roundtrip_and_dropped_nulls(minitown_table, tmp_path):
+def test_geojson_roundtrip_and_dropped_nulls(minitown_table):
     tracts, table = minitown_table
     pca_result = stats.pca(table.values, list(VARIABLE_COLUMNS))
     k = 4
@@ -173,10 +163,8 @@ def test_geojson_roundtrip_and_dropped_nulls(minitown_table, tmp_path):
         for i, tid in enumerate(table.tract_ids)
         if tid != "t22"
     }
-    path = tmp_path / "scores.geojson"
-    emit_geojson(tracts, scores, classes, str(path), dropped={"t22": "missing demographics"})
-    with open(path) as fh:
-        doc = json.load(fh)
+    chunks = emit_geojson(tracts, scores, classes, dropped={"t22": "missing demographics"})
+    doc = json.loads("".join(chunks))
     assert doc["type"] == "FeatureCollection"
     assert len(doc["features"]) == 9
     ids = [f["properties"]["tract_id"] for f in doc["features"]]
@@ -197,29 +185,27 @@ def test_geojson_roundtrip_and_dropped_nulls(minitown_table, tmp_path):
         assert feature["geometry"]["type"] == "Polygon"
 
 
-def test_geojson_unaccounted_tract_rejected(minitown_table, tmp_path):
+def test_geojson_unaccounted_tract_rejected(minitown_table):
     tracts, _ = minitown_table
     with pytest.raises(DomainError):
-        emit_geojson(tracts, {}, {}, str(tmp_path / "x.geojson"))
+        emit_geojson(tracts, {}, {})
 
 
-def test_geojson_short_score_vector_rejected(minitown_table, tmp_path):
+def test_geojson_short_score_vector_rejected(minitown_table):
     tracts, table = minitown_table
     scores = {tid: [0.0, 0.0] for tid in table.tract_ids}  # needs 4
     classes = {tid: ["q1", "q1"] for tid in table.tract_ids}
     with pytest.raises(DomainError):
-        emit_geojson(tracts, scores, classes, str(tmp_path / "x.geojson"))
+        emit_geojson(tracts, scores, classes)
 
 
 # --------------------------------------------------------------- emit: svg
 
 
-def test_svg_structure(minitown_table, tmp_path):
+def test_svg_structure(minitown_table):
     tracts, table = minitown_table
     classes = {tid: BOX_CLASSES[i % 6] for i, tid in enumerate(table.tract_ids)}
-    path = tmp_path / "m.svg"
-    emit_svg_choropleth(tracts, classes, 0, str(path))
-    svg = path.read_text()
+    svg = emit_svg_choropleth(tracts, classes, 0)
     assert svg.count("<path ") == 9
     assert svg.count('class="legend-swatch"') == 6
     assert svg.startswith("<svg ")
@@ -232,29 +218,25 @@ def test_svg_structure(minitown_table, tmp_path):
     assert sum(1 for e in root.iter(f"{ns}rect")) == 6
 
 
-def test_svg_single_class_single_fill(minitown_table, tmp_path):
+def test_svg_single_class_single_fill(minitown_table):
     tracts, table = minitown_table
     classes = {tid: "q2" for tid in table.tract_ids}
-    path = tmp_path / "m.svg"
-    emit_svg_choropleth(tracts, classes, 1, str(path))
-    svg = path.read_text()
+    svg = emit_svg_choropleth(tracts, classes, 1)
     path_lines = [l for l in svg.split("\n") if l.startswith("<path ")]
     fills = {l.split('fill="')[1].split('"')[0] for l in path_lines}
     assert fills == {"#d1e5f0"}
 
 
-def test_svg_deterministic(minitown_table, tmp_path):
+def test_svg_deterministic(minitown_table):
     tracts, table = minitown_table
     classes = {tid: BOX_CLASSES[i % 6] for i, tid in enumerate(table.tract_ids)}
-    a = tmp_path / "a.svg"
-    b = tmp_path / "b.svg"
-    emit_svg_choropleth(tracts, classes, 2, str(a))
-    emit_svg_choropleth(tracts, classes, 2, str(b))
-    assert a.read_bytes() == b.read_bytes()
+    a = emit_svg_choropleth(tracts, classes, 2)
+    b = emit_svg_choropleth(tracts, classes, 2)
+    assert a.encode() == b.encode()
 
 
-def test_svg_unknown_class_rejected(minitown_table, tmp_path):
+def test_svg_unknown_class_rejected(minitown_table):
     tracts, table = minitown_table
     classes = {tid: "q7" for tid in table.tract_ids}
     with pytest.raises(DomainError):
-        emit_svg_choropleth(tracts, classes, 0, str(tmp_path / "m.svg"))
+        emit_svg_choropleth(tracts, classes, 0)
