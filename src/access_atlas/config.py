@@ -9,6 +9,7 @@ against the config file's directory.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -46,6 +47,11 @@ class RunConfig:
                 raise ConfigError(f"config: {key} path is empty")
         if self.ref_lon is None or self.ref_lat is None:
             raise ConfigError("config: ref_lon and ref_lat are required")
+        for key in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"config: {key} must be finite, got {getattr(self, key)}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"config: seed must be >= 0, got {self.seed}")
         if not (self.hinge > 0):
             raise ConfigError(f"config: hinge must be > 0, got {self.hinge}")
         if self.moran_permutations < 99:
@@ -78,18 +84,19 @@ _INT_KEYS = ("moran_permutations", "seed", "components_mapped")
 
 
 def _coerce(key: str, value):
-    # JSON true/false would pass as 1/0, and int() would truncate 2.7 to 2
-    if isinstance(value, bool) and key in (*_FLOAT_KEYS, *_INT_KEYS):
-        raise ConfigError(f"config: {key} must be numeric, got {value!r}")
-    if key in _INT_KEYS and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"config: {key} must be an integer, got {value!r}")
-    try:
+    if key in _FLOAT_KEYS or key in _INT_KEYS:
+        # only a JSON number: true/false would pass as 1/0, and "inf" as a float
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"config: {key} must be numeric, got {value!r}")
         if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _INT_KEYS:
-            return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config: {key} must be numeric, got {value!r}") from None
+            try:
+                return float(value)
+            except OverflowError:
+                raise ConfigError(f"config: {key} is beyond the float range") from None
+        # int() would truncate 2.7 to 2
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config: {key} must be an integer, got {value!r}")
+        return int(value)
     if key in _PATH_KEYS or key in ("out_dir", "ace_net_mode"):
         if not isinstance(value, str):
             raise ConfigError(f"config: {key} must be a string, got {value!r}")

@@ -46,7 +46,8 @@ class ConstantColumnError(AccessAtlasError):
 
 
 class NumericalError(AccessAtlasError):
-    """An iterative numerical routine failed to converge."""
+    """A correlation matrix is not positive semi-definite, or its eigenvalues
+    do not sum to a positive number."""
 
 
 class ConfigError(AccessAtlasError):

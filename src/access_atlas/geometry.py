@@ -203,24 +203,10 @@ def boundary_distance(pt: ProjectedPoint, p: Polygon) -> float:
 
 
 def point_in_polygon(pt: ProjectedPoint, p: Polygon) -> bool:
-    """Even-odd ray-casting test over all rings; boundary counts as inside.
-
-    A horizontal ray is cast east from pt and crossings over every ring
-    (exterior and holes) are counted, so a point inside a hole is outside
-    the polygon while a point on the hole's rim is still inside.
-    """
-    if boundary_distance(pt, p) <= BOUNDARY_EPS:
-        return True
-    inside = False
-    for ring in p.rings:
-        for i in range(len(ring) - 1):
-            xi, yi = ring[i]
-            xj, yj = ring[i + 1]
-            if (yi > pt.y) != (yj > pt.y):
-                x_cross = (xj - xi) * (pt.y - yi) / (yj - yi) + xi
-                if pt.x < x_cross:
-                    inside = not inside
-    return inside
+    """Even-odd test over all rings; the boundary (within BOUNDARY_EPS)
+    counts as inside, so a point inside a hole is outside the polygon while
+    a point on the hole's rim is still inside."""
+    return circle_intersects_polygon(pt, BOUNDARY_EPS, p)
 
 
 def circle_intersects_polygon(
@@ -228,14 +214,26 @@ def circle_intersects_polygon(
 ) -> bool:
     """True iff the closed disk of radius_m around center meets the polygon.
 
-    Exact test: either the center lies inside the (closed) polygon, or some
-    boundary segment comes within radius_m of the center. Tangency counts.
+    Exact test: either some boundary segment comes within radius_m (and
+    never less than BOUNDARY_EPS) of the center, or the center lies inside
+    by the even-odd rule: a horizontal ray cast east from it crosses the
+    rings (exterior and holes together) an odd number of times. Tangency
+    counts.
     """
     if not (radius_m > 0):
         raise DomainError(f"radius must be > 0, got {radius_m}")
-    if point_in_polygon(center, p):
+    if boundary_distance(center, p) <= max(radius_m, BOUNDARY_EPS):
         return True
-    return boundary_distance(center, p) <= radius_m
+    inside = False
+    for ring in p.rings:
+        for i in range(len(ring) - 1):
+            xi, yi = ring[i]
+            xj, yj = ring[i + 1]
+            if (yi > center.y) != (yj > center.y):
+                x_cross = (xj - xi) * (center.y - yi) / (yj - yi) + xi
+                if center.x < x_cross:
+                    inside = not inside
+    return inside
 
 
 def availability_count(

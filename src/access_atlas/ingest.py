@@ -36,7 +36,7 @@ from .network import (
     RoadNetwork,
     multisource_shortest_distances,
     parse_finite,
-    read_csv_rows,
+    read_csv_table,
     snap_point,
     tract_network_distance,
 )
@@ -171,21 +171,26 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> list[TractGeometry
             doc = json.load(fh, parse_constant=_reject_constant)
     except ValueError as exc:  # bad JSON, bad UTF-8, or a NaN/Infinity literal
         raise SchemaError(f"{path}: not a UTF-8 JSON file: {exc}") from None
-    if doc.get("type") != "FeatureCollection":
+    features = doc.get("features", []) if isinstance(doc, dict) else None
+    if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise SchemaError(f"{path}: expected a FeatureCollection")
     tracts: list[TractGeometry] = []
     seen: set[str] = set()
-    for idx, feature in enumerate(doc.get("features", [])):
-        props = feature.get("properties") or {}
-        tract_id = props.get("tract_id")
-        if tract_id is None:
-            raise SchemaError(f"{path}: feature {idx} has no tract_id property")
-        tract_id = str(tract_id)
-        if tract_id in seen:
-            raise SchemaError(f"{path}: duplicate tract_id {tract_id!r}")
-        seen.add(tract_id)
-        geometry = feature.get("geometry") or {}
-        parts = _feature_polygons(geometry, ref_lon, ref_lat, f"tract {tract_id}")
+    for idx, feature in enumerate(features):
+        try:
+            props = feature.get("properties") or {}
+            tract_id = props.get("tract_id")
+            if tract_id is None:
+                raise SchemaError(f"{path}: feature {idx} has no tract_id property")
+            tract_id = str(tract_id)
+            if tract_id in seen:
+                raise SchemaError(f"{path}: duplicate tract_id {tract_id!r}")
+            seen.add(tract_id)
+            geometry = feature.get("geometry") or {}
+            parts = _feature_polygons(geometry, ref_lon, ref_lat, f"tract {tract_id}")
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # a non-object where an object belongs, a missing or non-numeric coordinate
+            raise SchemaError(f"{path}: feature {idx} is not a valid feature: {exc!r}") from None
         # validate areas up front so bad rings fail at load time with context
         for part in parts:
             try:
@@ -204,25 +209,10 @@ def load_providers(path: str, ref_lon: float, ref_lat: float) -> list[ProviderPo
     An empty radius falls back to the kind default. A bare `grocery` kind
     (no size class) is treated as grocery_large with a logged warning.
     """
-    reader = read_csv_rows(path)
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError(f"{path}: empty provider file")
-    cols = [h.strip().lower() for h in header]
-    if cols not in (["id", "kind", "lon", "lat"], ["id", "kind", "lon", "lat", "radius_m"]):
-        raise SchemaError(
-            f"{path}: header must be id,kind,lon,lat[,radius_m], got {header}"
-        )
-    has_radius = len(cols) == 5
+    header = ("id", "kind", "lon", "lat")
+    _, rows = read_csv_table(path, [header, (*header, "radius_m")], "provider")
     providers: list[ProviderPoint] = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(cols):
-            raise SchemaError(
-                f"{path} row {row_no}: expected {len(cols)} fields, got {len(row)}"
-            )
-        pid, kind = row[0].strip(), row[1].strip()
+    for row_no, (pid, kind, raw_lon, raw_lat, *raw_radius) in rows:
         if kind == "grocery":
             log.warning(
                 "%s row %d: provider %s has no grocery size class; assuming grocery_large",
@@ -233,11 +223,10 @@ def load_providers(path: str, ref_lon: float, ref_lat: float) -> list[ProviderPo
             kind = "grocery_large"
         if kind not in KIND_RADII:
             raise SchemaError(f"{path} row {row_no}: unknown provider kind {kind!r}")
-        lon = parse_finite(row[2], f"{path} row {row_no} lon")
-        lat = parse_finite(row[3], f"{path} row {row_no} lat")
-        raw_radius = row[4].strip() if has_radius else ""
-        if raw_radius:
-            radius = parse_finite(raw_radius, f"{path} row {row_no} radius_m")
+        lon = parse_finite(raw_lon, f"{path} row {row_no} lon")
+        lat = parse_finite(raw_lat, f"{path} row {row_no} lat")
+        if any(raw_radius):
+            radius = parse_finite(raw_radius[0], f"{path} row {row_no} radius_m")
             if radius <= 0:
                 raise RangeError(f"{path} row {row_no}: radius must be > 0")
         else:
@@ -259,30 +248,15 @@ def load_demographics(path: str) -> list[DemographicRecord]:
     Every value must be finite, percent columns must land in [0, 100] and
     AV_POP must be nonnegative, otherwise RangeError names the tract.
     """
-    expected = ["tract_id", *DEMOGRAPHIC_COLUMNS]
-    reader = read_csv_rows(path)
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError(f"{path}: empty demographics file")
-    cols = [h.strip() for h in header]
-    if cols != expected:
-        raise SchemaError(f"{path}: header must be {','.join(expected)}, got {header}")
+    _, rows = read_csv_table(path, [("tract_id", *DEMOGRAPHIC_COLUMNS)], "demographics")
     records: list[DemographicRecord] = []
     seen: set[str] = set()
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(expected):
-            raise SchemaError(
-                f"{path} row {row_no}: expected {len(expected)} fields, got {len(row)}"
-            )
-        tract_id = row[0].strip()
+    for row_no, (tract_id, *cells) in rows:
         if tract_id in seen:
             raise SchemaError(f"{path} row {row_no}: duplicate tract_id {tract_id!r}")
         seen.add(tract_id)
         values: dict[str, float | None] = {}
-        for name, cell in zip(DEMOGRAPHIC_COLUMNS, row[1:]):
-            cell = cell.strip()
+        for name, cell in zip(DEMOGRAPHIC_COLUMNS, cells):
             if cell == "":
                 values[name] = None
                 continue

@@ -7,6 +7,11 @@ come from a single multi-source Dijkstra pass seeded with every
 supermarket's snap node; `tract_network_distance` reads each tract's
 distance from that one shared map.
 
+`read_csv_table` reads all four CSV inputs (the road nodes and edges here,
+the providers and demographics in `ingest`): it matches the header, skips
+blank rows, strips every cell, checks each row's width and streams the
+rows, so the loaders only parse cells.
+
 Snapping a point to its nearest node goes through a coordinate index that
 each `RoadNetwork` builds once, on the first snap: the node ids sorted by
 `_node_sort_key` (decimal ids numerically, then the rest by string) and
@@ -24,7 +29,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -107,16 +112,47 @@ def build_network(
     return RoadNetwork(nodes=nodes, adjacency=adjacency)
 
 
-def read_csv_rows(path: str):
-    """Yield the rows of a UTF-8 CSV file.
+def read_csv_table(
+    path: str, headers: Sequence[tuple[str, ...]], what: str
+) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]:
+    """Open a UTF-8 CSV file and match its header; return the matched entry
+    of `headers` and a lazy stream of (row number, stripped cells).
 
-    A file that is not UTF-8 or not CSV raises SchemaError naming the path.
+    The header matches one of `headers` after stripping and lower-casing its
+    cells. Rows whose cells are all blank are skipped; row numbers count the
+    header as row 1. An empty file, a header that matches none of `headers`,
+    a row whose width differs from the header's, or a file that is not UTF-8
+    or not CSV raises SchemaError naming the path (and the row).
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            yield from csv.reader(fh)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise SchemaError(f"{path}: not a UTF-8 CSV file: {exc}") from None
+
+    def stream():
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    raise SchemaError(f"{path}: empty {what} file")
+                cols = [h.strip().lower() for h in header]
+                matched = [h for h in headers if [c.lower() for c in h] == cols]
+                if not matched:
+                    allowed = " or ".join(",".join(h) for h in headers)
+                    raise SchemaError(f"{path}: header must be {allowed}, got {header}")
+                width = len(cols)
+                yield matched[0]
+                for row_no, row in enumerate(reader, start=2):
+                    cells = [c.strip() for c in row]
+                    if not any(cells):
+                        continue
+                    if len(cells) != width:
+                        raise SchemaError(
+                            f"{path} row {row_no}: expected {width} fields, got {len(cells)}"
+                        )
+                    yield row_no, cells
+            except (UnicodeDecodeError, csv.Error) as exc:
+                raise SchemaError(f"{path}: not a UTF-8 CSV file: {exc}") from None
+
+    rows = stream()
+    return next(rows), rows
 
 
 def parse_finite(cell: str, what: str) -> float:
@@ -141,34 +177,20 @@ def load_road_nodes(
     `node_id,x,y` is taken as projected meters; `node_id,lon,lat` is
     projected with the supplied reference point at ingest.
     """
-    reader = read_csv_rows(path)
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError(f"{path}: empty node file")
-    cols = [h.strip().lower() for h in header]
-    if cols == ["node_id", "x", "y"]:
-        geographic = False
-    elif cols == ["node_id", "lon", "lat"]:
-        geographic = True
-        if ref_lon is None or ref_lat is None:
-            raise SchemaError(f"{path}: lon/lat nodes need a projection reference")
-    else:
-        raise SchemaError(
-            f"{path}: header must be node_id,x,y or node_id,lon,lat, got {header}"
-        )
+    header, rows = read_csv_table(
+        path, [("node_id", "x", "y"), ("node_id", "lon", "lat")], "node"
+    )
+    geographic = header[1] == "lon"
+    if geographic and (ref_lon is None or ref_lat is None):
+        raise SchemaError(f"{path}: lon/lat nodes need a projection reference")
     nodes: dict[str, ProjectedPoint] = {}
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 3:
-            raise SchemaError(f"{path} row {row_no}: expected 3 fields, got {len(row)}")
-        nid = row[0].strip()
+    for row_no, (nid, raw_u, raw_v) in rows:
         if not nid:
             raise SchemaError(f"{path} row {row_no}: empty node_id")
         if nid in nodes:
             raise SchemaError(f"{path} row {row_no}: duplicate node_id {nid!r}")
-        u = parse_finite(row[1], f"{path} row {row_no} {cols[1]}")
-        v = parse_finite(row[2], f"{path} row {row_no} {cols[2]}")
+        u = parse_finite(raw_u, f"{path} row {row_no} {header[1]}")
+        v = parse_finite(raw_v, f"{path} row {row_no} {header[2]}")
         if geographic:
             nodes[nid] = project_lonlat(u, v, ref_lon, ref_lat)
         else:
@@ -178,22 +200,9 @@ def load_road_nodes(
 
 def load_road_edges(path: str) -> list[tuple[str, str, float | None, str]]:
     """Read the edge CSV: from_node,to_node,length_m,road_class."""
-    reader = read_csv_rows(path)
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError(f"{path}: empty edge file")
-    cols = [h.strip().lower() for h in header]
-    if cols != ["from_node", "to_node", "length_m", "road_class"]:
-        raise SchemaError(
-            f"{path}: header must be from_node,to_node,length_m,road_class, got {header}"
-        )
+    _, rows = read_csv_table(path, [("from_node", "to_node", "length_m", "road_class")], "edge")
     edges: list[tuple[str, str, float | None, str]] = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 4:
-            raise SchemaError(f"{path} row {row_no}: expected 4 fields, got {len(row)}")
-        a, b, raw_len, road_class = (c.strip() for c in row)
+    for row_no, (a, b, raw_len, road_class) in rows:
         if not a or not b:
             raise SchemaError(f"{path} row {row_no}: empty endpoint id")
         length = parse_finite(raw_len, f"{path} row {row_no} length_m") if raw_len else None

@@ -19,6 +19,11 @@ def run(args):
     return cli.main(args)
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -50,7 +55,7 @@ def test_variables_writes_nine_rows(minitown_config, tmp_path):
 
 
 def test_missing_demographics_file_exits_2(minitown_dir, tmp_path, capsys):
-    cfg = json.load(open(os.path.join(minitown_dir, "config.json")))
+    cfg = read_json(os.path.join(minitown_dir, "config.json"))
     cfg["demographics"] = "nope.csv"
     cfg_path = tmp_path / "config.json"
     for key in ("tracts", "providers", "roads_nodes", "roads_edges"):
@@ -64,12 +69,14 @@ def test_missing_demographics_file_exits_2(minitown_dir, tmp_path, capsys):
 
 def test_invalid_json_tracts_exits_2(minitown_dir, tmp_path, capsys):
     work = minitown_copy(minitown_dir, tmp_path)
-    (work / "tracts.geojson").write_text("{not json")
-    code = run(
-        ["variables", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
-    )
-    assert code == 2
-    assert "tracts.geojson" in capsys.readouterr().err
+    # not JSON, not a FeatureCollection, a feature that is not an object
+    for text in ("{not json", "[]", '{"type": "FeatureCollection", "features": [7]}'):
+        (work / "tracts.geojson").write_text(text)
+        code = run(
+            ["variables", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+        )
+        assert code == 2, text
+        assert "tracts.geojson" in capsys.readouterr().err
 
 
 def test_non_utf8_demographics_exits_2(minitown_dir, tmp_path, capsys):
@@ -256,11 +263,10 @@ def test_moran_rerun_identical(minitown_config, tmp_path):
 
 
 def test_low_permutation_count_exits_4(minitown_config, tmp_path):
-    code = run(
-        ["moran", "--config", minitown_config, "--out", str(tmp_path / "out"),
-         "--permutations", "10"]
-    )
-    assert code == 4
+    # and the other flags outside their range: a non-finite hinge, a negative seed
+    for flag in (["--permutations", "10"], ["--hinge", "inf"], ["--seed", "-1"]):
+        code = run(["moran", "--config", minitown_config, "--out", str(tmp_path / "out"), *flag])
+        assert code == 4, flag
 
 
 # -------------------------------------------------------------------- report
@@ -371,8 +377,7 @@ def test_report_bytes_independent_of_input_row_order(minitown_dir, seed):
         out = os.path.join(tmp, "out")
         assert run(["report", "--config", str(work / "config.json"), "--out", out]) == 0
         digests = {
-            name: hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
-            for name in sorted(os.listdir(out))
+            name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()
         }
     assert digests == GOLDEN_SHA256
 
@@ -463,7 +468,7 @@ def test_flag_overrides_config_value(minitown_config, tmp_path):
 
 
 def test_env_seed_fallback(minitown_dir, tmp_path, monkeypatch):
-    cfg = json.load(open(os.path.join(minitown_dir, "config.json")))
+    cfg = read_json(os.path.join(minitown_dir, "config.json"))
     del cfg["seed"]
     for key in ("tracts", "providers", "roads_nodes", "roads_edges", "demographics"):
         cfg[key] = os.path.join(minitown_dir, cfg[key])
@@ -490,15 +495,25 @@ def test_missing_config_paths_exit_4(tmp_path):
 
 
 def test_non_numeric_config_value_exits_4(minitown_dir, tmp_path):
-    # booleans are not numbers, and an integer key takes no fraction
+    # booleans and strings are not numbers, an integer key takes no fraction,
+    # a float is finite (json.dumps writes inf as a bare Infinity) and a seed >= 0
     for key, value in (
         ("hinge", "steep"),
         ("components_mapped", 2.7),
         ("moran_permutations", 99.9),
         ("seed", True),
         ("hinge", True),
+        ("hinge", "1.5"),
+        ("hinge", "Infinity"),
+        ("snap_max_m", "inf"),
+        ("ref_lat", "nan"),
+        ("hinge", float("inf")),
+        ("ref_lon", float("nan")),
+        ("sig_threshold", float("-inf")),
+        ("hinge", 10**400),
+        ("seed", -1),
     ):
-        cfg = json.load(open(os.path.join(minitown_dir, "config.json")))
+        cfg = read_json(os.path.join(minitown_dir, "config.json"))
         cfg[key] = value
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg))

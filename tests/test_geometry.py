@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from access_atlas import geometry
 from access_atlas.errors import DegenerateGeometry, DomainError
 from access_atlas.geometry import (
     BufferSpec,
@@ -177,6 +178,37 @@ def test_tangent_disk_intersects():
 
 def test_separated_disk_does_not_intersect():
     assert not circle_intersects_polygon(ProjectedPoint(1600, 500), 500, KM_SQUARE)
+
+
+HOLED = Polygon(
+    [
+        [(0, 0), (1000, 0), (1000, 1000), (0, 1000)],
+        [(400, 400), (600, 400), (600, 600), (400, 600)],
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "center, radius, hit",
+    [
+        ((1600, 500), 500.0, False),
+        ((500, 500), 50.0, False),  # inside the hole
+        ((300, 500), 50.0, True),  # inside by the crossing count
+        ((1000, 500), 1.0, True),  # on the boundary
+        ((1500, 500), 600.0, True),  # within reach of an edge
+    ],
+)
+def test_disk_test_measures_each_segment_at_most_once(monkeypatch, center, radius, hit):
+    segments = sum(len(ring) - 1 for ring in HOLED.rings)
+    calls = []
+    real = geometry._segment_distance
+    monkeypatch.setattr(geometry, "_segment_distance", lambda *a: calls.append(a) or real(*a))
+    pt = ProjectedPoint(*center)
+    assert circle_intersects_polygon(pt, radius, HOLED) == hit
+    assert len(calls) <= segments
+    calls.clear()
+    point_in_polygon(pt, HOLED)
+    assert len(calls) <= segments
 
 
 def test_corner_distance_is_exact():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,43 @@ def test_non_finite_tract_coordinate_rejected(tmp_path):
     )
     path = write(tmp_path / "t.geojson", text)
     with pytest.raises(SchemaError, match="NaN"):
+        ingest.load_tracts(path, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ([], "expected a FeatureCollection"),
+        ({"type": "FeatureCollection", "features": 5}, "expected a FeatureCollection"),
+        ({"type": "FeatureCollection", "features": [7]}, "feature 0"),
+        ({"type": "FeatureCollection", "features": [{"properties": [1]}]}, "feature 0"),
+        (
+            {"type": "FeatureCollection", "features": [
+                {"properties": {"tract_id": "a"}, "geometry": {"type": "Polygon"}}]},
+            "feature 0",
+        ),
+        (
+            {"type": "FeatureCollection", "features": [
+                {"properties": {"tract_id": "a"}, "geometry": {"type": "Polygon",
+                 "coordinates": [[[0, 0], [0.01, 0], [0.01, 0.01], [0, 0.01], [0, 0]]]}},
+                {"properties": {"tract_id": "b"}, "geometry": {"type": "Polygon",
+                 "coordinates": [[["0", 0], [0.01, 0], [0.01, 0.01], [0, 0.01], ["0", 0]]]}},
+            ]},
+            "feature 1",
+        ),
+        (
+            {"type": "FeatureCollection", "features": [
+                {"properties": {"tract_id": "a"}, "geometry": {"type": "Polygon",
+                 "coordinates": [[0, 0.01, 0.02]]}}]},
+            "feature 0",
+        ),
+    ],
+    ids=["list-document", "features-not-a-list", "non-object-feature", "non-object-properties",
+         "no-coordinates", "string-coordinate", "scalar-vertices"],
+)
+def test_malformed_geojson_names_path_and_feature(tmp_path, doc, match):
+    path = write(tmp_path / "t.geojson", json.dumps(doc))
+    with pytest.raises(SchemaError, match=re.escape(path) + ".*" + match):
         ingest.load_tracts(path, 0.0, 0.0)
 
 
@@ -236,6 +274,75 @@ def test_wrong_header_rejected(tmp_path):
     path = write(tmp_path / "d.csv", "tract_id,AV_POP\nt1,10\n")
     with pytest.raises(SchemaError):
         ingest.load_demographics(path)
+
+
+# The four CSV loaders: how each is called, its header and one valid row.
+CSV_INPUTS = {
+    "providers": (
+        lambda path: ingest.load_providers(path, *REF),
+        "id,kind,lon,lat,radius_m",
+        "s1,supermarket,-87.7,41.85,",
+    ),
+    "nodes": (lambda path: load_road_nodes(path, *REF), "node_id,x,y", "1,0,0"),
+    "edges": (load_road_edges, "from_node,to_node,length_m,road_class", "1,2,5,residential"),
+    "demographics": (
+        ingest.load_demographics,
+        demo_header().rstrip(),
+        "t1,100,10,10,10,20,10,10,10",
+    ),
+    "lonlat-nodes-no-reference": (load_road_nodes, "node_id,lon,lat", "1,-87.7,41.85"),
+}
+
+
+def padded(row):
+    return ",".join(f" {cell} " for cell in row.split(","))
+
+
+# (rule, file text from header h and valid row r, (error, message) or None
+# when the file must load exactly like the plain "h\nr\n")
+CSV_RULES = [
+    ("empty-file", lambda h, r: "", (SchemaError, r": empty \w+ file$")),
+    ("wrong-header", lambda h, r: f"a, B\n{r}\n",
+     (SchemaError, r": header must be .*, got \['a', ' B'\]$")),
+    ("short-row-after-blank-rows", lambda h, r: f"{h}\n{r}\n\n , \nx\n",
+     (SchemaError, r" row 5: expected \d fields, got 1$")),
+    ("long-row", lambda h, r: f"{h}\n{r},extra\n",
+     (SchemaError, r" row 2: expected \d fields, got \d+$")),
+    ("blank-and-whitespace-rows-skipped", lambda h, r: f"{h}\n\n{r}\n  ,\t\n\n", None),
+    ("padded-cells", lambda h, r: f"{h}\n{padded(r)}\n", None),
+    ("upper-case-header", lambda h, r: f" {h.upper()}\n{r}\n", None),
+]
+
+CSV_CASES = [
+    *[(kind, *rule) for kind in ("providers", "nodes", "edges", "demographics")
+      for rule in CSV_RULES],
+    ("nodes", "empty-node-id", lambda h, r: f"{h}\n{r}\n ,5,5\n",
+     (SchemaError, " row 3: empty node_id$")),
+    ("nodes", "duplicate-node-id", lambda h, r: f"{h}\n{r}\n 1 ,5,5\n",
+     (SchemaError, " row 3: duplicate node_id '1'$")),
+    ("edges", "empty-endpoint-id", lambda h, r: f"{h}\n1, ,5,residential\n",
+     (SchemaError, " row 2: empty endpoint id$")),
+    ("lonlat-nodes-no-reference", "needs-projection-reference", lambda h, r: f"{h}\n{r}\n",
+     (SchemaError, ": lon/lat nodes need a projection reference$")),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, build, expect",
+    [c[:1] + c[2:] for c in CSV_CASES],
+    ids=[f"{c[0]}-{c[1]}" for c in CSV_CASES],
+)
+def test_csv_reader_rules(tmp_path, kind, build, expect):
+    load, header, row = CSV_INPUTS[kind]
+    path = write(tmp_path / "in.csv", build(header, row))
+    if expect is None:
+        plain = write(tmp_path / "plain.csv", f"{header}\n{row}\n")
+        assert load(path) == load(plain)
+        assert len(load(path)) == 1
+    else:
+        error, message = expect
+        with pytest.raises(error, match="^" + re.escape(path) + message):
+            load(path)
 
 
 # -------------------------------------------------------------- assembly
