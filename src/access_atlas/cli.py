@@ -18,7 +18,7 @@ run left for components this run does not map. `report` runs every step
 and writes the same bytes as the four subcommands run in turn.
 
 Exit codes: 0 success, 2 ingest failure, 3 numerical precondition,
-4 invalid configuration, 5 output I/O failure.
+4 invalid configuration (a usage error included), 5 output I/O failure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 from . import ingest, report, stats
 from .config import RunConfig, apply_overrides, load_config_file, resolve_seed
@@ -107,20 +107,10 @@ def _moran_rows(table: VariableTable, retained, cfg: RunConfig):
     return list(zip(names, results))
 
 
-def _boxmap_products(table: VariableTable, pca_result, cfg: RunConfig):
+def _boxmap_classes(pca_result, cfg: RunConfig) -> list[list[str]]:
+    """One box-map class column per mapped component, in table row order."""
     k = min(cfg.components_mapped, pca_result.n_components)
-    class_columns = [
-        report.boxmap_classify(pca_result.scores[:, c], cfg.hinge) for c in range(k)
-    ]
-    scores = {
-        tid: [float(pca_result.scores[i, c]) for c in range(k)]
-        for i, tid in enumerate(table.tract_ids)
-    }
-    classes = {
-        tid: [class_columns[c][i] for c in range(k)]
-        for i, tid in enumerate(table.tract_ids)
-    }
-    return k, scores, classes
+    return [report.boxmap_classify(pca_result.scores[:, c], cfg.hinge) for c in range(k)]
 
 
 # the per-component box maps; how many there are depends on the config
@@ -169,7 +159,7 @@ def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
         if "moran" in steps:
             rows = _moran_rows(table, retained, cfg)
         if "boxmap" in steps:
-            k, scores, classes = _boxmap_products(table, pca_result, cfg)
+            classes = _boxmap_classes(pca_result, cfg)
 
     with _stage(EXIT_IO):
         files: dict[str, str | Iterable[str]] = {}
@@ -183,12 +173,10 @@ def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
             files.update(report.emit_moran_csv(rows))
         if "boxmap" in steps:
             files["scores.geojson"] = report.emit_geojson(
-                tracts, scores, classes, dropped=dict(table.dropped), components=k
+                tracts, table, pca_result.scores, classes
             )
-            for c in range(k):
-                files[f"boxmap_pc{c + 1}.svg"] = report.emit_svg_choropleth(
-                    retained, {tid: classes[tid][c] for tid in table.tract_ids}, c
-                )
+            for c, column in enumerate(classes):
+                files[f"boxmap_pc{c + 1}.svg"] = report.emit_svg_choropleth(retained, column, c)
         _write_bundle(cfg.out_dir, files, BOXMAP_SVG if "boxmap" in steps else None)
     return EXIT_OK
 
@@ -202,8 +190,17 @@ COMMANDS["report"] = STEPS
 # -------------------------------------------------------------- arg parsing
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as ConfigError (exit 4), not as argparse's exit
+    2, which here means an ingest failure; subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="access-atlas",
         description="Multidimensional food-access analysis over census tracts.",
     )
@@ -250,9 +247,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ from .network import DEFAULT_ROAD_CLASSES, DEFAULT_SNAP_MAX_M, sampling_grid_siz
 
 SEED_ENV_VAR = "ACCESS_ATLAS_SEED"
 
-_PATH_KEYS = ("tracts", "providers", "roads_nodes", "roads_edges", "demographics")
+_PATH_KEYS = ("tracts", "providers", "roads_nodes", "roads_edges", "demographics", "out_dir")
 
 
 @dataclass
@@ -42,7 +42,7 @@ class RunConfig:
     components_mapped: int = 4
 
     def validate(self) -> None:
-        for key in (*_PATH_KEYS, "out_dir"):
+        for key in _PATH_KEYS:
             if not getattr(self, key):
                 raise ConfigError(f"config: {key} path is empty")
         if self.ref_lon is None or self.ref_lat is None:
@@ -97,7 +97,7 @@ def _coerce(key: str, value):
         if isinstance(value, float) and not value.is_integer():
             raise ConfigError(f"config: {key} must be an integer, got {value!r}")
         return int(value)
-    if key in _PATH_KEYS or key in ("out_dir", "ace_net_mode"):
+    if key in _PATH_KEYS or key == "ace_net_mode":
         if not isinstance(value, str):
             raise ConfigError(f"config: {key} must be a string, got {value!r}")
     return value
@@ -126,7 +126,7 @@ def load_config_file(path: str) -> RunConfig:
             value = frozenset(value)
         else:
             value = _coerce(key, value)
-        if key in _PATH_KEYS or key == "out_dir":
+        if key in _PATH_KEYS:
             value = os.path.join(base, value)
         setattr(cfg, key, value)
     return cfg

@@ -126,9 +126,6 @@ class VariableTable:
     def n(self) -> int:
         return len(self.tract_ids)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, VARIABLE_COLUMNS.index(name)]
-
 
 def _project_ring(ring, ref_lon: float, ref_lat: float) -> list[ProjectedPoint]:
     return [project_lonlat(lon, lat, ref_lon, ref_lat) for lon, lat in ring]

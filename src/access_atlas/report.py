@@ -6,13 +6,20 @@ outliers (fences at Q1 - h*IQR and Q3 + h*IQR, default h = 1.5). The
 emitters only render: each returns the contents of its files and opens
 none (the CLI writes the bundle). All of them are deterministic: identical
 inputs produce byte-identical contents.
+
+All nine CSV tables go through one writer: comma-delimited, "\n" line
+endings, a cell quoted only when it holds a comma, a quote or a line break,
+and numbers with 6 decimal places except the integer AV_INT. The box-map
+files take the run's row-aligned arrays: row i of the scores and entry i
+of each class column belong to the i-th retained tract.
 """
 
 from __future__ import annotations
 
+import csv
 import json
-from itertools import chain
-from typing import Iterator
+from itertools import accumulate, chain
+from typing import Iterable, Iterator
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -34,6 +41,10 @@ BOX_PALETTE = {
     "q4": "#ef8a62",
     "upper_outlier": "#b2182b",
 }
+
+# Size of a box-map SVG, in pixels.
+SVG_WIDTH = 640
+SVG_HEIGHT = 560
 
 CLASS_LABELS = {
     "lower_outlier": "lower outlier",
@@ -90,41 +101,49 @@ def boxmap_classify(values: np.ndarray, hinge: float = 1.5) -> list[str]:
     return classes
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6f}"
+class _Records(list):
+    """A file for csv.writer that keeps each row it writes as one string."""
+
+    write = list.append
 
 
-def _matrix_csv(names, matrix) -> str:
-    lines = ["variable," + ",".join(names)]
-    for name, row in zip(names, matrix):
-        lines.append(name + "," + ",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], rows: Iterable[Iterable[object]]) -> str:
+    """Render one table: comma-separated, "\n" line endings, a cell quoted
+    only when it needs it (csv's minimal quoting). A float cell carries 6
+    decimal places; an int or str cell is written as it is."""
+    records = _Records()
+    # csv quotes a cell that holds a character of the line terminator; with
+    # "\n" alone, Python before 3.13 leaves a lone "\r" bare, which splits the
+    # row when it is read back. Each row is written with one call.
+    writer = csv.writer(records, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(f"{v:.6f}" if isinstance(v, float) else v for v in row)
+    return "".join(record[:-2] + "\n" for record in records)
+
+
+def _labelled(labels: list[str], matrix: np.ndarray) -> Iterator[list[object]]:
+    """The rows of matrix, each led by its label."""
+    return ([label, *row] for label, row in zip(labels, matrix))
 
 
 def emit_variables_csv(table: VariableTable) -> dict[str, str]:
     """Render variables.csv (the n x 10 matrix) and dropped.csv (the audit)."""
-    lines = ["tract_id," + ",".join(VARIABLE_COLUMNS)]
-    for tract_id, row in zip(table.tract_ids, table.values):
-        cells = [tract_id, str(int(row[0]))]  # AV_INT is a count
-        cells.extend(_fmt(v) for v in row[1:])
-        lines.append(",".join(cells))
-    dropped_lines = ["tract_id,reason"]
-    for tract_id, reason in table.dropped:
-        dropped_lines.append(f"{tract_id},{reason}")
+    # AV_INT is a count
+    rows = ([tid, int(row[0]), *row[1:]] for tid, row in zip(table.tract_ids, table.values))
     return {
-        "variables.csv": "\n".join(lines) + "\n",
-        "dropped.csv": "\n".join(dropped_lines) + "\n",
+        "variables.csv": _csv(["tract_id", *VARIABLE_COLUMNS], rows),
+        "dropped.csv": _csv(["tract_id", "reason"], table.dropped),
     }
 
 
 def emit_moran_csv(moran: list[tuple[str, MoranResult]]) -> dict[str, str]:
-    lines = ["variable,moran_i,expected,pseudo_p,permutations,seed"]
-    for name, res in moran:
-        lines.append(
-            f"{name},{_fmt(res.I)},{_fmt(res.expected)},{_fmt(res.pseudo_p)},"
-            f"{res.permutations},{res.seed}"
-        )
-    return {"moran.csv": "\n".join(lines) + "\n"}
+    header = ["variable", "moran_i", "expected", "pseudo_p", "permutations", "seed"]
+    rows = (
+        [name, res.I, res.expected, res.pseudo_p, res.permutations, res.seed]
+        for name, res in moran
+    )
+    return {"moran.csv": _csv(header, rows)}
 
 
 def emit_pca_tables(
@@ -134,84 +153,54 @@ def emit_pca_tables(
     thresholds: ContributorThresholds,
     names: tuple[str, ...] = VARIABLE_COLUMNS,
 ) -> dict[str, str]:
-    """Render the six PCA-side report CSVs; numbers carry 6 decimal places.
+    """Render the six PCA-side report CSVs.
     var_corr.csv is the correlation matrix the PCA decomposed."""
     names = list(names)
-    p = pca.n_components
-    pcs = [f"PC{k + 1}" for k in range(p)]
-    files = {}
-
-    lines = ["component,eigenvalue,proportion,cumulative"]
-    cum = 0.0
-    for k in range(p):
-        cum += pca.proportions[k]
-        lines.append(
-            f"{pcs[k]},{_fmt(pca.eigenvalues[k])},{_fmt(pca.proportions[k])},{_fmt(cum)}"
-        )
-    files["variance.csv"] = "\n".join(lines) + "\n"
-
-    lines = ["variable," + ",".join(pcs)]
-    for i, name in enumerate(names):
-        lines.append(name + "," + ",".join(_fmt(v) for v in pca.loadings[i]))
-    files["loadings.csv"] = "\n".join(lines) + "\n"
-
-    lines = ["component,significant,secondary"]
-    for k in range(p):
+    pcs = [f"PC{k + 1}" for k in range(pca.n_components)]
+    contributors = []
+    for k, pc in enumerate(pcs):
         column = [(name, pca.loadings[i, k]) for i, name in enumerate(names)]
         significant, secondary = classify_contributors(column, thresholds)
         sig = "|".join(n for n in names if n in significant)
         sec = "|".join(n for n in names if n in secondary)
-        lines.append(f"{pcs[k]},{sig},{sec}")
-    files["contributors.csv"] = "\n".join(lines) + "\n"
-    files["var_corr.csv"] = _matrix_csv(names, pca.correlation)
-    files["loading_corr.csv"] = _matrix_csv(names, loading_corr)
-
-    lines = ["tract_id," + ",".join(pcs)]
-    for tract_id, row in zip(table.tract_ids, pca.scores):
-        lines.append(tract_id + "," + ",".join(_fmt(v) for v in row))
-    files["scores.csv"] = "\n".join(lines) + "\n"
-    return files
+        contributors.append([pc, sig, sec])
+    variance = zip(pcs, pca.eigenvalues, pca.proportions, accumulate(pca.proportions))
+    return {
+        "variance.csv": _csv(["component", "eigenvalue", "proportion", "cumulative"], variance),
+        "loadings.csv": _csv(["variable", *pcs], _labelled(names, pca.loadings)),
+        "contributors.csv": _csv(["component", "significant", "secondary"], contributors),
+        "var_corr.csv": _csv(["variable", *names], _labelled(names, pca.correlation)),
+        "loading_corr.csv": _csv(["variable", *names], _labelled(names, loading_corr)),
+        "scores.csv": _csv(["tract_id", *pcs], _labelled(table.tract_ids, pca.scores)),
+    }
 
 
 def emit_geojson(
     tracts: list[TractGeometry],
-    scores: dict[str, list[float]],
-    classes: dict[str, list[str]],
-    *,
-    dropped: dict[str, str] | None = None,
-    components: int = 4,
+    table: VariableTable,
+    scores: np.ndarray,
+    classes: list[list[str]],
 ) -> Iterator[str]:
     """Render a FeatureCollection echoing input geometry with score/class
-    properties (pcK_score, pcK_class). Dropped tracts keep their geometry,
-    carry null scores, and record dropped_reason.
+    properties (pcK_score, pcK_class) for the len(classes) mapped components.
+    Row i of scores and entry i of each class column belong to
+    table.tract_ids[i]. Dropped tracts keep their geometry, carry null
+    scores, and record their dropped_reason from table.dropped.
 
-    The inputs are checked now; the document comes back as a lazy stream
-    of text chunks, so it is never held as one string."""
-    dropped = dropped or {}
-    known = {t.tract_id for t in tracts}
-    for tract_id in scores:
-        if tract_id not in known:
-            raise DomainError(f"scores reference unknown tract {tract_id!r}")
-        if len(scores[tract_id]) < components or len(classes.get(tract_id, [])) < components:
-            raise DomainError(f"tract {tract_id}: fewer than {components} component scores")
+    The document comes back as a lazy stream of text chunks, so it is never
+    held as one string."""
+    row_of = {tid: i for i, tid in enumerate(table.tract_ids)}
+    dropped = dict(table.dropped)
     features = []
     for tract in sorted(tracts, key=lambda t: t.tract_id):
+        i = row_of.get(tract.tract_id)
         props: dict[str, object] = {"tract_id": tract.tract_id}
-        if tract.tract_id in scores:
-            for k in range(components):
-                props[f"pc{k + 1}_score"] = round(scores[tract.tract_id][k], 6)
-            for k in range(components):
-                props[f"pc{k + 1}_class"] = classes[tract.tract_id][k]
-        elif tract.tract_id in dropped:
-            for k in range(components):
-                props[f"pc{k + 1}_score"] = None
-            for k in range(components):
-                props[f"pc{k + 1}_class"] = None
+        for c in range(len(classes)):
+            props[f"pc{c + 1}_score"] = None if i is None else round(float(scores[i, c]), 6)
+        for c, column in enumerate(classes):
+            props[f"pc{c + 1}_class"] = None if i is None else column[i]
+        if i is None:
             props["dropped_reason"] = dropped[tract.tract_id]
-        else:
-            raise DomainError(
-                f"tract {tract.tract_id} has neither scores nor a drop reason"
-            )
         features.append(
             {
                 "type": "Feature",
@@ -237,27 +226,20 @@ def _svg_path(tract: TractGeometry, to_svg) -> str:
 
 
 def emit_svg_choropleth(
-    tracts: list[TractGeometry],
-    classes: dict[str, str],
-    component_index: int,
-    *,
-    width: int = 640,
-    height: int = 560,
+    tracts: list[TractGeometry], classes: list[str], component_index: int
 ) -> str:
-    """Render one box-map choropleth as SVG.
+    """Render one box-map choropleth as SVG; classes[i] is the class of
+    tracts[i].
 
-    One path per tract (holes via even-odd fill), filled from the fixed
-    6-color palette, plus a 6-swatch legend. Output is deterministic.
+    One path per tract (holes via even-odd fill), in the order given, filled
+    from the fixed 6-color palette, plus a 6-swatch legend. Output is
+    deterministic.
     """
-    for tract in tracts:
-        cls = classes.get(tract.tract_id)
-        if cls not in BOX_PALETTE:
-            raise DomainError(f"tract {tract.tract_id}: unknown class {cls!r}")
     xmin, ymin, xmax, ymax = parts_bounds([p for t in tracts for p in t.parts])
     pad = 10.0
     legend_w = 150.0
-    map_w = width - legend_w - 2 * pad
-    map_h = height - 2 * pad
+    map_w = SVG_WIDTH - legend_w - 2 * pad
+    map_h = SVG_HEIGHT - 2 * pad
     span_x = xmax - xmin or 1.0
     span_y = ymax - ymin or 1.0
     scale = min(map_w / span_x, map_h / span_y)
@@ -266,17 +248,16 @@ def emit_svg_choropleth(
         return (pad + (p.x - xmin) * scale, pad + (ymax - p.y) * scale)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<text x="{pad:.0f}" y="{height - 2:.0f}" font-size="12" font-family="sans-serif">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<text x="{pad:.0f}" y="{SVG_HEIGHT - 2:.0f}" font-size="12" font-family="sans-serif">'
         f"PC{component_index + 1} box map (hinge classes)</text>",
         '<g stroke="#333333" stroke-width="1" fill-rule="evenodd">',
     ]
-    for tract in sorted(tracts, key=lambda t: t.tract_id):
-        fill = BOX_PALETTE[classes[tract.tract_id]]
-        parts.append(f'<path d="{_svg_path(tract, to_svg)}" fill="{fill}"/>')
+    for tract, cls in zip(tracts, classes, strict=True):
+        parts.append(f'<path d="{_svg_path(tract, to_svg)}" fill="{BOX_PALETTE[cls]}"/>')
     parts.append("</g>")
-    lx = width - legend_w
+    lx = SVG_WIDTH - legend_w
     for i, cls in enumerate(BOX_CLASSES):
         ly = pad + i * 24
         parts.append(

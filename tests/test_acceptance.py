@@ -20,6 +20,7 @@ import pytest
 
 from access_atlas import cli
 from access_atlas.geometry import Polygon, ProjectedPoint, circle_intersects_polygon, queen_adjacency
+from access_atlas.ingest import VARIABLE_COLUMNS
 from access_atlas.network import build_network, multisource_shortest_distances
 from access_atlas.report import boxmap_classify
 from access_atlas.stats import (
@@ -200,7 +201,7 @@ def test_c7_moran_exact_values_and_permutation_null(minitown_table):
 
     tracts, table = minitown_table
     adjacency = queen_adjacency([t.parts for t in tracts])
-    values = table.column("AFF_POV")
+    values = table.values[:, VARIABLE_COLUMNS.index("AFF_POV")]
     rng = np.random.default_rng(70)
     n = len(values)
     sims = np.empty(10_000)

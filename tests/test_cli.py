@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,6 +145,47 @@ def test_unsnappable_tract_is_dropped_not_fatal(minitown_dir, tmp_path):
     assert len(read_csv(out / "variables.csv")) == 8
 
 
+def test_tract_ids_with_csv_specials_keep_every_row_whole(minitown_dir, tmp_path):
+    # a comma, a quote and a line break (\n, and a lone \r) in a tract id; the
+    # id with the quote also misses a demographic cell, so dropped.csv has it
+    work = minitown_copy(minitown_dir, tmp_path)
+    renames = {"t11": "t,11", "t22": 't"22', "t33": "t\n33", "t23": "t\r23"}
+    doc = read_json(work / "tracts.geojson")
+    for feature in doc["features"]:
+        props = feature["properties"]
+        props["tract_id"] = renames.get(props["tract_id"], props["tract_id"])
+    (work / "tracts.geojson").write_text(json.dumps(doc), encoding="utf-8")
+    with open(work / "demographics.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    for row in rows:
+        row[0] = renames.get(row[0], row[0])
+        if row[0] == 't"22':
+            row[header.index("ACO_ENG")] = ""
+    with open(work / "demographics.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    out = tmp_path / "out"
+    assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+
+    def data_rows(name):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert all(len(row) == len(header) for row in rows), name
+        return rows
+
+    ids = sorted(f["properties"]["tract_id"] for f in doc["features"])
+    retained = [tid for tid in ids if tid != 't"22']
+    variables = data_rows("variables.csv")
+    assert [row[0] for row in variables] == retained
+    assert [row[0] for row in data_rows("scores.csv")] == retained
+    assert data_rows("dropped.csv") == [['t"22', "missing ACO_ENG"]]
+    # the README's loader reads the same numbers
+    table = np.loadtxt(
+        out / "variables.csv", delimiter=",", skiprows=1, usecols=range(1, 11), quotechar='"'
+    )
+    assert table.shape == (8, 10)
+    assert table.tolist() == [[float(cell) for cell in row[1:]] for row in variables]
+
+
 def test_non_decimal_digit_node_id_runs(minitown_dir, tmp_path):
     # "²".isdigit() is True but int("²") raises; it used to crash the run.
     work = minitown_copy(minitown_dir, tmp_path)
@@ -263,8 +305,17 @@ def test_moran_rerun_identical(minitown_config, tmp_path):
 
 
 def test_low_permutation_count_exits_4(minitown_config, tmp_path):
-    # and the other flags outside their range: a non-finite hinge, a negative seed
-    for flag in (["--permutations", "10"], ["--hinge", "inf"], ["--seed", "-1"]):
+    # and the other flags outside their range: a non-finite hinge, a negative
+    # seed; a value of the wrong type and an unknown flag are usage errors
+    for flag in (
+        ["--permutations", "10"],
+        ["--hinge", "inf"],
+        ["--seed", "-1"],
+        ["--hinge", "steep"],
+        ["--permutations", "99.5"],
+        ["--seed", "x"],
+        ["--no-such-flag"],
+    ):
         code = run(["moran", "--config", minitown_config, "--out", str(tmp_path / "out"), *flag])
         assert code == 4, flag
 
@@ -526,7 +577,7 @@ def test_console_script_help():
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 2  # argparse: missing subcommand
+    assert proc.returncode == 4  # usage error: missing subcommand
     proc = subprocess.run(
         [sys.executable, "-c", "from access_atlas.cli import main; raise SystemExit(main(['report', '--help']))"],
         capture_output=True,

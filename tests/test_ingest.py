@@ -18,6 +18,11 @@ from access_atlas.network import build_network, load_road_edges, load_road_nodes
 
 from _oracles import snap_loop
 
+
+def column(table, name):
+    return table.values[:, VARIABLE_COLUMNS.index(name)]
+
+
 REF = (-87.70, 41.85)
 
 
@@ -364,12 +369,12 @@ def test_assemble_complete_fixture(minitown_table):
     assert table.values.shape == (9, 10)
     assert table.tract_ids == sorted(table.tract_ids)
     # AV_INT nonnegative integers, ACE_NET positive finite, percents in range
-    av_int = table.column("AV_INT")
+    av_int = column(table, "AV_INT")
     assert np.all(av_int >= 0) and np.all(av_int == np.round(av_int))
-    ace_net = table.column("ACE_NET")
+    ace_net = column(table, "ACE_NET")
     assert np.all(ace_net > 0) and np.all(np.isfinite(ace_net))
     for name in ("ACE_NV", "ACE_ELD", "ACE_DIS", "AFF_POV", "AFF_UNEMP", "ACO_ENG", "ACO_SNAP"):
-        col = table.column(name)
+        col = column(table, name)
         assert np.all((col >= 0) & (col <= 100))
 
 
@@ -555,7 +560,7 @@ def test_multipart_tract_through_full_assembly(tmp_path):
     )
     assert table.tract_ids == ["m", "s"]
     # supermarket buffer (3 km) covers everything; cart (500 m) reaches only s
-    assert table.column("AV_INT").tolist() == [1.0, 2.0]
+    assert column(table, "AV_INT").tolist() == [1.0, 2.0]
     # m's combined centroid (0.007, 0.002 deg) snaps to node a at distance 0
-    assert table.column("ACE_NET")[0] == pytest.approx(0.0)
-    assert table.column("ACE_NET")[1] == pytest.approx(1700.0)
+    assert column(table, "ACE_NET")[0] == pytest.approx(0.0)
+    assert column(table, "ACE_NET")[1] == pytest.approx(1700.0)

@@ -8,6 +8,7 @@ import pytest
 from access_atlas import stats
 from access_atlas.errors import ConstantColumnError, DomainError
 from access_atlas.geometry import AdjacencyList, queen_adjacency
+from access_atlas.ingest import VARIABLE_COLUMNS
 from access_atlas.stats import (
     ContributorThresholds,
     classify_contributors,
@@ -517,7 +518,7 @@ def test_morans_i_counts_exact_ties_as_hits(minitown_table):
     tracts, table = minitown_table
     by_id = {t.tract_id: t for t in tracts}
     adjacency = queen_adjacency([by_id[tid].parts for tid in table.tract_ids])
-    x = table.column("AV_INT")
+    x = table.values[:, VARIABLE_COLUMNS.index("AV_INT")]
     seed = 20240101
     observed = moran_loop(x, adjacency.neighbors, Fraction)
     perm_values = [
