@@ -20,10 +20,9 @@ from .errors import (
 )
 from .geometry import (
     AdjacencyList,
-    BufferSpec,
     Polygon,
     ProjectedPoint,
-    availability_count,
+    availability_counts,
     circle_intersects_polygon,
     point_in_polygon,
     polygon_area_centroid,

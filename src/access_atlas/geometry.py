@@ -13,6 +13,15 @@ reference point). The kernel covers exactly what the pipeline needs:
 All predicates follow a closed-set convention: boundary points are inside,
 and a disk tangent to a polygon edge intersects it. That keeps behaviour
 deterministic at exact-threshold inputs.
+
+`circle_intersects_polygon` is the one scalar predicate. The batched
+callers (`availability_counts`, `queen_adjacency`, `points_in_tract`) pack
+the ring segments of all their tracts into flat arrays once and run one
+numpy kernel, `_scan`, over (query point, part) pairs in chunks of
+KERNEL_BUDGET elements. It repeats the scalar float operations in the same
+order, so only np.hypot can differ from math.hypot; a pair whose distance
+lies within 1e-9 * max(r, 1) of its threshold r is decided again by the
+scalar code, and every result equals the scalar one.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DegenerateGeometry, DomainError
 
@@ -38,17 +49,6 @@ class ProjectedPoint(NamedTuple):
 
     x: float
     y: float
-
-
-@dataclass(frozen=True)
-class BufferSpec:
-    """Service radius of a food provider, in meters."""
-
-    radius_m: float
-
-    def __post_init__(self) -> None:
-        if not (self.radius_m > 0):
-            raise DomainError(f"buffer radius must be > 0, got {self.radius_m}")
 
 
 @dataclass
@@ -236,33 +236,204 @@ def circle_intersects_polygon(
     return inside
 
 
-def availability_count(
-    tract: Polygon | Sequence[Polygon],
-    providers: Sequence[tuple[ProjectedPoint, BufferSpec]],
-) -> int:
-    """Number of providers whose buffer disk intersects the tract.
+def _reach(threshold, scale: float):
+    """`threshold` widened by far more than the rounding of any coordinate
+    up to `scale`: a point farther than this from a bbox is, in float
+    arithmetic, farther than `threshold` from every segment inside it and
+    outside every ring by the crossing rule."""
+    return threshold + 1e-9 * np.maximum(np.maximum(threshold, 1.0), scale)
 
-    Each provider counts at most once, even when the tract has several
-    parts. Order of the provider list does not matter.
+
+def _within(x, y, reach, box) -> np.ndarray:
+    """Whether (x, y) lies within reach of the bbox (xmin, ymin, xmax, ymax)."""
+    xmin, ymin, xmax, ymax = box
+    return (x + reach >= xmin) & (x - reach <= xmax) & (y + reach >= ymin) & (y - reach <= ymax)
+
+
+@dataclass(frozen=True)
+class _Segments:
+    """The ring segments of many tracts, packed once into flat arrays.
+
+    Segment s runs from (ax[s], ay[s]) to (ax[s] + dx[s], by[s]); dx, dy
+    and seg2 are computed as in `_segment_distance`. The segments of part p
+    are start[p]:start[p] + count[p], and the parts of tract i are
+    part_start[i]:part_start[i + 1]. The segment starts are the ring
+    vertices without the closing repeat, so tract i's vertices are the
+    segments vstart[i]:vstart[i + 1].
     """
-    parts = [tract] if isinstance(tract, Polygon) else list(tract)
-    count = 0
-    for location, spec in providers:
-        if any(circle_intersects_polygon(location, spec.radius_m, part) for part in parts):
-            count += 1
-    return count
+
+    parts: list[Polygon]
+    part_start: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    by: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    seg2: np.ndarray
+    vstart: np.ndarray
+    bounds: np.ndarray  # (tracts, 4): xmin, ymin, xmax, ymax
+    scale: float  # largest absolute coordinate
 
 
-def _geometry_vertices(parts: Sequence[Polygon]) -> list[ProjectedPoint]:
-    verts = []
-    for part in parts:
-        for ring in part.rings:
-            verts.extend(ring[:-1])
-    return verts
+def _pack(tracts: Sequence[Polygon | Sequence[Polygon]]) -> _Segments:
+    parts_list = [[t] if isinstance(t, Polygon) else list(t) for t in tracts]
+    if not all(parts_list):
+        raise DegenerateGeometry("tract has no polygon parts")
+    parts = [p for ps in parts_list for p in ps]
+    rings = [ring for part in parts for ring in part.rings]
+    xy = np.array([pt for ring in rings for pt in ring], dtype=float)
+    # segment k of a ring runs from its vertex k to k + 1; the closing vertex starts none
+    first = np.ones(len(xy), dtype=bool)
+    first[np.cumsum([len(ring) for ring in rings]) - 1] = False
+    first = np.flatnonzero(first)
+    ax, ay = xy[first, 0], xy[first, 1]
+    bx, by = xy[first + 1, 0], xy[first + 1, 1]
+    dx = bx - ax
+    dy = by - ay
+    count = np.array([sum(len(ring) - 1 for ring in part.rings) for part in parts])
+    start = np.cumsum(count) - count
+    part_start = np.cumsum([0] + [len(ps) for ps in parts_list])
+    vstart = np.append(start[part_start[:-1]], len(ax))
+    bounds = np.stack(
+        [
+            np.minimum.reduceat(ax, vstart[:-1]),
+            np.minimum.reduceat(ay, vstart[:-1]),
+            np.maximum.reduceat(ax, vstart[:-1]),
+            np.maximum.reduceat(ay, vstart[:-1]),
+        ],
+        axis=1,
+    )
+    return _Segments(
+        parts, part_start, start, count, ax, ay, by, dx, dy, dx * dx + dy * dy,
+        vstart, bounds, float(np.abs(xy).max()),
+    )
 
 
-def _vertex_near_boundary(v: ProjectedPoint, parts: Sequence[Polygon], eps: float) -> bool:
-    return any(boundary_distance(v, part) <= eps for part in parts)
+# Query point x segment elements the kernel evaluates in one numpy pass. Its
+# peak memory is about 16 arrays of this length (a part with more segments
+# than this is evaluated whole).
+KERNEL_BUDGET = 8192
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges first[k]:first[k] + count[k], concatenated, and the k of
+    each element."""
+    owner = np.repeat(np.arange(len(count)), count)
+    offsets = np.cumsum(count) - count
+    return first[owner] + np.arange(len(owner)) - offsets[owner], owner
+
+
+def _chunks(weights: np.ndarray):
+    """(lo, hi) slices of consecutive items whose weights sum to at most
+    KERNEL_BUDGET, or of one item heavier than that."""
+    ends = np.cumsum(weights)
+    lo = 0
+    while lo < len(weights):
+        limit = ends[lo] - weights[lo] + KERNEL_BUDGET
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, side="right")))
+        yield lo, hi
+        lo = hi
+
+
+def _scan(
+    segs: _Segments, px: np.ndarray, py: np.ndarray, part: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum boundary distance and odd crossing parity of each query
+    point (px[k], py[k]) against part[k].
+
+    The float operations are those of `_segment_distance` and of the ray
+    cast in `circle_intersects_polygon`, in the same order, so the parity
+    is bitwise the scalar one and the distance differs only where np.hypot
+    differs from math.hypot (by an ulp or so).
+    """
+    dmin = np.empty(len(px))
+    odd = np.empty(len(px), dtype=bool)
+    count = segs.count[part]
+    for lo, hi in _chunks(count):
+        s, q = _ranges(segs.start[part[lo:hi]], count[lo:hi])
+        offsets = np.cumsum(count[lo:hi]) - count[lo:hi]
+        x, y = px[lo:hi][q], py[lo:hi][q]
+        ax, ay, dx, dy, seg2 = segs.ax[s], segs.ay[s], segs.dx[s], segs.dy[s], segs.seg2[s]
+        ex = x - ax
+        ey = y - ay
+        degenerate = seg2 == 0.0
+        t = (ex * dx + ey * dy) / np.where(degenerate, 1.0, seg2)
+        t = np.maximum(0.0, np.minimum(1.0, t))
+        t[degenerate] = 0.0
+        d = np.hypot(x - (ax + t * dx), y - (ay + t * dy))
+        dmin[lo:hi] = np.minimum.reduceat(d, offsets)
+        spans = (ay > y) != (segs.by[s] > y)
+        x_cross = dx * ey / np.where(spans, dy, 1.0) + ax
+        odd[lo:hi] = np.logical_xor.reduceat(spans & (x < x_cross), offsets)
+    return dmin, odd
+
+
+def _decide(dmin: np.ndarray, threshold, scalar) -> np.ndarray:
+    """dmin <= threshold, with every query in the tie band
+    |dmin - threshold| <= 1e-9 * max(threshold, 1) decided by scalar(k)."""
+    hit = dmin <= threshold
+    for k in np.flatnonzero(np.abs(dmin - threshold) <= 1e-9 * np.maximum(threshold, 1.0)):
+        hit[k] = scalar(int(k))
+    return hit
+
+
+def _disk_hits(segs: _Segments, px, py, radius, part) -> np.ndarray:
+    """circle_intersects_polygon(query k, radius[k], part[k]) for every k."""
+    radius = np.broadcast_to(radius, px.shape)
+    dmin, odd = _scan(segs, px, py, part)
+
+    def scalar(k: int) -> bool:
+        center = ProjectedPoint(float(px[k]), float(py[k]))
+        return circle_intersects_polygon(center, float(radius[k]), segs.parts[part[k]])
+
+    return odd | _decide(dmin, np.maximum(radius, BOUNDARY_EPS), scalar)
+
+
+def availability_counts(
+    tracts: Sequence[Polygon | Sequence[Polygon]],
+    providers: Sequence[tuple[ProjectedPoint, float]],
+) -> np.ndarray:
+    """Number of providers whose buffer disk intersects each tract.
+
+    `providers` holds (location, radius_m) pairs. A provider counts at most
+    once per tract, even when the tract has several parts, and order does
+    not matter. Only providers whose disk, widened by `_reach`, meets a
+    tract's bbox are tested against it.
+    """
+    if not tracts or not providers:
+        return np.zeros(len(tracts), dtype=np.int64)
+    segs = _pack(tracts)
+    n = len(tracts)
+    cx = np.array([pt.x for pt, _ in providers], dtype=float)
+    cy = np.array([pt.y for pt, _ in providers], dtype=float)
+    radius = np.array([r for _, r in providers], dtype=float)
+    if not (radius > 0).all():
+        raise DomainError(f"buffer radius must be > 0, got {radius.min()}")
+    scale = max(segs.scale, float(np.abs(cx).max()), float(np.abs(cy).max()))
+    reach = _reach(np.maximum(radius, BOUNDARY_EPS), scale)
+    near = [np.flatnonzero(_within(cx, cy, reach, box)) for box in segs.bounds]
+    tract = np.repeat(np.arange(n), [len(k) for k in near])
+    provider = np.concatenate(near)
+    part, pair = _ranges(segs.part_start[tract], np.diff(segs.part_start)[tract])
+    k = provider[pair]
+    met = np.zeros(len(tract), dtype=bool)
+    met[pair[_disk_hits(segs, cx[k], cy[k], radius[k], part)]] = True
+    return np.bincount(tract[met], minlength=n)
+
+
+def points_in_tract(
+    points: Sequence[ProjectedPoint], tract: Polygon | Sequence[Polygon]
+) -> np.ndarray:
+    """point_in_polygon of each point against any part of the tract."""
+    segs = _pack([tract])
+    parts = len(segs.parts)
+    px = np.repeat(np.array([p.x for p in points], dtype=float), parts)
+    py = np.repeat(np.array([p.y for p in points], dtype=float), parts)
+    part = np.tile(np.arange(parts), len(points))
+    hits = _disk_hits(segs, px, py, BOUNDARY_EPS, part)
+    return hits.reshape(len(points), parts).any(axis=1)
 
 
 def queen_adjacency(
@@ -275,30 +446,50 @@ def queen_adjacency(
     other's boundary (vertex-to-vertex or vertex-to-segment), checked in
     both directions. Multi-part tracts are tested against every part.
     Output is symmetric and irreflexive.
+
+    Candidate pairs, whose bboxes come within eps, are found by a sort and
+    sweep on bbox xmin; only the vertices within `_reach(eps)` of the other
+    tract's bbox are measured.
     """
-    if len(tracts) < 2:
+    n = len(tracts)
+    if n < 2:
         raise DomainError("queen adjacency needs at least 2 tracts")
-    parts_list: list[list[Polygon]] = [
-        [t] if isinstance(t, Polygon) else list(t) for t in tracts
-    ]
-    verts = [_geometry_vertices(parts) for parts in parts_list]
-    boxes = [parts_bounds(parts) for parts in parts_list]
-    n = len(parts_list)
+    segs = _pack(tracts)
+    xmin, ymin, xmax, ymax = segs.bounds.T
+    order = np.argsort(xmin, kind="stable")
+    stop = np.searchsorted(xmin[order], xmax[order] + eps, side="right")
+    later, earlier = _ranges(np.arange(1, n + 1), stop - np.arange(1, n + 1))
+    a, b = order[earlier], order[later]
+    overlap = ~(
+        (xmax[a] + eps < xmin[b])
+        | (xmax[b] + eps < xmin[a])
+        | (ymax[a] + eps < ymin[b])
+        | (ymax[b] + eps < ymin[a])
+    )
+    a, b = a[overlap], b[overlap]
+    # both directions: the vertices of src against the parts of dst
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    pair = np.tile(np.arange(len(a)), 2)
+    vcount = np.diff(segs.vstart)[src]
+    nparts = np.diff(segs.part_start)
+    reach = _reach(eps, segs.scale)
+    touching = np.zeros(len(a), dtype=bool)
+    for lo, hi in _chunks(vcount):
+        v, q = _ranges(segs.vstart[src[lo:hi]], vcount[lo:hi])
+        near = _within(segs.ax[v], segs.ay[v], reach, segs.bounds[dst[lo:hi][q]].T)
+        v, q = v[near], q[near]
+        target = dst[lo:hi][q]
+        part, w = _ranges(segs.part_start[target], nparts[target])
+        px, py = segs.ax[v][w], segs.ay[v][w]
+        dmin, _ = _scan(segs, px, py, part)
+
+        def scalar(k: int) -> bool:
+            vertex = ProjectedPoint(float(px[k]), float(py[k]))
+            return boundary_distance(vertex, segs.parts[part[k]]) <= eps
+
+        touching[pair[lo:hi][q[w[_decide(dmin, eps, scalar)]]]] = True
     adj: list[set[int]] = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            bi, bj = boxes[i], boxes[j]
-            if (
-                bi[2] + eps < bj[0]
-                or bj[2] + eps < bi[0]
-                or bi[3] + eps < bj[1]
-                or bj[3] + eps < bi[1]
-            ):
-                continue
-            touching = any(
-                _vertex_near_boundary(v, parts_list[j], eps) for v in verts[i]
-            ) or any(_vertex_near_boundary(v, parts_list[i], eps) for v in verts[j])
-            if touching:
-                adj[i].add(j)
-                adj[j].add(i)
+    for i, j in zip(a[touching].tolist(), b[touching].tolist()):
+        adj[i].add(j)
+        adj[j].add(i)
     return AdjacencyList(adj)

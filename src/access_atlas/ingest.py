@@ -24,10 +24,9 @@ from .errors import (
     SnapError,
 )
 from .geometry import (
-    BufferSpec,
     Polygon,
     ProjectedPoint,
-    availability_count,
+    availability_counts,
     parts_area_centroid,
     project_lonlat,
 )
@@ -100,10 +99,6 @@ class ProviderPoint:
     kind: str
     location: ProjectedPoint
     radius_m: float
-
-    @property
-    def buffer(self) -> BufferSpec:
-        return BufferSpec(self.radius_m)
 
 
 @dataclass
@@ -209,7 +204,13 @@ def load_providers(path: str, ref_lon: float, ref_lat: float) -> list[ProviderPo
     header = ("id", "kind", "lon", "lat")
     _, rows = read_csv_table(path, [header, (*header, "radius_m")], "provider")
     providers: list[ProviderPoint] = []
+    seen: set[str] = set()
     for row_no, (pid, kind, raw_lon, raw_lat, *raw_radius) in rows:
+        if not pid:
+            raise SchemaError(f"{path} row {row_no}: empty provider id")
+        if pid in seen:
+            raise SchemaError(f"{path} row {row_no}: duplicate provider id {pid!r}")
+        seen.add(pid)
         if kind == "grocery":
             log.warning(
                 "%s row %d: provider %s has no grocery size class; assuming grocery_large",
@@ -301,9 +302,8 @@ def assemble_variable_table(
     distances = multisource_shortest_distances(net, sources)
 
     demo_by_id = {rec.tract_id: rec for rec in demographics}
-    buffered = [(p.location, p.buffer) for p in providers]
 
-    retained_ids: list[str] = []
+    retained: list[TractGeometry] = []
     rows: list[list[float]] = []
     dropped: list[tuple[str, str]] = []
     for tract in sorted(tracts, key=lambda t: t.tract_id):
@@ -325,13 +325,10 @@ def assemble_variable_table(
         if ace_net is None:
             dropped.append((tract.tract_id, "unreachable"))
             continue
-        av_int = availability_count(tract.parts, buffered)
-        row = [float(av_int)]
-        row.append(rec.values["AV_POP"])
-        row.append(ace_net)
+        row = [0.0, rec.values["AV_POP"], ace_net]  # AV_INT is filled in below
         for name in ("ACE_NV", "ACE_ELD", "ACE_DIS", "AFF_POV", "AFF_UNEMP", "ACO_ENG", "ACO_SNAP"):
             row.append(rec.values[name])
-        retained_ids.append(tract.tract_id)
+        retained.append(tract)
         rows.append(row)
     for tract_id, reason in dropped:
         log.warning("dropping tract %s: %s", tract_id, reason)
@@ -339,8 +336,12 @@ def assemble_variable_table(
         log.warning("ignoring demographics row %s: no tract geometry", tract_id)
     if not rows:
         raise EmptyTableError("all tracts were dropped; nothing to analyze")
+    values = np.array(rows, dtype=float)
+    values[:, 0] = availability_counts(
+        [t.parts for t in retained], [(p.location, p.radius_m) for p in providers]
+    )
     return VariableTable(
-        tract_ids=retained_ids,
-        values=np.array(rows, dtype=float),
+        tract_ids=[t.tract_id for t in retained],
+        values=values,
         dropped=dropped,
     )

@@ -39,7 +39,7 @@ from .geometry import (
     ProjectedPoint,
     parts_area_centroid,
     parts_bounds,
-    point_in_polygon,
+    points_in_tract,
     project_lonlat,
 )
 
@@ -282,16 +282,12 @@ def multisource_shortest_distances(
 def _grid_sample_points(parts: Sequence[Polygon], k: int) -> list[ProjectedPoint]:
     """Cell centers of a k x k grid over the bbox, kept if inside a part."""
     xmin, ymin, xmax, ymax = parts_bounds(parts)
-    pts = []
-    for j in range(k):
-        for i in range(k):
-            pt = ProjectedPoint(
-                xmin + (i + 0.5) * (xmax - xmin) / k,
-                ymin + (j + 0.5) * (ymax - ymin) / k,
-            )
-            if any(point_in_polygon(pt, part) for part in parts):
-                pts.append(pt)
-    return pts
+    pts = [
+        ProjectedPoint(xmin + (i + 0.5) * (xmax - xmin) / k, ymin + (j + 0.5) * (ymax - ymin) / k)
+        for j in range(k)
+        for i in range(k)
+    ]
+    return [pt for pt, inside in zip(pts, points_in_tract(pts, parts)) if inside]
 
 
 def sampling_grid_size(mode: str) -> int | None:

@@ -6,9 +6,11 @@ characteristic-cubic solution instead of LAPACK's eigh, winding numbers
 instead of ray casting, dense boundary sampling instead of exact
 segment distances, a per-tract loop (in floats or exact fractions)
 instead of the batched Moran kernel, and a scan over every node id in
-sorted order instead of the snap index. Tests that need scipy compare
+sorted order instead of the snap index, and scalar loops over every
+(provider, part) and every tract pair instead of the batched numpy
+segment kernel. Tests that need scipy compare
 against it where it is installed: csgraph's Dijkstra and LAPACK's eigh
-through scipy.linalg.
+through scipy.linalg; likewise networkx's multi-source Dijkstra.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ import math
 import numpy as np
 
 from access_atlas.errors import DomainError, SnapError
+from access_atlas.geometry import (
+    ADJACENCY_EPS,
+    Polygon,
+    boundary_distance,
+    circle_intersects_polygon,
+    parts_bounds,
+)
 
 
 def floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
@@ -195,3 +204,48 @@ def snap_loop(pt, net, max_snap_m: float = 500.0) -> str:
             best_d,
         )
     return best_id
+
+
+def _parts(tract) -> list:
+    return [tract] if isinstance(tract, Polygon) else list(tract)
+
+
+def availability_loop(tract, providers) -> int:
+    """Providers, as (location, radius_m) pairs, whose disk meets any part
+    of the tract: one scalar circle_intersects_polygon per (provider, part);
+    a drop-in for one tract of geometry.availability_counts."""
+    parts = _parts(tract)
+    return sum(
+        1
+        for location, radius in providers
+        if any(circle_intersects_polygon(location, radius, part) for part in parts)
+    )
+
+
+def queen_adjacency_loop(tracts, eps: float = ADJACENCY_EPS) -> list[set[int]]:
+    """Neighbour sets by testing every bbox-overlapping pair of tracts:
+    some vertex of one within eps of the other's boundary, by the scalar
+    boundary_distance, in either direction; a drop-in for the neighbors of
+    geometry.queen_adjacency."""
+    parts_list = [_parts(t) for t in tracts]
+    verts = [[v for part in parts for ring in part.rings for v in ring[:-1]] for parts in parts_list]
+    boxes = [parts_bounds(parts) for parts in parts_list]
+
+    def near(vertices, parts) -> bool:
+        return any(boundary_distance(v, part) <= eps for v in vertices for part in parts)
+
+    adj: list[set[int]] = [set() for _ in tracts]
+    for i in range(len(tracts)):
+        for j in range(i + 1, len(tracts)):
+            bi, bj = boxes[i], boxes[j]
+            if (
+                bi[2] + eps < bj[0]
+                or bj[2] + eps < bi[0]
+                or bi[3] + eps < bj[1]
+                or bj[3] + eps < bi[1]
+            ):
+                continue
+            if near(verts[i], parts_list[j]) or near(verts[j], parts_list[i]):
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj

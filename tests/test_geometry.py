@@ -7,10 +7,9 @@ from hypothesis import given, strategies as st
 from access_atlas import geometry
 from access_atlas.errors import DegenerateGeometry, DomainError
 from access_atlas.geometry import (
-    BufferSpec,
     Polygon,
     ProjectedPoint,
-    availability_count,
+    availability_counts,
     circle_intersects_polygon,
     parts_area_centroid,
     point_in_polygon,
@@ -298,33 +297,38 @@ def test_convex_fixture_matches_disk_grid_oracle():
 # --------------------------------------------------------- availability count
 
 
+def availability_count(tract, providers) -> int:
+    return int(availability_counts([tract], providers)[0])
+
+
 def test_availability_empty():
     assert availability_count(KM_SQUARE, []) == 0
+    assert availability_counts([], [(ProjectedPoint(0, 0), 1.0)]).shape == (0,)
 
 
 def test_availability_supermarket_within_reach():
     # nearest boundary point 2900 m away, buffer 3000 m
-    provider = (ProjectedPoint(3900, 500), BufferSpec(3000))
+    provider = (ProjectedPoint(3900, 500), 3000.0)
     assert circle_intersects_polygon(provider[0], 3000, KM_SQUARE)
     assert availability_count(KM_SQUARE, [provider]) == 1
 
 
 def test_availability_composition():
-    inside = (ProjectedPoint(500, 500), BufferSpec(3000))
-    cart = (ProjectedPoint(1600, 500), BufferSpec(500))  # 600 m out of reach
+    inside = (ProjectedPoint(500, 500), 3000.0)
+    cart = (ProjectedPoint(1600, 500), 500.0)  # 600 m out of reach
     assert availability_count(KM_SQUARE, [inside, cart]) == 1
 
 
 def test_availability_counts_provider_once_for_multipart_tract():
     parts = [square(0, 0), square(1500, 0)]
-    provider = (ProjectedPoint(1250, 500), BufferSpec(400))  # reaches both parts
+    provider = (ProjectedPoint(1250, 500), 400.0)  # reaches both parts
     assert availability_count(parts, [provider]) == 1
 
 
 def test_availability_order_invariant_and_additive():
     rng = np.random.default_rng(11)
     providers = [
-        (ProjectedPoint(*rng.uniform(-2000, 3000, size=2)), BufferSpec(float(rng.uniform(100, 2000))))
+        (ProjectedPoint(*rng.uniform(-2000, 3000, size=2)), float(rng.uniform(100, 2000)))
         for _ in range(12)
     ]
     total = availability_count(KM_SQUARE, providers)
@@ -333,6 +337,11 @@ def test_availability_order_invariant_and_additive():
     assert availability_count(KM_SQUARE, providers[:5]) + availability_count(
         KM_SQUARE, providers[5:]
     ) == total
+
+
+def test_availability_rejects_non_positive_radius():
+    with pytest.raises(DomainError):
+        availability_counts([KM_SQUARE], [(ProjectedPoint(0, 0), 0.0)])
 
 
 # ------------------------------------------------------------ queen adjacency

@@ -321,6 +321,10 @@ CSV_RULES = [
 CSV_CASES = [
     *[(kind, *rule) for kind in ("providers", "nodes", "edges", "demographics")
       for rule in CSV_RULES],
+    ("providers", "empty-provider-id", lambda h, r: f"{h}\n{r}\n ,supermarket,-87.7,41.85,\n",
+     (SchemaError, " row 3: empty provider id$")),
+    ("providers", "duplicate-provider-id", lambda h, r: f"{h}\n{r}\n s1 ,produce_cart,-87.7,41.85,\n",
+     (SchemaError, " row 3: duplicate provider id 's1'$")),
     ("nodes", "empty-node-id", lambda h, r: f"{h}\n{r}\n ,5,5\n",
      (SchemaError, " row 3: empty node_id$")),
     ("nodes", "duplicate-node-id", lambda h, r: f"{h}\n{r}\n 1 ,5,5\n",

@@ -297,6 +297,19 @@ def test_matches_scipy_dijkstra_on_random_graphs():
             assert d == pytest.approx(want[int(node)], rel=1e-12)
 
 
+def test_matches_networkx_dijkstra_on_random_multigraphs():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(4242)
+    for _ in range(60):
+        nodes, edges, sources = order_prone_graph(rng)
+        graph = nx.MultiGraph()
+        graph.add_nodes_from(nodes)
+        graph.add_weighted_edges_from(edges)
+        want = nx.multi_source_dijkstra_path_length(graph, set(sources))
+        net = build_network([(a, b, w, "residential") for a, b, w in edges], nodes)
+        assert multisource_shortest_distances(net, set(sources)) == want
+
+
 def test_multisource_equals_per_source_minimum():
     rng = np.random.default_rng(3)
     for _ in range(5):
