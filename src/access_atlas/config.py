@@ -100,6 +100,10 @@ def _coerce(key: str, value):
     if key in _PATH_KEYS or key == "ace_net_mode":
         if not isinstance(value, str):
             raise ConfigError(f"config: {key} must be a string, got {value!r}")
+    if key == "road_classes":
+        if not (value and isinstance(value, list) and all(isinstance(c, str) for c in value)):
+            raise ConfigError(f"config: {key} must be a non-empty list of strings, got {value!r}")
+        return frozenset(value)
     return value
 
 
@@ -120,12 +124,7 @@ def load_config_file(path: str) -> RunConfig:
     cfg = RunConfig()
     base = os.path.dirname(os.path.abspath(path))
     for key, value in raw.items():
-        if key == "road_classes":
-            if not isinstance(value, list):
-                raise ConfigError(f"config {path}: road_classes must be a list")
-            value = frozenset(value)
-        else:
-            value = _coerce(key, value)
+        value = _coerce(key, value)
         if key in _PATH_KEYS:
             value = os.path.join(base, value)
         setattr(cfg, key, value)

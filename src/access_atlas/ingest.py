@@ -293,7 +293,7 @@ def assemble_variable_table(
     supermarkets = [p for p in providers if p.kind == "supermarket"]
     if not supermarkets:
         raise DomainError("no supermarket providers; ACE_NET is undefined")
-    sources = set()
+    sources: set[int] = set()
     for p in supermarkets:
         try:
             sources.add(snap_point(p.location, net, max_snap_m))

@@ -5,20 +5,18 @@ filtered to the road classes people actually walk or drive locally
 (motorways are excluded by default). Distances to the nearest supermarket
 come from a single multi-source Dijkstra pass seeded with every
 supermarket's snap node; `tract_network_distance` reads each tract's
-distance from that one shared map.
+distance from that one shared array.
 
 `read_csv_table` reads all four CSV inputs (the road nodes and edges here,
 the providers and demographics in `ingest`): it matches the header, skips
 blank rows, strips every cell, checks each row's width and streams the
 rows, so the loaders only parse cells.
 
-Snapping a point to its nearest node goes through a coordinate index that
-each `RoadNetwork` builds once, on the first snap: the node ids sorted by
-`_node_sort_key` (decimal ids numerically, then the rest by string) and
-their x and y as float arrays in that order. Building it costs one
-O(N log N) sort; each snap is then one O(N) numpy pass over the arrays.
-Ties go to the lowest id in that order. The snap index is the only user of
-that order: no distance depends on adjacency or heap order.
+`build_network` owns node order: it sorts the kept ids once by
+`_node_sort_key` (decimal ids numerically, then the rest by string), and a
+node is its index in that order. A snap is one O(N) numpy pass over the
+coordinate arrays, ties going to the lowest index; Dijkstra runs on the CSR
+edge arrays and returns a float array, which no CSR row or heap order changes.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import heapq
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -58,28 +55,21 @@ def _node_sort_key(node_id: str) -> tuple[int, int, str]:
     return (1, 0, node_id)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RoadNetwork:
-    """Undirected road graph: node coordinates plus adjacency with lengths.
+    """Undirected road graph on node indices.
 
-    `nodes` is not to be changed after the first snap, which derives the
-    snap index from it.
+    Node i is `ids[i]` at (`xs[i]`, `ys[i]`); `ids` is in `_node_sort_key`
+    order. Its edges are `nbr[indptr[i]:indptr[i + 1]]`, with lengths in
+    `length` at the same positions; every edge appears once from each end.
     """
 
-    nodes: dict[str, ProjectedPoint]
-    adjacency: dict[str, list[tuple[str, float]]]
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
-
-    @cached_property
-    def snap_index(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """Node ids in `_node_sort_key` order and their x and y arrays."""
-        ids = sorted(self.nodes, key=_node_sort_key)
-        xs = np.array([self.nodes[nid].x for nid in ids], dtype=float)
-        ys = np.array([self.nodes[nid].y for nid in ids], dtype=float)
-        return ids, xs, ys
+    ids: list[str]
+    xs: np.ndarray
+    ys: np.ndarray
+    indptr: np.ndarray
+    nbr: np.ndarray
+    length: np.ndarray
 
 
 def build_network(
@@ -91,10 +81,11 @@ def build_network(
 
     Edge records are (from_node, to_node, length_m, road_class); a None
     length means "use the Euclidean distance between the endpoints".
-    Isolated nodes (no surviving edge) are dropped. Adjacency lists keep
-    edge-record order, which no distance depends on (fl(d + w) never falls as d grows).
+    Isolated nodes (no surviving edge) are dropped. Each CSR row keeps
+    edge-record order; no distance depends on it.
     """
-    adjacency: dict[str, list[tuple[str, float]]] = {}
+    ends: list[str] = []  # from_node, to_node of every kept edge, in turn
+    lengths: list[float] = []
     for idx, (a, b, length, road_class) in enumerate(edge_records):
         if road_class not in allowed_classes:
             continue
@@ -106,10 +97,18 @@ def build_network(
             length = math.hypot(pa.x - pb.x, pa.y - pb.y)
         if not (length > 0) or not math.isfinite(length):
             raise SchemaError(f"edge {idx} ({a}-{b}): non-positive length {length}")
-        adjacency.setdefault(a, []).append((b, float(length)))
-        adjacency.setdefault(b, []).append((a, float(length)))
-    nodes = {nid: pt for nid, pt in node_records.items() if nid in adjacency}
-    return RoadNetwork(nodes=nodes, adjacency=adjacency)
+        ends += (a, b)
+        lengths.append(float(length))
+    ids = sorted(set(ends), key=_node_sort_key)
+    index = {nid: i for i, nid in enumerate(ids)}
+    tail = np.fromiter(map(index.__getitem__, ends), dtype=np.intp, count=len(ends))
+    head = tail.reshape(-1, 2)[:, ::-1].ravel()
+    order = np.argsort(tail, kind="stable")
+    indptr = np.zeros(len(ids) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tail, minlength=len(ids)), out=indptr[1:])
+    xs, ys = np.array([node_records[nid] for nid in ids], dtype=float).reshape(-1, 2).T.copy()
+    weights = np.repeat(np.array(lengths, dtype=float), 2)
+    return RoadNetwork(ids, xs, ys, indptr, head[order], weights[order])
 
 
 def read_csv_table(
@@ -212,71 +211,73 @@ def load_road_edges(path: str) -> list[tuple[str, str, float | None, str]]:
 
 def snap_point(
     pt: ProjectedPoint, net: RoadNetwork, max_snap_m: float = DEFAULT_SNAP_MAX_M
-) -> str:
-    """Nearest network node by Euclidean distance; ties go to the lowest id.
+) -> int:
+    """Index of the nearest network node by Euclidean distance; ties go to
+    the lowest index, which is the lowest id.
 
-    One numpy pass over `net.snap_index` computes the squared distance to
-    every node. The nodes within a relative 1e-12 of the smallest squared
-    distance, far wider than its rounding error, are the candidates; the
-    first of them, in id order, with the strictly smallest `math.hypot`
+    One numpy pass over `net.xs` and `net.ys` computes the squared distance
+    to every node. The nodes within a relative 1e-12 of the smallest
+    squared distance, far wider than its rounding error, are the
+    candidates; the first of them with the strictly smallest `math.hypot`
     distance wins. That is the node, and the distance, of a scan over all
     ids in sorted order. A nearest node farther than max_snap_m raises
     SnapError carrying that distance, which is inf when `math.hypot`
     overflows for every candidate.
     """
-    if not net.nodes:
+    if not net.ids:
         raise DomainError("cannot snap onto an empty network")
-    ids, xs, ys = net.snap_index
     # Beyond about 1e154 m d2 overflows to inf; the candidate rule still holds.
     with np.errstate(over="ignore"):
-        dx = xs - pt.x
-        dy = ys - pt.y
+        dx = net.xs - pt.x
+        dy = net.ys - pt.y
         d2 = dx * dx + dy * dy
-    candidates = np.flatnonzero(d2 <= d2.min() * (1.0 + 1e-12)).tolist()
+    candidates = np.flatnonzero(d2 <= d2.min() * (1.0 + 1e-12))
     # seeded with the first candidate, so it stands when every hypot is inf
-    best_id = ids[candidates[0]]
-    best_d = math.inf
-    for i in candidates:
-        npt = net.nodes[ids[i]]
-        d = math.hypot(pt.x - npt.x, pt.y - npt.y)
+    best, best_d = int(candidates[0]), math.inf
+    for i in candidates.tolist():
+        d = math.hypot(pt.x - float(net.xs[i]), pt.y - float(net.ys[i]))
         if d < best_d:
-            best_d = d
-            best_id = ids[i]
+            best, best_d = i, d
     if best_d > max_snap_m:
         raise SnapError(
-            f"nearest node {best_id!r} is {best_d:.1f} m away (max {max_snap_m:.0f} m)",
+            f"nearest node {net.ids[best]!r} is {best_d:.1f} m away (max {max_snap_m:.0f} m)",
             best_d,
         )
-    return best_id
+    return best
 
 
 def multisource_shortest_distances(
-    net: RoadNetwork, sources: set[str] | frozenset[str]
-) -> dict[str, float]:
-    """Shortest distance from every node to its nearest source.
+    net: RoadNetwork, sources: set[int] | frozenset[int]
+) -> np.ndarray:
+    """Shortest distance from every node to its nearest source, by index.
 
-    One Dijkstra pass over a heap initialised with all sources. Nodes with
-    no path to any source are absent from the returned mapping. No pop
-    order changes a distance: for w > 0, fl(d + w) >= d and never falls as d grows.
+    One Dijkstra pass over a heap initialised with all source indices.
+    Nodes with no path to any source get inf. No pop order changes a
+    distance: for w > 0, fl(d + w) >= d and never falls as d grows.
     """
     if not sources:
         raise DomainError("source set is empty")
-    missing = [s for s in sources if s not in net.adjacency]
+    n = len(net.ids)
+    missing = [s for s in sources if not 0 <= s < n]
     if missing:
         raise DomainError(f"source nodes not in network: {sorted(missing)}")
-    dist: dict[str, float] = {s: 0.0 for s in sources}
+    indptr, nbr, length = net.indptr.tolist(), net.nbr.tolist(), net.length.tolist()
+    dist = [math.inf] * n
+    for s in sources:
+        dist[s] = 0.0
     heap = [(0.0, s) for s in sources]
     heapq.heapify(heap)
     while heap:
         d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
+        if d > dist[u]:
             continue
-        for v, w in net.adjacency[u]:
+        lo, hi = indptr[u], indptr[u + 1]
+        for v, w in zip(nbr[lo:hi], length[lo:hi]):
             nd = d + w
-            if nd < dist.get(v, math.inf):
+            if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return dist
+    return np.array(dist, dtype=float)
 
 
 def _grid_sample_points(parts: Sequence[Polygon], k: int) -> list[ProjectedPoint]:
@@ -301,7 +302,7 @@ def sampling_grid_size(mode: str) -> int | None:
 def tract_network_distance(
     parts: Sequence[Polygon],
     net: RoadNetwork,
-    distances: Mapping[str, float],
+    distances: np.ndarray,
     mode: str = "centroid",
     *,
     max_snap_m: float,
@@ -309,7 +310,7 @@ def tract_network_distance(
     """Network distance from a tract to its nearest supermarket, or None if
     no sample of the tract reaches one.
 
-    `distances` is the shared map from multisource_shortest_distances. Mode
+    `distances` is the shared array from multisource_shortest_distances. Mode
     "centroid" uses the snapped area centroid; mode "grid-K" averages the
     distances at the snapped nodes of a K x K interior sample grid (sample
     points outside the polygon are discarded; if none remain the centroid
@@ -319,11 +320,8 @@ def tract_network_distance(
     k = sampling_grid_size(mode)
     _, centroid = parts_area_centroid(parts)
     sample_points = [centroid] if k is None else (_grid_sample_points(parts, k) or [centroid])
-    values = []
-    for pt in sample_points:
-        d = distances.get(snap_point(pt, net, max_snap_m))
-        if d is not None:
-            values.append(d)
+    reached = [float(distances[snap_point(pt, net, max_snap_m)]) for pt in sample_points]
+    values = [d for d in reached if d < math.inf]
     if not values:
         return None
     return sum(values) / len(values)

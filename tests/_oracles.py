@@ -5,10 +5,10 @@ code under test: Floyd-Warshall and Bellman-Ford instead of Dijkstra, the closed
 characteristic-cubic solution instead of LAPACK's eigh, winding numbers
 instead of ray casting, dense boundary sampling instead of exact
 segment distances, a per-tract loop (in floats or exact fractions)
-instead of the batched Moran kernel, and a scan over every node id in
-sorted order instead of the snap index, and scalar loops over every
-(provider, part) and every tract pair instead of the batched numpy
-segment kernel. Tests that need scipy compare
+instead of the batched Moran kernel, a scan over every node id in sorted
+order instead of one numpy pass over the coordinate arrays, and scalar
+loops over every (provider, part) and every tract pair instead of the
+batched numpy segment kernel. Tests that need scipy compare
 against it where it is installed: csgraph's Dijkstra and LAPACK's eigh
 through scipy.linalg; likewise networkx's multi-source Dijkstra.
 """
@@ -183,27 +183,26 @@ def _node_id_key(node_id: str) -> tuple[int, int, str]:
     return (1, 0, node_id)
 
 
-def snap_loop(pt, net, max_snap_m: float = 500.0) -> str:
-    """Nearest node by scanning every id in sorted order and keeping the
-    first strict minimum of math.hypot (the first id when every distance
-    overflows to inf); a drop-in for network.snap_point."""
-    if not net.nodes:
+def snap_loop(pt, net, max_snap_m: float = 500.0) -> int:
+    """Index of the nearest node, by scanning every id in sorted order and
+    keeping the first strict minimum of math.hypot (the first id when every
+    distance overflows to inf); a drop-in for network.snap_point."""
+    if not net.ids:
         raise DomainError("cannot snap onto an empty network")
-    ordered = sorted(net.nodes, key=_node_id_key)
-    best_id = ordered[0]
+    ordered = sorted(range(len(net.ids)), key=lambda i: _node_id_key(net.ids[i]))
+    best = ordered[0]
     best_d = math.inf
-    for nid in ordered:
-        npt = net.nodes[nid]
-        d = math.hypot(pt.x - npt.x, pt.y - npt.y)
+    for i in ordered:
+        d = math.hypot(pt.x - float(net.xs[i]), pt.y - float(net.ys[i]))
         if d < best_d:
             best_d = d
-            best_id = nid
+            best = i
     if best_d > max_snap_m:
         raise SnapError(
-            f"nearest node {best_id!r} is {best_d:.1f} m away (max {max_snap_m:.0f} m)",
+            f"nearest node {net.ids[best]!r} is {best_d:.1f} m away (max {max_snap_m:.0f} m)",
             best_d,
         )
-    return best_id
+    return best
 
 
 def _parts(tract) -> list:

@@ -179,7 +179,8 @@ def test_c6_dijkstra_matches_floyd_warshall_on_30_graphs():
         net = build_network(edges, nodes)
         k = int(rng.integers(1, min(n, 5) + 1))
         sources = {str(int(s)) for s in rng.choice(n, size=k, replace=False)}
-        got = multisource_shortest_distances(net, sources)
+        dist = multisource_shortest_distances(net, {net.ids.index(s) for s in sources})
+        got = dict(zip(net.ids, dist.tolist()))
         dmat = floyd_warshall(n, [(int(a), int(b), w) for a, b, w, _ in edges])
         for v in range(n):
             want = min(dmat[int(s), v] for s in sources)

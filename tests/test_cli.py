@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from access_atlas import cli, ingest, report, stats
+from access_atlas import cli, geometry, ingest, report, stats
 
 
 def run(args):
@@ -408,6 +408,25 @@ def test_report_golden_bytes(minitown_config, tmp_path):
     assert digests == GOLDEN_SHA256
 
 
+def test_projected_road_nodes_give_the_golden_bundle(minitown_dir, tmp_path):
+    # the node_id,x,y header: minitown's nodes, projected as the lon/lat
+    # loader projects them and written as repr floats, give the same bytes
+    work = minitown_copy(minitown_dir, tmp_path)
+    cfg = read_json(work / "config.json")
+    header, *rows = (work / "roads_nodes.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "node_id,lon,lat"
+    lines = ["node_id,x,y"]
+    for line in rows:
+        node_id, lon, lat = line.split(",")
+        pt = geometry.project_lonlat(float(lon), float(lat), cfg["ref_lon"], cfg["ref_lat"])
+        lines.append(f"{node_id},{pt.x!r},{pt.y!r}")
+    (work / "roads_nodes.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+    assert digests == GOLDEN_SHA256
+
+
 def shuffle_inputs(work, rnd):
     """Shuffle the data rows of every CSV and the features of the GeoJSON."""
     for name in ("providers.csv", "roads_nodes.csv", "roads_edges.csv", "demographics.csv"):
@@ -545,9 +564,12 @@ def test_missing_config_paths_exit_4(tmp_path):
     assert run(["variables", "--out", str(tmp_path / "out")]) == 4
 
 
-def test_non_numeric_config_value_exits_4(minitown_dir, tmp_path):
+def test_non_numeric_config_value_exits_4(minitown_dir, tmp_path, capsys):
     # booleans and strings are not numbers, an integer key takes no fraction,
-    # a float is finite (json.dumps writes inf as a bare Infinity) and a seed >= 0
+    # a float is finite (json.dumps writes inf as a bare Infinity), a seed >= 0,
+    # and road_classes a non-empty list of strings (a nested list used to
+    # crash as unhashable, a number passed unchecked, and an empty list
+    # failed at snapping with exit 2); the error names the key
     for key, value in (
         ("hinge", "steep"),
         ("components_mapped", 2.7),
@@ -563,12 +585,23 @@ def test_non_numeric_config_value_exits_4(minitown_dir, tmp_path):
         ("sig_threshold", float("-inf")),
         ("hinge", 10**400),
         ("seed", -1),
+        ("road_classes", [["residential"]]),
+        ("road_classes", [1, "residential"]),
+        ("road_classes", []),
+        ("road_classes", "residential"),
     ):
         cfg = read_json(os.path.join(minitown_dir, "config.json"))
         cfg[key] = value
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg))
+        capsys.readouterr()
         assert run(["report", "--config", str(cfg_path)]) == 4, (key, value)
+        assert key in capsys.readouterr().err, (key, value)
+    work = minitown_copy(minitown_dir, tmp_path)
+    cfg = read_json(work / "config.json")
+    cfg["road_classes"] = ["residential", "tertiary"]
+    (work / "config.json").write_text(json.dumps(cfg))
+    assert run(["variables", "--config", str(work / "config.json")]) == 0
 
 
 def test_console_script_help():

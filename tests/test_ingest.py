@@ -14,7 +14,7 @@ from access_atlas.errors import (
     SchemaError,
 )
 from access_atlas.ingest import VARIABLE_COLUMNS
-from access_atlas.network import build_network, load_road_edges, load_road_nodes
+from access_atlas.network import RoadNetwork, build_network, load_road_edges, load_road_nodes
 
 from _oracles import snap_loop
 
@@ -423,18 +423,14 @@ def test_assemble_missing_cell_drops_tract(minitown_dir):
 
 def test_assemble_unreachable_tract_dropped(minitown_dir):
     tracts, providers, net, demographics = minitown_inputs(minitown_dir)
-    # cut every edge that touches t11's centroid node (c11)
-    pruned_adj = {
-        nid: [(v, w) for v, w in neigh if v != "c11"]
-        for nid, neigh in net.adjacency.items()
-        if nid != "c11"
-    }
-    from access_atlas.network import RoadNetwork
-
-    cut = RoadNetwork(
-        nodes={nid: pt for nid, pt in net.nodes.items()},
-        adjacency={**pruned_adj, "c11": []},
-    )
+    # cut every edge that touches t11's centroid node (c11): its CSR row is
+    # empty and no other row names it
+    c11 = net.ids.index("c11")
+    tails = np.repeat(np.arange(len(net.ids)), np.diff(net.indptr))
+    keep = (tails != c11) & (net.nbr != c11)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(tails[keep], minlength=len(net.ids)))])
+    assert indptr[c11] == indptr[c11 + 1]
+    cut = RoadNetwork(net.ids, net.xs, net.ys, indptr, net.nbr[keep], net.length[keep])
     table = ingest.assemble_variable_table(
         tracts, providers, cut, demographics, max_snap_m=700.0
     )

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,14 +10,41 @@ from access_atlas import network
 from access_atlas.errors import DomainError, SchemaError, SnapError
 from access_atlas.geometry import Polygon, ProjectedPoint
 from access_atlas.network import (
-    RoadNetwork,
     build_network,
     multisource_shortest_distances,
     snap_point,
     tract_network_distance,
 )
 
-from _oracles import bellman_ford, floyd_warshall, snap_loop
+from _oracles import _node_id_key, bellman_ford, floyd_warshall, snap_loop
+
+
+def index(net, node_id):
+    """Index of a node id in the network."""
+    return net.ids.index(node_id)
+
+
+def by_id(net, dist):
+    """A distance array as {id: distance} over its reachable (finite) entries."""
+    return {nid: d for nid, d in zip(net.ids, dist.tolist()) if math.isfinite(d)}
+
+
+def distances_by_id(net, source_ids):
+    """multisource_shortest_distances from the given ids, as {id: distance}."""
+    return by_id(net, multisource_shortest_distances(net, {index(net, s) for s in source_ids}))
+
+
+def row(net, node_id):
+    """A node's CSR row as (neighbour id, length) pairs."""
+    i = index(net, node_id)
+    lo, hi = net.indptr[i], net.indptr[i + 1]
+    return [(net.ids[v], w) for v, w in zip(net.nbr[lo:hi].tolist(), net.length[lo:hi].tolist())]
+
+
+def edgeless_network(nodes):
+    """A network of exactly these nodes: each carries a self-loop, so that
+    build_network keeps it, and no edge joins two of them."""
+    return build_network([(nid, nid, 1.0, "residential") for nid in nodes], nodes)
 
 
 def chain_network():
@@ -43,16 +72,16 @@ def random_graph(rng, n):
 
 def test_build_passes_allowed_classes_through():
     net = chain_network()
-    assert len(net.nodes) == 3
-    assert net.edge_count == 2
+    assert len(net.ids) == 3
+    assert len(net.nbr) == 2 * 2
 
 
 def test_build_filters_disallowed_classes():
     nodes = {"A": ProjectedPoint(0, 0), "B": ProjectedPoint(100, 0), "C": ProjectedPoint(300, 0)}
     edges = [("A", "B", 100.0, "residential"), ("B", "C", 200.0, "residential")]
     net = build_network(edges, nodes, frozenset({"motorway"}))
-    assert net.edge_count == 0
-    assert net.nodes == {}  # isolated nodes dropped
+    assert len(net.nbr) == 0
+    assert net.ids == []  # isolated nodes dropped
 
 
 def test_build_rejects_negative_length():
@@ -67,21 +96,42 @@ def test_build_rejects_missing_node():
         build_network([("A", "Z", 10.0, "residential")], nodes)
 
 
-def test_build_and_dijkstra_make_no_sort_key_calls(monkeypatch):
-    # the snap index is the only user of the node-id order
+def test_build_sorts_ids_once_into_a_symmetric_csr(monkeypatch):
+    # build_network is the one owner of node order: ids in sorted order, at
+    # most one key call per kept node, and none from snapping or Dijkstra
     rng = np.random.default_rng(12)
-    nodes, edges = random_graph(rng, 300)
     calls = []
-    monkeypatch.setattr(network, "_node_sort_key", calls.append)
-    net = build_network(edges, nodes)
-    assert multisource_shortest_distances(net, {"0", "7", "150"})
-    assert calls == []
+    original = network._node_sort_key
+
+    def counted(node_id):
+        calls.append(node_id)
+        return original(node_id)
+
+    monkeypatch.setattr(network, "_node_sort_key", counted)
+    for _ in range(100):
+        nodes, edges, _ = order_prone_graph(rng)
+        records = [(a, b, w, str(rng.choice(["residential", "motorway"]))) for a, b, w in edges]
+        kept = [(a, b, w) for a, b, w, road_class in records if road_class == "residential"]
+        kept_ids = {nid for a, b, _ in kept for nid in (a, b)}
+        calls.clear()
+        net = build_network(records, nodes)
+        assert net.ids == sorted(kept_ids, key=_node_id_key)
+        assert len(calls) <= len(kept_ids)
+        assert net.indptr[0] == 0 and net.indptr[-1] == len(net.nbr) == len(net.length)
+        arcs = Counter((nid, *arc) for nid in net.ids for arc in row(net, nid))
+        assert arcs == Counter([(a, b, w) for a, b, w in kept] + [(b, a, w) for a, b, w in kept])
+        assert all(arcs[(b, a, w)] == count for (a, b, w), count in arcs.items())
+        calls.clear()
+        if net.ids:
+            snap_point(ProjectedPoint(0.0, 0.0), net, max_snap_m=1.0)
+            multisource_shortest_distances(net, {0, len(net.ids) - 1})
+        assert calls == []
 
 
 def test_build_computes_euclidean_length_when_missing():
     nodes = {"A": ProjectedPoint(0, 0), "B": ProjectedPoint(300, 400)}
     net = build_network([("A", "B", None, "residential")], nodes)
-    assert net.adjacency["A"][0] == ("B", 500.0)
+    assert row(net, "A")[0] == ("B", 500.0)
 
 
 # ------------------------------------------------------------------ snapping
@@ -89,19 +139,19 @@ def test_build_computes_euclidean_length_when_missing():
 
 def test_snap_exact_node():
     net = chain_network()
-    assert snap_point(ProjectedPoint(300, 0), net) == "C"
+    assert snap_point(ProjectedPoint(300, 0), net) == index(net, "C")
 
 
 def test_snap_tie_breaks_to_lowest_id():
     nodes = {"3": ProjectedPoint(-100, 0), "9": ProjectedPoint(100, 0)}
     net = build_network([("3", "9", 200.0, "residential")], nodes)
-    assert snap_point(ProjectedPoint(0, 0), net) == "3"
+    assert net.ids[snap_point(ProjectedPoint(0, 0), net)] == "3"
 
 
 def test_snap_numeric_ids_order_numerically():
     nodes = {"9": ProjectedPoint(-100, 0), "10": ProjectedPoint(100, 0)}
     net = build_network([("9", "10", 200.0, "residential")], nodes)
-    assert snap_point(ProjectedPoint(0, 0), net) == "9"
+    assert net.ids[snap_point(ProjectedPoint(0, 0), net)] == "9"
 
 
 def test_snap_beyond_max_raises():
@@ -115,9 +165,9 @@ def test_non_decimal_digit_id_sorts_as_text():
     # after every decimal id.
     nodes = {"²": ProjectedPoint(-100, 0), "7": ProjectedPoint(100, 0)}
     net = build_network([("²", "7", 200.0, "residential")], nodes)
-    assert net.adjacency["²"] == [("7", 200.0)]
-    assert snap_point(ProjectedPoint(0, 0), net) == "7"
-    assert multisource_shortest_distances(net, {"²"}) == {"²": 0.0, "7": 200.0}
+    assert row(net, "²") == [("7", 200.0)]
+    assert net.ids[snap_point(ProjectedPoint(0, 0), net)] == "7"
+    assert distances_by_id(net, {"²"}) == {"²": 0.0, "7": 200.0}
 
 
 def random_snap_network(rng):
@@ -162,7 +212,7 @@ def random_snap_network(rng):
         u, v = rng.uniform(-1e4, 1e4, size=2)
         points.append(ProjectedPoint(offset + float(u), offset + float(v)))
     max_snap_m = float(rng.choice([0.0, 3 * step, 500.0]))
-    return RoadNetwork(nodes=nodes, adjacency={}), points, max_snap_m
+    return edgeless_network(nodes), points, max_snap_m
 
 
 def test_snap_point_matches_sorted_scan_oracle():
@@ -181,8 +231,9 @@ def test_snap_point_matches_sorted_scan_oracle():
                 continue
             assert snap_point(pt, net, max_snap_m) == want
             snapped += 1
-            best = math.hypot(pt.x - net.nodes[want].x, pt.y - net.nodes[want].y)
-            ties += sum(math.hypot(pt.x - p.x, pt.y - p.y) == best for p in net.nodes.values()) > 1
+            coords = list(zip(net.xs.tolist(), net.ys.tolist()))
+            best = math.hypot(pt.x - coords[want][0], pt.y - coords[want][1])
+            ties += sum(math.hypot(pt.x - x, pt.y - y) == best for x, y in coords) > 1
     assert min(ties, snapped, too_far) > 500
 
 
@@ -194,7 +245,7 @@ def test_snap_point_with_overflowing_squares_matches_oracle(px, py):
         "3": ProjectedPoint(2.0, -1.0),
         "x": ProjectedPoint(1e155, 0.0),
     }
-    net = RoadNetwork(nodes=nodes, adjacency={})
+    net = edgeless_network(nodes)
     pt = ProjectedPoint(px, py)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -205,7 +256,7 @@ def test_snap_point_overflowing_distance_raises_snap_error():
     # math.hypot overflows to inf for both nodes: the first id in order is
     # named, and it is beyond any finite max_snap_m
     nodes = {"2": ProjectedPoint(-1.7e308, 1.7e308), "1": ProjectedPoint(1.7e308, 1.7e308)}
-    net = RoadNetwork(nodes=nodes, adjacency={})
+    net = edgeless_network(nodes)
     with pytest.raises(SnapError, match="'1'") as exc:
         snap_point(ProjectedPoint(0.0, -1e7), net, max_snap_m=1e300)
     assert exc.value.distance_m == math.inf
@@ -234,12 +285,12 @@ def test_snap_point_does_not_sort_per_call(monkeypatch):
 
 def test_chain_single_source():
     net = chain_network()
-    assert multisource_shortest_distances(net, {"C"}) == {"A": 300.0, "B": 200.0, "C": 0.0}
+    assert distances_by_id(net, {"C"}) == {"A": 300.0, "B": 200.0, "C": 0.0}
 
 
 def test_chain_two_sources():
     net = chain_network()
-    assert multisource_shortest_distances(net, {"A", "C"}) == {"A": 0.0, "B": 100.0, "C": 0.0}
+    assert distances_by_id(net, {"A", "C"}) == {"A": 0.0, "B": 100.0, "C": 0.0}
 
 
 def test_empty_sources_rejected():
@@ -248,8 +299,9 @@ def test_empty_sources_rejected():
 
 
 def test_unknown_source_rejected():
-    with pytest.raises(DomainError):
-        multisource_shortest_distances(chain_network(), {"Z"})
+    for source in (3, -1):
+        with pytest.raises(DomainError):
+            multisource_shortest_distances(chain_network(), {source})
 
 
 def test_matches_floyd_warshall_on_random_graphs():
@@ -260,7 +312,7 @@ def test_matches_floyd_warshall_on_random_graphs():
         net = build_network(edges, nodes)
         k = int(rng.integers(1, 4))
         sources = {str(int(s)) for s in rng.choice(n, size=k, replace=False)}
-        got = multisource_shortest_distances(net, sources)
+        got = distances_by_id(net, sources)
         dmat = floyd_warshall(n, [(int(a), int(b), w) for a, b, w, _ in edges])
         for v in range(n):
             want = min(dmat[int(s), v] for s in sources)
@@ -290,7 +342,7 @@ def test_matches_scipy_dijkstra_on_random_graphs():
         want = csgraph.dijkstra(
             graph, directed=False, indices=sorted(int(s) for s in sources), min_only=True
         )
-        got = multisource_shortest_distances(net, sources)
+        got = distances_by_id(net, sources)
         assert set(got) == {str(v) for v in range(n + m) if math.isfinite(want[v])}
         assert set(got) == {str(v) for v in range(n)}
         for node, d in got.items():
@@ -307,7 +359,7 @@ def test_matches_networkx_dijkstra_on_random_multigraphs():
         graph.add_weighted_edges_from(edges)
         want = nx.multi_source_dijkstra_path_length(graph, set(sources))
         net = build_network([(a, b, w, "residential") for a, b, w in edges], nodes)
-        assert multisource_shortest_distances(net, set(sources)) == want
+        assert distances_by_id(net, sources) == want
 
 
 def test_multisource_equals_per_source_minimum():
@@ -317,8 +369,8 @@ def test_multisource_equals_per_source_minimum():
         nodes, edges = random_graph(rng, n)
         net = build_network(edges, nodes)
         sources = {str(int(s)) for s in rng.choice(n, size=3, replace=False)}
-        combined = multisource_shortest_distances(net, sources)
-        singles = [multisource_shortest_distances(net, {s}) for s in sources]
+        combined = distances_by_id(net, sources)
+        singles = [distances_by_id(net, {s}) for s in sources]
         for v in combined:
             assert combined[v] == min(d[v] for d in singles)
 
@@ -327,9 +379,9 @@ def test_triangle_inequality_along_edges():
     rng = np.random.default_rng(5)
     nodes, edges = random_graph(rng, 30)
     net = build_network(edges, nodes)
-    dist = multisource_shortest_distances(net, {"0"})
-    for u, neighbors in net.adjacency.items():
-        for v, w in neighbors:
+    dist = distances_by_id(net, {"0"})
+    for u in net.ids:
+        for v, w in row(net, u):
             assert dist[v] <= dist[u] + w + 1e-9
 
 
@@ -337,8 +389,8 @@ def test_adding_source_never_increases_distances():
     rng = np.random.default_rng(6)
     nodes, edges = random_graph(rng, 30)
     net = build_network(edges, nodes)
-    base = multisource_shortest_distances(net, {"0"})
-    more = multisource_shortest_distances(net, {"0", "7"})
+    base = distances_by_id(net, {"0"})
+    more = distances_by_id(net, {"0", "7"})
     for node, d in base.items():
         assert more[node] <= d + 1e-12
 
@@ -348,8 +400,8 @@ def test_scaling_edge_lengths_scales_distances():
     nodes, edges = random_graph(rng, 20)
     net = build_network(edges, nodes)
     scaled = build_network([(a, b, w * 3.5, c) for a, b, w, c in edges], nodes)
-    base = multisource_shortest_distances(net, {"0"})
-    got = multisource_shortest_distances(scaled, {"0"})
+    base = distances_by_id(net, {"0"})
+    got = distances_by_id(scaled, {"0"})
     for node, d in base.items():
         assert got[node] == pytest.approx(3.5 * d, rel=1e-12)
 
@@ -385,17 +437,16 @@ def test_distances_independent_of_adjacency_edge_and_source_order():
         want = bellman_ford(edges, set(sources))
         assert "far-a" not in want and "far-b" not in want
         net = build_network(records, nodes)
-        assert multisource_shortest_distances(net, set(sources)) == want
+        assert distances_by_id(net, sources) == want
         reversed_net = build_network(records[::-1], nodes)
-        assert multisource_shortest_distances(reversed_net, set(sources[::-1])) == want
-        keys = list(net.adjacency)
-        shuffled = {}
-        for k in rng.permutation(len(keys)):
-            neighbors = net.adjacency[keys[k]]
-            shuffled[keys[k]] = [neighbors[i] for i in rng.permutation(len(neighbors))]
-        shuffled_net = RoadNetwork(nodes=net.nodes, adjacency=shuffled)
-        reordered = set(sources[i] for i in rng.permutation(len(sources)))
-        assert multisource_shortest_distances(shuffled_net, reordered) == want
+        assert distances_by_id(reversed_net, sources[::-1]) == want
+        # every CSR row in a random order
+        perm = np.concatenate(
+            [lo + rng.permutation(hi - lo) for lo, hi in zip(net.indptr[:-1], net.indptr[1:])]
+        )
+        shuffled_net = dataclasses.replace(net, nbr=net.nbr[perm], length=net.length[perm])
+        reordered = [sources[i] for i in rng.permutation(len(sources))]
+        assert distances_by_id(shuffled_net, reordered) == want
 
 
 def test_result_independent_of_edge_order():
@@ -404,9 +455,7 @@ def test_result_independent_of_edge_order():
     net = build_network(edges, nodes)
     shuffled = [edges[i] for i in rng.permutation(len(edges))]
     net2 = build_network(shuffled, nodes)
-    assert multisource_shortest_distances(net, {"0", "3"}) == multisource_shortest_distances(
-        net2, {"0", "3"}
-    )
+    assert distances_by_id(net, {"0", "3"}) == distances_by_id(net2, {"0", "3"})
 
 
 # ------------------------------------------------------- per-tract distances
@@ -422,7 +471,7 @@ def tract_at(x0, y0, size=100.0):
 
 def distance_to(parts, net, sources, mode="centroid", max_snap_m=network.DEFAULT_SNAP_MAX_M):
     """tract_network_distance over the shared Dijkstra map of `sources`."""
-    distances = multisource_shortest_distances(net, sources)
+    distances = multisource_shortest_distances(net, {index(net, s) for s in sources})
     return tract_network_distance(parts, net, distances, mode, max_snap_m=max_snap_m)
 
 
@@ -501,4 +550,4 @@ def test_road_csvs_tolerate_crlf_and_blank_lines(tmp_path):
     edges_path.write_bytes(b"from_node,to_node,length_m,road_class\r\na,b,,residential\r\n")
     nodes = load_road_nodes(str(nodes_path))
     net = build_network(load_road_edges(str(edges_path)), nodes)
-    assert net.adjacency["a"][0] == ("b", 100.0)
+    assert row(net, "a")[0] == ("b", 100.0)
