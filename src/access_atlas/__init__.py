@@ -41,8 +41,12 @@ from .ingest import (
     load_tracts,
 )
 from .network import (
+    RoadEdges,
     RoadNetwork,
+    RoadNodes,
     build_network,
+    load_road_edges,
+    load_road_nodes,
     multisource_shortest_distances,
     snap_point,
     tract_network_distance,

@@ -73,14 +73,13 @@ def _load_inputs(cfg: RunConfig):
     tracts = ingest.load_tracts(cfg.tracts, cfg.ref_lon, cfg.ref_lat)
     providers = ingest.load_providers(cfg.providers, cfg.ref_lon, cfg.ref_lat)
     nodes = load_road_nodes(cfg.roads_nodes, cfg.ref_lon, cfg.ref_lat)
-    edges = load_road_edges(cfg.roads_edges)
-    net = build_network(edges, nodes, cfg.road_classes)
+    net = build_network(load_road_edges(cfg.roads_edges), nodes, cfg.road_classes)
     demographics = ingest.load_demographics(cfg.demographics)
     return tracts, providers, net, demographics
 
 
 def _build_table(cfg: RunConfig):
-    # the raw node and edge records are freed before the table is built
+    # the node and edge columns are freed before the table is built
     tracts, providers, net, demographics = _load_inputs(cfg)
     table = ingest.assemble_variable_table(
         tracts,

@@ -202,10 +202,10 @@ def load_providers(path: str, ref_lon: float, ref_lat: float) -> list[ProviderPo
     (no size class) is treated as grocery_large with a logged warning.
     """
     header = ("id", "kind", "lon", "lat")
-    _, rows = read_csv_table(path, [header, (*header, "radius_m")], "provider")
+    _, row_nos, columns = read_csv_table(path, [header, (*header, "radius_m")], "provider")
     providers: list[ProviderPoint] = []
     seen: set[str] = set()
-    for row_no, (pid, kind, raw_lon, raw_lat, *raw_radius) in rows:
+    for row_no, pid, kind, raw_lon, raw_lat, *raw_radius in zip(row_nos, *columns):
         if not pid:
             raise SchemaError(f"{path} row {row_no}: empty provider id")
         if pid in seen:
@@ -246,10 +246,12 @@ def load_demographics(path: str) -> list[DemographicRecord]:
     Every value must be finite, percent columns must land in [0, 100] and
     AV_POP must be nonnegative, otherwise RangeError names the tract.
     """
-    _, rows = read_csv_table(path, [("tract_id", *DEMOGRAPHIC_COLUMNS)], "demographics")
+    _, row_nos, columns = read_csv_table(
+        path, [("tract_id", *DEMOGRAPHIC_COLUMNS)], "demographics"
+    )
     records: list[DemographicRecord] = []
     seen: set[str] = set()
-    for row_no, (tract_id, *cells) in rows:
+    for row_no, tract_id, *cells in zip(row_nos, *columns):
         if tract_id in seen:
             raise SchemaError(f"{path} row {row_no}: duplicate tract_id {tract_id!r}")
         seen.add(tract_id)

@@ -9,8 +9,11 @@ distance from that one shared array.
 
 `read_csv_table` reads all four CSV inputs (the road nodes and edges here,
 the providers and demographics in `ingest`): it matches the header, skips
-blank rows, strips every cell, checks each row's width and streams the
-rows, so the loaders only parse cells.
+blank rows, strips every cell, checks each row's width and returns the
+whole file as columns. The road loaders parse those columns with array
+operations into `RoadNodes` and `RoadEdges`; a bad cell is found by mask
+and reported by the scalar check of its row, so the first bad row in file
+order gives the error.
 
 `build_network` owns node order: it sorts the kept ids once by
 `_node_sort_key` (decimal ids numerically, then the rest by string), and a
@@ -24,14 +27,17 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, RangeError, SchemaError, SnapError
 from .geometry import (
+    EARTH_RADIUS_M,
     Polygon,
     ProjectedPoint,
     parts_area_centroid,
@@ -55,6 +61,41 @@ def _node_sort_key(node_id: str) -> tuple[int, int, str]:
     return (1, 0, node_id)
 
 
+class _Columns:
+    """Columns of one CSV file: their length is the row count, and two
+    tables are equal when every column is, a nan cell equal to a nan cell
+    (the default dataclass == cannot compare numpy columns)."""
+
+    def __len__(self) -> int:
+        return len(next(iter(vars(self).values())))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(vars(self).values(), vars(other).values())
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class RoadNodes(_Columns):
+    """The node file, in file order: ids and projected coordinates in meters."""
+
+    ids: list[str]
+    xs: np.ndarray
+    ys: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class RoadEdges(_Columns):
+    """The edge file, in file order; a nan length means "use the Euclidean
+    distance between the endpoints"."""
+
+    from_node: list[str]
+    to_node: list[str]
+    length_m: np.ndarray
+    road_class: list[str]
+
+
 @dataclass(frozen=True, eq=False)
 class RoadNetwork:
     """Undirected road graph on node indices.
@@ -72,86 +113,141 @@ class RoadNetwork:
     length: np.ndarray
 
 
+def _blank(cells: list[str]) -> np.ndarray:
+    """Mask of the empty cells."""
+    return np.fromiter(map(operator.not_, cells), dtype=bool, count=len(cells))
+
+
+def _repeated(ids: list[str]) -> np.ndarray:
+    """Mask of the ids equal to an earlier one."""
+    if len(set(ids)) == len(ids):
+        return np.zeros(len(ids), dtype=bool)
+    first: dict[str, int] = {}
+    return np.array([first.setdefault(nid, i) != i for i, nid in enumerate(ids)], dtype=bool)
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def _float_column(cells: list[str]) -> np.ndarray:
+    """float() of every cell; nan for an empty cell and for one float() rejects."""
+    try:
+        return np.array([float(c) if c else math.nan for c in cells], dtype=float)
+    except ValueError:
+        return np.array([_float_or_nan(c) for c in cells], dtype=float)
+
+
+def _positions(index: dict[str, int], keys: list[str]) -> np.ndarray:
+    """index[key] for every key, -1 for a key not in index."""
+    try:
+        return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+    except KeyError:
+        return np.array([index.get(k, -1) for k in keys], dtype=np.intp)
+
+
 def build_network(
-    edge_records: Iterable[tuple[str, str, float | None, str]],
-    node_records: Mapping[str, ProjectedPoint],
+    edges: RoadEdges,
+    nodes: RoadNodes,
     allowed_classes: frozenset[str] | set[str] = DEFAULT_ROAD_CLASSES,
 ) -> RoadNetwork:
-    """Assemble the graph from parsed records, keeping only allowed classes.
+    """Assemble the graph from the loaded columns, keeping only edges of
+    allowed classes.
 
-    Edge records are (from_node, to_node, length_m, road_class); a None
-    length means "use the Euclidean distance between the endpoints".
-    Isolated nodes (no surviving edge) are dropped. Each CSR row keeps
-    edge-record order; no distance depends on it.
+    A nan length is the Euclidean distance between the endpoints.
+    Isolated nodes (no surviving edge) are dropped. A kept edge with an
+    endpoint missing from `nodes`, or with a length that is not positive
+    and finite, raises SchemaError for the first such edge in file order.
+    Each CSR row keeps edge order; no distance depends on it.
     """
-    ends: list[str] = []  # from_node, to_node of every kept edge, in turn
-    lengths: list[float] = []
-    for idx, (a, b, length, road_class) in enumerate(edge_records):
-        if road_class not in allowed_classes:
-            continue
-        if a not in node_records or b not in node_records:
-            missing = a if a not in node_records else b
-            raise SchemaError(f"edge {idx}: references missing node {missing!r}")
-        if length is None:
-            pa, pb = node_records[a], node_records[b]
-            length = math.hypot(pa.x - pb.x, pa.y - pb.y)
-        if not (length > 0) or not math.isfinite(length):
-            raise SchemaError(f"edge {idx} ({a}-{b}): non-positive length {length}")
-        ends += (a, b)
-        lengths.append(float(length))
-    ids = sorted(set(ends), key=_node_sort_key)
-    index = {nid: i for i, nid in enumerate(ids)}
-    tail = np.fromiter(map(index.__getitem__, ends), dtype=np.intp, count=len(ends))
+    keep = np.fromiter(
+        map(allowed_classes.__contains__, edges.road_class), dtype=bool, count=len(edges)
+    )
+    kept = np.flatnonzero(keep)
+    index = dict(zip(nodes.ids, range(len(nodes.ids))))
+    mask = keep.tolist()
+    # file positions of the from and to nodes of every kept edge
+    ends = _positions(index, [*compress(edges.from_node, mask), *compress(edges.to_node, mask)])
+    ends = ends.reshape(2, -1)
+    length = edges.length_m[kept]
+    found = (ends >= 0).all(axis=0)
+    euclidean = np.flatnonzero(np.isnan(length) & found)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = nodes.xs[ends[0, euclidean]] - nodes.xs[ends[1, euclidean]]
+        dy = nodes.ys[ends[0, euclidean]] - nodes.ys[ends[1, euclidean]]
+        # math.hypot, not np.hypot, which may differ in the last bit
+        length[euclidean] = np.fromiter(
+            map(math.hypot, dx.tolist(), dy.tolist()), dtype=float, count=len(euclidean)
+        )
+        bad = ~(found & (length > 0) & (length < math.inf))
+    if bad.any():
+        j = int(bad.argmax())
+        i = int(kept[j])
+        a, b = edges.from_node[i], edges.to_node[i]
+        if not found[j]:
+            missing = a if a not in index else b
+            raise SchemaError(f"edge {i}: references missing node {missing!r}")
+        raise SchemaError(f"edge {i} ({a}-{b}): non-positive length {float(length[j])}")
+    used = np.zeros(len(nodes.ids), dtype=bool)
+    used[ends.ravel()] = True
+    ids = sorted(compress(nodes.ids, used.tolist()), key=_node_sort_key)
+    at = _positions(index, ids)  # file position of each node
+    rank = np.empty(len(nodes.ids), dtype=np.intp)
+    rank[at] = np.arange(len(ids))
+    tail = rank[ends.T.ravel()]  # from_node, to_node of every kept edge, in turn
     head = tail.reshape(-1, 2)[:, ::-1].ravel()
     order = np.argsort(tail, kind="stable")
     indptr = np.zeros(len(ids) + 1, dtype=np.intp)
     np.cumsum(np.bincount(tail, minlength=len(ids)), out=indptr[1:])
-    xs, ys = np.array([node_records[nid] for nid in ids], dtype=float).reshape(-1, 2).T.copy()
-    weights = np.repeat(np.array(lengths, dtype=float), 2)
-    return RoadNetwork(ids, xs, ys, indptr, head[order], weights[order])
+    weights = np.repeat(length, 2)
+    return RoadNetwork(ids, nodes.xs[at], nodes.ys[at], indptr, head[order], weights[order])
 
 
 def read_csv_table(
     path: str, headers: Sequence[tuple[str, ...]], what: str
-) -> tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]:
-    """Open a UTF-8 CSV file and match its header; return the matched entry
-    of `headers` and a lazy stream of (row number, stripped cells).
+) -> tuple[tuple[str, ...], list[int], list[list[str]]]:
+    """Read a UTF-8 CSV file whole; return the matched entry of `headers`,
+    the row number of every kept row and the stripped cells of every
+    column, one list per header field.
 
     The header matches one of `headers` after stripping and lower-casing its
     cells. Rows whose cells are all blank are skipped; row numbers count the
     header as row 1. An empty file, a header that matches none of `headers`,
     a row whose width differs from the header's, or a file that is not UTF-8
-    or not CSV raises SchemaError naming the path (and the row).
+    or not CSV raises SchemaError naming the path (and the row). These are
+    checks on the whole file, made before the caller sees any cell, so they
+    come before every error in a cell, wherever the two lie in the file.
     """
-
-    def stream():
-        with open(path, newline="", encoding="utf-8") as fh:
-            try:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None:
-                    raise SchemaError(f"{path}: empty {what} file")
-                cols = [h.strip().lower() for h in header]
-                matched = [h for h in headers if [c.lower() for c in h] == cols]
-                if not matched:
-                    allowed = " or ".join(",".join(h) for h in headers)
-                    raise SchemaError(f"{path}: header must be {allowed}, got {header}")
-                width = len(cols)
-                yield matched[0]
-                for row_no, row in enumerate(reader, start=2):
-                    cells = [c.strip() for c in row]
-                    if not any(cells):
-                        continue
-                    if len(cells) != width:
-                        raise SchemaError(
-                            f"{path} row {row_no}: expected {width} fields, got {len(cells)}"
-                        )
-                    yield row_no, cells
-            except (UnicodeDecodeError, csv.Error) as exc:
-                raise SchemaError(f"{path}: not a UTF-8 CSV file: {exc}") from None
-
-    rows = stream()
-    return next(rows), rows
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty {what} file")
+            cols = [h.strip().lower() for h in header]
+            matched = [h for h in headers if [c.lower() for c in h] == cols]
+            if not matched:
+                allowed = " or ".join(",".join(h) for h in headers)
+                raise SchemaError(f"{path}: header must be {allowed}, got {header}")
+            width = len(cols)
+            row_nos, rows = [], []
+            for row_no, row in enumerate(reader, start=2):
+                if not "".join(row).strip():
+                    continue
+                if len(row) != width:
+                    raise SchemaError(
+                        f"{path} row {row_no}: expected {width} fields, got {len(row)}"
+                    )
+                row_nos.append(row_no)
+                rows.append(row)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaError(f"{path}: not a UTF-8 CSV file: {exc}") from None
+    return matched[0], row_nos, [
+        list(map(str.strip, map(operator.itemgetter(i), rows))) for i in range(width)
+    ]
 
 
 def parse_finite(cell: str, what: str) -> float:
@@ -170,43 +266,65 @@ def load_road_nodes(
     path: str,
     ref_lon: float | None = None,
     ref_lat: float | None = None,
-) -> dict[str, ProjectedPoint]:
+) -> RoadNodes:
     """Read the node CSV; header decides the coordinate convention.
 
     `node_id,x,y` is taken as projected meters; `node_id,lon,lat` is
-    projected with the supplied reference point at ingest.
+    projected with the supplied reference point at ingest, by the float
+    operations of `project_lonlat` in its order, so each coordinate is the
+    same to the bit. An empty or repeated id, a coordinate that is not a
+    finite number, or a point `project_lonlat` rejects raises the error of
+    the first such row.
     """
-    header, rows = read_csv_table(
+    header, row_nos, (ids, raw_u, raw_v) = read_csv_table(
         path, [("node_id", "x", "y"), ("node_id", "lon", "lat")], "node"
     )
     geographic = header[1] == "lon"
     if geographic and (ref_lon is None or ref_lat is None):
         raise SchemaError(f"{path}: lon/lat nodes need a projection reference")
-    nodes: dict[str, ProjectedPoint] = {}
-    for row_no, (nid, raw_u, raw_v) in rows:
+    u, v = _float_column(raw_u), _float_column(raw_v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.isfinite(u) & np.isfinite(v)
+        if geographic:
+            rad = math.pi / 180.0
+            xs = EARTH_RADIUS_M * (u - ref_lon) * rad * math.cos(ref_lat * rad)
+            ys = EARTH_RADIUS_M * (v - ref_lat) * rad
+            ok &= (-89.0 < v) & (v < 89.0) & (-89.0 < ref_lat < 89.0)
+            ok &= (np.abs(xs) < 1e7) & (np.abs(ys) < 1e7)
+        else:
+            xs, ys = u, v
+    bad = ~ok | _blank(ids) | _repeated(ids)
+    if bad.any():  # the checks of the first bad row, in order, raise its error
+        i = int(bad.argmax())
+        nid, row_no = ids[i], row_nos[i]
         if not nid:
             raise SchemaError(f"{path} row {row_no}: empty node_id")
-        if nid in nodes:
+        if nid in ids[:i]:
             raise SchemaError(f"{path} row {row_no}: duplicate node_id {nid!r}")
-        u = parse_finite(raw_u, f"{path} row {row_no} {header[1]}")
-        v = parse_finite(raw_v, f"{path} row {row_no} {header[2]}")
+        x = parse_finite(raw_u[i], f"{path} row {row_no} {header[1]}")
+        y = parse_finite(raw_v[i], f"{path} row {row_no} {header[2]}")
         if geographic:
-            nodes[nid] = project_lonlat(u, v, ref_lon, ref_lat)
-        else:
-            nodes[nid] = ProjectedPoint(u, v)
-    return nodes
+            project_lonlat(x, y, ref_lon, ref_lat)
+    return RoadNodes(ids, xs, ys)
 
 
-def load_road_edges(path: str) -> list[tuple[str, str, float | None, str]]:
-    """Read the edge CSV: from_node,to_node,length_m,road_class."""
-    _, rows = read_csv_table(path, [("from_node", "to_node", "length_m", "road_class")], "edge")
-    edges: list[tuple[str, str, float | None, str]] = []
-    for row_no, (a, b, raw_len, road_class) in rows:
-        if not a or not b:
-            raise SchemaError(f"{path} row {row_no}: empty endpoint id")
-        length = parse_finite(raw_len, f"{path} row {row_no} length_m") if raw_len else None
-        edges.append((a, b, length, road_class))
-    return edges
+def load_road_edges(path: str) -> RoadEdges:
+    """Read the edge CSV: from_node,to_node,length_m,road_class.
+
+    An empty length is nan. An empty endpoint id, or a length that is not
+    a finite number, raises the error of the first such row.
+    """
+    _, row_nos, (a, b, raw_len, road_class) = read_csv_table(
+        path, [("from_node", "to_node", "length_m", "road_class")], "edge"
+    )
+    length = _float_column(raw_len)
+    bad = _blank(a) | _blank(b) | (~_blank(raw_len) & ~np.isfinite(length))
+    if bad.any():  # the checks of the first bad row, in order, raise its error
+        i = int(bad.argmax())
+        if not a[i] or not b[i]:
+            raise SchemaError(f"{path} row {row_nos[i]}: empty endpoint id")
+        parse_finite(raw_len[i], f"{path} row {row_nos[i]} length_m")
+    return RoadEdges(a, b, length, road_class)
 
 
 def snap_point(

@@ -20,7 +20,6 @@ import csv
 import json
 from itertools import accumulate, chain
 from typing import Iterable, Iterator
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -54,6 +53,11 @@ CLASS_LABELS = {
     "q4": "> 75%",
     "upper_outlier": "upper outlier",
 }
+
+
+def _xml_escape(text: str) -> str:
+    # xml.sax.saxutils.escape, whose import pulls in urllib, http and email
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _interpolated_quantile(sorted_values: np.ndarray, p: float) -> float:
@@ -266,7 +270,7 @@ def emit_svg_choropleth(
         )
         parts.append(
             f'<text x="{lx + 24:.0f}" y="{ly + 14:.0f}" font-size="12" '
-            f'font-family="sans-serif">{escape(CLASS_LABELS[cls])}</text>'
+            f'font-family="sans-serif">{_xml_escape(CLASS_LABELS[cls])}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -8,7 +8,8 @@ segment distances, a per-tract loop (in floats or exact fractions)
 instead of the batched Moran kernel, a scan over every node id in sorted
 order instead of one numpy pass over the coordinate arrays, and scalar
 loops over every (provider, part) and every tract pair instead of the
-batched numpy segment kernel. Tests that need scipy compare
+batched numpy segment kernel, and a row-by-row road loader and graph build
+instead of the column passes. Tests that need scipy compare
 against it where it is installed: csgraph's Dijkstra and LAPACK's eigh
 through scipy.linalg; likewise networkx's multi-source Dijkstra.
 """
@@ -16,16 +17,25 @@ through scipy.linalg; likewise networkx's multi-source Dijkstra.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
-from access_atlas.errors import DomainError, SnapError
+from access_atlas.errors import DomainError, SchemaError, SnapError
 from access_atlas.geometry import (
     ADJACENCY_EPS,
     Polygon,
+    ProjectedPoint,
     boundary_distance,
     circle_intersects_polygon,
     parts_bounds,
+    project_lonlat,
+)
+from access_atlas.network import (
+    DEFAULT_ROAD_CLASSES,
+    RoadNetwork,
+    parse_finite,
+    read_csv_table,
 )
 
 
@@ -59,6 +69,74 @@ def bellman_ford(
                     dist[v] = dist[u] + w
                     changed = True
     return dist
+
+
+def road_network_loop(
+    nodes_path, edges_path, ref_lon=None, ref_lat=None, allowed_classes=DEFAULT_ROAD_CLASSES
+) -> RoadNetwork:
+    """The road stage one row at a time: every node row checked, parsed and
+    projected by project_lonlat, every edge row checked and parsed, the kept
+    edges checked in file order, the kept ids sorted from a set and each CSR
+    row built as a Python list; a drop-in for
+    build_network(load_road_edges(edges_path), load_road_nodes(nodes_path,
+    ref_lon, ref_lat), allowed_classes)."""
+    path = nodes_path
+    header, row_nos, columns = read_csv_table(
+        path, [("node_id", "x", "y"), ("node_id", "lon", "lat")], "node"
+    )
+    geographic = header[1] == "lon"
+    if geographic and (ref_lon is None or ref_lat is None):
+        raise SchemaError(f"{path}: lon/lat nodes need a projection reference")
+    nodes: dict[str, ProjectedPoint] = {}
+    for row_no, nid, raw_u, raw_v in zip(row_nos, *columns):
+        if not nid:
+            raise SchemaError(f"{path} row {row_no}: empty node_id")
+        if nid in nodes:
+            raise SchemaError(f"{path} row {row_no}: duplicate node_id {nid!r}")
+        u = parse_finite(raw_u, f"{path} row {row_no} {header[1]}")
+        v = parse_finite(raw_v, f"{path} row {row_no} {header[2]}")
+        if geographic:
+            nodes[nid] = project_lonlat(u, v, ref_lon, ref_lat)
+        else:
+            nodes[nid] = ProjectedPoint(u, v)
+
+    path = edges_path
+    _, row_nos, columns = read_csv_table(
+        path, [("from_node", "to_node", "length_m", "road_class")], "edge"
+    )
+    edges = []
+    for row_no, a, b, raw_len, road_class in zip(row_nos, *columns):
+        if not a or not b:
+            raise SchemaError(f"{path} row {row_no}: empty endpoint id")
+        length = parse_finite(raw_len, f"{path} row {row_no} length_m") if raw_len else None
+        edges.append((a, b, length, road_class))
+
+    kept = []
+    for idx, (a, b, length, road_class) in enumerate(edges):
+        if road_class not in allowed_classes:
+            continue
+        if a not in nodes or b not in nodes:
+            missing = a if a not in nodes else b
+            raise SchemaError(f"edge {idx}: references missing node {missing!r}")
+        if length is None:
+            length = math.hypot(nodes[a].x - nodes[b].x, nodes[a].y - nodes[b].y)
+        if not (length > 0) or not math.isfinite(length):
+            raise SchemaError(f"edge {idx} ({a}-{b}): non-positive length {length}")
+        kept.append((a, b, float(length)))
+    ids = sorted({nid for a, b, _ in kept for nid in (a, b)}, key=_node_id_key)
+    index = {nid: i for i, nid in enumerate(ids)}
+    rows = [[] for _ in ids]
+    for a, b, w in kept:
+        rows[index[a]].append((index[b], w))
+        rows[index[b]].append((index[a], w))
+    return RoadNetwork(
+        ids,
+        np.array([nodes[nid].x for nid in ids], dtype=float),
+        np.array([nodes[nid].y for nid in ids], dtype=float),
+        np.array([0, *accumulate(map(len, rows))], dtype=np.intp),
+        np.array([v for row in rows for v, _ in row], dtype=np.intp),
+        np.array([w for row in rows for _, w in row], dtype=float),
+    )
 
 
 def cubic_eigenvalues(a: np.ndarray) -> np.ndarray:

@@ -1,12 +1,35 @@
+import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
+
+from access_atlas.network import DEFAULT_ROAD_CLASSES, RoadEdges, RoadNodes, build_network
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "fixtures")
+
+
+def network_from_records(edge_records, node_records, allowed_classes=DEFAULT_ROAD_CLASSES):
+    """build_network on records: (from_node, to_node, length_m, road_class)
+    tuples, a None length meaning the Euclidean one, and an
+    {id: ProjectedPoint} mapping, turned into the loaders' columns."""
+    edge_records = list(edge_records)
+    nodes = RoadNodes(
+        list(node_records),
+        np.array([p.x for p in node_records.values()], dtype=float),
+        np.array([p.y for p in node_records.values()], dtype=float),
+    )
+    edges = RoadEdges(
+        [a for a, _, _, _ in edge_records],
+        [b for _, b, _, _ in edge_records],
+        np.array([math.nan if w is None else w for _, _, w, _ in edge_records], dtype=float),
+        [c for _, _, _, c in edge_records],
+    )
+    return build_network(edges, nodes, allowed_classes)
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +46,7 @@ def minitown_config(minitown_dir) -> str:
 def minitown_table(minitown_dir):
     """Assembled 9-tract variable table plus the loaded tract geometries."""
     from access_atlas import ingest
-    from access_atlas.network import build_network, load_road_edges, load_road_nodes
+    from access_atlas.network import load_road_edges, load_road_nodes
 
     ref_lon, ref_lat = -87.70, 41.85
     tracts = ingest.load_tracts(os.path.join(minitown_dir, "tracts.geojson"), ref_lon, ref_lat)

@@ -21,7 +21,7 @@ import pytest
 from access_atlas import cli
 from access_atlas.geometry import Polygon, ProjectedPoint, circle_intersects_polygon, queen_adjacency
 from access_atlas.ingest import VARIABLE_COLUMNS
-from access_atlas.network import build_network, multisource_shortest_distances
+from access_atlas.network import multisource_shortest_distances
 from access_atlas.report import boxmap_classify
 from access_atlas.stats import (
     classify_contributors,
@@ -31,6 +31,7 @@ from access_atlas.stats import (
     pca,
 )
 
+from conftest import network_from_records
 from _oracles import (
     cubic_eigenvalues,
     disk_intersects_sampled,
@@ -176,7 +177,7 @@ def test_c6_dijkstra_matches_floyd_warshall_on_30_graphs():
             i, j = rng.integers(0, n, size=2)
             if i != j:
                 edges.append((str(i), str(j), float(rng.uniform(1, 400)), "residential"))
-        net = build_network(edges, nodes)
+        net = network_from_records(edges, nodes)
         k = int(rng.integers(1, min(n, 5) + 1))
         sources = {str(int(s)) for s in rng.choice(n, size=k, replace=False)}
         dist = multisource_shortest_distances(net, {net.ids.index(s) for s in sources})

@@ -618,3 +618,17 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "--hinge" in proc.stdout
+
+
+def test_cli_import_loads_no_network_or_mail_modules():
+    # xml.sax.saxutils would pull in urllib.request, http.client and email
+    # (about 30 ms of start-up in every process) for one escape function
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, access_atlas.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "access_atlas.report" in loaded
+    assert loaded.isdisjoint({"urllib.request", "http.client", "email.parser"})

@@ -11,12 +11,21 @@ from access_atlas.errors import DomainError, SchemaError, SnapError
 from access_atlas.geometry import Polygon, ProjectedPoint
 from access_atlas.network import (
     build_network,
+    load_road_edges,
+    load_road_nodes,
     multisource_shortest_distances,
     snap_point,
     tract_network_distance,
 )
 
-from _oracles import _node_id_key, bellman_ford, floyd_warshall, snap_loop
+from conftest import network_from_records
+from _oracles import (
+    _node_id_key,
+    bellman_ford,
+    floyd_warshall,
+    road_network_loop,
+    snap_loop,
+)
 
 
 def index(net, node_id):
@@ -44,13 +53,13 @@ def row(net, node_id):
 def edgeless_network(nodes):
     """A network of exactly these nodes: each carries a self-loop, so that
     build_network keeps it, and no edge joins two of them."""
-    return build_network([(nid, nid, 1.0, "residential") for nid in nodes], nodes)
+    return network_from_records([(nid, nid, 1.0, "residential") for nid in nodes], nodes)
 
 
 def chain_network():
     nodes = {"A": ProjectedPoint(0, 0), "B": ProjectedPoint(100, 0), "C": ProjectedPoint(300, 0)}
     edges = [("A", "B", 100.0, "residential"), ("B", "C", 200.0, "residential")]
-    return build_network(edges, nodes)
+    return network_from_records(edges, nodes)
 
 
 def random_graph(rng, n):
@@ -79,7 +88,7 @@ def test_build_passes_allowed_classes_through():
 def test_build_filters_disallowed_classes():
     nodes = {"A": ProjectedPoint(0, 0), "B": ProjectedPoint(100, 0), "C": ProjectedPoint(300, 0)}
     edges = [("A", "B", 100.0, "residential"), ("B", "C", 200.0, "residential")]
-    net = build_network(edges, nodes, frozenset({"motorway"}))
+    net = network_from_records(edges, nodes, frozenset({"motorway"}))
     assert len(net.nbr) == 0
     assert net.ids == []  # isolated nodes dropped
 
@@ -87,13 +96,13 @@ def test_build_filters_disallowed_classes():
 def test_build_rejects_negative_length():
     nodes = {"A": ProjectedPoint(0, 0), "B": ProjectedPoint(100, 0)}
     with pytest.raises(SchemaError):
-        build_network([("A", "B", -5.0, "residential")], nodes)
+        network_from_records([("A", "B", -5.0, "residential")], nodes)
 
 
 def test_build_rejects_missing_node():
     nodes = {"A": ProjectedPoint(0, 0)}
     with pytest.raises(SchemaError):
-        build_network([("A", "Z", 10.0, "residential")], nodes)
+        network_from_records([("A", "Z", 10.0, "residential")], nodes)
 
 
 def test_build_sorts_ids_once_into_a_symmetric_csr(monkeypatch):
@@ -114,7 +123,7 @@ def test_build_sorts_ids_once_into_a_symmetric_csr(monkeypatch):
         kept = [(a, b, w) for a, b, w, road_class in records if road_class == "residential"]
         kept_ids = {nid for a, b, _ in kept for nid in (a, b)}
         calls.clear()
-        net = build_network(records, nodes)
+        net = network_from_records(records, nodes)
         assert net.ids == sorted(kept_ids, key=_node_id_key)
         assert len(calls) <= len(kept_ids)
         assert net.indptr[0] == 0 and net.indptr[-1] == len(net.nbr) == len(net.length)
@@ -130,7 +139,7 @@ def test_build_sorts_ids_once_into_a_symmetric_csr(monkeypatch):
 
 def test_build_computes_euclidean_length_when_missing():
     nodes = {"A": ProjectedPoint(0, 0), "B": ProjectedPoint(300, 400)}
-    net = build_network([("A", "B", None, "residential")], nodes)
+    net = network_from_records([("A", "B", None, "residential")], nodes)
     assert row(net, "A")[0] == ("B", 500.0)
 
 
@@ -144,13 +153,13 @@ def test_snap_exact_node():
 
 def test_snap_tie_breaks_to_lowest_id():
     nodes = {"3": ProjectedPoint(-100, 0), "9": ProjectedPoint(100, 0)}
-    net = build_network([("3", "9", 200.0, "residential")], nodes)
+    net = network_from_records([("3", "9", 200.0, "residential")], nodes)
     assert net.ids[snap_point(ProjectedPoint(0, 0), net)] == "3"
 
 
 def test_snap_numeric_ids_order_numerically():
     nodes = {"9": ProjectedPoint(-100, 0), "10": ProjectedPoint(100, 0)}
-    net = build_network([("9", "10", 200.0, "residential")], nodes)
+    net = network_from_records([("9", "10", 200.0, "residential")], nodes)
     assert net.ids[snap_point(ProjectedPoint(0, 0), net)] == "9"
 
 
@@ -164,7 +173,7 @@ def test_non_decimal_digit_id_sorts_as_text():
     # "²".isdigit() is True but int("²") raises; such an id sorts as text,
     # after every decimal id.
     nodes = {"²": ProjectedPoint(-100, 0), "7": ProjectedPoint(100, 0)}
-    net = build_network([("²", "7", 200.0, "residential")], nodes)
+    net = network_from_records([("²", "7", 200.0, "residential")], nodes)
     assert row(net, "²") == [("7", 200.0)]
     assert net.ids[snap_point(ProjectedPoint(0, 0), net)] == "7"
     assert distances_by_id(net, {"²"}) == {"²": 0.0, "7": 200.0}
@@ -266,7 +275,7 @@ def test_snap_point_does_not_sort_per_call(monkeypatch):
     rng = np.random.default_rng(11)
     n = 300
     nodes, edges = random_graph(rng, n)
-    net = build_network(edges, nodes)
+    net = network_from_records(edges, nodes)
     calls = []
     original = network._node_sort_key
 
@@ -309,7 +318,7 @@ def test_matches_floyd_warshall_on_random_graphs():
     for _ in range(8):
         n = int(rng.integers(5, 40))
         nodes, edges = random_graph(rng, n)
-        net = build_network(edges, nodes)
+        net = network_from_records(edges, nodes)
         k = int(rng.integers(1, 4))
         sources = {str(int(s)) for s in rng.choice(n, size=k, replace=False)}
         got = distances_by_id(net, sources)
@@ -331,7 +340,7 @@ def test_matches_scipy_dijkstra_on_random_graphs():
         far_nodes, far_edges = random_graph(rng, m)
         nodes.update({str(n + int(i)): pt for i, pt in far_nodes.items()})
         edges += [(str(n + int(a)), str(n + int(b)), w, c) for a, b, w, c in far_edges]
-        net = build_network(edges, nodes)
+        net = network_from_records(edges, nodes)
         sources = {str(int(s)) for s in rng.choice(n, size=int(rng.integers(1, 4)), replace=False)}
         shortest: dict[tuple[int, int], float] = {}
         for a, b, w, _ in edges:
@@ -358,7 +367,7 @@ def test_matches_networkx_dijkstra_on_random_multigraphs():
         graph.add_nodes_from(nodes)
         graph.add_weighted_edges_from(edges)
         want = nx.multi_source_dijkstra_path_length(graph, set(sources))
-        net = build_network([(a, b, w, "residential") for a, b, w in edges], nodes)
+        net = network_from_records([(a, b, w, "residential") for a, b, w in edges], nodes)
         assert distances_by_id(net, sources) == want
 
 
@@ -367,7 +376,7 @@ def test_multisource_equals_per_source_minimum():
     for _ in range(5):
         n = int(rng.integers(6, 50))
         nodes, edges = random_graph(rng, n)
-        net = build_network(edges, nodes)
+        net = network_from_records(edges, nodes)
         sources = {str(int(s)) for s in rng.choice(n, size=3, replace=False)}
         combined = distances_by_id(net, sources)
         singles = [distances_by_id(net, {s}) for s in sources]
@@ -378,7 +387,7 @@ def test_multisource_equals_per_source_minimum():
 def test_triangle_inequality_along_edges():
     rng = np.random.default_rng(5)
     nodes, edges = random_graph(rng, 30)
-    net = build_network(edges, nodes)
+    net = network_from_records(edges, nodes)
     dist = distances_by_id(net, {"0"})
     for u in net.ids:
         for v, w in row(net, u):
@@ -388,7 +397,7 @@ def test_triangle_inequality_along_edges():
 def test_adding_source_never_increases_distances():
     rng = np.random.default_rng(6)
     nodes, edges = random_graph(rng, 30)
-    net = build_network(edges, nodes)
+    net = network_from_records(edges, nodes)
     base = distances_by_id(net, {"0"})
     more = distances_by_id(net, {"0", "7"})
     for node, d in base.items():
@@ -398,8 +407,8 @@ def test_adding_source_never_increases_distances():
 def test_scaling_edge_lengths_scales_distances():
     rng = np.random.default_rng(8)
     nodes, edges = random_graph(rng, 20)
-    net = build_network(edges, nodes)
-    scaled = build_network([(a, b, w * 3.5, c) for a, b, w, c in edges], nodes)
+    net = network_from_records(edges, nodes)
+    scaled = network_from_records([(a, b, w * 3.5, c) for a, b, w, c in edges], nodes)
     base = distances_by_id(net, {"0"})
     got = distances_by_id(scaled, {"0"})
     for node, d in base.items():
@@ -436,9 +445,9 @@ def test_distances_independent_of_adjacency_edge_and_source_order():
         records = [(a, b, w, "residential") for a, b, w in edges]
         want = bellman_ford(edges, set(sources))
         assert "far-a" not in want and "far-b" not in want
-        net = build_network(records, nodes)
+        net = network_from_records(records, nodes)
         assert distances_by_id(net, sources) == want
-        reversed_net = build_network(records[::-1], nodes)
+        reversed_net = network_from_records(records[::-1], nodes)
         assert distances_by_id(reversed_net, sources[::-1]) == want
         # every CSR row in a random order
         perm = np.concatenate(
@@ -452,9 +461,9 @@ def test_distances_independent_of_adjacency_edge_and_source_order():
 def test_result_independent_of_edge_order():
     rng = np.random.default_rng(9)
     nodes, edges = random_graph(rng, 25)
-    net = build_network(edges, nodes)
+    net = network_from_records(edges, nodes)
     shuffled = [edges[i] for i in rng.permutation(len(edges))]
-    net2 = build_network(shuffled, nodes)
+    net2 = network_from_records(shuffled, nodes)
     assert distances_by_id(net, {"0", "3"}) == distances_by_id(net2, {"0", "3"})
 
 
@@ -494,7 +503,7 @@ def test_grid_mode_averages_distinct_nodes():
         "R": ProjectedPoint(1000, 0),
         "S": ProjectedPoint(2000, 0),
     }
-    net = build_network(
+    net = network_from_records(
         [("L", "R", 1000.0, "residential"), ("R", "S", 1000.0, "residential")], nodes
     )
     parts = [Polygon([[(-100, -50), (1100, -50), (1100, 50), (-100, 50)]])]
@@ -511,7 +520,7 @@ def test_disconnected_tract_is_unreachable():
         "X": ProjectedPoint(5000, 0),
         "Y": ProjectedPoint(5100, 0),
     }
-    net = build_network(
+    net = network_from_records(
         [("A", "B", 100.0, "residential"), ("X", "Y", 100.0, "residential")], nodes
     )
     parts = tract_at(-50, -50)  # snaps to A, component {A, B}
@@ -542,8 +551,6 @@ def test_sampling_grid_size():
 
 
 def test_road_csvs_tolerate_crlf_and_blank_lines(tmp_path):
-    from access_atlas.network import load_road_edges, load_road_nodes
-
     nodes_path = tmp_path / "n.csv"
     nodes_path.write_bytes(b"node_id,x,y\r\na,0,0\r\n\r\nb,100,0\r\n")
     edges_path = tmp_path / "e.csv"
@@ -551,3 +558,172 @@ def test_road_csvs_tolerate_crlf_and_blank_lines(tmp_path):
     nodes = load_road_nodes(str(nodes_path))
     net = build_network(load_road_edges(str(edges_path)), nodes)
     assert row(net, "a")[0] == ("b", 100.0)
+
+
+# --------------------------------------------- column loaders against the row loop
+
+REF = (-87.70, 41.85)
+ID_POOL = ["007", "7", "²", "a", "0", "1", "01", "10", "2", "99", "b", "n3", "Z", "x7"]
+CLASSES = ["residential", "primary", "motorway", "footway", "tertiary"]
+
+
+def pad(cell, rng):
+    return " " * int(rng.integers(0, 2)) + cell + "\t" * int(rng.integers(0, 2))
+
+
+def csv_text(header, rows, rng):
+    """Header, then the rows with padded cells and blank or whitespace-only
+    rows between them."""
+    lines = [header]
+    for cells in rows:
+        if rng.random() < 0.15:
+            lines.append(str(rng.choice(["", " , ,", "\t", ",,,"])))
+        lines.append(",".join(pad(c, rng) for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+def random_road_files(rng):
+    """Node and edge CSV texts, the node header `node_id,x,y` or
+    `node_id,lon,lat`, with edges among the nodes, empty lengths, and
+    classes the default filter keeps and drops."""
+    geographic = rng.random() < 0.5
+    k = int(rng.integers(2, len(ID_POOL) + 1))
+    ids = [ID_POOL[i] for i in rng.permutation(len(ID_POOL))[:k]]
+    ids += [str(int(i)) for i in rng.choice(5000, size=int(rng.integers(0, 30)), replace=False) + 100]
+    if geographic:
+        header = str(rng.choice(["node_id,lon,lat", " NODE_ID , Lon,lat"]))
+        coords = [(REF[0] + rng.uniform(-0.05, 0.05), REF[1] + rng.uniform(-0.05, 0.05)) for _ in ids]
+    else:
+        header = "node_id,x,y"
+        coords = [tuple(rng.uniform(-5e3, 5e3, size=2)) for _ in ids]
+    digits = int(rng.integers(4, 10))
+    nodes = [(nid, f"{u:.{digits}f}", f"{v:.{digits}f}") for nid, (u, v) in zip(ids, coords)]
+    edges = []
+    for _ in range(int(rng.integers(0, 3 * len(ids)))):
+        a, b = rng.choice(len(ids), size=2, replace=False)
+        length = "" if rng.random() < 0.4 else f"{rng.uniform(0.5, 900):.{digits}f}"
+        edges.append((ids[a], ids[b], length, str(rng.choice(CLASSES))))
+    return (
+        csv_text(header, nodes, rng),
+        csv_text("from_node,to_node,length_m,road_class", edges, rng),
+    )
+
+
+def road_stage(nodes_path, edges_path, classes):
+    """The road stage as the CLI runs it: load both files, build the graph."""
+    nodes = load_road_nodes(nodes_path, *REF)
+    return build_network(load_road_edges(edges_path), nodes, classes)
+
+
+def outcome(fn, *args):
+    """fn's network, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001  (any difference is a failure)
+        return type(exc), str(exc)
+
+
+def assert_same_network(got, want):
+    assert got.ids == want.ids
+    for name in ("xs", "ys", "indptr", "nbr", "length"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+def test_column_loaders_match_row_loop_on_random_csvs(tmp_path):
+    rng = np.random.default_rng(1313)
+    built = 0
+    for trial in range(200):
+        nodes_text, edges_text = random_road_files(rng)
+        nodes_path, edges_path = tmp_path / f"n{trial}.csv", tmp_path / f"e{trial}.csv"
+        nodes_path.write_text(nodes_text, encoding="utf-8")
+        edges_path.write_text(edges_text, encoding="utf-8")
+        classes = network.DEFAULT_ROAD_CLASSES if rng.random() < 0.7 else frozenset(
+            rng.choice(CLASSES, size=2, replace=False).tolist()
+        )
+        args = (str(nodes_path), str(edges_path))
+        want = road_network_loop(*args, *REF, classes)
+        assert_same_network(road_stage(*args, classes), want)
+        built += len(want.ids) > 0
+    assert built > 150
+
+
+# each corruption writes one cell of a valid file pair: (file, column, value)
+CORRUPTIONS = {
+    "empty-node-id": ("nodes", 0, ""),
+    "duplicate-node-id": ("nodes", 0, "DUP"),
+    "non-numeric-coordinate": ("nodes", 1, "1O.5"),
+    "nan-coordinate": ("nodes", 2, "nan"),
+    "infinite-coordinate": ("nodes", 1, "-inf"),
+    "overflowing-coordinate": ("nodes", 2, "1e999"),
+    "latitude-out-of-range": ("nodes", 2, "89.5"),
+    "beyond-local-plane-east": ("nodes", 1, "100"),
+    "beyond-local-plane-south": ("nodes", 2, "-80"),
+    "empty-endpoint": ("edges", 1, ""),
+    "missing-node": ("edges", 0, "nowhere"),
+    "non-numeric-length": ("edges", 2, "five"),
+    "infinite-length": ("edges", 2, "inf"),
+    "zero-length": ("edges", 2, "0"),
+    "negative-length": ("edges", 2, "-3.5"),
+}
+
+
+@pytest.mark.parametrize("names", [
+    *[(name,) for name in CORRUPTIONS],
+    ("zero-length", "empty-node-id"),
+    ("missing-node", "non-numeric-length"),
+    ("missing-node", "negative-length"),
+    ("nan-coordinate", "duplicate-node-id"),
+])
+def test_column_loaders_raise_the_row_loop_error(tmp_path, names):
+    # one or two corrupted cells on random rows: the same exception type and
+    # message as the row loop, which reports the first bad row in file order
+    rng = np.random.default_rng(sum(map(ord, "".join(names))))
+    raised = 0
+    for trial in range(40):
+        ids = [str(i) for i in rng.permutation(200)[:30]]
+        nodes = [[nid, f"{REF[0] + rng.uniform(-0.02, 0.02):.6f}",
+                  f"{REF[1] + rng.uniform(-0.02, 0.02):.6f}"] for nid in ids]
+        edges = [[ids[i], ids[i + 1], "" if rng.random() < 0.5 else "125.5", "residential"]
+                 for i in range(len(ids) - 1)]
+        for name in names:
+            file, col, value = CORRUPTIONS[name]
+            rows = nodes if file == "nodes" else edges
+            r = int(rng.integers(1, len(rows)))
+            rows[r][col] = nodes[int(rng.integers(0, r))][0] if value == "DUP" else value
+        nodes_path, edges_path = tmp_path / f"n{trial}.csv", tmp_path / f"e{trial}.csv"
+        nodes_path.write_text(csv_text("node_id,lon,lat", nodes, rng), encoding="utf-8")
+        edges_path.write_text(
+            csv_text("from_node,to_node,length_m,road_class", edges, rng), encoding="utf-8"
+        )
+        args = (str(nodes_path), str(edges_path))
+        want = outcome(road_network_loop, *args, *REF)
+        got = outcome(road_stage, *args, network.DEFAULT_ROAD_CLASSES)
+        if isinstance(want, tuple):
+            assert got == want
+            raised += 1
+        else:
+            assert_same_network(got, want)
+    assert raised >= 30
+
+
+def ladder_network(n):
+    """A chain 0 - 1 - ... - n of unit steps plus a shortcut from every node
+    k to every later node i, of length (i - k) + 1 / (k + 2): the later a
+    shortcut leaves the chain, the shorter the path, so the all-chain path
+    with the most hops wins and node i is lowered once from each of the i
+    nodes before it."""
+    edges = [(str(i), str(i + 1), 1.0) for i in range(n)]
+    edges += [(str(k), str(i), (i - k) + 1 / (k + 2)) for i in range(n + 1) for k in range(i)]
+    nodes = {str(i): ProjectedPoint(0.0, 0.0) for i in range(n + 1)}
+    return network_from_records([(a, b, w, "residential") for a, b, w in edges], nodes), edges
+
+
+def test_distances_on_a_ladder_equal_bellman_ford():
+    net, edges = ladder_network(60)
+    want = bellman_ford(edges, {"0"})
+    got = multisource_shortest_distances(net, {index(net, "0")})
+    assert got.dtype == np.float64 and got.shape == (len(net.ids),)
+    assert by_id(net, got) == want
+    assert want["60"] == 60.0

@@ -1,4 +1,5 @@
 import json
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from access_atlas.errors import DomainError
 from access_atlas.ingest import VARIABLE_COLUMNS, VariableTable
 from access_atlas.report import (
     BOX_CLASSES,
+    CLASS_LABELS,
+    _xml_escape,
     boxmap_classify,
     emit_geojson,
     emit_moran_csv,
@@ -214,3 +217,8 @@ def test_svg_deterministic(minitown_table):
     a = emit_svg_choropleth(tracts, classes, 2)
     b = emit_svg_choropleth(tracts, classes, 2)
     assert a.encode() == b.encode()
+
+
+def test_xml_escape_matches_saxutils():
+    for text in [*CLASS_LABELS.values(), "a & b <c> &amp; >&<", ""]:
+        assert _xml_escape(text) == escape(text)
