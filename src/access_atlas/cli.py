@@ -1,15 +1,15 @@
 """Command-line pipeline: raw files in, report bundle out.
 
 Subcommands
-    variables   build the tract x 10 variable table (variables.csv, dropped.csv)
+    variables   build the tract x 10 variable table and the drop audit
     pca         PCA tables (variance, loadings, contributors, correlations, scores)
-    moran       global spatial autocorrelation per variable (moran.csv)
+    moran       global spatial autocorrelation per variable
     boxmap      per-component box-map classes (scores GeoJSON + one SVG per component)
     report      all of the above
 
 Each subcommand is a subset of the steps of one pass: the inputs are read
-once and each artefact is computed once. The `report` module renders the
-contents of every file; this module is the only one that writes them, and
+once and each artefact is computed once. The `report` module names and
+renders every file; this module is the only one that writes them, and
 only after all computation has succeeded: into a temporary directory
 beside the output directory first, then moved into the output directory
 once all of them were written, so a failed run leaves the previous bundle
@@ -112,10 +112,6 @@ def _boxmap_classes(pca_result, cfg: RunConfig) -> list[list[str]]:
     return [report.boxmap_classify(pca_result.scores[:, c], cfg.hinge) for c in range(k)]
 
 
-# the per-component box maps; how many there are depends on the config
-BOXMAP_SVG = re.compile(r"boxmap_pc\d+\.svg")
-
-
 def _write_bundle(
     out_dir: str, files: dict[str, str | Iterable[str]], replaces: re.Pattern | None
 ) -> None:
@@ -171,12 +167,9 @@ def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
         if "moran" in steps:
             files.update(report.emit_moran_csv(rows))
         if "boxmap" in steps:
-            files["scores.geojson"] = report.emit_geojson(
-                tracts, table, pca_result.scores, classes
-            )
-            for c, column in enumerate(classes):
-                files[f"boxmap_pc{c + 1}.svg"] = report.emit_svg_choropleth(retained, column, c)
-        _write_bundle(cfg.out_dir, files, BOXMAP_SVG if "boxmap" in steps else None)
+            files.update(report.emit_geojson(tracts, table, pca_result.scores, classes))
+            files.update(report.emit_svg_choropleth(retained, classes))
+        _write_bundle(cfg.out_dir, files, report.BOXMAP_SVG if "boxmap" in steps else None)
     return EXIT_OK
 
 

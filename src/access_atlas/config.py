@@ -110,7 +110,7 @@ def _coerce(key: str, value):
 def load_config_file(path: str) -> RunConfig:
     """Parse a JSON config; relative paths resolve against its directory."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

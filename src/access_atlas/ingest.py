@@ -136,14 +136,15 @@ def _feature_polygons(
         ring_sets = geometry["coordinates"]
     else:
         raise SchemaError(f"{context}: unsupported geometry type {gtype!r}")
-    parts = []
-    for rings in ring_sets:
-        try:
-            parts.append(
-                Polygon([_project_ring(ring, ref_lon, ref_lat) for ring in rings])
-            )
-        except DegenerateGeometry as exc:
-            raise DegenerateGeometry(f"{context}: {exc}") from None
+    try:
+        parts = [
+            Polygon([_project_ring(ring, ref_lon, ref_lat) for ring in rings])
+            for rings in ring_sets
+        ]
+        # validate areas up front so bad rings fail at load time with context
+        parts_area_centroid(parts)
+    except DegenerateGeometry as exc:
+        raise DegenerateGeometry(f"{context}: {exc}") from None
     return parts
 
 
@@ -159,7 +160,7 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> list[TractGeometry
     fails with the tract id attached.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
     except ValueError as exc:  # bad JSON, bad UTF-8, or a NaN/Infinity literal
         raise SchemaError(f"{path}: not a UTF-8 JSON file: {exc}") from None
@@ -183,12 +184,6 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> list[TractGeometry
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             # a non-object where an object belongs, a missing or non-numeric coordinate
             raise SchemaError(f"{path}: feature {idx} is not a valid feature: {exc!r}") from None
-        # validate areas up front so bad rings fail at load time with context
-        for part in parts:
-            try:
-                parts_area_centroid([part])
-            except DegenerateGeometry as exc:
-                raise DegenerateGeometry(f"tract {tract_id}: {exc}") from None
         tracts.append(
             TractGeometry(tract_id=tract_id, parts=parts, source_geometry=geometry)
         )
@@ -328,8 +323,7 @@ def assemble_variable_table(
             dropped.append((tract.tract_id, "unreachable"))
             continue
         row = [0.0, rec.values["AV_POP"], ace_net]  # AV_INT is filled in below
-        for name in ("ACE_NV", "ACE_ELD", "ACE_DIS", "AFF_POV", "AFF_UNEMP", "ACO_ENG", "ACO_SNAP"):
-            row.append(rec.values[name])
+        row += (rec.values[name] for name in VARIABLE_COLUMNS[3:])
         retained.append(tract)
         rows.append(row)
     for tract_id, reason in dropped:

@@ -61,23 +61,8 @@ def _node_sort_key(node_id: str) -> tuple[int, int, str]:
     return (1, 0, node_id)
 
 
-class _Columns:
-    """Columns of one CSV file: their length is the row count, and two
-    tables are equal when every column is, a nan cell equal to a nan cell
-    (the default dataclass == cannot compare numpy columns)."""
-
-    def __len__(self) -> int:
-        return len(next(iter(vars(self).values())))
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and all(
-            np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
-            for a, b in zip(vars(self).values(), vars(other).values())
-        )
-
-
 @dataclass(frozen=True, eq=False)
-class RoadNodes(_Columns):
+class RoadNodes:
     """The node file, in file order: ids and projected coordinates in meters."""
 
     ids: list[str]
@@ -86,7 +71,7 @@ class RoadNodes(_Columns):
 
 
 @dataclass(frozen=True, eq=False)
-class RoadEdges(_Columns):
+class RoadEdges:
     """The edge file, in file order; a nan length means "use the Euclidean
     distance between the endpoints"."""
 
@@ -164,7 +149,9 @@ def build_network(
     Each CSR row keeps edge order; no distance depends on it.
     """
     keep = np.fromiter(
-        map(allowed_classes.__contains__, edges.road_class), dtype=bool, count=len(edges)
+        map(allowed_classes.__contains__, edges.road_class),
+        dtype=bool,
+        count=len(edges.road_class),
     )
     kept = np.flatnonzero(keep)
     index = dict(zip(nodes.ids, range(len(nodes.ids))))
@@ -221,7 +208,7 @@ def read_csv_table(
     checks on the whole file, made before the caller sees any cell, so they
     come before every error in a cell, wherever the two lie in the file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, None)

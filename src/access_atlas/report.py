@@ -2,10 +2,11 @@
 GeoJSON, SVG).
 
 Box maps split a variable into its four quartile bins plus hinge-rule
-outliers (fences at Q1 - h*IQR and Q3 + h*IQR, default h = 1.5). The
-emitters only render: each returns the contents of its files and opens
-none (the CLI writes the bundle). All of them are deterministic: identical
-inputs produce byte-identical contents.
+outliers (fences at Q1 - h*IQR and Q3 + h*IQR, default h = 1.5). This
+module names every file of the bundle, but the emitters only render: each
+returns {file name: contents} and opens nothing (the CLI writes the
+bundle). All of them are deterministic: identical inputs produce
+byte-identical contents.
 
 All nine CSV tables go through one writer: comma-delimited, "\n" line
 endings, a cell quoted only when it holds a comma, a quote or a line break,
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
@@ -40,6 +42,11 @@ BOX_PALETTE = {
     "q4": "#ef8a62",
     "upper_outlier": "#b2182b",
 }
+
+# The box map of the k-th principal component; how many there are depends
+# on the config, so a run that maps fewer removes the surplus ones.
+BOXMAP_SVG_NAME = "boxmap_pc{}.svg"
+BOXMAP_SVG = re.compile(r"boxmap_pc\d+\.svg")
 
 # Size of a box-map SVG, in pixels.
 SVG_WIDTH = 640
@@ -184,12 +191,12 @@ def emit_geojson(
     table: VariableTable,
     scores: np.ndarray,
     classes: list[list[str]],
-) -> Iterator[str]:
-    """Render a FeatureCollection echoing input geometry with score/class
-    properties (pcK_score, pcK_class) for the len(classes) mapped components.
-    Row i of scores and entry i of each class column belong to
-    table.tract_ids[i]. Dropped tracts keep their geometry, carry null
-    scores, and record their dropped_reason from table.dropped.
+) -> dict[str, Iterator[str]]:
+    """Render scores.geojson: a FeatureCollection echoing input geometry
+    with score/class properties (pcK_score, pcK_class) for the len(classes)
+    mapped components. Row i of scores and entry i of each class column
+    belong to table.tract_ids[i]. Dropped tracts keep their geometry, carry
+    null scores, and record their dropped_reason from table.dropped.
 
     The document comes back as a lazy stream of text chunks, so it is never
     held as one string."""
@@ -213,31 +220,20 @@ def emit_geojson(
             }
         )
     doc = {"type": "FeatureCollection", "features": features}
-    return chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])
-
-
-def _svg_path(tract: TractGeometry, to_svg) -> str:
-    cmds = []
-    for part in tract.parts:
-        for ring in part.rings:
-            pts = ring[:-1]
-            cmds.append(
-                "M "
-                + " L ".join(f"{to_svg(p)[0]:.2f},{to_svg(p)[1]:.2f}" for p in pts)
-                + " Z"
-            )
-    return " ".join(cmds)
+    return {"scores.geojson": chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])}
 
 
 def emit_svg_choropleth(
-    tracts: list[TractGeometry], classes: list[str], component_index: int
-) -> str:
-    """Render one box-map choropleth as SVG; classes[i] is the class of
-    tracts[i].
+    tracts: list[TractGeometry], class_columns: list[list[str]]
+) -> dict[str, str]:
+    """Render one box-map choropleth per class column as SVG:
+    boxmap_pc<k>.svg maps class_columns[k - 1], whose entry i is the class
+    of tracts[i].
 
     One path per tract (holes via even-odd fill), in the order given, filled
-    from the fixed 6-color palette, plus a 6-swatch legend. Output is
-    deterministic.
+    from the fixed 6-color palette, plus a 6-swatch legend. The bounds, the
+    scale, every tract's path and the legend are drawn once and shared, so
+    the maps differ only in their title and fills. Output is deterministic.
     """
     xmin, ymin, xmax, ymax = parts_bounds([p for t in tracts for p in t.parts])
     pad = 10.0
@@ -247,30 +243,47 @@ def emit_svg_choropleth(
     span_x = xmax - xmin or 1.0
     span_y = ymax - ymin or 1.0
     scale = min(map_w / span_x, map_h / span_y)
-
-    def to_svg(p):
-        return (pad + (p.x - xmin) * scale, pad + (ymax - p.y) * scale)
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
-        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
-        f'<text x="{pad:.0f}" y="{SVG_HEIGHT - 2:.0f}" font-size="12" font-family="sans-serif">'
-        f"PC{component_index + 1} box map (hinge classes)</text>",
-        '<g stroke="#333333" stroke-width="1" fill-rule="evenodd">',
+    paths = [
+        " ".join(
+            "M "
+            + " L ".join(
+                f"{pad + (x - xmin) * scale:.2f},{pad + (ymax - y) * scale:.2f}"
+                for x, y in ring[:-1]
+            )
+            + " Z"
+            for part in tract.parts
+            for ring in part.rings
+        )
+        for tract in tracts
     ]
-    for tract, cls in zip(tracts, classes, strict=True):
-        parts.append(f'<path d="{_svg_path(tract, to_svg)}" fill="{BOX_PALETTE[cls]}"/>')
-    parts.append("</g>")
     lx = SVG_WIDTH - legend_w
+    legend = []
     for i, cls in enumerate(BOX_CLASSES):
         ly = pad + i * 24
-        parts.append(
+        legend.append(
             f'<rect class="legend-swatch" x="{lx:.0f}" y="{ly:.0f}" width="18" height="18" '
             f'fill="{BOX_PALETTE[cls]}" stroke="#333333"/>'
         )
-        parts.append(
+        legend.append(
             f'<text x="{lx + 24:.0f}" y="{ly + 14:.0f}" font-size="12" '
             f'font-family="sans-serif">{_xml_escape(CLASS_LABELS[cls])}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    files = {}
+    for c, classes in enumerate(class_columns):
+        files[BOXMAP_SVG_NAME.format(c + 1)] = "\n".join(
+            [
+                f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
+                f'height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+                f'<text x="{pad:.0f}" y="{SVG_HEIGHT - 2:.0f}" font-size="12" '
+                f'font-family="sans-serif">PC{c + 1} box map (hinge classes)</text>',
+                '<g stroke="#333333" stroke-width="1" fill-rule="evenodd">',
+                *(
+                    f'<path d="{d}" fill="{BOX_PALETTE[cls]}"/>'
+                    for d, cls in zip(paths, classes, strict=True)
+                ),
+                "</g>",
+                *legend,
+                "</svg>\n",
+            ]
+        )
+    return files

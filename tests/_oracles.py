@@ -8,8 +8,9 @@ segment distances, a per-tract loop (in floats or exact fractions)
 instead of the batched Moran kernel, a scan over every node id in sorted
 order instead of one numpy pass over the coordinate arrays, and scalar
 loops over every (provider, part) and every tract pair instead of the
-batched numpy segment kernel, and a row-by-row road loader and graph build
-instead of the column passes. Tests that need scipy compare
+batched numpy segment kernel, a row-by-row road loader and graph build
+instead of the column passes, and a box-map renderer that draws one map
+per call instead of one shared frame for every map. Tests that need scipy compare
 against it where it is installed: csgraph's Dijkstra and LAPACK's eigh
 through scipy.linalg; likewise networkx's multi-source Dijkstra.
 """
@@ -37,6 +38,7 @@ from access_atlas.network import (
     parse_finite,
     read_csv_table,
 )
+from access_atlas.report import BOX_CLASSES, BOX_PALETTE, CLASS_LABELS, SVG_HEIGHT, SVG_WIDTH
 
 
 def floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
@@ -326,3 +328,50 @@ def queen_adjacency_loop(tracts, eps: float = ADJACENCY_EPS) -> list[set[int]]:
                 adj[i].add(j)
                 adj[j].add(i)
     return adj
+
+
+def svg_choropleth_loop(tracts, classes, component_index) -> str:
+    """The box map of one component, classes[i] filling tracts[i]: bounds,
+    scale, paths and legend drawn afresh, each vertex transformed by a
+    closure; a drop-in for one file of report.emit_svg_choropleth."""
+    xs = [p.x for t in tracts for part in t.parts for ring in part.rings for p in ring]
+    ys = [p.y for t in tracts for part in t.parts for ring in part.rings for p in ring]
+    xmin, ymin, xmax, ymax = min(xs), min(ys), max(xs), max(ys)
+    pad, legend_w = 10.0, 150.0
+    scale = min(
+        (SVG_WIDTH - legend_w - 2 * pad) / (xmax - xmin or 1.0),
+        (SVG_HEIGHT - 2 * pad) / (ymax - ymin or 1.0),
+    )
+
+    def to_svg(p):
+        return (pad + (p.x - xmin) * scale, pad + (ymax - p.y) * scale)
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+        f'<text x="{pad:.0f}" y="{SVG_HEIGHT - 2:.0f}" font-size="12" font-family="sans-serif">'
+        f"PC{component_index + 1} box map (hinge classes)</text>",
+        '<g stroke="#333333" stroke-width="1" fill-rule="evenodd">',
+    ]
+    for tract, cls in zip(tracts, classes, strict=True):
+        rings = [ring[:-1] for part in tract.parts for ring in part.rings]
+        d = " ".join(
+            "M " + " L ".join(f"{to_svg(p)[0]:.2f},{to_svg(p)[1]:.2f}" for p in ring) + " Z"
+            for ring in rings
+        )
+        lines.append(f'<path d="{d}" fill="{BOX_PALETTE[cls]}"/>')
+    lines.append("</g>")
+    lx = SVG_WIDTH - legend_w
+    for i, cls in enumerate(BOX_CLASSES):
+        ly = pad + i * 24
+        label = CLASS_LABELS[cls].replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        lines.append(
+            f'<rect class="legend-swatch" x="{lx:.0f}" y="{ly:.0f}" width="18" height="18" '
+            f'fill="{BOX_PALETTE[cls]}" stroke="#333333"/>'
+        )
+        lines.append(
+            f'<text x="{lx + 24:.0f}" y="{ly + 14:.0f}" font-size="12" '
+            f'font-family="sans-serif">{label}</text>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

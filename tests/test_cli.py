@@ -358,22 +358,33 @@ def test_report_equals_subcommand_composition(minitown_config, tmp_path):
     assert tree_bytes(whole) == tree_bytes(steps)
 
 
-def test_report_builds_table_and_pca_once(minitown_config, tmp_path, monkeypatch):
-    calls = {"assemble": 0, "pca": 0}
+def count_calls(monkeypatch, *functions):
+    """Replace each (module, name) function with a wrapper that counts its
+    calls; return the counts by name."""
+    calls = {name: 0 for _, name in functions}
 
-    def counted(key, fn):
+    def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(
-        ingest, "assemble_variable_table", counted("assemble", ingest.assemble_variable_table)
-    )
-    monkeypatch.setattr(stats, "pca", counted("pca", stats.pca))
+    for module, name in functions:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_report_builds_table_and_pca_once(minitown_config, tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, (ingest, "assemble_variable_table"), (stats, "pca"))
     assert run(["report", "--config", minitown_config, "--out", str(tmp_path / "out")]) == 0
-    assert calls == {"assemble": 1, "pca": 1}
+    assert calls == {"assemble_variable_table": 1, "pca": 1}
+
+
+def test_report_renders_every_box_map_in_one_call(minitown_config, tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, (report, "emit_geojson"), (report, "emit_svg_choropleth"))
+    assert run(["report", "--config", minitown_config, "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"emit_geojson": 1, "emit_svg_choropleth": 1}
 
 
 # sha256 of every file of the minitown bundle. Minitown is rank-deficient
@@ -452,6 +463,17 @@ def test_report_bytes_independent_of_input_row_order(minitown_dir, seed):
     assert digests == GOLDEN_SHA256
 
 
+def test_byte_order_marks_give_the_golden_bundle(minitown_dir, tmp_path):
+    work = minitown_copy(minitown_dir, tmp_path)
+    for name in ("tracts.geojson", "providers.csv", "roads_nodes.csv", "roads_edges.csv",
+                 "demographics.csv", "config.json"):
+        (work / name).write_bytes(b"\xef\xbb\xbf" + (work / name).read_bytes())
+    out = tmp_path / "out"
+    assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+    assert digests == GOLDEN_SHA256
+
+
 def test_failed_emitter_leaves_previous_bundle(minitown_config, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert run(["report", "--config", minitown_config, "--out", str(out)]) == 0
@@ -476,14 +498,18 @@ def test_failed_geojson_stream_leaves_previous_bundle(minitown_config, tmp_path,
     emit_geojson = report.emit_geojson
     yielded = []
 
-    def failing_stream(*args, **kwargs):
-        for i, chunk in enumerate(emit_geojson(*args, **kwargs)):
+    def failing_stream(chunks):
+        for i, chunk in enumerate(chunks):
             if i == 3:
                 raise OSError("disk full")
             yielded.append(chunk)
             yield chunk
 
-    monkeypatch.setattr(report, "emit_geojson", failing_stream)
+    def failing_emitter(*args, **kwargs):
+        files = emit_geojson(*args, **kwargs)
+        return {name: failing_stream(chunks) for name, chunks in files.items()}
+
+    monkeypatch.setattr(report, "emit_geojson", failing_emitter)
     code = run(["report", "--config", minitown_config, "--out", str(out), "--seed", "7"])
     assert code == 5
     assert len(yielded) == 3

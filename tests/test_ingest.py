@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -104,6 +105,33 @@ def test_degenerate_ring_names_tract(tmp_path):
     }
     path = write(tmp_path / "t.geojson", json.dumps(doc))
     with pytest.raises(DegenerateGeometry, match="bad"):
+        ingest.load_tracts(path, 0.0, 0.0)
+
+
+SQUARE = [[0, 0], [0.01, 0], [0.01, 0.01], [0, 0.01], [0, 0]]
+FLAT = [[0, 0], [0.01, 0.01], [0.02, 0.02], [0, 0]]  # three distinct vertices, no area
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        ([], "multi-part geometry has no positive area"),
+        ([[SQUARE], [FLAT]], "polygon net area 0.0 is not positive"),
+        # every part is built before any area is checked
+        ([[FLAT], [[[0, 0], [0.01, 0], [0, 0]]]], "ring needs >= 3 distinct vertices, got 2"),
+    ],
+    ids=["no-parts", "flat-second-part", "short-ring-after-flat-part"],
+)
+def test_invalid_multipolygon_fails_at_load_naming_tract(tmp_path, parts, message):
+    doc = {
+        "type": "FeatureCollection",
+        "features": [
+            {"type": "Feature", "properties": {"tract_id": "t11"},
+             "geometry": {"type": "MultiPolygon", "coordinates": parts}},
+        ],
+    }
+    path = write(tmp_path / "t.geojson", json.dumps(doc))
+    with pytest.raises(DegenerateGeometry, match=f"^tract t11: {re.escape(message)}$"):
         ingest.load_tracts(path, 0.0, 0.0)
 
 
@@ -299,6 +327,14 @@ CSV_INPUTS = {
 }
 
 
+def loaded_rows(loaded):
+    """The rows a loader returned: its records, or the row tuples of its columns."""
+    if isinstance(loaded, list):
+        return loaded
+    columns = [getattr(loaded, f.name) for f in dataclasses.fields(loaded)]
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
 def padded(row):
     return ",".join(f" {cell} " for cell in row.split(","))
 
@@ -346,8 +382,8 @@ def test_csv_reader_rules(tmp_path, kind, build, expect):
     path = write(tmp_path / "in.csv", build(header, row))
     if expect is None:
         plain = write(tmp_path / "plain.csv", f"{header}\n{row}\n")
-        assert load(path) == load(plain)
-        assert len(load(path)) == 1
+        assert loaded_rows(load(path)) == loaded_rows(load(plain))
+        assert len(loaded_rows(load(path))) == 1
     else:
         error, message = expect
         with pytest.raises(error, match="^" + re.escape(path) + message):

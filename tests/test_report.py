@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -7,9 +9,12 @@ from hypothesis import given, strategies as st
 
 from access_atlas import stats
 from access_atlas.errors import DomainError
-from access_atlas.ingest import VARIABLE_COLUMNS, VariableTable
+from access_atlas.geometry import Polygon, ProjectedPoint
+from access_atlas.ingest import VARIABLE_COLUMNS, TractGeometry, VariableTable
 from access_atlas.report import (
     BOX_CLASSES,
+    BOX_PALETTE,
+    BOXMAP_SVG,
     CLASS_LABELS,
     _xml_escape,
     boxmap_classify,
@@ -18,6 +23,8 @@ from access_atlas.report import (
     emit_pca_tables,
     emit_svg_choropleth,
 )
+
+from _oracles import svg_choropleth_loop
 
 
 # ------------------------------------------------------------ boxmap classes
@@ -161,8 +168,9 @@ def test_geojson_roundtrip_and_dropped_nulls(minitown_table):
     pca_result = stats.pca(table.values, list(VARIABLE_COLUMNS))
     k = 4
     classes = [boxmap_classify(pca_result.scores[:, c]) for c in range(k)]
-    chunks = emit_geojson(tracts, table, pca_result.scores, classes)
-    doc = json.loads("".join(chunks))
+    files = emit_geojson(tracts, table, pca_result.scores, classes)
+    assert list(files) == ["scores.geojson"]
+    doc = json.loads("".join(files["scores.geojson"]))
     assert doc["type"] == "FeatureCollection"
     assert len(doc["features"]) == 9
     ids = [f["properties"]["tract_id"] for f in doc["features"]]
@@ -189,7 +197,9 @@ def test_geojson_roundtrip_and_dropped_nulls(minitown_table):
 def test_svg_structure(minitown_table):
     tracts, _ = minitown_table
     classes = [BOX_CLASSES[i % 6] for i in range(len(tracts))]
-    svg = emit_svg_choropleth(tracts, classes, 0)
+    files = emit_svg_choropleth(tracts, [classes])
+    assert list(files) == ["boxmap_pc1.svg"]
+    svg = files["boxmap_pc1.svg"]
     assert svg.count("<path ") == 9
     assert svg.count('class="legend-swatch"') == 6
     assert svg.startswith("<svg ")
@@ -205,7 +215,7 @@ def test_svg_structure(minitown_table):
 def test_svg_single_class_single_fill(minitown_table):
     tracts, _ = minitown_table
     classes = ["q2"] * len(tracts)
-    svg = emit_svg_choropleth(tracts, classes, 1)
+    svg = emit_svg_choropleth(tracts, [classes, classes])["boxmap_pc2.svg"]
     path_lines = [l for l in svg.split("\n") if l.startswith("<path ")]
     fills = {l.split('fill="')[1].split('"')[0] for l in path_lines}
     assert fills == {"#d1e5f0"}
@@ -214,9 +224,51 @@ def test_svg_single_class_single_fill(minitown_table):
 def test_svg_deterministic(minitown_table):
     tracts, _ = minitown_table
     classes = [BOX_CLASSES[i % 6] for i in range(len(tracts))]
-    a = emit_svg_choropleth(tracts, classes, 2)
-    b = emit_svg_choropleth(tracts, classes, 2)
-    assert a.encode() == b.encode()
+    a = emit_svg_choropleth(tracts, [classes] * 3)
+    b = emit_svg_choropleth(tracts, [classes] * 3)
+    assert a == b
+
+
+def test_svg_maps_share_one_frame(minitown_table):
+    tracts, _ = minitown_table
+    k = 4
+    columns = [[BOX_CLASSES[(i + c) % 6] for i in range(len(tracts))] for c in range(k)]
+    files = emit_svg_choropleth(tracts, columns)
+    assert list(files) == [f"boxmap_pc{c}.svg" for c in range(1, k + 1)]
+    assert all(BOXMAP_SVG.fullmatch(name) for name in files)
+    paths = [re.findall(r'<path d="([^"]*)" fill="([^"]*)"/>', svg) for svg in files.values()]
+    assert all([d for d, _ in p] == [d for d, _ in paths[0]] for p in paths)
+    for c, p in enumerate(paths):
+        assert [fill for _, fill in p] == [BOX_PALETTE[cls] for cls in columns[c]]
+        assert f"PC{c + 1} box map" in files[f"boxmap_pc{c + 1}.svg"]
+
+
+def square_ring(x0, y0, size):
+    corners = ((0, 0), (1, 0), (1, 1), (0, 1))
+    return [ProjectedPoint(x0 + dx * size, y0 + dy * size) for dx, dy in corners]
+
+
+def test_svg_maps_equal_one_map_per_call():
+    # holes, a two-part tract and irrational coordinates, against a renderer
+    # that draws each map from scratch
+    rng = np.random.default_rng(14)
+    tracts = []
+    for i in range(12):
+        x0, y0 = rng.uniform(-5e3, 5e3, size=2)
+        size = rng.uniform(50.0, 900.0)
+        rings = [square_ring(x0, y0, size)]
+        if i % 3 == 0:
+            rings.append(square_ring(x0 + size / 3, y0 + size / 3, size / 3))
+        parts = [Polygon(rings)]
+        if i % 4 == 1:
+            parts.append(Polygon([square_ring(x0 + 2 * size, y0 - size / math.pi, size / 2)]))
+        tracts.append(TractGeometry(f"t{i}", parts))
+    columns = [[BOX_CLASSES[j] for j in rng.integers(0, 6, size=len(tracts))] for _ in range(3)]
+    want = {
+        f"boxmap_pc{c + 1}.svg": svg_choropleth_loop(tracts, column, c)
+        for c, column in enumerate(columns)
+    }
+    assert emit_svg_choropleth(tracts, columns) == want
 
 
 def test_xml_escape_matches_saxutils():
