@@ -19,7 +19,6 @@ from .errors import (
     SnapError,
 )
 from .geometry import (
-    AdjacencyList,
     Polygon,
     ProjectedPoint,
     availability_counts,

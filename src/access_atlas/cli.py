@@ -100,7 +100,9 @@ def _analyze(table: VariableTable):
 
 
 def _moran_rows(table: VariableTable, retained, cfg: RunConfig):
-    adjacency = queen_adjacency([t.parts for t in retained])
+    indptr, nbr = adjacency = queen_adjacency([t.parts for t in retained])
+    islands = (indptr[1:] == indptr[:-1]).sum()
+    log.info("adjacency: %d links, %d islands", len(nbr) // 2, islands)
     names = list(VARIABLE_COLUMNS)
     results = stats.morans_i(table.values, adjacency, cfg.moran_permutations, cfg.seed, names)
     return list(zip(names, results))

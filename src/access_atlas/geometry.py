@@ -27,7 +27,7 @@ scalar code, and every result equals the scalar one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -84,19 +84,6 @@ def parts_bounds(parts: Sequence[Polygon]) -> tuple[float, float, float, float]:
     xs = [p.x for part in parts for ring in part.rings for p in ring]
     ys = [p.y for part in parts for ring in part.rings for p in ring]
     return min(xs), min(ys), max(xs), max(ys)
-
-
-@dataclass
-class AdjacencyList:
-    """Symmetric, irreflexive neighbor sets, indexed by tract position."""
-
-    neighbors: list[set[int]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.neighbors)
-
-    def __getitem__(self, i: int) -> set[int]:
-        return self.neighbors[i]
 
 
 def project_lonlat(
@@ -439,13 +426,15 @@ def points_in_tract(
 def queen_adjacency(
     tracts: Sequence[Polygon | Sequence[Polygon]],
     eps: float = ADJACENCY_EPS,
-) -> AdjacencyList:
+) -> tuple[np.ndarray, np.ndarray]:
     """Queen-contiguity adjacency: tracts sharing any boundary point.
 
     Two tracts are neighbors when some vertex of one lies within eps of the
     other's boundary (vertex-to-vertex or vertex-to-segment), checked in
     both directions. Multi-part tracts are tested against every part.
-    Output is symmetric and irreflexive.
+    Returns (indptr, nbr), intp arrays in CSR form like RoadNetwork's:
+    tract i's neighbours are nbr[indptr[i]:indptr[i + 1]], in ascending
+    order. The relation is symmetric and irreflexive.
 
     Candidate pairs, whose bboxes come within eps, are found by a sort and
     sweep on bbox xmin; only the vertices within `_reach(eps)` of the other
@@ -488,8 +477,8 @@ def queen_adjacency(
             return boundary_distance(vertex, segs.parts[part[k]]) <= eps
 
         touching[pair[lo:hi][q[w[_decide(dmin, eps, scalar)]]]] = True
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in zip(a[touching].tolist(), b[touching].tolist()):
-        adj[i].add(j)
-        adj[j].add(i)
-    return AdjacencyList(adj)
+    both = np.tile(touching, 2)
+    tail, head = src[both], dst[both]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
+    return indptr, head[np.lexsort((head, tail))]

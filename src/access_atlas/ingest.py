@@ -123,7 +123,8 @@ class VariableTable:
 
 
 def _project_ring(ring, ref_lon: float, ref_lat: float) -> list[ProjectedPoint]:
-    return [project_lonlat(lon, lat, ref_lon, ref_lat) for lon, lat in ring]
+    # a position may carry an altitude (RFC 7946 section 3.1.1); it is ignored
+    return [project_lonlat(lon, lat, ref_lon, ref_lat) for lon, lat, *_ in ring]
 
 
 def _feature_polygons(
@@ -176,6 +177,8 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> list[TractGeometry
             if tract_id is None:
                 raise SchemaError(f"{path}: feature {idx} has no tract_id property")
             tract_id = str(tract_id)
+            if not tract_id:
+                raise SchemaError(f"{path}: feature {idx} has an empty tract_id")
             if tract_id in seen:
                 raise SchemaError(f"{path}: duplicate tract_id {tract_id!r}")
             seen.add(tract_id)
@@ -247,6 +250,8 @@ def load_demographics(path: str) -> list[DemographicRecord]:
     records: list[DemographicRecord] = []
     seen: set[str] = set()
     for row_no, tract_id, *cells in zip(row_nos, *columns):
+        if not tract_id:
+            raise SchemaError(f"{path} row {row_no}: empty tract_id")
         if tract_id in seen:
             raise SchemaError(f"{path} row {row_no}: duplicate tract_id {tract_id!r}")
         seen.add(tract_id)

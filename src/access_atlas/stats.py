@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstantColumnError, DomainError, NumericalError
-from .geometry import AdjacencyList
 
 # eigenvalues at most this belong to null components (see module docstring)
 NULL_EIGENVALUE_TOL = 1e-9
@@ -245,28 +244,17 @@ class MoranWeights:
     s0: float
 
 
-def moran_weights(adjacency: AdjacencyList) -> MoranWeights:
-    """Row-standardised weights of an adjacency; DomainError if no tract
-    has a neighbour."""
-    rows: list[int] = []
-    cols: list[int] = []
-    w: list[float] = []
-    s0 = 0.0
-    for i, neigh in enumerate(adjacency.neighbors):
-        if not neigh:
-            continue
-        rows.extend([i] * len(neigh))
-        cols.extend(sorted(neigh))
-        w.extend([1.0 / len(neigh)] * len(neigh))
-        s0 += 1.0
+def moran_weights(adjacency: tuple[np.ndarray, np.ndarray]) -> MoranWeights:
+    """Row-standardised weights of a CSR adjacency (indptr, nbr), each
+    row's neighbours in ascending order; DomainError if no tract has a
+    neighbour."""
+    indptr, nbr = adjacency
+    degree = np.diff(indptr)
+    s0 = float(np.count_nonzero(degree))
     if s0 == 0.0:
         raise DomainError("no tract has a neighbor; Moran's I is undefined")
-    return MoranWeights(
-        rows=np.array(rows, dtype=np.intp),
-        cols=np.array(cols, dtype=np.intp),
-        w=np.array(w, dtype=float),
-        s0=s0,
-    )
+    rows = np.repeat(np.arange(len(degree), dtype=np.intp), degree)
+    return MoranWeights(rows=rows, cols=nbr, w=1.0 / degree[rows], s0=s0)
 
 
 def _moran_kernel(x: np.ndarray, weights: MoranWeights) -> np.ndarray:
@@ -279,13 +267,14 @@ def _moran_kernel(x: np.ndarray, weights: MoranWeights) -> np.ndarray:
 
 def morans_i(
     values: np.ndarray,
-    adjacency: AdjacencyList,
+    adjacency: tuple[np.ndarray, np.ndarray],
     permutations: int = 999,
     seed: int = 0,
     names: list[str] | None = None,
 ) -> list[MoranResult]:
     """Moran's I of every column of the n x p table `values`, each with a
     two-sided permutation pseudo p-value; the p results in column order.
+    `adjacency` is the (indptr, nbr) pair of geometry.queen_adjacency.
 
     I = (n / S0) * sum_ij w_ij z_i z_j / sum_i z_i^2, where z = x - mean(x),
     w_ij = 1/|N(i)| for j in N(i) and S0 is the total weight (see
@@ -307,10 +296,9 @@ def morans_i(
     n, p = x.shape
     if n < 3:
         raise DomainError(f"Moran's I needs n >= 3, got {n}")
-    if len(adjacency) != n:
-        raise DomainError(
-            f"adjacency covers {len(adjacency)} tracts but got {n} values"
-        )
+    covered = len(adjacency[0]) - 1
+    if covered != n:
+        raise DomainError(f"adjacency covers {covered} tracts but got {n} values")
     if permutations < 99:
         raise DomainError(f"permutations must be >= 99, got {permutations}")
     weights = moran_weights(adjacency)

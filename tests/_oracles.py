@@ -5,8 +5,10 @@ code under test: Floyd-Warshall and Bellman-Ford instead of Dijkstra, the closed
 characteristic-cubic solution instead of LAPACK's eigh, winding numbers
 instead of ray casting, dense boundary sampling instead of exact
 segment distances, a per-tract loop (in floats or exact fractions)
-instead of the batched Moran kernel, a scan over every node id in sorted
-order instead of one numpy pass over the coordinate arrays, and scalar
+instead of the batched Moran kernel, row-standardised weights built one
+tract at a time instead of by array operations on the CSR adjacency, a
+scan over every node id in sorted order instead of one numpy pass over
+the coordinate arrays, and scalar
 loops over every (provider, part) and every tract pair instead of the
 batched numpy segment kernel, a row-by-row road loader and graph build
 instead of the column passes, and a box-map renderer that draws one map
@@ -39,6 +41,7 @@ from access_atlas.network import (
     read_csv_table,
 )
 from access_atlas.report import BOX_CLASSES, BOX_PALETTE, CLASS_LABELS, SVG_HEIGHT, SVG_WIDTH
+from access_atlas.stats import MoranWeights
 
 
 def floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
@@ -237,6 +240,46 @@ def disk_intersects_sampled(rings, center, radius_m, step_m: float = 1.0) -> boo
     return sampled_boundary_distance(rings, center, step_m) <= radius_m
 
 
+def csr(neighbour_sets):
+    """The (indptr, nbr) intp pair of a list of neighbour sets, each row
+    ascending: a hand-made graph in the form geometry.queen_adjacency
+    returns."""
+    indptr = np.array([0, *accumulate(len(s) for s in neighbour_sets)], dtype=np.intp)
+    nbr = np.array([j for s in neighbour_sets for j in sorted(s)], dtype=np.intp)
+    return indptr, nbr
+
+
+def neighbour_sets(adjacency) -> list[set[int]]:
+    """The neighbour set of every row of a CSR pair (indptr, nbr)."""
+    indptr, nbr = adjacency
+    bounds = indptr.tolist()
+    return [set(nbr[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def moran_weights_loop(neighbors) -> MoranWeights:
+    """Row-standardised weights one tract at a time, from neighbour sets;
+    a drop-in for stats.moran_weights."""
+    rows: list[int] = []
+    cols: list[int] = []
+    w: list[float] = []
+    s0 = 0.0
+    for i, neigh in enumerate(neighbors):
+        if not neigh:
+            continue
+        rows.extend([i] * len(neigh))
+        cols.extend(sorted(neigh))
+        w.extend([1.0 / len(neigh)] * len(neigh))
+        s0 += 1.0
+    if s0 == 0.0:
+        raise DomainError("no tract has a neighbor; Moran's I is undefined")
+    return MoranWeights(
+        rows=np.array(rows, dtype=np.intp),
+        cols=np.array(cols, dtype=np.intp),
+        w=np.array(w, dtype=float),
+        s0=s0,
+    )
+
+
 def moran_loop(values, neighbors, number=float):
     """Global Moran's I, one tract at a time:
     (n / S0) * sum_i (1/|N(i)|) z_i sum_{j in N(i)} z_j / sum_i z_i^2.
@@ -304,7 +347,7 @@ def availability_loop(tract, providers) -> int:
 def queen_adjacency_loop(tracts, eps: float = ADJACENCY_EPS) -> list[set[int]]:
     """Neighbour sets by testing every bbox-overlapping pair of tracts:
     some vertex of one within eps of the other's boundary, by the scalar
-    boundary_distance, in either direction; a drop-in for the neighbors of
+    boundary_distance, in either direction; the neighbour_sets of
     geometry.queen_adjacency."""
     parts_list = [_parts(t) for t in tracts]
     verts = [[v for part in parts for ring in part.rings for v in ring[:-1]] for parts in parts_list]

@@ -33,10 +33,12 @@ from access_atlas.stats import (
 
 from conftest import network_from_records
 from _oracles import (
+    csr,
     cubic_eigenvalues,
     disk_intersects_sampled,
     floyd_warshall,
     moran_loop,
+    neighbour_sets,
     sampled_boundary_distance,
     winding_inside,
 )
@@ -193,22 +195,20 @@ def test_c6_dijkstra_matches_floyd_warshall_on_30_graphs():
 
 def test_c7_moran_exact_values_and_permutation_null(minitown_table):
     start = time.monotonic()
-    from access_atlas.geometry import AdjacencyList
-
-    chain = AdjacencyList([{1}, {0, 2}, {1, 3}, {2}])
+    chain = csr([{1}, {0, 2}, {1, 3}, {2}])
     chain_values = np.array([[1.0, 5.0], [-1.0, 5.0], [1.0, 0.0], [-1.0, 0.0]])
     alternating, blocked = morans_i(chain_values, chain, 99, 0)
     assert alternating.I == -1.0
     assert blocked.I == 0.5
 
     tracts, table = minitown_table
-    adjacency = queen_adjacency([t.parts for t in tracts])
+    neighbors = neighbour_sets(queen_adjacency([t.parts for t in tracts]))
     values = table.values[:, VARIABLE_COLUMNS.index("AFF_POV")]
     rng = np.random.default_rng(70)
     n = len(values)
     sims = np.empty(10_000)
     for t in range(10_000):
-        sims[t] = moran_loop(values[rng.permutation(n)], adjacency.neighbors)
+        sims[t] = moran_loop(values[rng.permutation(n)], neighbors)
     null_mean = sims.mean()
     expected = -1.0 / (n - 1)
     assert abs(null_mean - expected) <= 0.01, f"null mean {null_mean} vs {expected}"

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from access_atlas import cli, geometry, ingest, report, stats
 
+from _oracles import queen_adjacency_loop
+
 
 def run(args):
     return cli.main(args)
@@ -78,6 +80,26 @@ def test_invalid_json_tracts_exits_2(minitown_dir, tmp_path, capsys):
         )
         assert code == 2, text
         assert "tracts.geojson" in capsys.readouterr().err
+
+
+def test_empty_tract_id_exits_2(minitown_dir, tmp_path, capsys):
+    # a tract and a demographics row with an empty id used to join into a
+    # variables.csv row with no id
+    work = minitown_copy(minitown_dir, tmp_path)
+    doc = read_json(work / "tracts.geojson")
+    doc["features"][3]["properties"]["tract_id"] = ""
+    (work / "tracts.geojson").write_text(json.dumps(doc))
+    args = ["variables", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+    assert run(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: {work / 'tracts.geojson'}: feature 3 has an empty tract_id\n"
+    )
+    shutil.copy(os.path.join(minitown_dir, "tracts.geojson"), work / "tracts.geojson")
+    demographics = (work / "demographics.csv").read_text()
+    (work / "demographics.csv").write_text(demographics.replace("\nt12,", "\n,"))
+    assert run(args) == 2
+    assert capsys.readouterr().err == f"error: {work / 'demographics.csv'} row 3: empty tract_id\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_utf8_demographics_exits_2(minitown_dir, tmp_path, capsys):
@@ -296,6 +318,16 @@ def test_constant_moran_column_exits_3_naming_it(minitown_dir, tmp_path, capsys)
     assert "AFF_POV" in capsys.readouterr().err
 
 
+def test_moran_logs_adjacency_shape(minitown_config, minitown_table, tmp_path, caplog):
+    tracts, table = minitown_table
+    by_id = {t.tract_id: t for t in tracts}
+    want = queen_adjacency_loop([by_id[tid].parts for tid in table.tract_ids])
+    links, islands = sum(map(len, want)) // 2, sum(1 for s in want if not s)
+    with caplog.at_level("INFO", logger="access_atlas.cli"):
+        assert run(["moran", "--config", minitown_config, "--out", str(tmp_path / "out")]) == 0
+    assert f"adjacency: {links} links, {islands} islands" in caplog.messages
+
+
 def test_moran_rerun_identical(minitown_config, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -472,6 +504,31 @@ def test_byte_order_marks_give_the_golden_bundle(minitown_dir, tmp_path):
     assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
     assert digests == GOLDEN_SHA256
+
+
+def test_positions_with_altitude_give_the_golden_bundle(minitown_dir, tmp_path, capsys):
+    # RFC 7946 allows a third element (the altitude) in a position; only
+    # scores.geojson, which echoes the input geometry, keeps it
+    work = minitown_copy(minitown_dir, tmp_path)
+    doc = read_json(work / "tracts.geojson")
+    for feature in doc["features"]:
+        geom = feature["geometry"]
+        polygons = [geom["coordinates"]] if geom["type"] == "Polygon" else geom["coordinates"]
+        for position in (pos for rings in polygons for ring in rings for pos in ring):
+            position.append(0.0)
+    (work / "tracts.geojson").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+    assert digests.pop("scores.geojson") != GOLDEN_SHA256["scores.geojson"]
+    assert digests == {k: v for k, v in GOLDEN_SHA256.items() if k != "scores.geojson"}
+    echoed = read_json(out / "scores.geojson")["features"][0]["geometry"]["coordinates"]
+    assert len(echoed[0][0]) == 3
+    # a position with fewer than two elements still fails
+    doc["features"][0]["geometry"]["coordinates"][0][1] = [-87.705]
+    (work / "tracts.geojson").write_text(json.dumps(doc))
+    assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 2
+    assert "feature 0 is not a valid feature" in capsys.readouterr().err
 
 
 def test_failed_emitter_leaves_previous_bundle(minitown_config, tmp_path, monkeypatch):

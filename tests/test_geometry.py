@@ -18,7 +18,7 @@ from access_atlas.geometry import (
     queen_adjacency,
 )
 
-from _oracles import disk_intersects_sampled
+from _oracles import disk_intersects_sampled, neighbour_sets
 
 KM_SQUARE = Polygon([[(0, 0), (1000, 0), (1000, 1000), (0, 1000)]])
 
@@ -348,24 +348,24 @@ def test_availability_rejects_non_positive_radius():
 
 
 def test_shared_edge_is_adjacent():
-    adj = queen_adjacency([square(0, 0), square(1000, 0)])
+    adj = neighbour_sets(queen_adjacency([square(0, 0), square(1000, 0)]))
     assert adj[0] == {1} and adj[1] == {0}
 
 
 def test_corner_touch_is_adjacent():
-    adj = queen_adjacency([square(0, 0), square(1000, 1000)])
+    adj = neighbour_sets(queen_adjacency([square(0, 0), square(1000, 1000)]))
     assert adj[0] == {1} and adj[1] == {0}
 
 
 def test_separated_squares_not_adjacent():
-    adj = queen_adjacency([square(0, 0), square(1010, 0)])
+    adj = neighbour_sets(queen_adjacency([square(0, 0), square(1010, 0)]))
     assert adj[0] == set() and adj[1] == set()
 
 
 def test_adjacency_symmetric_irreflexive_translation_invariant():
     tracts = [square(i * 1000, j * 1000) for i in range(3) for j in range(3)]
-    adj = queen_adjacency(tracts)
-    for i, neigh in enumerate(adj.neighbors):
+    adj = neighbour_sets(queen_adjacency(tracts))
+    for i, neigh in enumerate(adj):
         assert i not in neigh
         for j in neigh:
             assert i in adj[j]
@@ -373,14 +373,14 @@ def test_adjacency_symmetric_irreflexive_translation_invariant():
         Polygon([[(p.x + 12345.0, p.y - 777.0) for p in ring] for ring in t.rings])
         for t in tracts
     ]
-    assert queen_adjacency(moved).neighbors == adj.neighbors
+    assert neighbour_sets(queen_adjacency(moved)) == adj
 
 
 def test_vertex_on_segment_counts_as_touching():
     # T-junction: right square's corner lies mid-edge on the left square
     left = square(0, 0, 1000)
     right = square(1000, 250, 500)
-    adj = queen_adjacency([left, right])
+    adj = neighbour_sets(queen_adjacency([left, right]))
     assert adj[0] == {1}
 
 
@@ -392,7 +392,7 @@ def test_adjacency_needs_two_tracts():
 def test_grid_adjacency_expected_neighbor_sets():
     # 3x3 grid of km squares, row-major from the south-west corner
     tracts = [square(c * 1000, r * 1000) for r in range(3) for c in range(3)]
-    adj = queen_adjacency(tracts)
+    adj = neighbour_sets(queen_adjacency(tracts))
     idx = lambda r, c: r * 3 + c
     assert adj[idx(0, 0)] == {idx(0, 1), idx(1, 0), idx(1, 1)}
     assert adj[idx(1, 1)] == {i for i in range(9) if i != idx(1, 1)}

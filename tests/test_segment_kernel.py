@@ -25,7 +25,7 @@ from access_atlas.geometry import (
 )
 from access_atlas.network import _grid_sample_points
 
-from _oracles import availability_loop, queen_adjacency_loop
+from _oracles import availability_loop, neighbour_sets, queen_adjacency_loop
 
 TINY_BUDGETS = (None, 1, 5, 17)
 
@@ -153,7 +153,7 @@ def test_queen_adjacency_matches_oracle_at_eps_plus_minus_1e12(monkeypatch):
             y += 1000.0 + float(rng.choice(gaps))
         want = queen_adjacency_loop(tracts)
         calls = counting(monkeypatch, "boundary_distance")
-        got = each_budget(monkeypatch, lambda: queen_adjacency(tracts).neighbors)
+        got = each_budget(monkeypatch, lambda: neighbour_sets(queen_adjacency(tracts)))
         assert all(g == want for g in got)
         assert calls  # some vertex lies in the band round ADJACENCY_EPS
 
@@ -178,8 +178,15 @@ def test_queen_adjacency_matches_oracle_on_random_multipart_tracts(monkeypatch):
     want = queen_adjacency_loop(tracts)
     assert len(want[0]) == 1  # the island touches the rim of its hole only
     assert len(want[1]) == 1
-    for got in each_budget(monkeypatch, lambda: queen_adjacency(tracts).neighbors):
-        assert got == want
+    for indptr, nbr in each_budget(monkeypatch, lambda: queen_adjacency(tracts)):
+        assert indptr.dtype == nbr.dtype == np.intp
+        assert indptr[0] == 0 and indptr[-1] == len(nbr) == sum(map(len, want))
+        assert len(indptr) == len(tracts) + 1 and np.all(np.diff(indptr) >= 0)
+        rows = np.repeat(np.arange(len(tracts)), np.diff(indptr))
+        assert np.all(np.diff(nbr)[rows[1:] == rows[:-1]] > 0)  # each row strictly ascending
+        assert np.all(nbr != rows)  # irreflexive
+        assert sorted(zip(rows.tolist(), nbr.tolist())) == sorted(zip(nbr.tolist(), rows.tolist()))
+        assert neighbour_sets((indptr, nbr)) == want
 
 
 def test_grid_samples_on_a_tract_edge_fall_back(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from access_atlas import stats
 from access_atlas.errors import ConstantColumnError, DomainError
-from access_atlas.geometry import AdjacencyList, queen_adjacency
+from access_atlas.geometry import queen_adjacency
 from access_atlas.ingest import VARIABLE_COLUMNS
 from access_atlas.stats import (
     ContributorThresholds,
@@ -21,13 +21,16 @@ from access_atlas.stats import (
 )
 
 from _oracles import (
+    csr,
     cubic_eigenvalues,
     cubic_eigenvector,
     moran_loop,
+    moran_weights_loop,
+    neighbour_sets,
     pearson_brute,
 )
 
-CHAIN4 = AdjacencyList([{1}, {0, 2}, {1, 3}, {2}])
+CHAIN4 = csr([{1}, {0, 2}, {1, 3}, {2}])
 
 # Frozen 6x3 table with well-separated correlation eigenvalues; the
 # expected decomposition below comes from the characteristic-cubic oracle.
@@ -367,7 +370,7 @@ def test_morans_i_names_the_constant_column():
     # the mean of seven copies of 0.1 is not 0.1 in floats
     x = np.column_stack([np.arange(7.0), np.full(7, 0.1)])
     assert x[:, 1].mean() != 0.1
-    ring = AdjacencyList([{(i - 1) % 7, (i + 1) % 7} for i in range(7)])
+    ring = csr([{(i - 1) % 7, (i + 1) % 7} for i in range(7)])
     with pytest.raises(ConstantColumnError, match="^AFF_POV has zero variance"):
         morans_i(x, ring, 99, 0, names=["AV_INT", "AFF_POV"])
     with pytest.raises(ConstantColumnError, match="^col1 has zero variance"):
@@ -375,14 +378,14 @@ def test_morans_i_names_the_constant_column():
 
 
 def test_moran_isolates_only_rejected():
-    adj = AdjacencyList([set(), set(), set()])
+    adj = csr([set(), set(), set()])
     with pytest.raises(DomainError):
         observed_i([1.0, 2.0, 3.0], adj)
 
 
 def test_morans_i_needs_three_values():
     with pytest.raises(DomainError):
-        morans_i(np.array([[1.0], [2.0]]), AdjacencyList([{1}, {0}]), 99, 0)
+        morans_i(np.array([[1.0], [2.0]]), csr([{1}, {0}]), 99, 0)
 
 
 @pytest.mark.parametrize("shape", [(4,), (4, 0)])
@@ -421,7 +424,7 @@ def test_moran_matches_dense_double_sum_oracle():
         if not any(neighbors):
             neighbors[0].add(1)
             neighbors[1].add(0)
-        adj = AdjacencyList(neighbors)
+        adj = csr(neighbors)
         x = rng.normal(size=n)
         w = np.zeros((n, n))
         for i, neigh in enumerate(neighbors):
@@ -456,6 +459,21 @@ def random_graph_with_islands(rng, n, p_edge):
     return neighbors
 
 
+def test_moran_weights_equal_per_tract_loop():
+    rng = np.random.default_rng(44)
+    for n, p_edge in ((5, 0.5), (40, 0.1), (90, 0.15), (120, 0.02)):
+        neighbors = random_graph_with_islands(rng, n, p_edge)
+        if not any(neighbors):
+            neighbors[0].add(1)
+            neighbors[1].add(0)
+        got = moran_weights(csr(neighbors))
+        want = moran_weights_loop(neighbors)
+        for name in ("rows", "cols", "w"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert type(got.s0) is type(want.s0) and got.s0 == want.s0
+
+
 def permuted_rows(x, permutations, seed):
     return [x[np.random.default_rng(seed + t).permutation(x.size)] for t in range(permutations)]
 
@@ -479,7 +497,7 @@ def test_batched_moran_matches_per_permutation_loop(case, permutations, integer_
     rng = np.random.default_rng(300 + case)
     n = int(rng.integers(60, 90))
     neighbors = random_graph_with_islands(rng, n, 0.15)
-    adj = AdjacencyList(neighbors)
+    adj = csr(neighbors)
     weights = moran_weights(adj)
     # several blocks, the last one partial
     block = stats.MORAN_BLOCK // weights.w.size
@@ -520,10 +538,9 @@ def test_morans_i_counts_exact_ties_as_hits(minitown_table):
     adjacency = queen_adjacency([by_id[tid].parts for tid in table.tract_ids])
     x = table.values[:, VARIABLE_COLUMNS.index("AV_INT")]
     seed = 20240101
-    observed = moran_loop(x, adjacency.neighbors, Fraction)
-    perm_values = [
-        moran_loop(p, adjacency.neighbors, Fraction) for p in permuted_rows(x, 999, seed)
-    ]
+    neighbors = neighbour_sets(adjacency)
+    observed = moran_loop(x, neighbors, Fraction)
+    perm_values = [moran_loop(p, neighbors, Fraction) for p in permuted_rows(x, 999, seed)]
     assert sum(abs(i) == abs(observed) for i in perm_values) == 13
     hits = sum(abs(i) >= abs(observed) for i in perm_values)
     assert hits == 454
@@ -542,7 +559,7 @@ def random_table(rng, n, p):
 def test_morans_i_calls_kernel_once_per_block(monkeypatch):
     rng = np.random.default_rng(41)
     n, permutations = 70, 199
-    adj = AdjacencyList(random_graph_with_islands(rng, n, 0.15))
+    adj = csr(random_graph_with_islands(rng, n, 0.15))
     table = random_table(rng, n, 10)
     block = max(1, stats.MORAN_BLOCK // (10 * moran_weights(adj).w.size))
     calls = []
@@ -560,7 +577,7 @@ def test_morans_i_calls_kernel_once_per_block(monkeypatch):
 def test_morans_i_draws_each_permutation_once_for_all_columns(monkeypatch):
     rng = np.random.default_rng(42)
     n, permutations = 40, 149
-    adj = AdjacencyList(random_graph_with_islands(rng, n, 0.2))
+    adj = csr(random_graph_with_islands(rng, n, 0.2))
     table = random_table(rng, n, 10)
     seeds = []
     original = np.random.default_rng
@@ -577,7 +594,7 @@ def test_morans_i_draws_each_permutation_once_for_all_columns(monkeypatch):
 def test_morans_i_column_equals_column_alone():
     rng = np.random.default_rng(43)
     for n, permutations in ((30, 99), (75, 301)):
-        adj = AdjacencyList(random_graph_with_islands(rng, n, 0.15))
+        adj = csr(random_graph_with_islands(rng, n, 0.15))
         table = random_table(rng, n, 10)
         results = morans_i(table, adj, permutations, seed=13)
         assert len(results) == 10
