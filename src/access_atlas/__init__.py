@@ -19,19 +19,17 @@ from .errors import (
     SnapError,
 )
 from .geometry import (
-    Polygon,
     ProjectedPoint,
+    Tracts,
     availability_counts,
     circle_intersects_polygon,
-    point_in_polygon,
-    polygon_area_centroid,
+    pack_tracts,
     project_lonlat,
     queen_adjacency,
 )
 from .ingest import (
     DemographicRecord,
     ProviderPoint,
-    TractGeometry,
     VariableTable,
     VARIABLE_COLUMNS,
     assemble_variable_table,

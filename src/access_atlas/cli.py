@@ -36,7 +36,7 @@ from typing import Iterable, NoReturn
 from . import ingest, report, stats
 from .config import RunConfig, apply_overrides, load_config_file, resolve_seed
 from .errors import AccessAtlasError, ConfigError
-from .geometry import queen_adjacency
+from .geometry import Tracts, queen_adjacency
 from .ingest import VARIABLE_COLUMNS, VariableTable
 from .network import build_network, load_road_edges, load_road_nodes
 
@@ -89,8 +89,7 @@ def _build_table(cfg: RunConfig):
         ace_net_mode=cfg.ace_net_mode,
         max_snap_m=cfg.snap_max_m,
     )
-    by_id = {t.tract_id: t for t in tracts}
-    return tracts, [by_id[tid] for tid in table.tract_ids], table
+    return tracts, table
 
 
 def _analyze(table: VariableTable):
@@ -99,8 +98,8 @@ def _analyze(table: VariableTable):
     return pca_result, stats.loading_profile_correlation(pca_result.loadings, names)
 
 
-def _moran_rows(table: VariableTable, retained, cfg: RunConfig):
-    indptr, nbr = adjacency = queen_adjacency([t.parts for t in retained])
+def _moran_rows(tracts: Tracts, table: VariableTable, cfg: RunConfig):
+    indptr, nbr = adjacency = queen_adjacency(tracts, table.index)
     islands = (indptr[1:] == indptr[:-1]).sum()
     log.info("adjacency: %d links, %d islands", len(nbr) // 2, islands)
     names = list(VARIABLE_COLUMNS)
@@ -149,12 +148,12 @@ def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
     files reach out_dir only after every one of them was rendered and
     written."""
     with _stage(EXIT_INGEST):
-        tracts, retained, table = _build_table(cfg)
+        tracts, table = _build_table(cfg)
     with _stage(EXIT_NUMERIC):
         if "pca" in steps or "boxmap" in steps:
             pca_result, loading_corr = _analyze(table)
         if "moran" in steps:
-            rows = _moran_rows(table, retained, cfg)
+            rows = _moran_rows(tracts, table, cfg)
         if "boxmap" in steps:
             classes = _boxmap_classes(pca_result, cfg)
 
@@ -170,7 +169,7 @@ def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
             files.update(report.emit_moran_csv(rows))
         if "boxmap" in steps:
             files.update(report.emit_geojson(tracts, table, pca_result.scores, classes))
-            files.update(report.emit_svg_choropleth(retained, classes))
+            files.update(report.emit_svg_choropleth(tracts, table.index, classes))
         _write_bundle(cfg.out_dir, files, report.BOXMAP_SVG if "boxmap" in steps else None)
     return EXIT_OK
 

@@ -1,27 +1,28 @@
-"""Planar geometry kernel for tract-level access analysis.
-
-Everything works in a local projected plane (meters east/north of a
-reference point). The kernel covers exactly what the pipeline needs:
-
-- equirectangular projection of lon/lat input,
-- polygon area / centroid (shoelace, holes subtracted),
-- point-in-polygon (even-odd ray casting, closed-set boundary rule),
-- circle vs. polygon intersection (exact segment distances, used for
-  provider buffer counts),
-- queen-contiguity adjacency between tracts.
+"""Planar geometry kernel for tract-level access analysis, in a local
+projected plane (meters east/north of a reference point): equirectangular
+projection, the packed tracts with their areas, centroids and bboxes,
+point-in-tract, circle vs. polygon intersection (AV_INT) and queen
+contiguity.
 
 All predicates follow a closed-set convention: boundary points are inside,
 and a disk tangent to a polygon edge intersects it. That keeps behaviour
 deterministic at exact-threshold inputs.
 
+`pack_tracts` builds the one tract structure of a run, `Tracts`: flat x/y
+arrays of the closed rings with ring, part and tract offsets, each tract's
+area, centroid and bbox, and the ring segments the predicates read. An
+area or centroid is a sum taken in vertex order, one vertex position at a
+time across all rings (`_sums_in_order`), so it keeps the bits of the
+scalar shoelace loop; a pairwise sum such as np.add.reduceat would not.
+
 `circle_intersects_polygon` is the one scalar predicate. The batched
-callers (`availability_counts`, `queen_adjacency`, `points_in_tract`) pack
-the ring segments of all their tracts into flat arrays once and run one
-numpy kernel, `_scan`, over (query point, part) pairs in chunks of
-KERNEL_BUDGET elements. It repeats the scalar float operations in the same
-order, so only np.hypot can differ from math.hypot; a pair whose distance
-lies within 1e-9 * max(r, 1) of its threshold r is decided again by the
-scalar code, and every result equals the scalar one.
+callers (`availability_counts`, `queen_adjacency`, `points_in_tract`) take
+the Tracts and the indices of the tracts they work on, and run one numpy
+kernel, `_scan`, over (query point, part) pairs in chunks of KERNEL_BUDGET
+elements. It repeats the scalar float operations in the same order, so
+only np.hypot can differ from math.hypot; a pair whose distance lies
+within 1e-9 * max(r, 1) of its threshold r is decided again by the scalar
+code on that part's rings, and every result equals the scalar one.
 """
 
 from __future__ import annotations
@@ -51,120 +52,181 @@ class ProjectedPoint(NamedTuple):
     y: float
 
 
-@dataclass
-class Polygon:
-    """A polygon with an exterior ring and optional holes.
-
-    Rings are stored closed (first vertex repeated at the end). The first
-    ring is the exterior; any further rings are holes. Construction closes
-    unclosed rings and rejects rings with fewer than 3 distinct vertices;
-    area validity is checked by polygon_area_centroid.
-    """
-
-    rings: list[list[ProjectedPoint]]
-
-    def __post_init__(self) -> None:
-        if not self.rings:
-            raise DegenerateGeometry("polygon has no rings")
-        closed = []
-        for ring in self.rings:
-            pts = [ProjectedPoint(float(p[0]), float(p[1])) for p in ring]
-            if len(set(pts)) < 3:
-                raise DegenerateGeometry(
-                    f"ring needs >= 3 distinct vertices, got {len(set(pts))}"
-                )
-            if pts[0] != pts[-1]:
-                pts.append(pts[0])
-            closed.append(pts)
-        self.rings = closed
-
-
-def parts_bounds(parts: Sequence[Polygon]) -> tuple[float, float, float, float]:
-    """(xmin, ymin, xmax, ymax) over every ring of every part."""
-    xs = [p.x for part in parts for ring in part.rings for p in ring]
-    ys = [p.y for part in parts for ring in part.rings for p in ring]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
-def project_lonlat(
-    lon: float, lat: float, ref_lon: float, ref_lat: float
-) -> ProjectedPoint:
-    """Project geographic coordinates to local meters (equirectangular).
+def project_points(lon, lat, ref_lon: float, ref_lat: float):
+    """Project geographic coordinates to local meters (equirectangular),
+    elementwise on floats or arrays alike:
 
     x = R * (lon - ref_lon) * pi/180 * cos(ref_lat * pi/180)
     y = R * (lat - ref_lat) * pi/180
 
-    Adequate at city scale; latitudes must stay clear of the poles.
+    Returns x, y and whether each point is valid: lat and ref_lat inside
+    (-89, 89) and |x|, |y| below 1e7 m. Adequate at city scale.
     """
-    if not (-89.0 < lat < 89.0) or not (-89.0 < ref_lat < 89.0):
-        raise DomainError(f"latitude out of range (-89, 89): lat={lat}, ref_lat={ref_lat}")
     rad = math.pi / 180.0
     x = EARTH_RADIUS_M * (lon - ref_lon) * rad * math.cos(ref_lat * rad)
     y = EARTH_RADIUS_M * (lat - ref_lat) * rad
-    if abs(x) >= 1e7 or abs(y) >= 1e7:
-        raise DomainError(
-            f"projected point ({x:.0f}, {y:.0f}) exceeds local-plane validity"
-        )
+    valid = (-89.0 < lat) & (lat < 89.0) & (-89.0 < ref_lat < 89.0)
+    return x, y, valid & (abs(x) < 1e7) & (abs(y) < 1e7)
+
+
+def project_lonlat(lon: float, lat: float, ref_lon: float, ref_lat: float) -> ProjectedPoint:
+    """project_points of one point; DomainError if it is not valid."""
+    x, y, valid = project_points(lon, lat, ref_lon, ref_lat)
+    if not valid:
+        if not (-89.0 < lat < 89.0) or not (-89.0 < ref_lat < 89.0):
+            raise DomainError(f"latitude out of range (-89, 89): lat={lat}, ref_lat={ref_lat}")
+        raise DomainError(f"projected point ({x:.0f}, {y:.0f}) exceeds local-plane validity")
     return ProjectedPoint(x, y)
 
 
-def _ring_signed_area_centroid(ring: Sequence[ProjectedPoint]) -> tuple[float, float, float]:
-    """Signed shoelace area and centroid of one closed ring.
+@dataclass(frozen=True, eq=False)
+class Tracts:
+    """The tracts of a run, packed once into flat arrays by `pack_tracts`.
 
-    The centroid formula divides by the signed area, so the returned
-    centroid is independent of vertex orientation.
+    Tract i is ids[i]; source_geometry[i] is its input geometry, which
+    scores.geojson echoes. Its parts are part_start[i]:part_start[i + 1];
+    the rings of part p are part_ring[p]:part_ring[p + 1], the exterior
+    first; ring r is x[ring_start[r]:ring_start[r + 1]] (and likewise y),
+    closed: its first vertex is repeated at the end. area and centroid are
+    each tract's net area and area-weighted centroid, and bounds its (xmin,
+    ymin, xmax, ymax).
+
+    The segments of part p are seg_start[p]:seg_start[p + 1]. Segment s runs
+    from (ax[s], ay[s]) to (ax[s] + dx[s], by[s]); dx, dy and seg2 are
+    computed as in `_segment_distance`. The segment starts are the ring
+    vertices without the closing repeat, so a tract's vertices are the
+    starts of its segments.
     """
-    a2 = 0.0  # twice the signed area
-    cx = 0.0
-    cy = 0.0
-    for i in range(len(ring) - 1):
-        x0, y0 = ring[i]
-        x1, y1 = ring[i + 1]
-        cross = x0 * y1 - x1 * y0
-        a2 += cross
-        cx += (x0 + x1) * cross
-        cy += (y0 + y1) * cross
-    if a2 == 0.0:
-        return 0.0, 0.0, 0.0
-    area = 0.5 * a2
-    return area, cx / (6.0 * area), cy / (6.0 * area)
+
+    ids: list[str]
+    source_geometry: list
+    x: np.ndarray
+    y: np.ndarray
+    ring_start: np.ndarray
+    part_ring: np.ndarray
+    part_start: np.ndarray
+    area: np.ndarray
+    centroid: np.ndarray  # (tracts, 2)
+    bounds: np.ndarray  # (tracts, 4)
+    seg_start: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    by: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    seg2: np.ndarray
+
+    def part_rings(self, p: int) -> list[list[tuple[float, float]]]:
+        """The closed rings of part p as (x, y) vertex lists, the form the
+        scalar predicates read."""
+        bounds = self.ring_start[self.part_ring[p] : self.part_ring[p + 1] + 1].tolist()
+        return [
+            list(zip(self.x[lo:hi].tolist(), self.y[lo:hi].tolist()))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
 
 
-def polygon_area_centroid(p: Polygon) -> tuple[float, ProjectedPoint]:
-    """Net area (holes subtracted) and area-weighted centroid of a polygon.
+def _offsets(counts) -> np.ndarray:
+    """[0, counts[0], counts[0] + counts[1], ...] as intp."""
+    out = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=out[1:])
+    return out
 
-    Raises DegenerateGeometry when the net area is not positive.
+
+def _sums_in_order(terms: np.ndarray, counts) -> np.ndarray:
+    """The sums of consecutive groups of columns of terms, group g being the
+    next counts[g] columns, each added from 0.0 one column at a time in
+    order, as a scalar `+=` loop adds; one step per column position, across
+    every group at once."""
+    counts = np.asarray(counts, dtype=np.intp)
+    first = _offsets(counts)[:-1]
+    total = np.zeros((len(terms), len(counts)))
+    order = np.argsort(counts, kind="stable")[::-1]  # longest group first
+    # the number of groups longer than j, for each column position j
+    positions = np.arange(counts.max(initial=0))
+    longer = len(counts) - np.searchsorted(counts[order[::-1]], positions, side="right")
+    for j, m in enumerate(longer.tolist()):
+        total[:, order[:m]] += terms[:, first[order[:m]] + j]
+    return total
+
+
+def pack_tracts(ids, source_geometry, x, y, ring_sizes, ring_counts, part_counts) -> Tracts:
+    """Pack tracts given as flat projected vertices: ring r is the next
+    ring_sizes[r] vertices of x and y, part p the next ring_counts[p] rings
+    (exterior first), tract i the next part_counts[i] parts.
+
+    An open ring is closed by repeating its first vertex. A part with no
+    rings, a ring with fewer than 3 distinct vertices, a part whose net
+    area is not positive and a tract with no parts raise DegenerateGeometry
+    prefixed `tract <id>:`, for the first such tract. Within it the rings of
+    every part are checked, in order, before any part's area.
     """
-    net = 0.0
-    mx = 0.0
-    my = 0.0
-    for k, ring in enumerate(p.rings):
-        area, cx, cy = _ring_signed_area_centroid(ring)
-        w = abs(area) if k == 0 else -abs(area)
-        net += w
-        mx += w * cx
-        my += w * cy
-    if net <= 0.0:
-        raise DegenerateGeometry(f"polygon net area {net} is not positive")
-    return net, ProjectedPoint(mx / net, my / net)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    ring_counts, part_counts = np.asarray(ring_counts, np.intp), np.asarray(part_counts, np.intp)
+    offsets = _offsets(ring_sizes)
+    first, end = offsets[:-1], offsets[1:]
+    filled = np.flatnonzero(end > first)
+    is_open = np.zeros(len(end), dtype=bool)
+    head, tail = first[filled], end[filled] - 1
+    is_open[filled] = (x[head] != x[tail]) | (y[head] != y[tail])
+    x, y = (np.insert(v, end[is_open], v[first[is_open]]) for v in (x, y))
+    ring_start = _offsets(end - first + is_open)
+    part_ring, part_start = _offsets(ring_counts), _offsets(part_counts)
+    # segment k of a ring runs from its vertex k to k + 1; the closing vertex starts none
+    nseg = np.maximum(np.diff(ring_start) - 1, 0)
+    seg, _ = _ranges(ring_start[:-1], nseg)
+    ax, ay, bx, by = x[seg], y[seg], x[seg + 1], y[seg + 1]
+
+    # the shoelace sums of each ring, then of each part, then of each tract
+    cross = ax * by - bx * ay
+    a2, sx, sy = _sums_in_order(np.stack([cross, (ax + bx) * cross, (ay + by) * cross]), nseg)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ring_area = 0.5 * a2
+        rx, ry = (np.where(a2 == 0.0, 0.0, s / (6.0 * ring_area)) for s in (sx, sy))
+        w = -np.abs(ring_area)  # a hole counts negative, the exterior of its part positive
+        w[part_ring[:-1][ring_counts > 0]] *= -1.0
+        net, mx, my = _sums_in_order(np.stack([w, w * rx, w * ry]), ring_counts)
+        px, py = mx / net, my / net
+        area, tx, ty = _sums_in_order(np.stack([net, net * px, net * py]), part_counts)
+        centroid = np.stack([tx, ty], axis=1) / area[:, None]
+
+    def fault(i: int) -> str | None:
+        parts = range(part_start[i], part_start[i + 1])
+        for p in parts:
+            if ring_counts[p] == 0:
+                return "polygon has no rings"
+            for r in range(part_ring[p], part_ring[p + 1]):
+                lo, hi = ring_start[r], ring_start[r + 1]
+                distinct = len(set(zip(x[lo:hi].tolist(), y[lo:hi].tolist())))
+                if distinct < 3:
+                    return f"ring needs >= 3 distinct vertices, got {distinct}"
+        for p in parts:
+            if net[p] <= 0.0:
+                return f"polygon net area {float(net[p])} is not positive"
+        return None if parts else "multi-part geometry has no positive area"
+
+    # only a ring of no area can have too few distinct vertices; a part with no rings has no area
+    part_tract = np.repeat(np.arange(len(part_counts)), part_counts)
+    suspect = part_counts == 0
+    suspect[part_tract[net <= 0.0]] = True
+    suspect[np.repeat(part_tract, ring_counts)[a2 == 0.0]] = True
+    for i in np.flatnonzero(suspect).tolist():
+        message = fault(i)
+        if message is not None:
+            raise DegenerateGeometry(f"tract {ids[i]}: {message}")
+
+    seg_start = _offsets(nseg)[part_ring]
+    vstart = seg_start[part_start[:-1]]  # the first segment of each tract
+    low = [np.minimum.reduceat(v, vstart) for v in (ax, ay)]
+    high = [np.maximum.reduceat(v, vstart) for v in (ax, ay)]
+    dx, dy = bx - ax, by - ay
+    return Tracts(
+        list(ids), list(source_geometry), x, y, ring_start, part_ring, part_start, area, centroid,
+        np.stack(low + high, axis=1), seg_start, ax, ay, by, dx, dy, dx * dx + dy * dy,
+    )
 
 
-def parts_area_centroid(parts: Sequence[Polygon]) -> tuple[float, ProjectedPoint]:
-    """Combined area and area-weighted centroid of a multi-part geometry."""
-    total = 0.0
-    mx = 0.0
-    my = 0.0
-    for part in parts:
-        area, c = polygon_area_centroid(part)
-        total += area
-        mx += area * c.x
-        my += area * c.y
-    if total <= 0.0:
-        raise DegenerateGeometry("multi-part geometry has no positive area")
-    return total, ProjectedPoint(mx / total, my / total)
-
-
-def _segment_distance(pt: ProjectedPoint, a: ProjectedPoint, b: ProjectedPoint) -> float:
+def _segment_distance(pt: ProjectedPoint, a, b) -> float:
     """Euclidean distance from pt to the closed segment [a, b]."""
     ax, ay = a
     bx, by = b
@@ -178,10 +240,11 @@ def _segment_distance(pt: ProjectedPoint, a: ProjectedPoint, b: ProjectedPoint) 
     return math.hypot(pt.x - (ax + t * dx), pt.y - (ay + t * dy))
 
 
-def boundary_distance(pt: ProjectedPoint, p: Polygon) -> float:
-    """Minimum distance from pt to any ring segment of the polygon."""
+def boundary_distance(pt: ProjectedPoint, rings: Sequence[Sequence[tuple[float, float]]]) -> float:
+    """Minimum distance from pt to any segment of the closed rings of one
+    polygon, each a sequence of (x, y) vertices."""
     best = math.inf
-    for ring in p.rings:
+    for ring in rings:
         for i in range(len(ring) - 1):
             d = _segment_distance(pt, ring[i], ring[i + 1])
             if d < best:
@@ -189,17 +252,11 @@ def boundary_distance(pt: ProjectedPoint, p: Polygon) -> float:
     return best
 
 
-def point_in_polygon(pt: ProjectedPoint, p: Polygon) -> bool:
-    """Even-odd test over all rings; the boundary (within BOUNDARY_EPS)
-    counts as inside, so a point inside a hole is outside the polygon while
-    a point on the hole's rim is still inside."""
-    return circle_intersects_polygon(pt, BOUNDARY_EPS, p)
-
-
 def circle_intersects_polygon(
-    center: ProjectedPoint, radius_m: float, p: Polygon
+    center: ProjectedPoint, radius_m: float, rings: Sequence[Sequence[tuple[float, float]]]
 ) -> bool:
-    """True iff the closed disk of radius_m around center meets the polygon.
+    """True iff the closed disk of radius_m around center meets the polygon
+    whose closed rings (exterior and holes) are `rings`.
 
     Exact test: either some boundary segment comes within radius_m (and
     never less than BOUNDARY_EPS) of the center, or the center lies inside
@@ -209,10 +266,10 @@ def circle_intersects_polygon(
     """
     if not (radius_m > 0):
         raise DomainError(f"radius must be > 0, got {radius_m}")
-    if boundary_distance(center, p) <= max(radius_m, BOUNDARY_EPS):
+    if boundary_distance(center, rings) <= max(radius_m, BOUNDARY_EPS):
         return True
     inside = False
-    for ring in p.rings:
+    for ring in rings:
         for i in range(len(ring) - 1):
             xi, yi = ring[i]
             xj, yj = ring[i + 1]
@@ -235,67 +292,6 @@ def _within(x, y, reach, box) -> np.ndarray:
     """Whether (x, y) lies within reach of the bbox (xmin, ymin, xmax, ymax)."""
     xmin, ymin, xmax, ymax = box
     return (x + reach >= xmin) & (x - reach <= xmax) & (y + reach >= ymin) & (y - reach <= ymax)
-
-
-@dataclass(frozen=True)
-class _Segments:
-    """The ring segments of many tracts, packed once into flat arrays.
-
-    Segment s runs from (ax[s], ay[s]) to (ax[s] + dx[s], by[s]); dx, dy
-    and seg2 are computed as in `_segment_distance`. The segments of part p
-    are start[p]:start[p] + count[p], and the parts of tract i are
-    part_start[i]:part_start[i + 1]. The segment starts are the ring
-    vertices without the closing repeat, so tract i's vertices are the
-    segments vstart[i]:vstart[i + 1].
-    """
-
-    parts: list[Polygon]
-    part_start: np.ndarray
-    start: np.ndarray
-    count: np.ndarray
-    ax: np.ndarray
-    ay: np.ndarray
-    by: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    seg2: np.ndarray
-    vstart: np.ndarray
-    bounds: np.ndarray  # (tracts, 4): xmin, ymin, xmax, ymax
-    scale: float  # largest absolute coordinate
-
-
-def _pack(tracts: Sequence[Polygon | Sequence[Polygon]]) -> _Segments:
-    parts_list = [[t] if isinstance(t, Polygon) else list(t) for t in tracts]
-    if not all(parts_list):
-        raise DegenerateGeometry("tract has no polygon parts")
-    parts = [p for ps in parts_list for p in ps]
-    rings = [ring for part in parts for ring in part.rings]
-    xy = np.array([pt for ring in rings for pt in ring], dtype=float)
-    # segment k of a ring runs from its vertex k to k + 1; the closing vertex starts none
-    first = np.ones(len(xy), dtype=bool)
-    first[np.cumsum([len(ring) for ring in rings]) - 1] = False
-    first = np.flatnonzero(first)
-    ax, ay = xy[first, 0], xy[first, 1]
-    bx, by = xy[first + 1, 0], xy[first + 1, 1]
-    dx = bx - ax
-    dy = by - ay
-    count = np.array([sum(len(ring) - 1 for ring in part.rings) for part in parts])
-    start = np.cumsum(count) - count
-    part_start = np.cumsum([0] + [len(ps) for ps in parts_list])
-    vstart = np.append(start[part_start[:-1]], len(ax))
-    bounds = np.stack(
-        [
-            np.minimum.reduceat(ax, vstart[:-1]),
-            np.minimum.reduceat(ay, vstart[:-1]),
-            np.maximum.reduceat(ax, vstart[:-1]),
-            np.maximum.reduceat(ay, vstart[:-1]),
-        ],
-        axis=1,
-    )
-    return _Segments(
-        parts, part_start, start, count, ax, ay, by, dx, dy, dx * dx + dy * dy,
-        vstart, bounds, float(np.abs(xy).max()),
-    )
 
 
 # Query point x segment elements the kernel evaluates in one numpy pass. Its
@@ -325,7 +321,7 @@ def _chunks(weights: np.ndarray):
 
 
 def _scan(
-    segs: _Segments, px: np.ndarray, py: np.ndarray, part: np.ndarray
+    tracts: Tracts, px: np.ndarray, py: np.ndarray, part: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum boundary distance and odd crossing parity of each query
     point (px[k], py[k]) against part[k].
@@ -337,12 +333,14 @@ def _scan(
     """
     dmin = np.empty(len(px))
     odd = np.empty(len(px), dtype=bool)
-    count = segs.count[part]
+    first = tracts.seg_start[part]
+    count = tracts.seg_start[part + 1] - first
     for lo, hi in _chunks(count):
-        s, q = _ranges(segs.start[part[lo:hi]], count[lo:hi])
+        s, q = _ranges(first[lo:hi], count[lo:hi])
         offsets = np.cumsum(count[lo:hi]) - count[lo:hi]
         x, y = px[lo:hi][q], py[lo:hi][q]
-        ax, ay, dx, dy, seg2 = segs.ax[s], segs.ay[s], segs.dx[s], segs.dy[s], segs.seg2[s]
+        ax, ay, dx, dy = tracts.ax[s], tracts.ay[s], tracts.dx[s], tracts.dy[s]
+        seg2 = tracts.seg2[s]
         ex = x - ax
         ey = y - ay
         degenerate = seg2 == 0.0
@@ -351,7 +349,7 @@ def _scan(
         t[degenerate] = 0.0
         d = np.hypot(x - (ax + t * dx), y - (ay + t * dy))
         dmin[lo:hi] = np.minimum.reduceat(d, offsets)
-        spans = (ay > y) != (segs.by[s] > y)
+        spans = (ay > y) != (tracts.by[s] > y)
         x_cross = dx * ey / np.where(spans, dy, 1.0) + ax
         odd[lo:hi] = np.logical_xor.reduceat(spans & (x < x_cross), offsets)
     return dmin, odd
@@ -366,85 +364,90 @@ def _decide(dmin: np.ndarray, threshold, scalar) -> np.ndarray:
     return hit
 
 
-def _disk_hits(segs: _Segments, px, py, radius, part) -> np.ndarray:
+def _disk_hits(tracts: Tracts, px, py, radius, part) -> np.ndarray:
     """circle_intersects_polygon(query k, radius[k], part[k]) for every k."""
     radius = np.broadcast_to(radius, px.shape)
-    dmin, odd = _scan(segs, px, py, part)
+    dmin, odd = _scan(tracts, px, py, part)
 
     def scalar(k: int) -> bool:
         center = ProjectedPoint(float(px[k]), float(py[k]))
-        return circle_intersects_polygon(center, float(radius[k]), segs.parts[part[k]])
+        return circle_intersects_polygon(center, float(radius[k]), tracts.part_rings(part[k]))
 
     return odd | _decide(dmin, np.maximum(radius, BOUNDARY_EPS), scalar)
 
 
 def availability_counts(
-    tracts: Sequence[Polygon | Sequence[Polygon]],
+    tracts: Tracts,
+    index: np.ndarray,
     providers: Sequence[tuple[ProjectedPoint, float]],
 ) -> np.ndarray:
-    """Number of providers whose buffer disk intersects each tract.
+    """Number of providers whose buffer disk intersects each tract of
+    `index` (indices into tracts).
 
     `providers` holds (location, radius_m) pairs. A provider counts at most
     once per tract, even when the tract has several parts, and order does
     not matter. Only providers whose disk, widened by `_reach`, meets a
     tract's bbox are tested against it.
     """
-    if not tracts or not providers:
-        return np.zeros(len(tracts), dtype=np.int64)
-    segs = _pack(tracts)
-    n = len(tracts)
+    index = np.asarray(index, dtype=np.intp)
+    n = len(index)
+    if not n or not providers:
+        return np.zeros(n, dtype=np.int64)
     cx = np.array([pt.x for pt, _ in providers], dtype=float)
     cy = np.array([pt.y for pt, _ in providers], dtype=float)
     radius = np.array([r for _, r in providers], dtype=float)
     if not (radius > 0).all():
         raise DomainError(f"buffer radius must be > 0, got {radius.min()}")
-    scale = max(segs.scale, float(np.abs(cx).max()), float(np.abs(cy).max()))
+    boxes = tracts.bounds[index]
+    scale = max(float(np.abs(boxes).max()), float(np.abs(cx).max()), float(np.abs(cy).max()))
     reach = _reach(np.maximum(radius, BOUNDARY_EPS), scale)
-    near = [np.flatnonzero(_within(cx, cy, reach, box)) for box in segs.bounds]
-    tract = np.repeat(np.arange(n), [len(k) for k in near])
+    near = [np.flatnonzero(_within(cx, cy, reach, box)) for box in boxes]
+    row = np.repeat(np.arange(n), [len(k) for k in near])
     provider = np.concatenate(near)
-    part, pair = _ranges(segs.part_start[tract], np.diff(segs.part_start)[tract])
+    part, pair = _ranges(tracts.part_start[index[row]], np.diff(tracts.part_start)[index[row]])
     k = provider[pair]
-    met = np.zeros(len(tract), dtype=bool)
-    met[pair[_disk_hits(segs, cx[k], cy[k], radius[k], part)]] = True
-    return np.bincount(tract[met], minlength=n)
+    met = np.zeros(len(row), dtype=bool)
+    met[pair[_disk_hits(tracts, cx[k], cy[k], radius[k], part)]] = True
+    return np.bincount(row[met], minlength=n)
 
 
 def points_in_tract(
-    points: Sequence[ProjectedPoint], tract: Polygon | Sequence[Polygon]
+    tracts: Tracts, px: np.ndarray, py: np.ndarray, tract: np.ndarray
 ) -> np.ndarray:
-    """point_in_polygon of each point against any part of the tract."""
-    segs = _pack([tract])
-    parts = len(segs.parts)
-    px = np.repeat(np.array([p.x for p in points], dtype=float), parts)
-    py = np.repeat(np.array([p.y for p in points], dtype=float), parts)
-    part = np.tile(np.arange(parts), len(points))
-    hits = _disk_hits(segs, px, py, BOUNDARY_EPS, part)
-    return hits.reshape(len(points), parts).any(axis=1)
+    """Whether each point (px[k], py[k]) lies in any part of tract[k],
+    boundary (within BOUNDARY_EPS) included; a point in a hole is outside."""
+    part, k = _ranges(tracts.part_start[tract], np.diff(tracts.part_start)[tract])
+    inside = np.zeros(len(px), dtype=bool)
+    inside[k[_disk_hits(tracts, px[k], py[k], BOUNDARY_EPS, part)]] = True
+    return inside
 
 
 def queen_adjacency(
-    tracts: Sequence[Polygon | Sequence[Polygon]],
+    tracts: Tracts,
+    index: np.ndarray,
     eps: float = ADJACENCY_EPS,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Queen-contiguity adjacency: tracts sharing any boundary point.
+    """Queen-contiguity adjacency among the tracts of `index`: tracts
+    sharing any boundary point.
 
     Two tracts are neighbors when some vertex of one lies within eps of the
     other's boundary (vertex-to-vertex or vertex-to-segment), checked in
     both directions. Multi-part tracts are tested against every part.
-    Returns (indptr, nbr), intp arrays in CSR form like RoadNetwork's:
-    tract i's neighbours are nbr[indptr[i]:indptr[i + 1]], in ascending
-    order. The relation is symmetric and irreflexive.
+    Returns (indptr, nbr), intp arrays in CSR form like RoadNetwork's over
+    the positions in `index`: the neighbours of index[i] are the
+    nbr[indptr[i]:indptr[i + 1]], in ascending order. The relation is
+    symmetric and irreflexive.
 
     Candidate pairs, whose bboxes come within eps, are found by a sort and
     sweep on bbox xmin; only the vertices within `_reach(eps)` of the other
     tract's bbox are measured.
     """
-    n = len(tracts)
+    index = np.asarray(index, dtype=np.intp)
+    n = len(index)
     if n < 2:
         raise DomainError("queen adjacency needs at least 2 tracts")
-    segs = _pack(tracts)
-    xmin, ymin, xmax, ymax = segs.bounds.T
+    boxes = tracts.bounds[index]
+    xmin, ymin, xmax, ymax = boxes.T
     order = np.argsort(xmin, kind="stable")
     stop = np.searchsorted(xmin[order], xmax[order] + eps, side="right")
     later, earlier = _ranges(np.arange(1, n + 1), stop - np.arange(1, n + 1))
@@ -459,26 +462,25 @@ def queen_adjacency(
     # both directions: the vertices of src against the parts of dst
     src, dst = np.concatenate([a, b]), np.concatenate([b, a])
     pair = np.tile(np.arange(len(a)), 2)
-    vcount = np.diff(segs.vstart)[src]
-    nparts = np.diff(segs.part_start)
-    reach = _reach(eps, segs.scale)
+    vstart = tracts.seg_start[tracts.part_start]
+    vcount = vstart[index[src] + 1] - vstart[index[src]]
+    target = index[dst]
+    reach = _reach(eps, float(np.abs(boxes).max()))
     touching = np.zeros(len(a), dtype=bool)
     for lo, hi in _chunks(vcount):
-        v, q = _ranges(segs.vstart[src[lo:hi]], vcount[lo:hi])
-        near = _within(segs.ax[v], segs.ay[v], reach, segs.bounds[dst[lo:hi][q]].T)
+        v, q = _ranges(vstart[index[src[lo:hi]]], vcount[lo:hi])
+        near = _within(tracts.ax[v], tracts.ay[v], reach, tracts.bounds[target[lo:hi][q]].T)
         v, q = v[near], q[near]
-        target = dst[lo:hi][q]
-        part, w = _ranges(segs.part_start[target], nparts[target])
-        px, py = segs.ax[v][w], segs.ay[v][w]
-        dmin, _ = _scan(segs, px, py, part)
+        t = target[lo:hi][q]
+        part, w = _ranges(tracts.part_start[t], np.diff(tracts.part_start)[t])
+        px, py = tracts.ax[v][w], tracts.ay[v][w]
+        dmin, _ = _scan(tracts, px, py, part)
 
         def scalar(k: int) -> bool:
             vertex = ProjectedPoint(float(px[k]), float(py[k]))
-            return boundary_distance(vertex, segs.parts[part[k]]) <= eps
+            return boundary_distance(vertex, tracts.part_rings(part[k])) <= eps
 
         touching[pair[lo:hi][q[w[_decide(dmin, eps, scalar)]]]] = True
     both = np.tile(touching, 2)
     tail, head = src[both], dst[both]
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
-    return indptr, head[np.lexsort((head, tail))]
+    return _offsets(np.bincount(tail, minlength=n)), head[np.lexsort((head, tail))]

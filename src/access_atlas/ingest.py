@@ -2,7 +2,9 @@
 ten-variable analysis table.
 
 Inputs are deliberately plain: a GeoJSON FeatureCollection for tracts, and
-comma-delimited UTF-8 CSVs with mandatory headers for everything else.
+comma-delimited UTF-8 CSVs with mandatory headers for everything else. The
+tracts are loaded once into the packed `geometry.Tracts` that every later
+stage reads; the table carries the index of each retained tract into it.
 Tracts with any missing, unreachable or unsnappable value are dropped with
 an audit reason rather than imputed.
 """
@@ -12,11 +14,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import (
-    DegenerateGeometry,
     DomainError,
     EmptyTableError,
     RangeError,
@@ -24,16 +26,18 @@ from .errors import (
     SnapError,
 )
 from .geometry import (
-    Polygon,
     ProjectedPoint,
+    Tracts,
     availability_counts,
-    parts_area_centroid,
+    pack_tracts,
     project_lonlat,
+    project_points,
 )
 from .network import (
     DEFAULT_SNAP_MAX_M,
     RoadNetwork,
     multisource_shortest_distances,
+    origin_points,
     parse_finite,
     read_csv_table,
     snap_point,
@@ -82,16 +86,6 @@ KIND_RADII = {
 
 
 @dataclass
-class TractGeometry:
-    """A census tract: id, projected polygon parts, and the raw GeoJSON
-    geometry kept around so outputs can echo the input coordinates."""
-
-    tract_id: str
-    parts: list[Polygon]
-    source_geometry: dict | None = None
-
-
-@dataclass
 class ProviderPoint:
     """A food provider with its service-buffer radius."""
 
@@ -111,10 +105,12 @@ class DemographicRecord:
 
 @dataclass
 class VariableTable:
-    """tract x 10 analysis matrix plus the drop audit."""
+    """tract x 10 analysis matrix plus the drop audit; row i is the tract
+    index[i] of the loaded Tracts, tract_ids[i]."""
 
     tract_ids: list[str]
     values: np.ndarray  # shape (n, 10), columns per VARIABLE_COLUMNS
+    index: np.ndarray
     dropped: list[tuple[str, str]] = field(default_factory=list)
 
     @property
@@ -122,14 +118,11 @@ class VariableTable:
         return len(self.tract_ids)
 
 
-def _project_ring(ring, ref_lon: float, ref_lat: float) -> list[ProjectedPoint]:
-    # a position may carry an altitude (RFC 7946 section 3.1.1); it is ignored
-    return [project_lonlat(lon, lat, ref_lon, ref_lat) for lon, lat, *_ in ring]
-
-
-def _feature_polygons(
-    geometry: dict, ref_lon: float, ref_lat: float, context: str
-) -> list[Polygon]:
+def _add_positions(geometry: dict, context: str, lons, lats, ring_sizes, ring_counts) -> int:
+    """Append the lons and lats (as floats) of every position of a Polygon or
+    MultiPolygon geometry, the size of each ring and the ring count of each
+    part; return its part count. A malformed geometry raises the error of
+    its JSON shape (TypeError, ...)."""
     gtype = geometry.get("type")
     if gtype == "Polygon":
         ring_sets = [geometry["coordinates"]]
@@ -137,28 +130,38 @@ def _feature_polygons(
         ring_sets = geometry["coordinates"]
     else:
         raise SchemaError(f"{context}: unsupported geometry type {gtype!r}")
-    try:
-        parts = [
-            Polygon([_project_ring(ring, ref_lon, ref_lat) for ring in rings])
-            for rings in ring_sets
-        ]
-        # validate areas up front so bad rings fail at load time with context
-        parts_area_centroid(parts)
-    except DegenerateGeometry as exc:
-        raise DegenerateGeometry(f"{context}: {exc}") from None
-    return parts
+    rings = [ring for rings in ring_sets for ring in rings]
+    positions = [position for ring in rings for position in ring]
+    if min(map(len, positions), default=2) < 2:
+        raise ValueError("a position needs a longitude and a latitude")
+    # a position may carry an altitude (RFC 7946 section 3.1.1); it is ignored
+    lon = list(map(itemgetter(0), positions))
+    lat = list(map(itemgetter(1), positions))
+    if not set(map(type, lon + lat)) <= {int, float}:  # the type of true is bool, not int
+        bad = next(v for v in lon + lat if type(v) not in (int, float))
+        raise TypeError(f"coordinate {bad!r} is not a number")
+    lons += map(float, lon)  # OverflowError for an integer beyond the float range
+    lats += map(float, lat)
+    ring_sizes += map(len, rings)
+    ring_counts += map(len, ring_sets)
+    return len(ring_sets)
 
 
 def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token}")
 
 
-def load_tracts(path: str, ref_lon: float, ref_lat: float) -> list[TractGeometry]:
-    """Read a FeatureCollection of Polygon/MultiPolygon tracts.
+def load_tracts(path: str, ref_lon: float, ref_lat: float) -> Tracts:
+    """Read a FeatureCollection of Polygon/MultiPolygon tracts into one
+    packed `Tracts`, in file order.
 
-    Every feature needs a unique `tract_id` property. Geometries are
-    projected into local meters about (ref_lon, ref_lat); a degenerate ring
-    fails with the tract id attached.
+    Every feature needs a unique, non-empty `tract_id` property and
+    coordinates that are JSON numbers (true and false are not). All
+    features are checked first, in file order, so a schema fault anywhere
+    in the file is reported before any geometry fault. Then every position
+    is projected into local meters about (ref_lon, ref_lat) at once; the
+    first point off the local plane raises DomainError, and a degenerate
+    ring or part fails with its tract id attached.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -168,7 +171,11 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> list[TractGeometry
     features = doc.get("features", []) if isinstance(doc, dict) else None
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise SchemaError(f"{path}: expected a FeatureCollection")
-    tracts: list[TractGeometry] = []
+    ids: list[str] = []
+    geometries: list[dict] = []
+    lons: list[float] = []  # of every position, in file order
+    lats: list[float] = []
+    ring_sizes, ring_counts, part_counts = [], [], []
     seen: set[str] = set()
     for idx, feature in enumerate(features):
         try:
@@ -183,14 +190,23 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> list[TractGeometry
                 raise SchemaError(f"{path}: duplicate tract_id {tract_id!r}")
             seen.add(tract_id)
             geometry = feature.get("geometry") or {}
-            parts = _feature_polygons(geometry, ref_lon, ref_lat, f"tract {tract_id}")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            parts = _add_positions(
+                geometry, f"tract {tract_id}", lons, lats, ring_sizes, ring_counts
+            )
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             # a non-object where an object belongs, a missing or non-numeric coordinate
             raise SchemaError(f"{path}: feature {idx} is not a valid feature: {exc!r}") from None
-        tracts.append(
-            TractGeometry(tract_id=tract_id, parts=parts, source_geometry=geometry)
-        )
-    return tracts
+        ids.append(tract_id)
+        geometries.append(geometry)
+        part_counts.append(parts)
+    lon, lat = np.array(lons, dtype=float), np.array(lats, dtype=float)
+    del lons, lats
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, valid = project_points(lon, lat, ref_lon, ref_lat)
+    if not valid.all():  # the first point off the plane raises its error
+        k = int(valid.argmin())
+        project_lonlat(float(lon[k]), float(lat[k]), ref_lon, ref_lat)
+    return pack_tracts(ids, geometries, x, y, ring_sizes, ring_counts, part_counts)
 
 
 def load_providers(path: str, ref_lon: float, ref_lat: float) -> list[ProviderPoint]:
@@ -273,7 +289,7 @@ def load_demographics(path: str) -> list[DemographicRecord]:
 
 
 def assemble_variable_table(
-    tracts: list[TractGeometry],
+    tracts: Tracts,
     providers: list[ProviderPoint],
     net: RoadNetwork,
     demographics: list[DemographicRecord],
@@ -305,44 +321,46 @@ def assemble_variable_table(
 
     demo_by_id = {rec.tract_id: rec for rec in demographics}
 
-    retained: list[TractGeometry] = []
+    order = sorted(range(len(tracts.ids)), key=tracts.ids.__getitem__)
+    retained: list[int] = []
     rows: list[list[float]] = []
     dropped: list[tuple[str, str]] = []
-    for tract in sorted(tracts, key=lambda t: t.tract_id):
-        rec = demo_by_id.get(tract.tract_id)
+    for i, points in zip(order, origin_points(tracts, order, ace_net_mode)):
+        tract_id = tracts.ids[i]
+        rec = demo_by_id.get(tract_id)
         if rec is None:
-            dropped.append((tract.tract_id, "missing demographics"))
+            dropped.append((tract_id, "missing demographics"))
             continue
         missing = [name for name in DEMOGRAPHIC_COLUMNS if rec.values[name] is None]
         if missing:
-            dropped.append((tract.tract_id, f"missing {missing[0]}"))
+            dropped.append((tract_id, f"missing {missing[0]}"))
             continue
         try:
-            ace_net = tract_network_distance(
-                tract.parts, net, distances, ace_net_mode, max_snap_m=max_snap_m
-            )
+            ace_net = tract_network_distance(points, net, distances, max_snap_m=max_snap_m)
         except SnapError as exc:
-            dropped.append((tract.tract_id, f"unsnappable ({exc.distance_m:.0f} m)"))
+            dropped.append((tract_id, f"unsnappable ({exc.distance_m:.0f} m)"))
             continue
         if ace_net is None:
-            dropped.append((tract.tract_id, "unreachable"))
+            dropped.append((tract_id, "unreachable"))
             continue
         row = [0.0, rec.values["AV_POP"], ace_net]  # AV_INT is filled in below
         row += (rec.values[name] for name in VARIABLE_COLUMNS[3:])
-        retained.append(tract)
+        retained.append(i)
         rows.append(row)
     for tract_id, reason in dropped:
         log.warning("dropping tract %s: %s", tract_id, reason)
-    for tract_id in sorted(demo_by_id.keys() - {t.tract_id for t in tracts}):
+    for tract_id in sorted(demo_by_id.keys() - set(tracts.ids)):
         log.warning("ignoring demographics row %s: no tract geometry", tract_id)
     if not rows:
         raise EmptyTableError("all tracts were dropped; nothing to analyze")
+    index = np.array(retained, dtype=np.intp)
     values = np.array(rows, dtype=float)
     values[:, 0] = availability_counts(
-        [t.parts for t in retained], [(p.location, p.radius_m) for p in providers]
+        tracts, index, [(p.location, p.radius_m) for p in providers]
     )
     return VariableTable(
-        tract_ids=[t.tract_id for t in retained],
+        tract_ids=[tracts.ids[i] for i in retained],
         values=values,
+        index=index,
         dropped=dropped,
     )

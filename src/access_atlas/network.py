@@ -5,15 +5,19 @@ filtered to the road classes people actually walk or drive locally
 (motorways are excluded by default). Distances to the nearest supermarket
 come from a single multi-source Dijkstra pass seeded with every
 supermarket's snap node; `tract_network_distance` reads each tract's
-distance from that one shared array.
+distance from that one shared array at the snapped nodes of its origin
+points. `origin_points` takes those from the packed `Tracts`: the stored
+centroids, or the grid-K samples of every tract from one `points_in_tract`
+call.
 
 `read_csv_table` reads all four CSV inputs (the road nodes and edges here,
 the providers and demographics in `ingest`): it matches the header, skips
 blank rows, strips every cell, checks each row's width and returns the
 whole file as columns. The road loaders parse those columns with array
-operations into `RoadNodes` and `RoadEdges`; a bad cell is found by mask
-and reported by the scalar check of its row, so the first bad row in file
-order gives the error.
+operations into `RoadNodes` and `RoadEdges` (lon/lat nodes are projected
+by `geometry.project_points`, the one copy of the projection formula); a
+bad cell is found by mask and reported by the scalar check of its row, so
+the first bad row in file order gives the error.
 
 `build_network` owns node order: it sorts the kept ids once by
 `_node_sort_key` (decimal ids numerically, then the rest by string), and a
@@ -36,15 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, RangeError, SchemaError, SnapError
-from .geometry import (
-    EARTH_RADIUS_M,
-    Polygon,
-    ProjectedPoint,
-    parts_area_centroid,
-    parts_bounds,
-    points_in_tract,
-    project_lonlat,
-)
+from .geometry import ProjectedPoint, Tracts, points_in_tract, project_lonlat, project_points
 
 DEFAULT_ROAD_CLASSES = frozenset(
     {"residential", "living_street", "unclassified", "tertiary", "secondary", "primary"}
@@ -257,9 +253,8 @@ def load_road_nodes(
     """Read the node CSV; header decides the coordinate convention.
 
     `node_id,x,y` is taken as projected meters; `node_id,lon,lat` is
-    projected with the supplied reference point at ingest, by the float
-    operations of `project_lonlat` in its order, so each coordinate is the
-    same to the bit. An empty or repeated id, a coordinate that is not a
+    projected with the supplied reference point at ingest, all at once by
+    `project_points`. An empty or repeated id, a coordinate that is not a
     finite number, or a point `project_lonlat` rejects raises the error of
     the first such row.
     """
@@ -273,11 +268,8 @@ def load_road_nodes(
     with np.errstate(over="ignore", invalid="ignore"):
         ok = np.isfinite(u) & np.isfinite(v)
         if geographic:
-            rad = math.pi / 180.0
-            xs = EARTH_RADIUS_M * (u - ref_lon) * rad * math.cos(ref_lat * rad)
-            ys = EARTH_RADIUS_M * (v - ref_lat) * rad
-            ok &= (-89.0 < v) & (v < 89.0) & (-89.0 < ref_lat < 89.0)
-            ok &= (np.abs(xs) < 1e7) & (np.abs(ys) < 1e7)
+            xs, ys, valid = project_points(u, v, ref_lon, ref_lat)
+            ok &= valid
         else:
             xs, ys = u, v
     bad = ~ok | _blank(ids) | _repeated(ids)
@@ -385,17 +377,6 @@ def multisource_shortest_distances(
     return np.array(dist, dtype=float)
 
 
-def _grid_sample_points(parts: Sequence[Polygon], k: int) -> list[ProjectedPoint]:
-    """Cell centers of a k x k grid over the bbox, kept if inside a part."""
-    xmin, ymin, xmax, ymax = parts_bounds(parts)
-    pts = [
-        ProjectedPoint(xmin + (i + 0.5) * (xmax - xmin) / k, ymin + (j + 0.5) * (ymax - ymin) / k)
-        for j in range(k)
-        for i in range(k)
-    ]
-    return [pt for pt, inside in zip(pts, points_in_tract(pts, parts)) if inside]
-
-
 def sampling_grid_size(mode: str) -> int | None:
     """K of ace_net_mode "grid-K", None for "centroid"; DomainError otherwise."""
     m = re.fullmatch(r"centroid|grid-([1-9][0-9]*)", mode)
@@ -404,28 +385,43 @@ def sampling_grid_size(mode: str) -> int | None:
     return int(m[1]) if m[1] else None
 
 
+def origin_points(tracts: Tracts, index, mode: str) -> list[list[ProjectedPoint]]:
+    """The points each tract of `index` (indices into tracts) is measured
+    from. Mode "centroid" gives its area centroid; mode "grid-K" the centres
+    of the cells of a K x K grid over its bbox that lie inside it, row by
+    row from the south, or its centroid when none does. One points_in_tract
+    call tests the grid points of every tract."""
+    k = sampling_grid_size(mode)
+    origins = [[ProjectedPoint(x, y)] for x, y in tracts.centroid[index].tolist()]
+    if k is None:
+        return origins
+    xmin, ymin, xmax, ymax = tracts.bounds[index].T[:, :, None]
+    row, col = np.divmod(np.arange(k * k), k)
+    px = xmin + (col + 0.5) * (xmax - xmin) / k
+    py = ymin + (row + 0.5) * (ymax - ymin) / k
+    inside = points_in_tract(tracts, px.ravel(), py.ravel(), np.repeat(index, k * k))
+    return [
+        [ProjectedPoint(x, y) for x, y, kept in zip(xs, ys, keep) if kept] or centroid
+        for centroid, xs, ys, keep in zip(
+            origins, px.tolist(), py.tolist(), inside.reshape(px.shape).tolist()
+        )
+    ]
+
+
 def tract_network_distance(
-    parts: Sequence[Polygon],
+    points: Sequence[ProjectedPoint],
     net: RoadNetwork,
     distances: np.ndarray,
-    mode: str = "centroid",
     *,
     max_snap_m: float,
 ) -> float | None:
-    """Network distance from a tract to its nearest supermarket, or None if
-    no sample of the tract reaches one.
-
-    `distances` is the shared array from multisource_shortest_distances. Mode
-    "centroid" uses the snapped area centroid; mode "grid-K" averages the
-    distances at the snapped nodes of a K x K interior sample grid (sample
-    points outside the polygon are discarded; if none remain the centroid
-    is used). Unreachable samples are excluded from the mean. A sample
-    beyond max_snap_m from every node raises SnapError.
+    """Network distance from a tract to its nearest supermarket: the mean of
+    `distances`, the shared array from multisource_shortest_distances, at
+    the snapped nodes of the tract's origin points (`origin_points`), or
+    None if none of them reaches one. Unreachable points are excluded from
+    the mean; a point beyond max_snap_m from every node raises SnapError.
     """
-    k = sampling_grid_size(mode)
-    _, centroid = parts_area_centroid(parts)
-    sample_points = [centroid] if k is None else (_grid_sample_points(parts, k) or [centroid])
-    reached = [float(distances[snap_point(pt, net, max_snap_m)]) for pt in sample_points]
+    reached = [float(distances[snap_point(pt, net, max_snap_m)]) for pt in points]
     values = [d for d in reached if d < math.inf]
     if not values:
         return None

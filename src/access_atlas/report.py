@@ -26,8 +26,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import DomainError
-from .geometry import parts_bounds
-from .ingest import TractGeometry, VariableTable, VARIABLE_COLUMNS
+from .geometry import Tracts
+from .ingest import VariableTable, VARIABLE_COLUMNS
 from .stats import ContributorThresholds, MoranResult, PcaResult, classify_contributors
 
 # Ordered box-map classes, lowest to highest.
@@ -187,36 +187,37 @@ def emit_pca_tables(
 
 
 def emit_geojson(
-    tracts: list[TractGeometry],
+    tracts: Tracts,
     table: VariableTable,
     scores: np.ndarray,
     classes: list[list[str]],
 ) -> dict[str, Iterator[str]]:
-    """Render scores.geojson: a FeatureCollection echoing input geometry
-    with score/class properties (pcK_score, pcK_class) for the len(classes)
-    mapped components. Row i of scores and entry i of each class column
-    belong to table.tract_ids[i]. Dropped tracts keep their geometry, carry
-    null scores, and record their dropped_reason from table.dropped.
+    """Render scores.geojson: a FeatureCollection echoing the input geometry
+    of every tract, in tract_id order, with score/class properties
+    (pcK_score, pcK_class) for the len(classes) mapped components. Row i of
+    scores and entry i of each class column belong to the tract
+    table.index[i]. Dropped tracts keep their geometry, carry null scores,
+    and record their dropped_reason from table.dropped.
 
     The document comes back as a lazy stream of text chunks, so it is never
     held as one string."""
-    row_of = {tid: i for i, tid in enumerate(table.tract_ids)}
+    row_of = dict(zip(table.index.tolist(), range(table.n)))
     dropped = dict(table.dropped)
     features = []
-    for tract in sorted(tracts, key=lambda t: t.tract_id):
-        i = row_of.get(tract.tract_id)
-        props: dict[str, object] = {"tract_id": tract.tract_id}
+    for tract_id, t in sorted(zip(tracts.ids, range(len(tracts.ids)))):
+        i = row_of.get(t)
+        props: dict[str, object] = {"tract_id": tract_id}
         for c in range(len(classes)):
             props[f"pc{c + 1}_score"] = None if i is None else round(float(scores[i, c]), 6)
         for c, column in enumerate(classes):
             props[f"pc{c + 1}_class"] = None if i is None else column[i]
         if i is None:
-            props["dropped_reason"] = dropped[tract.tract_id]
+            props["dropped_reason"] = dropped[tract_id]
         features.append(
             {
                 "type": "Feature",
                 "properties": props,
-                "geometry": tract.source_geometry,
+                "geometry": tracts.source_geometry[t],
             }
         )
     doc = {"type": "FeatureCollection", "features": features}
@@ -224,18 +225,20 @@ def emit_geojson(
 
 
 def emit_svg_choropleth(
-    tracts: list[TractGeometry], class_columns: list[list[str]]
+    tracts: Tracts, index: np.ndarray, class_columns: list[list[str]]
 ) -> dict[str, str]:
     """Render one box-map choropleth per class column as SVG:
     boxmap_pc<k>.svg maps class_columns[k - 1], whose entry i is the class
-    of tracts[i].
+    of the tract index[i].
 
     One path per tract (holes via even-odd fill), in the order given, filled
     from the fixed 6-color palette, plus a 6-swatch legend. The bounds, the
     scale, every tract's path and the legend are drawn once and shared, so
     the maps differ only in their title and fills. Output is deterministic.
     """
-    xmin, ymin, xmax, ymax = parts_bounds([p for t in tracts for p in t.parts])
+    bounds = tracts.bounds[index]
+    xmin, ymin = bounds[:, :2].min(axis=0).tolist()
+    xmax, ymax = bounds[:, 2:].max(axis=0).tolist()
     pad = 10.0
     legend_w = 150.0
     map_w = SVG_WIDTH - legend_w - 2 * pad
@@ -243,18 +246,21 @@ def emit_svg_choropleth(
     span_x = xmax - xmin or 1.0
     span_y = ymax - ymin or 1.0
     scale = min(map_w / span_x, map_h / span_y)
+    # every vertex in SVG coordinates; each ring drops its closing repeat
+    sx = pad + (tracts.x - xmin) * scale
+    sy = pad + (ymax - tracts.y) * scale
+    ring_start = tracts.ring_start.tolist()
+    rings = tracts.part_ring[tracts.part_start].tolist()  # tract t's: rings[t]:rings[t + 1]
     paths = [
         " ".join(
             "M "
             + " L ".join(
-                f"{pad + (x - xmin) * scale:.2f},{pad + (ymax - y) * scale:.2f}"
-                for x, y in ring[:-1]
+                map("{:.2f},{:.2f}".format, sx[lo : hi - 1].tolist(), sy[lo : hi - 1].tolist())
             )
             + " Z"
-            for part in tract.parts
-            for ring in part.rings
+            for lo, hi in zip(ring_start[rings[t] : rings[t + 1]], ring_start[rings[t] + 1 :])
         )
-        for tract in tracts
+        for t in index.tolist()
     ]
     lx = SVG_WIDTH - legend_w
     legend = []

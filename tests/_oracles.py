@@ -1,37 +1,41 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written with different algorithms than the
-code under test: Floyd-Warshall and Bellman-Ford instead of Dijkstra, the closed-form
-characteristic-cubic solution instead of LAPACK's eigh, winding numbers
-instead of ray casting, dense boundary sampling instead of exact
-segment distances, a per-tract loop (in floats or exact fractions)
-instead of the batched Moran kernel, row-standardised weights built one
-tract at a time instead of by array operations on the CSR adjacency, a
-scan over every node id in sorted order instead of one numpy pass over
-the coordinate arrays, and scalar
-loops over every (provider, part) and every tract pair instead of the
-batched numpy segment kernel, a row-by-row road loader and graph build
-instead of the column passes, and a box-map renderer that draws one map
-per call instead of one shared frame for every map. Tests that need scipy compare
-against it where it is installed: csgraph's Dijkstra and LAPACK's eigh
-through scipy.linalg; likewise networkx's multi-source Dijkstra.
+code under test: Floyd-Warshall and Bellman-Ford instead of Dijkstra, the
+closed-form characteristic-cubic solution instead of LAPACK's eigh, winding
+numbers instead of ray casting, dense boundary sampling instead of exact
+segment distances, a per-tract loop (in floats or exact fractions) instead
+of the batched Moran kernel, row-standardised weights built one tract at a
+time instead of by array operations on the CSR adjacency, a scan over every
+node id in sorted order instead of one numpy pass over the coordinate
+arrays, scalar loops over every (provider, part) and every tract pair
+instead of the batched numpy segment kernel, list-form polygons (`Polygon`,
+rings of ProjectedPoint tuples) with scalar shoelace loops for area,
+centroid and bbox instead of the packed `geometry.Tracts` and its array
+sums, a row-by-row road loader and graph build instead of the column
+passes, and a box-map renderer that draws one map per call instead of one
+shared frame for every map. Tests that need scipy compare against it where
+it is installed: csgraph's Dijkstra and LAPACK's eigh through scipy.linalg;
+likewise networkx's multi-source Dijkstra.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from access_atlas.errors import DomainError, SchemaError, SnapError
+from access_atlas.errors import DegenerateGeometry, DomainError, SchemaError, SnapError
 from access_atlas.geometry import (
     ADJACENCY_EPS,
-    Polygon,
+    BOUNDARY_EPS,
     ProjectedPoint,
+    Tracts,
     boundary_distance,
     circle_intersects_polygon,
-    parts_bounds,
+    pack_tracts,
     project_lonlat,
 )
 from access_atlas.network import (
@@ -328,8 +332,135 @@ def snap_loop(pt, net, max_snap_m: float = 500.0) -> int:
     return best
 
 
+@dataclass
+class Polygon:
+    """A polygon in list form: an exterior ring and optional holes, each a
+    list of ProjectedPoint vertices.
+
+    Rings are stored closed (first vertex repeated at the end). The first
+    ring is the exterior; any further rings are holes. Construction closes
+    unclosed rings and rejects rings with fewer than 3 distinct vertices;
+    area validity is checked by polygon_area_centroid.
+    """
+
+    rings: list[list[ProjectedPoint]]
+
+    def __post_init__(self) -> None:
+        if not self.rings:
+            raise DegenerateGeometry("polygon has no rings")
+        closed = []
+        for ring in self.rings:
+            pts = [ProjectedPoint(float(p[0]), float(p[1])) for p in ring]
+            if len(set(pts)) < 3:
+                raise DegenerateGeometry(
+                    f"ring needs >= 3 distinct vertices, got {len(set(pts))}"
+                )
+            if pts[0] != pts[-1]:
+                pts.append(pts[0])
+            closed.append(pts)
+        self.rings = closed
+
+
+def parts_bounds(parts) -> tuple[float, float, float, float]:
+    """(xmin, ymin, xmax, ymax) over every ring of every part."""
+    xs = [p.x for part in parts for ring in part.rings for p in ring]
+    ys = [p.y for part in parts for ring in part.rings for p in ring]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def ring_signed_area_centroid(ring) -> tuple[float, float, float]:
+    """Signed shoelace area and centroid of one closed ring, by a scalar
+    loop over its vertices; the centroid is independent of orientation."""
+    a2 = 0.0  # twice the signed area
+    cx = 0.0
+    cy = 0.0
+    for i in range(len(ring) - 1):
+        x0, y0 = ring[i]
+        x1, y1 = ring[i + 1]
+        cross = x0 * y1 - x1 * y0
+        a2 += cross
+        cx += (x0 + x1) * cross
+        cy += (y0 + y1) * cross
+    if a2 == 0.0:
+        return 0.0, 0.0, 0.0
+    area = 0.5 * a2
+    return area, cx / (6.0 * area), cy / (6.0 * area)
+
+
+def polygon_area_centroid(p: Polygon) -> tuple[float, ProjectedPoint]:
+    """Net area (holes subtracted) and area-weighted centroid of a polygon;
+    DegenerateGeometry when the net area is not positive."""
+    net = 0.0
+    mx = 0.0
+    my = 0.0
+    for k, ring in enumerate(p.rings):
+        area, cx, cy = ring_signed_area_centroid(ring)
+        w = abs(area) if k == 0 else -abs(area)
+        net += w
+        mx += w * cx
+        my += w * cy
+    if net <= 0.0:
+        raise DegenerateGeometry(f"polygon net area {net} is not positive")
+    return net, ProjectedPoint(mx / net, my / net)
+
+
+def parts_area_centroid(parts) -> tuple[float, ProjectedPoint]:
+    """Combined area and area-weighted centroid of a multi-part geometry."""
+    total = 0.0
+    mx = 0.0
+    my = 0.0
+    for part in parts:
+        area, c = polygon_area_centroid(part)
+        total += area
+        mx += area * c.x
+        my += area * c.y
+    if total <= 0.0:
+        raise DegenerateGeometry("multi-part geometry has no positive area")
+    return total, ProjectedPoint(mx / total, my / total)
+
+
+def point_in_polygon(pt, p: Polygon) -> bool:
+    """The scalar point-in-polygon test: a disk of radius BOUNDARY_EPS, so
+    the boundary counts as inside and a point in a hole is outside."""
+    return circle_intersects_polygon(pt, BOUNDARY_EPS, p.rings)
+
+
 def _parts(tract) -> list:
     return [tract] if isinstance(tract, Polygon) else list(tract)
+
+
+def _rings(part) -> list:
+    return part.rings if isinstance(part, Polygon) else part
+
+
+def pack(tracts, ids=None) -> Tracts:
+    """geometry.pack_tracts of list-form tracts, with ids t0, t1, ... unless
+    given: each tract a Polygon or a list of parts, each part a Polygon or a
+    list of rings of (x, y) vertices, closed or not."""
+    parts_list = [_parts(t) for t in tracts]
+    parts = [part for ps in parts_list for part in ps]
+    rings = [ring for part in parts for ring in _rings(part)]
+    vertices = [v for ring in rings for v in ring]
+    return pack_tracts(
+        list(ids or (f"t{i}" for i in range(len(tracts)))),
+        [None] * len(tracts),
+        [v[0] for v in vertices],
+        [v[1] for v in vertices],
+        [len(ring) for ring in rings],
+        [len(_rings(part)) for part in parts],
+        [len(ps) for ps in parts_list],
+    )
+
+
+def list_form(tracts: Tracts, index) -> list[list[Polygon]]:
+    """The tracts of `index` as lists of list-form parts."""
+    return [
+        [
+            Polygon(tracts.part_rings(p))
+            for p in range(tracts.part_start[i], tracts.part_start[i + 1])
+        ]
+        for i in index
+    ]
 
 
 def availability_loop(tract, providers) -> int:
@@ -340,7 +471,7 @@ def availability_loop(tract, providers) -> int:
     return sum(
         1
         for location, radius in providers
-        if any(circle_intersects_polygon(location, radius, part) for part in parts)
+        if any(circle_intersects_polygon(location, radius, part.rings) for part in parts)
     )
 
 
@@ -354,7 +485,7 @@ def queen_adjacency_loop(tracts, eps: float = ADJACENCY_EPS) -> list[set[int]]:
     boxes = [parts_bounds(parts) for parts in parts_list]
 
     def near(vertices, parts) -> bool:
-        return any(boundary_distance(v, part) <= eps for v in vertices for part in parts)
+        return any(boundary_distance(v, part.rings) <= eps for v in vertices for part in parts)
 
     adj: list[set[int]] = [set() for _ in tracts]
     for i in range(len(tracts)):
@@ -374,11 +505,12 @@ def queen_adjacency_loop(tracts, eps: float = ADJACENCY_EPS) -> list[set[int]]:
 
 
 def svg_choropleth_loop(tracts, classes, component_index) -> str:
-    """The box map of one component, classes[i] filling tracts[i]: bounds,
-    scale, paths and legend drawn afresh, each vertex transformed by a
-    closure; a drop-in for one file of report.emit_svg_choropleth."""
-    xs = [p.x for t in tracts for part in t.parts for ring in part.rings for p in ring]
-    ys = [p.y for t in tracts for part in t.parts for ring in part.rings for p in ring]
+    """The box map of one component, classes[i] filling tracts[i], each a
+    list of Polygon parts: bounds, scale, paths and legend drawn afresh,
+    each vertex transformed by a closure; a drop-in for one file of
+    report.emit_svg_choropleth."""
+    xs = [p.x for parts in tracts for part in parts for ring in part.rings for p in ring]
+    ys = [p.y for parts in tracts for part in parts for ring in part.rings for p in ring]
     xmin, ymin, xmax, ymax = min(xs), min(ys), max(xs), max(ys)
     pad, legend_w = 10.0, 150.0
     scale = min(
@@ -396,8 +528,8 @@ def svg_choropleth_loop(tracts, classes, component_index) -> str:
         f"PC{component_index + 1} box map (hinge classes)</text>",
         '<g stroke="#333333" stroke-width="1" fill-rule="evenodd">',
     ]
-    for tract, cls in zip(tracts, classes, strict=True):
-        rings = [ring[:-1] for part in tract.parts for ring in part.rings]
+    for parts, cls in zip(tracts, classes, strict=True):
+        rings = [ring[:-1] for part in parts for ring in part.rings]
         d = " ".join(
             "M " + " L ".join(f"{to_svg(p)[0]:.2f},{to_svg(p)[1]:.2f}" for p in ring) + " Z"
             for ring in rings

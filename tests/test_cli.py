@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from access_atlas import cli, geometry, ingest, report, stats
 
-from _oracles import queen_adjacency_loop
+from _oracles import list_form, queen_adjacency_loop
 
 
 def run(args):
@@ -99,6 +99,20 @@ def test_empty_tract_id_exits_2(minitown_dir, tmp_path, capsys):
     (work / "demographics.csv").write_text(demographics.replace("\nt12,", "\n,"))
     assert run(args) == 2
     assert capsys.readouterr().err == f"error: {work / 'demographics.csv'} row 3: empty tract_id\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [True, 10**400], ids=["boolean", "huge-integer"])
+def test_non_float_tract_coordinate_exits_2(minitown_dir, tmp_path, capsys, value):
+    # true used to pass as 1.0 (exit 0, the vertex some 7,300 km east), and a
+    # 400-digit integer crashed the run with an OverflowError (exit 1)
+    work = minitown_copy(minitown_dir, tmp_path)
+    doc = read_json(work / "tracts.geojson")
+    doc["features"][2]["geometry"]["coordinates"][0][1][0] = value
+    (work / "tracts.geojson").write_text(json.dumps(doc))
+    args = ["variables", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+    assert run(args) == 2
+    assert "tracts.geojson: feature 2 is not a valid feature" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -320,8 +334,7 @@ def test_constant_moran_column_exits_3_naming_it(minitown_dir, tmp_path, capsys)
 
 def test_moran_logs_adjacency_shape(minitown_config, minitown_table, tmp_path, caplog):
     tracts, table = minitown_table
-    by_id = {t.tract_id: t for t in tracts}
-    want = queen_adjacency_loop([by_id[tid].parts for tid in table.tract_ids])
+    want = queen_adjacency_loop(list_form(tracts, table.index))
     links, islands = sum(map(len, want)) // 2, sum(1 for s in want if not s)
     with caplog.at_level("INFO", logger="access_atlas.cli"):
         assert run(["moran", "--config", minitown_config, "--out", str(tmp_path / "out")]) == 0
@@ -413,6 +426,18 @@ def test_report_builds_table_and_pca_once(minitown_config, tmp_path, monkeypatch
     assert calls == {"assemble_variable_table": 1, "pca": 1}
 
 
+@pytest.mark.parametrize("mode", ["centroid", "grid-3"])
+def test_report_packs_the_tracts_once(minitown_config, tmp_path, monkeypatch, mode):
+    # AV_INT, the adjacency, the grid sampler and the box maps all read the
+    # one Tracts that load_tracts built
+    calls = []
+    init = geometry.Tracts.__init__
+    monkeypatch.setattr(geometry.Tracts, "__init__", lambda *a: calls.append(1) or init(*a))
+    args = ["report", "--config", minitown_config, "--out", str(tmp_path / "out")]
+    assert run([*args, "--ace-net-mode", mode]) == 0
+    assert len(calls) == 1
+
+
 def test_report_renders_every_box_map_in_one_call(minitown_config, tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, (report, "emit_geojson"), (report, "emit_svg_choropleth"))
     assert run(["report", "--config", minitown_config, "--out", str(tmp_path / "out")]) == 0
@@ -449,6 +474,20 @@ def test_report_golden_bytes(minitown_config, tmp_path):
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+
+
+# variables.csv of `report --ace-net-mode grid-3`: the pins above cover
+# centroid mode only, and grid sampling reads the tract bboxes and the
+# point-in-tract test besides the centroids
+GRID3_VARIABLES_SHA256 = "f6d3c554ba3f8b48e522eb7a8b5883cd32061b166a08fc9948760dafb662f1b7"
+
+
+def test_grid3_report_golden_variables(minitown_config, tmp_path):
+    out = tmp_path / "out"
+    args = ["report", "--config", minitown_config, "--out", str(out), "--ace-net-mode", "grid-3"]
+    assert run(args) == 0
+    digest = hashlib.sha256((out / "variables.csv").read_bytes()).hexdigest()
+    assert digest == GRID3_VARIABLES_SHA256
 
 
 def test_projected_road_nodes_give_the_golden_bundle(minitown_dir, tmp_path):

@@ -7,24 +7,47 @@ from hypothesis import given, strategies as st
 from access_atlas import geometry
 from access_atlas.errors import DegenerateGeometry, DomainError
 from access_atlas.geometry import (
-    Polygon,
     ProjectedPoint,
     availability_counts,
     circle_intersects_polygon,
-    parts_area_centroid,
-    point_in_polygon,
-    polygon_area_centroid,
+    points_in_tract,
     project_lonlat,
+    project_points,
     queen_adjacency,
 )
 
-from _oracles import disk_intersects_sampled, neighbour_sets
+from _oracles import (
+    Polygon,
+    disk_intersects_sampled,
+    neighbour_sets,
+    pack,
+    parts_area_centroid,
+    parts_bounds,
+)
+from _oracles import point_in_polygon as scalar_point_in_polygon
 
 KM_SQUARE = Polygon([[(0, 0), (1000, 0), (1000, 1000), (0, 1000)]])
 
 
 def square(x0, y0, size=1000.0):
     return Polygon([[(x0, y0), (x0 + size, y0), (x0 + size, y0 + size), (x0, y0 + size)]])
+
+
+def area_centroid(tract):
+    """Area and centroid of one list-form tract, packed."""
+    packed = pack([tract])
+    return float(packed.area[0]), ProjectedPoint(*packed.centroid[0].tolist())
+
+
+def point_in_polygon(pt, tract) -> bool:
+    """points_in_tract of one point against one list-form tract."""
+    inside = points_in_tract(pack([tract]), np.array([pt[0]]), np.array([pt[1]]), np.zeros(1, int))
+    return bool(inside[0])
+
+
+def adjacency(tracts):
+    """queen_adjacency of every tract of a list, packed."""
+    return queen_adjacency(pack(tracts), np.arange(len(tracts)))
 
 
 # ---------------------------------------------------------------- projection
@@ -49,6 +72,17 @@ def test_project_longitude_shrinks_with_latitude():
     assert p.x == pytest.approx(expected_x, abs=1e-9)
 
 
+def test_array_projection_keeps_the_bits_of_the_scalar_one():
+    rng = np.random.default_rng(3)
+    lon, lat = rng.uniform(-88.5, -86.9, size=500), rng.uniform(41.2, 42.5, size=500)
+    x, y, valid = project_points(lon, lat, -87.7, 41.85)
+    assert valid.all()
+    want = [project_lonlat(a, b, -87.7, 41.85) for a, b in zip(lon.tolist(), lat.tolist())]
+    assert list(zip(x.tolist(), y.tolist())) == want
+    lat[7], lon[9] = 89.5, 60.0  # beyond the pole band; off the local plane
+    assert np.flatnonzero(~project_points(lon, lat, -87.7, 41.85)[2]).tolist() == [7, 9]
+
+
 def test_project_rejects_pole():
     with pytest.raises(DomainError):
         project_lonlat(0.0, 90.0, 0.0, 41.85)
@@ -65,41 +99,41 @@ def test_project_rejects_out_of_plane():
 
 
 def test_unit_square_area_centroid():
-    area, c = polygon_area_centroid(KM_SQUARE)
+    area, c = area_centroid(KM_SQUARE)
     assert area == pytest.approx(1e6)
     assert c == pytest.approx((500.0, 500.0))
 
 
 def test_l_shape_area_centroid():
     # decomposes into a 2000x1000 and a 1000x1000 rectangle
-    l_shape = Polygon(
-        [[(0, 0), (2000, 0), (2000, 1000), (1000, 1000), (1000, 2000), (0, 2000)]]
-    )
-    area, c = polygon_area_centroid(l_shape)
+    l_shape = [[[(0, 0), (2000, 0), (2000, 1000), (1000, 1000), (1000, 2000), (0, 2000)]]]
+    area, c = area_centroid(l_shape)
     assert area == pytest.approx(3e6)
     assert c.x == pytest.approx(2500 / 3, rel=1e-12)
     assert c.y == pytest.approx(2500 / 3, rel=1e-12)
 
 
 def test_collinear_ring_is_degenerate():
-    collinear = Polygon([[(0, 0), (1000, 1000), (2000, 2000)]])
-    with pytest.raises(DegenerateGeometry):
-        polygon_area_centroid(collinear)
+    collinear = [[[(0, 0), (1000, 1000), (2000, 2000)]]]
+    message = "^tract t0: polygon net area 0.0 is not positive$"
+    with pytest.raises(DegenerateGeometry, match=message):
+        pack([collinear])
 
 
 def test_too_few_vertices_rejected_at_construction():
-    with pytest.raises(DegenerateGeometry):
-        Polygon([[(0, 0), (1000, 0), (0, 0)]])
+    message = "^tract t0: ring needs >= 3 distinct vertices, got 2$"
+    with pytest.raises(DegenerateGeometry, match=message):
+        pack([[[[(0, 0), (1000, 0), (0, 0)]]]])
 
 
 def test_hole_subtracted_from_area_and_centroid():
-    holed = Polygon(
+    holed = [
         [
             [(0, 0), (1000, 0), (1000, 1000), (0, 1000)],
             [(0, 0), (200, 0), (200, 200), (0, 200)],
         ]
-    )
-    area, c = polygon_area_centroid(holed)
+    ]
+    area, c = area_centroid(holed)
     assert area == pytest.approx(1e6 - 4e4)
     # weighted subtraction: (1e6*(500,500) - 4e4*(100,100)) / 9.6e5
     assert c.x == pytest.approx((1e6 * 500 - 4e4 * 100) / 9.6e5)
@@ -109,7 +143,7 @@ def test_hole_subtracted_from_area_and_centroid():
 def test_multi_part_centroid_is_area_weighted():
     a = square(0, 0, 1000)  # area 1e6, centroid (500, 500)
     b = square(3000, 0, 500)  # area 2.5e5, centroid (3250, 250)
-    area, c = parts_area_centroid([a, b])
+    area, c = area_centroid([a, b])
     assert area == pytest.approx(1.25e6)
     assert c.x == pytest.approx((1e6 * 500 + 2.5e5 * 3250) / 1.25e6)
     assert c.y == pytest.approx((1e6 * 500 + 2.5e5 * 250) / 1.25e6)
@@ -125,11 +159,56 @@ def test_centroid_translates_with_polygon():
         ring = [tuple(p) for p in pts[order]]
         dx, dy = rng.uniform(-5000, 5000, size=2)
         moved = [(x + dx, y + dy) for x, y in ring]
-        a0, c0 = polygon_area_centroid(Polygon([ring]))
-        a1, c1 = polygon_area_centroid(Polygon([moved]))
+        a0, c0 = area_centroid(Polygon([ring]))
+        a1, c1 = area_centroid(Polygon([moved]))
         assert a1 == pytest.approx(a0, rel=1e-9)
         assert c1.x == pytest.approx(c0.x + dx, abs=1e-6)
         assert c1.y == pytest.approx(c0.y + dy, abs=1e-6)
+
+
+def draw_ring(data, ring):
+    """ring in either orientation, from any vertex, closed or not."""
+    if data.draw(st.booleans()):
+        ring = ring[::-1]
+    k = data.draw(st.integers(0, len(ring) - 1))
+    ring = ring[k:] + ring[:k]
+    return ring + ring[:1] if data.draw(st.booleans()) else ring
+
+
+@given(st.data())
+def test_packed_area_centroid_bbox_equal_list_loops(data):
+    """A jittered grid of cells, some cut along an edge and some holed,
+    dealt to multi-part tracts: the packed per-tract area, centroid and bbox
+    equal the list-form loops of _oracles bit for bit."""
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    jitter = st.floats(-0.3, 0.3)
+    size, x0, y0 = 1000.0 / 3.0, 5003.7, -12021.3
+    corner = {
+        (r, c): (x0 + (c + data.draw(jitter)) * size, y0 + (r + data.draw(jitter)) * size)
+        for r in range(rows + 1)
+        for c in range(cols + 1)
+    }
+    tracts = [[] for _ in range(data.draw(st.integers(1, rows * cols)))]
+    for r in range(rows):
+        for c in range(cols):
+            ring = [corner[r, c], corner[r, c + 1], corner[r + 1, c + 1], corner[r + 1, c]]
+            for t in data.draw(st.lists(st.floats(0.05, 0.95), max_size=2)):
+                (ax, ay), (bx, by) = ring[-1], ring[0]  # a cut point on the closing edge
+                ring.append((ax + t * (bx - ax), ay + t * (by - ay)))
+            rings = [draw_ring(data, ring)]
+            if data.draw(st.booleans()):
+                hx, hy = x0 + (c + 0.4) * size, y0 + (r + 0.4) * size
+                side = 0.2 * size
+                hole = [(hx, hy), (hx + side, hy), (hx + side, hy + side), (hx, hy + side)]
+                rings.append(draw_ring(data, hole))
+            tracts[data.draw(st.integers(0, len(tracts) - 1))].append(rings)
+    tracts = [parts for parts in tracts if parts]
+    packed = pack(tracts)
+    for i, parts in enumerate(tracts):
+        polygons = [Polygon(rings) for rings in parts]
+        area, c = parts_area_centroid(polygons)
+        assert (packed.area[i], *packed.centroid[i]) == (area, c.x, c.y)
+        assert tuple(packed.bounds[i].tolist()) == parts_bounds(polygons)
 
 
 # ----------------------------------------------------------- point in polygon
@@ -167,16 +246,16 @@ def test_point_in_hole_is_outside_but_hole_rim_is_inside():
 
 
 def test_center_inside_any_radius():
-    assert circle_intersects_polygon(ProjectedPoint(500, 500), 1e-6, KM_SQUARE)
+    assert circle_intersects_polygon(ProjectedPoint(500, 500), 1e-6, KM_SQUARE.rings)
 
 
 def test_tangent_disk_intersects():
     # distance from (4000, 500) to the edge x=1000 is exactly 3000
-    assert circle_intersects_polygon(ProjectedPoint(4000, 500), 3000, KM_SQUARE)
+    assert circle_intersects_polygon(ProjectedPoint(4000, 500), 3000, KM_SQUARE.rings)
 
 
 def test_separated_disk_does_not_intersect():
-    assert not circle_intersects_polygon(ProjectedPoint(1600, 500), 500, KM_SQUARE)
+    assert not circle_intersects_polygon(ProjectedPoint(1600, 500), 500, KM_SQUARE.rings)
 
 
 HOLED = Polygon(
@@ -203,17 +282,17 @@ def test_disk_test_measures_each_segment_at_most_once(monkeypatch, center, radiu
     real = geometry._segment_distance
     monkeypatch.setattr(geometry, "_segment_distance", lambda *a: calls.append(a) or real(*a))
     pt = ProjectedPoint(*center)
-    assert circle_intersects_polygon(pt, radius, HOLED) == hit
+    assert circle_intersects_polygon(pt, radius, HOLED.rings) == hit
     assert len(calls) <= segments
     calls.clear()
-    point_in_polygon(pt, HOLED)
+    scalar_point_in_polygon(pt, HOLED)
     assert len(calls) <= segments
 
 
 def test_corner_distance_is_exact():
     d = math.hypot(1000, 1000)
-    assert not circle_intersects_polygon(ProjectedPoint(2000, 2000), d - 1e-6, KM_SQUARE)
-    assert circle_intersects_polygon(ProjectedPoint(2000, 2000), d + 1e-6, KM_SQUARE)
+    assert not circle_intersects_polygon(ProjectedPoint(2000, 2000), d - 1e-6, KM_SQUARE.rings)
+    assert circle_intersects_polygon(ProjectedPoint(2000, 2000), d + 1e-6, KM_SQUARE.rings)
 
 
 @given(
@@ -224,8 +303,8 @@ def test_corner_distance_is_exact():
 )
 def test_intersection_monotone_in_radius(r1, r2, cx, cy):
     center = ProjectedPoint(cx, cy)
-    if circle_intersects_polygon(center, r1, KM_SQUARE):
-        assert circle_intersects_polygon(center, r1 + r2 + 1e-9, KM_SQUARE)
+    if circle_intersects_polygon(center, r1, KM_SQUARE.rings):
+        assert circle_intersects_polygon(center, r1 + r2 + 1e-9, KM_SQUARE.rings)
 
 
 @given(
@@ -236,7 +315,7 @@ def test_intersection_monotone_in_radius(r1, r2, cx, cy):
 def test_containment_implies_intersection(cx, cy, r):
     center = ProjectedPoint(cx, cy)
     assert point_in_polygon(center, KM_SQUARE)
-    assert circle_intersects_polygon(center, r, KM_SQUARE)
+    assert circle_intersects_polygon(center, r, KM_SQUARE.rings)
 
 
 def test_matches_sampling_oracle_on_fixed_cases():
@@ -246,7 +325,7 @@ def test_matches_sampling_oracle_on_fixed_cases():
     for _ in range(25):
         center = ProjectedPoint(*rng.uniform(-2000, 3000, size=2))
         base = max(10.0, float(rng.uniform(10, 2500)))
-        got = circle_intersects_polygon(center, base, poly)
+        got = circle_intersects_polygon(center, base, poly.rings)
         want = disk_intersects_sampled([[tuple(p) for p in r] for r in poly.rings], center, base)
         # skip the +-2 m band where the 1 m sampling oracle may disagree
         from _oracles import sampled_boundary_distance, winding_inside
@@ -284,7 +363,7 @@ def test_convex_fixture_matches_disk_grid_oracle():
         center = ProjectedPoint(*rng.uniform(-700, 700, size=2))
         radius = float(rng.uniform(20, 300))
         want = disk_grid_hits(center, radius)
-        got = circle_intersects_polygon(center, radius, hexagon)
+        got = circle_intersects_polygon(center, radius, hexagon.rings)
         if want != got:
             # the grid oracle misses by up to ~1.5 m near tangency
             from _oracles import sampled_boundary_distance
@@ -298,18 +377,18 @@ def test_convex_fixture_matches_disk_grid_oracle():
 
 
 def availability_count(tract, providers) -> int:
-    return int(availability_counts([tract], providers)[0])
+    return int(availability_counts(pack([tract]), [0], providers)[0])
 
 
 def test_availability_empty():
     assert availability_count(KM_SQUARE, []) == 0
-    assert availability_counts([], [(ProjectedPoint(0, 0), 1.0)]).shape == (0,)
+    assert availability_counts(pack([]), [], [(ProjectedPoint(0, 0), 1.0)]).shape == (0,)
 
 
 def test_availability_supermarket_within_reach():
     # nearest boundary point 2900 m away, buffer 3000 m
     provider = (ProjectedPoint(3900, 500), 3000.0)
-    assert circle_intersects_polygon(provider[0], 3000, KM_SQUARE)
+    assert circle_intersects_polygon(provider[0], 3000, KM_SQUARE.rings)
     assert availability_count(KM_SQUARE, [provider]) == 1
 
 
@@ -341,30 +420,30 @@ def test_availability_order_invariant_and_additive():
 
 def test_availability_rejects_non_positive_radius():
     with pytest.raises(DomainError):
-        availability_counts([KM_SQUARE], [(ProjectedPoint(0, 0), 0.0)])
+        availability_counts(pack([KM_SQUARE]), [0], [(ProjectedPoint(0, 0), 0.0)])
 
 
 # ------------------------------------------------------------ queen adjacency
 
 
 def test_shared_edge_is_adjacent():
-    adj = neighbour_sets(queen_adjacency([square(0, 0), square(1000, 0)]))
+    adj = neighbour_sets(adjacency([square(0, 0), square(1000, 0)]))
     assert adj[0] == {1} and adj[1] == {0}
 
 
 def test_corner_touch_is_adjacent():
-    adj = neighbour_sets(queen_adjacency([square(0, 0), square(1000, 1000)]))
+    adj = neighbour_sets(adjacency([square(0, 0), square(1000, 1000)]))
     assert adj[0] == {1} and adj[1] == {0}
 
 
 def test_separated_squares_not_adjacent():
-    adj = neighbour_sets(queen_adjacency([square(0, 0), square(1010, 0)]))
+    adj = neighbour_sets(adjacency([square(0, 0), square(1010, 0)]))
     assert adj[0] == set() and adj[1] == set()
 
 
 def test_adjacency_symmetric_irreflexive_translation_invariant():
     tracts = [square(i * 1000, j * 1000) for i in range(3) for j in range(3)]
-    adj = neighbour_sets(queen_adjacency(tracts))
+    adj = neighbour_sets(adjacency(tracts))
     for i, neigh in enumerate(adj):
         assert i not in neigh
         for j in neigh:
@@ -373,26 +452,26 @@ def test_adjacency_symmetric_irreflexive_translation_invariant():
         Polygon([[(p.x + 12345.0, p.y - 777.0) for p in ring] for ring in t.rings])
         for t in tracts
     ]
-    assert neighbour_sets(queen_adjacency(moved)) == adj
+    assert neighbour_sets(adjacency(moved)) == adj
 
 
 def test_vertex_on_segment_counts_as_touching():
     # T-junction: right square's corner lies mid-edge on the left square
     left = square(0, 0, 1000)
     right = square(1000, 250, 500)
-    adj = neighbour_sets(queen_adjacency([left, right]))
+    adj = neighbour_sets(adjacency([left, right]))
     assert adj[0] == {1}
 
 
 def test_adjacency_needs_two_tracts():
     with pytest.raises(DomainError):
-        queen_adjacency([KM_SQUARE])
+        adjacency([KM_SQUARE])
 
 
 def test_grid_adjacency_expected_neighbor_sets():
     # 3x3 grid of km squares, row-major from the south-west corner
     tracts = [square(c * 1000, r * 1000) for r in range(3) for c in range(3)]
-    adj = neighbour_sets(queen_adjacency(tracts))
+    adj = neighbour_sets(adjacency(tracts))
     idx = lambda r, c: r * 3 + c
     assert adj[idx(0, 0)] == {idx(0, 1), idx(1, 0), idx(1, 1)}
     assert adj[idx(1, 1)] == {i for i in range(9) if i != idx(1, 1)}
@@ -408,5 +487,5 @@ def test_disk_reaching_into_hole_intersects_hole_rim():
     )
     center = ProjectedPoint(500, 500)  # inside the hole, outside the polygon
     assert not point_in_polygon(center, holed)
-    assert not circle_intersects_polygon(center, 99.0, holed)  # rim is 100 m away
-    assert circle_intersects_polygon(center, 100.0, holed)  # tangent to the rim
+    assert not circle_intersects_polygon(center, 99.0, holed.rings)  # rim is 100 m away
+    assert circle_intersects_polygon(center, 100.0, holed.rings)  # tangent to the rim

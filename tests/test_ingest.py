@@ -17,7 +17,7 @@ from access_atlas.errors import (
 from access_atlas.ingest import VARIABLE_COLUMNS
 from access_atlas.network import RoadNetwork, build_network, load_road_edges, load_road_nodes
 
-from _oracles import snap_loop
+from _oracles import list_form, pack, snap_loop
 
 
 def column(table, name):
@@ -38,9 +38,9 @@ def write(path, text):
 
 def test_load_minitown_tracts(minitown_dir):
     tracts = ingest.load_tracts(os.path.join(minitown_dir, "tracts.geojson"), *REF)
-    assert len(tracts) == 9
-    assert [t.tract_id for t in tracts] == sorted(t.tract_id for t in tracts)
-    assert all(len(t.parts) == 1 for t in tracts)
+    assert len(tracts.ids) == 9
+    assert tracts.ids == sorted(tracts.ids)
+    assert np.diff(tracts.part_start).tolist() == [1] * 9
 
 
 def test_missing_tract_id_names_feature_index(tmp_path):
@@ -90,8 +90,8 @@ def test_multipolygon_becomes_two_parts(tmp_path):
     }
     path = write(tmp_path / "t.geojson", json.dumps(doc))
     tracts = ingest.load_tracts(path, 0.0, 0.0)
-    assert len(tracts) == 1
-    assert len(tracts[0].parts) == 2
+    assert tracts.ids == ["m"]
+    assert tracts.part_start.tolist() == [0, 2]
 
 
 def test_degenerate_ring_names_tract(tmp_path):
@@ -135,6 +135,26 @@ def test_invalid_multipolygon_fails_at_load_naming_tract(tmp_path, parts, messag
         ingest.load_tracts(path, 0.0, 0.0)
 
 
+def test_schema_fault_reported_before_an_earlier_geometry_fault(tmp_path):
+    # every feature is checked before any ring is measured
+    doc = {
+        "type": "FeatureCollection",
+        "features": [
+            {"type": "Feature", "properties": {"tract_id": "flat"},
+             "geometry": {"type": "Polygon", "coordinates": [FLAT]}},
+            {"type": "Feature", "properties": {},
+             "geometry": {"type": "Polygon", "coordinates": [SQUARE]}},
+        ],
+    }
+    path = write(tmp_path / "t.geojson", json.dumps(doc))
+    with pytest.raises(SchemaError, match="feature 1 has no tract_id"):
+        ingest.load_tracts(path, 0.0, 0.0)
+    del doc["features"][1]
+    path = write(tmp_path / "t.geojson", json.dumps(doc))
+    with pytest.raises(DegenerateGeometry, match="^tract flat: polygon net area"):
+        ingest.load_tracts(path, 0.0, 0.0)
+
+
 def test_non_finite_tract_coordinate_rejected(tmp_path):
     # Python's json module accepts NaN/Infinity literals; ingest must not
     text = (
@@ -174,9 +194,27 @@ def test_non_finite_tract_coordinate_rejected(tmp_path):
                  "coordinates": [[0, 0.01, 0.02]]}}]},
             "feature 0",
         ),
+        # true used to pass as 1.0: the vertex landed 111 km east and the run went on
+        (
+            {"type": "FeatureCollection", "features": [
+                {"properties": {"tract_id": "a"}, "geometry": {"type": "Polygon",
+                 "coordinates": [[[0, 0], [0.01, 0], [0.01, 0.01], [0, 0.01], [0, 0]]]}},
+                {"properties": {"tract_id": "b"}, "geometry": {"type": "Polygon",
+                 "coordinates": [[[0, 0], [True, 0], [0.01, 0.01], [0, 0.01], [0, 0]]]}},
+            ]},
+            "feature 1.*True",
+        ),
+        # an integer beyond the float range used to raise an uncaught OverflowError
+        (
+            {"type": "FeatureCollection", "features": [
+                {"properties": {"tract_id": "a"}, "geometry": {"type": "Polygon",
+                 "coordinates": [[[0, 0], [0.01, 0], [0.01, 10**400], [0, 0.01], [0, 0]]]}}]},
+            "feature 0.*int too large",
+        ),
     ],
     ids=["list-document", "features-not-a-list", "non-object-feature", "non-object-properties",
-         "no-coordinates", "string-coordinate", "scalar-vertices"],
+         "no-coordinates", "string-coordinate", "scalar-vertices", "boolean-coordinate",
+         "huge-integer-coordinate"],
 )
 def test_malformed_geojson_names_path_and_feature(tmp_path, doc, match):
     path = write(tmp_path / "t.geojson", json.dumps(doc))
@@ -393,6 +431,11 @@ def test_csv_reader_rules(tmp_path, kind, build, expect):
 # -------------------------------------------------------------- assembly
 
 
+def subset(tracts, index):
+    """The tracts of `index`, in that order, packed anew."""
+    return pack(list_form(tracts, index), [tracts.ids[i] for i in index])
+
+
 def minitown_inputs(minitown_dir):
     tracts = ingest.load_tracts(os.path.join(minitown_dir, "tracts.geojson"), *REF)
     providers = ingest.load_providers(os.path.join(minitown_dir, "providers.csv"), *REF)
@@ -434,7 +477,7 @@ def test_assemble_reports_demographics_rows_without_geometry(minitown_dir, caplo
         ingest.assemble_variable_table(tracts, providers, net, demographics, max_snap_m=700.0)
     assert caplog.messages == []
 
-    kept = [t for t in tracts if t.tract_id not in ("t13", "t22")]
+    kept = subset(tracts, [i for i, tid in enumerate(tracts.ids) if tid not in ("t13", "t22")])
     with caplog.at_level("WARNING", logger="access_atlas.ingest"):
         table = ingest.assemble_variable_table(kept, providers, net, demographics, max_snap_m=700.0)
     assert caplog.messages == [
@@ -511,7 +554,7 @@ def test_assemble_key_stable_under_input_order(minitown_dir):
         tracts, providers, net, demographics, max_snap_m=700.0
     )
     rng = np.random.default_rng(1)
-    shuffled_tracts = [tracts[i] for i in rng.permutation(len(tracts))]
+    shuffled_tracts = subset(tracts, rng.permutation(len(tracts.ids)))
     shuffled_demo = [demographics[i] for i in rng.permutation(len(demographics))]
     shuffled_providers = [providers[i] for i in rng.permutation(len(providers))]
     again = ingest.assemble_variable_table(
@@ -534,7 +577,7 @@ def test_every_tract_exactly_once_across_retained_and_dropped(minitown_dir):
     trimmed = [r for r in demographics if r.tract_id not in ("t11", "t32")]
     table = ingest.assemble_variable_table(tracts, providers, net, trimmed, max_snap_m=700.0)
     seen = list(table.tract_ids) + [tid for tid, _ in table.dropped]
-    assert sorted(seen) == sorted(t.tract_id for t in tracts)
+    assert sorted(seen) == sorted(tracts.ids)
 
 
 def test_column_order_is_frozen():

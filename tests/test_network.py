@@ -8,21 +8,24 @@ import pytest
 
 from access_atlas import network
 from access_atlas.errors import DomainError, SchemaError, SnapError
-from access_atlas.geometry import Polygon, ProjectedPoint
+from access_atlas.geometry import ProjectedPoint
 from access_atlas.network import (
     build_network,
     load_road_edges,
     load_road_nodes,
     multisource_shortest_distances,
+    origin_points,
     snap_point,
     tract_network_distance,
 )
 
 from conftest import network_from_records
 from _oracles import (
+    Polygon,
     _node_id_key,
     bellman_ford,
     floyd_warshall,
+    pack,
     road_network_loop,
     snap_loop,
 )
@@ -479,9 +482,11 @@ def tract_at(x0, y0, size=100.0):
 
 
 def distance_to(parts, net, sources, mode="centroid", max_snap_m=network.DEFAULT_SNAP_MAX_M):
-    """tract_network_distance over the shared Dijkstra map of `sources`."""
+    """tract_network_distance from the origin points of one list-form tract
+    over the shared Dijkstra map of `sources`."""
     distances = multisource_shortest_distances(net, {index(net, s) for s in sources})
-    return tract_network_distance(parts, net, distances, mode, max_snap_m=max_snap_m)
+    [points] = origin_points(pack([parts]), [0], mode)
+    return tract_network_distance(points, net, distances, max_snap_m=max_snap_m)
 
 
 def test_centroid_mode_uses_snapped_centroid():

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from access_atlas import stats
 from access_atlas.errors import DomainError
-from access_atlas.geometry import Polygon, ProjectedPoint
-from access_atlas.ingest import VARIABLE_COLUMNS, TractGeometry, VariableTable
+from access_atlas.geometry import ProjectedPoint
+from access_atlas.ingest import VARIABLE_COLUMNS, VariableTable
 from access_atlas.report import (
     BOX_CLASSES,
     BOX_PALETTE,
@@ -24,7 +24,7 @@ from access_atlas.report import (
     emit_svg_choropleth,
 )
 
-from _oracles import svg_choropleth_loop
+from _oracles import Polygon, pack, svg_choropleth_loop
 
 
 # ------------------------------------------------------------ boxmap classes
@@ -110,7 +110,7 @@ def small_bundle(minitown_table):
     loading_corr = stats.loading_profile_correlation(pca_result.loadings, names)
     from access_atlas.geometry import queen_adjacency
 
-    adjacency = queen_adjacency([t.parts for t in tracts])
+    adjacency = queen_adjacency(tracts, table.index)
     moran = list(zip(names[:2], stats.morans_i(table.values[:, :2], adjacency, 99, 7)))
     return table, pca_result, loading_corr, moran
 
@@ -145,7 +145,7 @@ def test_emit_tables_single_component_edge():
     assert pca_result.loadings.tolist() == [[1.0]]
     from access_atlas.ingest import VariableTable
 
-    table = VariableTable(tract_ids=[f"t{i}" for i in range(12)], values=t)
+    table = VariableTable(tract_ids=[f"t{i}" for i in range(12)], values=t, index=np.arange(12))
     unit = np.array([[1.0]])
     files = write_report_csvs(table, pca_result, unit, [], names=("A",))
     rows = files["loadings.csv"].strip().split("\n")
@@ -163,6 +163,7 @@ def test_geojson_roundtrip_and_dropped_nulls(minitown_table):
     table = VariableTable(
         [full.tract_ids[i] for i in keep],
         full.values[keep],
+        full.index[keep],
         dropped=[("t22", "missing demographics")],
     )
     pca_result = stats.pca(table.values, list(VARIABLE_COLUMNS))
@@ -174,7 +175,7 @@ def test_geojson_roundtrip_and_dropped_nulls(minitown_table):
     assert doc["type"] == "FeatureCollection"
     assert len(doc["features"]) == 9
     ids = [f["properties"]["tract_id"] for f in doc["features"]]
-    assert ids == sorted(t.tract_id for t in tracts)
+    assert ids == sorted(tracts.ids)
     for feature in doc["features"]:
         props = feature["properties"]
         expected_keys = {"tract_id"} | {f"pc{c+1}_score" for c in range(k)} | {
@@ -195,9 +196,9 @@ def test_geojson_roundtrip_and_dropped_nulls(minitown_table):
 
 
 def test_svg_structure(minitown_table):
-    tracts, _ = minitown_table
-    classes = [BOX_CLASSES[i % 6] for i in range(len(tracts))]
-    files = emit_svg_choropleth(tracts, [classes])
+    tracts, table = minitown_table
+    classes = [BOX_CLASSES[i % 6] for i in range(table.n)]
+    files = emit_svg_choropleth(tracts, table.index, [classes])
     assert list(files) == ["boxmap_pc1.svg"]
     svg = files["boxmap_pc1.svg"]
     assert svg.count("<path ") == 9
@@ -213,27 +214,27 @@ def test_svg_structure(minitown_table):
 
 
 def test_svg_single_class_single_fill(minitown_table):
-    tracts, _ = minitown_table
-    classes = ["q2"] * len(tracts)
-    svg = emit_svg_choropleth(tracts, [classes, classes])["boxmap_pc2.svg"]
+    tracts, table = minitown_table
+    classes = ["q2"] * table.n
+    svg = emit_svg_choropleth(tracts, table.index, [classes, classes])["boxmap_pc2.svg"]
     path_lines = [l for l in svg.split("\n") if l.startswith("<path ")]
     fills = {l.split('fill="')[1].split('"')[0] for l in path_lines}
     assert fills == {"#d1e5f0"}
 
 
 def test_svg_deterministic(minitown_table):
-    tracts, _ = minitown_table
-    classes = [BOX_CLASSES[i % 6] for i in range(len(tracts))]
-    a = emit_svg_choropleth(tracts, [classes] * 3)
-    b = emit_svg_choropleth(tracts, [classes] * 3)
+    tracts, table = minitown_table
+    classes = [BOX_CLASSES[i % 6] for i in range(table.n)]
+    a = emit_svg_choropleth(tracts, table.index, [classes] * 3)
+    b = emit_svg_choropleth(tracts, table.index, [classes] * 3)
     assert a == b
 
 
 def test_svg_maps_share_one_frame(minitown_table):
-    tracts, _ = minitown_table
+    tracts, table = minitown_table
     k = 4
-    columns = [[BOX_CLASSES[(i + c) % 6] for i in range(len(tracts))] for c in range(k)]
-    files = emit_svg_choropleth(tracts, columns)
+    columns = [[BOX_CLASSES[(i + c) % 6] for i in range(table.n)] for c in range(k)]
+    files = emit_svg_choropleth(tracts, table.index, columns)
     assert list(files) == [f"boxmap_pc{c}.svg" for c in range(1, k + 1)]
     assert all(BOXMAP_SVG.fullmatch(name) for name in files)
     paths = [re.findall(r'<path d="([^"]*)" fill="([^"]*)"/>', svg) for svg in files.values()]
@@ -262,13 +263,15 @@ def test_svg_maps_equal_one_map_per_call():
         parts = [Polygon(rings)]
         if i % 4 == 1:
             parts.append(Polygon([square_ring(x0 + 2 * size, y0 - size / math.pi, size / 2)]))
-        tracts.append(TractGeometry(f"t{i}", parts))
-    columns = [[BOX_CLASSES[j] for j in rng.integers(0, 6, size=len(tracts))] for _ in range(3)]
+        tracts.append(parts)
+    # a subset of the packed tracts, out of order
+    index = rng.permutation(len(tracts))[:9]
+    columns = [[BOX_CLASSES[j] for j in rng.integers(0, 6, size=len(index))] for _ in range(3)]
     want = {
-        f"boxmap_pc{c + 1}.svg": svg_choropleth_loop(tracts, column, c)
+        f"boxmap_pc{c + 1}.svg": svg_choropleth_loop([tracts[i] for i in index], column, c)
         for c, column in enumerate(columns)
     }
-    assert emit_svg_choropleth(tracts, columns) == want
+    assert emit_svg_choropleth(pack(tracts), index, columns) == want
 
 
 def test_xml_escape_matches_saxutils():

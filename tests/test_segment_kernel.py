@@ -13,19 +13,27 @@ import numpy as np
 import pytest
 
 from access_atlas import geometry
+from access_atlas.errors import DegenerateGeometry
 from access_atlas.geometry import (
     ADJACENCY_EPS,
-    Polygon,
     ProjectedPoint,
     availability_counts,
     boundary_distance,
-    point_in_polygon,
     points_in_tract,
     queen_adjacency,
 )
-from access_atlas.network import _grid_sample_points
+from access_atlas.network import origin_points
 
-from _oracles import availability_loop, neighbour_sets, queen_adjacency_loop
+from _oracles import (
+    Polygon,
+    availability_loop,
+    neighbour_sets,
+    pack,
+    parts_bounds,
+    point_in_polygon,
+    polygon_area_centroid,
+    queen_adjacency_loop,
+)
 
 TINY_BUDGETS = (None, 1, 5, 17)
 
@@ -59,7 +67,8 @@ def star(rng, cx, cy, r_min, r_max, n):
 
 def random_tract(rng, cx, cy):
     """One to three star-shaped parts, some with a hole, some with a
-    repeated consecutive vertex (a zero-length segment)."""
+    repeated consecutive vertex (a zero-length segment). A hole that would
+    leave its part no positive area is left out."""
     parts = []
     for k in range(int(rng.integers(1, 4))):
         px, py = cx + 2500.0 * k, cy
@@ -70,6 +79,10 @@ def random_tract(rng, cx, cy):
             ring = rings[0]
             i = int(rng.integers(0, len(ring)))
             ring.insert(i, ring[i])
+        try:
+            polygon_area_centroid(Polygon(rings))
+        except DegenerateGeometry:
+            del rings[1:]
         parts.append(Polygon(rings))
     return parts
 
@@ -100,7 +113,8 @@ def test_availability_matches_oracle_on_random_tracts(monkeypatch):
         for center in planted_centers(rng, parts):
             providers.append((center, float(rng.uniform(1.0, 1500.0))))
     want = [availability_loop(parts, providers) for parts in tracts]
-    for got in each_budget(monkeypatch, lambda: availability_counts(tracts, providers)):
+    packed, index = pack(tracts), np.arange(len(tracts))
+    for got in each_budget(monkeypatch, lambda: availability_counts(packed, index, providers)):
         assert got.tolist() == want
 
 
@@ -116,7 +130,7 @@ def test_tangent_disks_fall_back_to_the_scalar_predicate(monkeypatch):
                 center = ProjectedPoint(
                     vertex.x + float(rng.uniform(-900, 900)), vertex.y + float(rng.uniform(-900, 900))
                 )
-                d = boundary_distance(center, part)
+                d = boundary_distance(center, part.rings)
                 if d == 0.0:
                     continue
                 providers += [(center, r) for r in (math.nextafter(d, 0.0), d, math.nextafter(d, math.inf))]
@@ -124,8 +138,9 @@ def test_tangent_disks_fall_back_to_the_scalar_predicate(monkeypatch):
     corner = math.hypot(1000.0, 1000.0)
     providers += [(ProjectedPoint(2000.0, 2000.0), r) for r in (math.nextafter(corner, 0.0), corner)]
     want = [availability_loop(parts, providers) for parts in tracts]
+    packed, index = pack(tracts), np.arange(len(tracts))
     calls = counting(monkeypatch, "circle_intersects_polygon")
-    got = each_budget(monkeypatch, lambda: availability_counts(tracts, providers))
+    got = each_budget(monkeypatch, lambda: availability_counts(packed, index, providers))
     assert all(g.tolist() == want for g in got)
     assert len(calls) >= len(TINY_BUDGETS) * len(providers)  # each is in the band of its part
 
@@ -152,8 +167,9 @@ def test_queen_adjacency_matches_oracle_at_eps_plus_minus_1e12(monkeypatch):
                 x += 1000.0 + float(rng.choice(gaps))
             y += 1000.0 + float(rng.choice(gaps))
         want = queen_adjacency_loop(tracts)
+        packed, index = pack(tracts), np.arange(len(tracts))
         calls = counting(monkeypatch, "boundary_distance")
-        got = each_budget(monkeypatch, lambda: neighbour_sets(queen_adjacency(tracts)))
+        got = each_budget(monkeypatch, lambda: neighbour_sets(queen_adjacency(packed, index)))
         assert all(g == want for g in got)
         assert calls  # some vertex lies in the band round ADJACENCY_EPS
 
@@ -178,7 +194,8 @@ def test_queen_adjacency_matches_oracle_on_random_multipart_tracts(monkeypatch):
     want = queen_adjacency_loop(tracts)
     assert len(want[0]) == 1  # the island touches the rim of its hole only
     assert len(want[1]) == 1
-    for indptr, nbr in each_budget(monkeypatch, lambda: queen_adjacency(tracts)):
+    packed, index = pack(tracts), np.arange(len(tracts))
+    for indptr, nbr in each_budget(monkeypatch, lambda: queen_adjacency(packed, index)):
         assert indptr.dtype == nbr.dtype == np.intp
         assert indptr[0] == 0 and indptr[-1] == len(nbr) == sum(map(len, want))
         assert len(indptr) == len(tracts) + 1 and np.all(np.diff(indptr) >= 0)
@@ -194,41 +211,51 @@ def test_grid_samples_on_a_tract_edge_fall_back(monkeypatch):
     ell = [Polygon([[(0, 0), (1000, 0), (1000, 375), (375, 375), (375, 1000), (0, 1000)]])]
     rng = np.random.default_rng(505)
     for parts, k in [(ell, 4), *[(random_tract(rng, 0.0, 0.0), int(rng.integers(1, 9))) for _ in range(6)]]:
-        xmin, ymin, xmax, ymax = geometry.parts_bounds(parts)
+        xmin, ymin, xmax, ymax = parts_bounds(parts)
         grid = [
             ProjectedPoint(xmin + (i + 0.5) * (xmax - xmin) / k, ymin + (j + 0.5) * (ymax - ymin) / k)
             for j in range(k)
             for i in range(k)
         ]
         want = [pt for pt in grid if any(point_in_polygon(pt, part) for part in parts)]
+        # the tract beside a copy of it: one call samples both
+        packed = pack([parts, parts])
         calls = counting(monkeypatch, "circle_intersects_polygon")
-        got = each_budget(monkeypatch, lambda: _grid_sample_points(parts, k))
-        assert all(g == want for g in got)
+        got = each_budget(monkeypatch, lambda: origin_points(packed, [1, 0], f"grid-{k}"))
+        assert all(g == [want, want] for g in got)
         if parts is ell:
-            assert len(calls) >= len(TINY_BUDGETS) * 5  # 4 edge samples and the notch vertex
+            # 4 edge samples and the notch vertex, in each copy
+            assert len(calls) >= len(TINY_BUDGETS) * 10
             assert ProjectedPoint(625.0, 375.0) in want
 
 
 def test_points_in_tract_matches_point_in_polygon(monkeypatch):
     rng = np.random.default_rng(606)
-    for _ in range(5):
-        parts = random_tract(rng, 0.0, 0.0)
-        points = planted_centers(rng, parts)
-        want = [any(point_in_polygon(pt, part) for part in parts) for pt in points]
-        for got in each_budget(monkeypatch, lambda: points_in_tract(points, parts)):
-            assert got.tolist() == want
+    tracts = [random_tract(rng, 0.0, 0.0) for _ in range(5)]
+    points = [planted_centers(rng, parts) for parts in tracts]
+    want = [
+        any(point_in_polygon(pt, part) for part in parts)
+        for parts, pts in zip(tracts, points)
+        for pt in pts
+    ]
+    packed = pack(tracts)
+    px = np.array([pt.x for pts in points for pt in pts])
+    py = np.array([pt.y for pts in points for pt in pts])
+    tract = np.repeat(np.arange(len(tracts)), [len(pts) for pts in points])
+    for got in each_budget(monkeypatch, lambda: points_in_tract(packed, px, py, tract)):
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("budget", [1, 7, 64])
 def test_chunk_bounds_do_not_change_the_scan(monkeypatch, budget):
     rng = np.random.default_rng(707)
-    segs = geometry._pack([random_tract(rng, 0.0, 0.0) for _ in range(3)])
+    tracts = pack([random_tract(rng, 0.0, 0.0) for _ in range(3)])
     n = 200
-    part = rng.integers(0, len(segs.parts), size=n)
+    part = rng.integers(0, len(tracts.part_ring) - 1, size=n)
     px, py = rng.uniform(-1500, 6500, size=(2, n))
-    whole = geometry._scan(segs, px, py, part)
+    whole = geometry._scan(tracts, px, py, part)
     monkeypatch.setattr(geometry, "KERNEL_BUDGET", budget)
-    chunked = geometry._scan(segs, px, py, part)
+    chunked = geometry._scan(tracts, px, py, part)
     assert np.array_equal(whole[0], chunked[0]) and np.array_equal(whole[1], chunked[1])
 
 

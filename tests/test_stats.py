@@ -534,8 +534,7 @@ def test_morans_i_counts_exact_ties_as_hits(minitown_table):
     # AV_INT is integer-valued, so permutations can reproduce the observed I
     # exactly; in rational arithmetic 454 of the 999 permutations are hits
     tracts, table = minitown_table
-    by_id = {t.tract_id: t for t in tracts}
-    adjacency = queen_adjacency([by_id[tid].parts for tid in table.tract_ids])
+    adjacency = queen_adjacency(tracts, table.index)
     x = table.values[:, VARIABLE_COLUMNS.index("AV_INT")]
     seed = 20240101
     neighbors = neighbour_sets(adjacency)
