@@ -45,8 +45,6 @@ from .network import (
     load_road_edges,
     load_road_nodes,
     multisource_shortest_distances,
-    snap_point,
-    tract_network_distance,
 )
 from .report import BOX_CLASSES, boxmap_classify, emit_geojson, emit_svg_choropleth
 from .stats import (

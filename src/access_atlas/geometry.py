@@ -69,13 +69,18 @@ def project_points(lon, lat, ref_lon: float, ref_lat: float):
     return x, y, valid & (abs(x) < 1e7) & (abs(y) < 1e7)
 
 
-def project_lonlat(lon: float, lat: float, ref_lon: float, ref_lat: float) -> ProjectedPoint:
-    """project_points of one point; DomainError if it is not valid."""
+def project_lonlat(
+    lon: float, lat: float, ref_lon: float, ref_lat: float, where: str = ""
+) -> ProjectedPoint:
+    """project_points of one point; DomainError, its message prefixed by
+    `where` (the input the point came from), if it is not valid."""
     x, y, valid = project_points(lon, lat, ref_lon, ref_lat)
     if not valid:
         if not (-89.0 < lat < 89.0) or not (-89.0 < ref_lat < 89.0):
-            raise DomainError(f"latitude out of range (-89, 89): lat={lat}, ref_lat={ref_lat}")
-        raise DomainError(f"projected point ({x:.0f}, {y:.0f}) exceeds local-plane validity")
+            raise DomainError(
+                f"{where}latitude out of range (-89, 89): lat={lat}, ref_lat={ref_lat}"
+            )
+        raise DomainError(f"{where}projected point ({x:.0f}, {y:.0f}) exceeds local-plane validity")
     return ProjectedPoint(x, y)
 
 

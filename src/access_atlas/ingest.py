@@ -40,8 +40,7 @@ from .network import (
     origin_points,
     parse_finite,
     read_csv_table,
-    snap_point,
-    tract_network_distance,
+    snap_points,
 )
 
 log = logging.getLogger(__name__)
@@ -160,8 +159,9 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> Tracts:
     features are checked first, in file order, so a schema fault anywhere
     in the file is reported before any geometry fault. Then every position
     is projected into local meters about (ref_lon, ref_lat) at once; the
-    first point off the local plane raises DomainError, and a degenerate
-    ring or part fails with its tract id attached.
+    first point off the local plane raises DomainError naming its feature
+    and tract, and a degenerate ring or part fails with its tract id
+    attached.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -176,6 +176,7 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> Tracts:
     lons: list[float] = []  # of every position, in file order
     lats: list[float] = []
     ring_sizes, ring_counts, part_counts = [], [], []
+    ends: list[int] = []  # of the positions of each feature
     seen: set[str] = set()
     for idx, feature in enumerate(features):
         try:
@@ -199,13 +200,16 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> Tracts:
         ids.append(tract_id)
         geometries.append(geometry)
         part_counts.append(parts)
+        ends.append(len(lons))
     lon, lat = np.array(lons, dtype=float), np.array(lats, dtype=float)
     del lons, lats
     with np.errstate(over="ignore", invalid="ignore"):
         x, y, valid = project_points(lon, lat, ref_lon, ref_lat)
     if not valid.all():  # the first point off the plane raises its error
         k = int(valid.argmin())
-        project_lonlat(float(lon[k]), float(lat[k]), ref_lon, ref_lat)
+        idx = int(np.searchsorted(ends, k, side="right"))
+        where = f"{path}: feature {idx} (tract {ids[idx]}): "
+        project_lonlat(float(lon[k]), float(lat[k]), ref_lon, ref_lat, where)
     return pack_tracts(ids, geometries, x, y, ring_sizes, ring_counts, part_counts)
 
 
@@ -247,7 +251,7 @@ def load_providers(path: str, ref_lon: float, ref_lat: float) -> list[ProviderPo
             ProviderPoint(
                 id=pid,
                 kind=kind,
-                location=project_lonlat(lon, lat, ref_lon, ref_lat),
+                location=project_lonlat(lon, lat, ref_lon, ref_lat, f"{path} row {row_no}: "),
                 radius_m=radius,
             )
         )
@@ -299,33 +303,44 @@ def assemble_variable_table(
 ) -> VariableTable:
     """Join geometry, network and demographics into the n x 10 matrix.
 
-    AV_INT counts provider-buffer intersections, ACE_NET comes from one
-    shared multi-source Dijkstra pass over the supermarket snap nodes, and
-    the demographic columns join by tract_id. Tracts with any missing or
-    unreachable value, or with a point that lies beyond max_snap_m from
-    every road node, land in `dropped` with a reason; rows are ordered by
-    tract_id so the output is independent of input file order. Demographics
-    rows without tract geometry are ignored with a warning. A supermarket
-    that cannot snap raises SnapError.
+    AV_INT counts provider-buffer intersections, and the demographic
+    columns join by tract_id. ACE_NET is a tract's mean network distance to
+    the nearest supermarket over its origin points that reach one: one
+    snap_points call takes the supermarkets and every origin point, and one
+    multi-source Dijkstra pass runs from the supermarket nodes. Tracts with
+    any missing or unreachable value, or with an origin point beyond
+    max_snap_m from every road node, land in `dropped` with a reason; rows
+    are ordered by tract_id so the output is independent of input file
+    order. Demographics rows without tract geometry are ignored with a
+    warning. The first supermarket beyond max_snap_m raises SnapError.
     """
     supermarkets = [p for p in providers if p.kind == "supermarket"]
     if not supermarkets:
         raise DomainError("no supermarket providers; ACE_NET is undefined")
-    sources: set[int] = set()
-    for p in supermarkets:
-        try:
-            sources.add(snap_point(p.location, net, max_snap_m))
-        except SnapError as exc:
-            raise SnapError(f"supermarket {p.id}: {exc}", exc.distance_m) from None
-    distances = multisource_shortest_distances(net, sources)
+    order = sorted(range(len(tracts.ids)), key=tracts.ids.__getitem__)
+    px, py, owner = origin_points(tracts, order, ace_net_mode)
+    s = len(supermarkets)
+    sx, sy = zip(*(p.location for p in supermarkets))
+    node, dist = snap_points(net, np.concatenate([sx, px]), np.concatenate([sy, py]))
+    for p, i, d in zip(supermarkets, node[:s].tolist(), dist[:s].tolist()):
+        if d > max_snap_m:
+            msg = f"nearest node {net.ids[i]!r} is {d:.1f} m away (max {max_snap_m:.0f} m)"
+            raise SnapError(f"supermarket {p.id}: {msg}", d)
+    distances = multisource_shortest_distances(net, set(node[:s].tolist()))
+    # reversed, so that dict() keeps each tract's first point beyond max_snap_m
+    far = np.flatnonzero(dist[s:] > max_snap_m)[::-1]
+    unsnappable = dict(zip(owner[far].tolist(), dist[s:][far].tolist()))
+    reached = distances[node[s:]]
+    ok = np.isfinite(reached)
+    counts = np.bincount(owner[ok], minlength=len(order))
+    # bincount adds each tract's distances left to right in point order from 0.0
+    ace_net = np.bincount(owner[ok], reached[ok], len(order)) / np.maximum(counts, 1)
 
     demo_by_id = {rec.tract_id: rec for rec in demographics}
-
-    order = sorted(range(len(tracts.ids)), key=tracts.ids.__getitem__)
     retained: list[int] = []
     rows: list[list[float]] = []
     dropped: list[tuple[str, str]] = []
-    for i, points in zip(order, origin_points(tracts, order, ace_net_mode)):
+    for pos, (i, count, mean) in enumerate(zip(order, counts.tolist(), ace_net.tolist())):
         tract_id = tracts.ids[i]
         rec = demo_by_id.get(tract_id)
         if rec is None:
@@ -335,15 +350,13 @@ def assemble_variable_table(
         if missing:
             dropped.append((tract_id, f"missing {missing[0]}"))
             continue
-        try:
-            ace_net = tract_network_distance(points, net, distances, max_snap_m=max_snap_m)
-        except SnapError as exc:
-            dropped.append((tract_id, f"unsnappable ({exc.distance_m:.0f} m)"))
+        if pos in unsnappable:
+            dropped.append((tract_id, f"unsnappable ({unsnappable[pos]:.0f} m)"))
             continue
-        if ace_net is None:
+        if not count:
             dropped.append((tract_id, "unreachable"))
             continue
-        row = [0.0, rec.values["AV_POP"], ace_net]  # AV_INT is filled in below
+        row = [0.0, rec.values["AV_POP"], mean]  # AV_INT is filled in below
         row += (rec.values[name] for name in VARIABLE_COLUMNS[3:])
         retained.append(i)
         rows.append(row)

@@ -4,11 +4,10 @@ The network is an undirected weighted graph built from node/edge CSVs,
 filtered to the road classes people actually walk or drive locally
 (motorways are excluded by default). Distances to the nearest supermarket
 come from a single multi-source Dijkstra pass seeded with every
-supermarket's snap node; `tract_network_distance` reads each tract's
-distance from that one shared array at the snapped nodes of its origin
-points. `origin_points` takes those from the packed `Tracts`: the stored
-centroids, or the grid-K samples of every tract from one `points_in_tract`
-call.
+supermarket's snap node. `origin_points` gives the points each tract is
+measured from, as flat arrays: the stored centroids of the packed
+`Tracts`, or the grid-K samples of every tract from one `points_in_tract`
+call. One `snap_points` call snaps the supermarkets and all those points.
 
 `read_csv_table` reads all four CSV inputs (the road nodes and edges here,
 the providers and demographics in `ingest`): it matches the header, skips
@@ -21,9 +20,9 @@ the first bad row in file order gives the error.
 
 `build_network` owns node order: it sorts the kept ids once by
 `_node_sort_key` (decimal ids numerically, then the rest by string), and a
-node is its index in that order. A snap is one O(N) numpy pass over the
-coordinate arrays, ties going to the lowest index; Dijkstra runs on the CSR
-edge arrays and returns a float array, which no CSR row or heap order changes.
+node is its index in that order. A snap compares a block of points with
+every node in numpy passes, ties going to the lowest index; Dijkstra runs
+on the CSR edges and returns a float array, which no CSR row or heap order changes.
 """
 
 from __future__ import annotations
@@ -39,8 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, RangeError, SchemaError, SnapError
-from .geometry import ProjectedPoint, Tracts, points_in_tract, project_lonlat, project_points
+from . import geometry
+from .errors import DomainError, RangeError, SchemaError
+from .geometry import Tracts, points_in_tract, project_lonlat, project_points
 
 DEFAULT_ROAD_CLASSES = frozenset(
     {"residential", "living_street", "unclassified", "tertiary", "secondary", "primary"}
@@ -283,7 +283,7 @@ def load_road_nodes(
         x = parse_finite(raw_u[i], f"{path} row {row_no} {header[1]}")
         y = parse_finite(raw_v[i], f"{path} row {row_no} {header[2]}")
         if geographic:
-            project_lonlat(x, y, ref_lon, ref_lat)
+            project_lonlat(x, y, ref_lon, ref_lat, f"{path} row {row_no}: ")
     return RoadNodes(ids, xs, ys)
 
 
@@ -306,41 +306,51 @@ def load_road_edges(path: str) -> RoadEdges:
     return RoadEdges(a, b, length, road_class)
 
 
-def snap_point(
-    pt: ProjectedPoint, net: RoadNetwork, max_snap_m: float = DEFAULT_SNAP_MAX_M
-) -> int:
-    """Index of the nearest network node by Euclidean distance; ties go to
-    the lowest index, which is the lowest id.
+def snap_points(net: RoadNetwork, px, py) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest network node, and its distance, for every point
+    (px[k], py[k]); ties go to the lowest index, which is the lowest id.
 
-    One numpy pass over `net.xs` and `net.ys` computes the squared distance
-    to every node. The nodes within a relative 1e-12 of the smallest
-    squared distance, far wider than its rounding error, are the
-    candidates; the first of them with the strictly smallest `math.hypot`
-    distance wins. That is the node, and the distance, of a scan over all
-    ids in sorted order. A nearest node farther than max_snap_m raises
-    SnapError carrying that distance, which is inf when `math.hypot`
-    overflows for every candidate.
+    Blocks of max(1, geometry.KERNEL_BUDGET // nodes) points are each a pass
+    that computes the squared distance from every point to every node. The
+    nodes within a relative 1e-12 of a point's smallest squared distance,
+    far wider than its rounding error, are its candidates; the first of
+    them with the strictly smallest `math.hypot` distance wins. That is the
+    node, and the distance, of a scan over all ids in sorted order. The
+    distance is inf when `math.hypot` overflows for every candidate.
     """
-    if not net.ids:
+    n = len(net.ids)
+    if not n:
         raise DomainError("cannot snap onto an empty network")
-    # Beyond about 1e154 m d2 overflows to inf; the candidate rule still holds.
-    with np.errstate(over="ignore"):
-        dx = net.xs - pt.x
-        dy = net.ys - pt.y
-        d2 = dx * dx + dy * dy
-    candidates = np.flatnonzero(d2 <= d2.min() * (1.0 + 1e-12))
-    # seeded with the first candidate, so it stands when every hypot is inf
-    best, best_d = int(candidates[0]), math.inf
-    for i in candidates.tolist():
-        d = math.hypot(pt.x - float(net.xs[i]), pt.y - float(net.ys[i]))
-        if d < best_d:
-            best, best_d = i, d
-    if best_d > max_snap_m:
-        raise SnapError(
-            f"nearest node {net.ids[best]!r} is {best_d:.1f} m away (max {max_snap_m:.0f} m)",
-            best_d,
-        )
-    return best
+    px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
+    node, dist = np.empty(len(px), dtype=np.intp), np.empty(len(px))
+    block = max(1, geometry.KERNEL_BUDGET // n)
+    # every block reuses these rows: on 10^5 nodes, fresh arrays for each
+    # point cost more in page faults than the arithmetic
+    shape = (min(block, len(px)), n)
+    d2_rows, dy2_rows, near_rows = np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+    for lo in range(0, len(px), block):
+        bx, by = px[lo : lo + block], py[lo : lo + block]
+        d2, dy2, near = d2_rows[: len(bx)], dy2_rows[: len(bx)], near_rows[: len(bx)]
+        # Beyond about 1e154 m d2 overflows to inf; the candidate rule still holds.
+        with np.errstate(over="ignore"):
+            np.subtract(net.xs, bx[:, None], out=d2)
+            d2 *= d2
+            np.subtract(net.ys, by[:, None], out=dy2)
+            dy2 *= dy2
+            d2 += dy2
+            np.less_equal(d2, d2.min(axis=1, keepdims=True) * (1.0 + 1e-12), out=near)
+            # candidates in (point, index) order, by the 1-D mask: a 2-D
+            # np.nonzero costs ten times more per point at 10^5 nodes
+            row, col = np.divmod(np.flatnonzero(near), n)
+            cx = (bx[row] - net.xs[col]).tolist()
+            cy = (by[row] - net.ys[col]).tolist()
+        d = np.fromiter(map(math.hypot, cx, cy), dtype=float, count=len(cx))
+        # stable: a point's first candidate of least distance leads, inf or not
+        ranked = np.lexsort((d, row))
+        first = ranked[np.flatnonzero(np.diff(row[ranked], prepend=-1))]
+        node[lo : lo + block] = col[first]
+        dist[lo : lo + block] = d[first]
+    return node, dist
 
 
 def multisource_shortest_distances(
@@ -385,44 +395,24 @@ def sampling_grid_size(mode: str) -> int | None:
     return int(m[1]) if m[1] else None
 
 
-def origin_points(tracts: Tracts, index, mode: str) -> list[list[ProjectedPoint]]:
-    """The points each tract of `index` (indices into tracts) is measured
-    from. Mode "centroid" gives its area centroid; mode "grid-K" the centres
-    of the cells of a K x K grid over its bbox that lie inside it, row by
-    row from the south, or its centroid when none does. One points_in_tract
-    call tests the grid points of every tract."""
+def origin_points(tracts: Tracts, index, mode: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points the tracts of `index` (indices into tracts) are measured
+    from, as flat arrays (px, py, owner): point k belongs to the tract
+    index[owner[k]], and each tract's points are consecutive. Mode
+    "centroid" gives its area centroid; mode "grid-K" the centres of the
+    cells of a K x K grid over its bbox that lie inside it, row by row from
+    the south, or its centroid when none does. One points_in_tract call
+    tests the grid points of every tract."""
     k = sampling_grid_size(mode)
-    origins = [[ProjectedPoint(x, y)] for x, y in tracts.centroid[index].tolist()]
+    cx, cy = tracts.centroid[index].T
     if k is None:
-        return origins
+        return cx, cy, np.arange(len(cx))
     xmin, ymin, xmax, ymax = tracts.bounds[index].T[:, :, None]
     row, col = np.divmod(np.arange(k * k), k)
     px = xmin + (col + 0.5) * (xmax - xmin) / k
     py = ymin + (row + 0.5) * (ymax - ymin) / k
     inside = points_in_tract(tracts, px.ravel(), py.ravel(), np.repeat(index, k * k))
-    return [
-        [ProjectedPoint(x, y) for x, y, kept in zip(xs, ys, keep) if kept] or centroid
-        for centroid, xs, ys, keep in zip(
-            origins, px.tolist(), py.tolist(), inside.reshape(px.shape).tolist()
-        )
-    ]
-
-
-def tract_network_distance(
-    points: Sequence[ProjectedPoint],
-    net: RoadNetwork,
-    distances: np.ndarray,
-    *,
-    max_snap_m: float,
-) -> float | None:
-    """Network distance from a tract to its nearest supermarket: the mean of
-    `distances`, the shared array from multisource_shortest_distances, at
-    the snapped nodes of the tract's origin points (`origin_points`), or
-    None if none of them reaches one. Unreachable points are excluded from
-    the mean; a point beyond max_snap_m from every node raises SnapError.
-    """
-    reached = [float(distances[snap_point(pt, net, max_snap_m)]) for pt in points]
-    values = [d for d in reached if d < math.inf]
-    if not values:
-        return None
-    return sum(values) / len(values)
+    inside = inside.reshape(px.shape)
+    empty = ~inside.any(axis=1)  # these tracts keep their centroid, in the first cell
+    px[empty, 0], py[empty, 0], inside[empty, 0] = cx[empty], cy[empty], True
+    return px[inside], py[inside], np.nonzero(inside)[0]

@@ -7,8 +7,9 @@ numbers instead of ray casting, dense boundary sampling instead of exact
 segment distances, a per-tract loop (in floats or exact fractions) instead
 of the batched Moran kernel, row-standardised weights built one tract at a
 time instead of by array operations on the CSR adjacency, a scan over every
-node id in sorted order instead of one numpy pass over the coordinate
-arrays, scalar loops over every (provider, part) and every tract pair
+node id in sorted order, one point and one tract at a time, instead of
+blocks of points against the coordinate arrays and per-tract sums by
+bincount, scalar loops over every (provider, part) and every tract pair
 instead of the batched numpy segment kernel, list-form polygons (`Polygon`,
 rings of ProjectedPoint tuples) with scalar shoelace loops for area,
 centroid and bbox instead of the packed `geometry.Tracts` and its array
@@ -41,6 +42,8 @@ from access_atlas.geometry import (
 from access_atlas.network import (
     DEFAULT_ROAD_CLASSES,
     RoadNetwork,
+    multisource_shortest_distances,
+    origin_points,
     parse_finite,
     read_csv_table,
 )
@@ -105,7 +108,7 @@ def road_network_loop(
         u = parse_finite(raw_u, f"{path} row {row_no} {header[1]}")
         v = parse_finite(raw_v, f"{path} row {row_no} {header[2]}")
         if geographic:
-            nodes[nid] = project_lonlat(u, v, ref_lon, ref_lat)
+            nodes[nid] = project_lonlat(u, v, ref_lon, ref_lat, f"{path} row {row_no}: ")
         else:
             nodes[nid] = ProjectedPoint(u, v)
 
@@ -310,10 +313,11 @@ def _node_id_key(node_id: str) -> tuple[int, int, str]:
     return (1, 0, node_id)
 
 
-def snap_loop(pt, net, max_snap_m: float = 500.0) -> int:
-    """Index of the nearest node, by scanning every id in sorted order and
-    keeping the first strict minimum of math.hypot (the first id when every
-    distance overflows to inf); a drop-in for network.snap_point."""
+def snap_loop(pt, net) -> tuple[int, float]:
+    """Index of the nearest node and its distance, by scanning every id in
+    sorted order and keeping the first strict minimum of math.hypot (the
+    first id, at inf, when every distance overflows); a drop-in for one
+    point of network.snap_points."""
     if not net.ids:
         raise DomainError("cannot snap onto an empty network")
     ordered = sorted(range(len(net.ids)), key=lambda i: _node_id_key(net.ids[i]))
@@ -324,12 +328,65 @@ def snap_loop(pt, net, max_snap_m: float = 500.0) -> int:
         if d < best_d:
             best_d = d
             best = i
-    if best_d > max_snap_m:
-        raise SnapError(
-            f"nearest node {net.ids[best]!r} is {best_d:.1f} m away (max {max_snap_m:.0f} m)",
-            best_d,
-        )
-    return best
+    return best, best_d
+
+
+def tract_network_distance_loop(points, net, distances, max_snap_m: float) -> float | None:
+    """Network distance from one tract to its nearest supermarket: the mean
+    of `distances` at the snap_loop nodes of its origin points, added left
+    to right from 0.0, over the points that reach one; None when none does.
+    The first point beyond max_snap_m raises SnapError with its distance."""
+    reached = []
+    for pt in points:
+        i, d = snap_loop(pt, net)
+        if d > max_snap_m:
+            raise SnapError(f"nearest node {net.ids[i]!r} is {d:.1f} m away", d)
+        reached.append(float(distances[i]))
+    values = [d for d in reached if d < math.inf]
+    if not values:
+        return None
+    total = 0.0
+    for v in values:  # not sum(): from Python 3.12 it compensates float sums
+        total += v
+    return total / len(values)
+
+
+def ace_net_loop(tracts, supermarkets, net, mode: str, max_snap_m: float):
+    """ACE_NET of every tract, in tract_id order, one point and one snap at
+    a time: ({tract_id: value} of the tracts kept, [(tract_id, reason)] of
+    those dropped as unsnappable or unreachable). The origin points are
+    those of network.origin_points, as one list per tract. The first
+    supermarket (a ProviderPoint) beyond max_snap_m raises SnapError. This
+    is ingest.assemble_variable_table's ACE_NET for tracts whose
+    demographics are complete."""
+    sources = set()
+    for p in supermarkets:
+        i, d = snap_loop(p.location, net)
+        if d > max_snap_m:
+            raise SnapError(
+                f"supermarket {p.id}: nearest node {net.ids[i]!r} is {d:.1f} m away "
+                f"(max {max_snap_m:.0f} m)",
+                d,
+            )
+        sources.add(i)
+    distances = multisource_shortest_distances(net, sources)
+    order = sorted(range(len(tracts.ids)), key=tracts.ids.__getitem__)
+    px, py, owner = origin_points(tracts, order, mode)
+    points = [[] for _ in order]
+    for x, y, k in zip(px.tolist(), py.tolist(), owner.tolist()):
+        points[k].append(ProjectedPoint(x, y))
+    kept, dropped = {}, []
+    for i, pts in zip(order, points):
+        try:
+            value = tract_network_distance_loop(pts, net, distances, max_snap_m)
+        except SnapError as exc:
+            dropped.append((tracts.ids[i], f"unsnappable ({exc.distance_m:.0f} m)"))
+            continue
+        if value is None:
+            dropped.append((tracts.ids[i], "unreachable"))
+        else:
+            kept[tracts.ids[i]] = value
+    return kept, dropped
 
 
 @dataclass

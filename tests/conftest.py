@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from access_atlas import geometry
 from access_atlas.network import DEFAULT_ROAD_CLASSES, RoadEdges, RoadNodes, build_network
 
 settings.register_profile("repeatable", derandomize=True, deadline=None)
@@ -30,6 +31,22 @@ def network_from_records(edge_records, node_records, allowed_classes=DEFAULT_ROA
         [c for _, _, _, c in edge_records],
     )
     return build_network(edges, nodes, allowed_classes)
+
+
+TINY_BUDGETS = (None, 1, 5, 17)
+
+
+def each_budget(monkeypatch, compute):
+    """compute() under the default geometry.KERNEL_BUDGET and under tiny
+    ones; then undoes every monkeypatch of the test, counting wrappers
+    included."""
+    results = []
+    for budget in TINY_BUDGETS:
+        if budget is not None:
+            monkeypatch.setattr(geometry, "KERNEL_BUDGET", budget)
+        results.append(compute())
+    monkeypatch.undo()
+    return results
 
 
 @pytest.fixture(scope="session")

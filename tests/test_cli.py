@@ -438,6 +438,16 @@ def test_report_packs_the_tracts_once(minitown_config, tmp_path, monkeypatch, mo
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["variables", "report"])
+@pytest.mark.parametrize("mode", ["centroid", "grid-3"])
+def test_run_snaps_in_one_call(minitown_config, tmp_path, monkeypatch, command, mode):
+    # the supermarkets and every origin point of every tract go in one call
+    calls = count_calls(monkeypatch, (ingest, "snap_points"))
+    args = [command, "--config", minitown_config, "--out", str(tmp_path / "out")]
+    assert run([*args, "--ace-net-mode", mode]) == 0
+    assert calls == {"snap_points": 1}
+
+
 def test_report_renders_every_box_map_in_one_call(minitown_config, tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, (report, "emit_geojson"), (report, "emit_svg_choropleth"))
     assert run(["report", "--config", minitown_config, "--out", str(tmp_path / "out")]) == 0

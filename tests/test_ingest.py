@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,11 +14,21 @@ from access_atlas.errors import (
     EmptyTableError,
     RangeError,
     SchemaError,
+    SnapError,
 )
+from access_atlas.geometry import ProjectedPoint
 from access_atlas.ingest import VARIABLE_COLUMNS
-from access_atlas.network import RoadNetwork, build_network, load_road_edges, load_road_nodes
+from access_atlas.network import (
+    RoadNetwork,
+    build_network,
+    load_road_edges,
+    load_road_nodes,
+    origin_points,
+    snap_points,
+)
 
-from _oracles import list_form, pack, snap_loop
+from conftest import network_from_records
+from _oracles import Polygon, ace_net_loop, list_form, pack
 
 
 def column(table, name):
@@ -155,6 +166,24 @@ def test_schema_fault_reported_before_an_earlier_geometry_fault(tmp_path):
         ingest.load_tracts(path, 0.0, 0.0)
 
 
+def test_off_plane_vertex_names_feature_and_tract(tmp_path):
+    ring = [[-87.70, 41.85], [-87.69, 41.85], [-87.69, 41.86], [-87.70, 41.86], [-87.70, 41.85]]
+    features = [
+        {"type": "Feature", "properties": {"tract_id": f"t{i}"},
+         "geometry": {"type": "Polygon", "coordinates": [ring]}}
+        for i in range(5)
+    ]
+    for i in (3, 4):  # the first bad point in file order is named
+        features[i]["geometry"]["coordinates"] = [[*ring[:2], [100.0, 41.86], *ring[3:]]]
+    doc = {"type": "FeatureCollection", "features": features}
+    path = write(tmp_path / "t.geojson", json.dumps(doc))
+    with pytest.raises(DomainError) as exc:
+        ingest.load_tracts(path, *REF)
+    assert str(exc.value).startswith(
+        f"{path}: feature 3 (tract t3): projected point (15546898, "
+    )
+
+
 def test_non_finite_tract_coordinate_rejected(tmp_path):
     # Python's json module accepts NaN/Infinity literals; ingest must not
     text = (
@@ -266,6 +295,23 @@ def test_non_numeric_coordinates_name_row(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "lon, lat, message",
+    [
+        ("100", "41.85", "projected point (15546898, 0) exceeds local-plane validity"),
+        ("-87.7", "89.5", "latitude out of range (-89, 89): lat=89.5, ref_lat=41.85"),
+    ],
+    ids=["east-of-the-plane", "polar-latitude"],
+)
+def test_off_plane_provider_names_row(tmp_path, lon, lat, message):
+    rows = ["s1,supermarket,-87.7,41.85", f"s2,supermarket,{lon},{lat}"]
+    rows.append(f"s3,produce_cart,{lon},{lat}")
+    path = write(tmp_path / "p.csv", "\n".join(["id,kind,lon,lat", *rows]) + "\n")
+    with pytest.raises(DomainError) as exc:
+        ingest.load_providers(path, *REF)
+    assert str(exc.value) == f"{path} row 3: {message}"
+
+
+@pytest.mark.parametrize(
     "row",
     [
         "s1,supermarket,nan,41.85,",
@@ -331,6 +377,15 @@ def test_non_finite_road_node_coordinate_rejected(tmp_path, text):
     path = write(tmp_path / "n.csv", text)
     with pytest.raises(RangeError, match="row 3"):
         load_road_nodes(path, *REF)
+
+
+def test_off_plane_road_node_names_row(tmp_path):
+    path = write(tmp_path / "n.csv", "node_id,lon,lat\n1,-87.7,41.85\n2,100,41.85\n3,100,0\n")
+    with pytest.raises(DomainError) as exc:
+        load_road_nodes(path, *REF)
+    assert str(exc.value) == (
+        f"{path} row 3: projected point (15546898, 0) exceeds local-plane validity"
+    )
 
 
 def test_non_finite_road_edge_length_rejected(tmp_path):
@@ -527,12 +582,95 @@ def test_grid_mode_snaps_like_sorted_scan_oracle(minitown_dir, monkeypatch, max_
         )
 
     got = assemble()
-    monkeypatch.setattr(network, "snap_point", snap_loop)
-    monkeypatch.setattr(ingest, "snap_point", snap_loop)
-    want = assemble()
-    assert np.array_equal(got.values, want.values)
-    assert got.dropped == want.dropped
-    assert got.tract_ids == want.tract_ids
+    supermarkets = [p for p in providers if p.kind == "supermarket"]
+    kept, dropped = ace_net_loop(tracts, supermarkets, net, "grid-3", max_snap_m)
+    assert got.tract_ids == list(kept)
+    assert column(got, "ACE_NET").tolist() == list(kept.values())
+    assert got.dropped == dropped
+    assert len(dropped) == (4 if max_snap_m == 400.0 else 0)
+
+
+def random_ace_net_inputs(rng):
+    """Road component "a" west of x = 2000 m and "b" east of x = 2600 m,
+    supermarkets within 50 m of "a" nodes (and, now and then, one far from
+    both), and rectangles and L-shapes from x = -500 to 5500 m, so that a
+    tract has points beyond the snap radius, points that snap into "b"
+    where no supermarket is, or both."""
+    nodes = {}
+    for name, lo, hi, n in (("a", (0, 0), (2000, 2000), 20), ("b", (2600, 0), (4000, 2000), 8)):
+        xy = rng.uniform(lo, hi, size=(int(rng.integers(n // 2, n)), 2))
+        nodes |= {f"{name}{i}": ProjectedPoint(x, y) for i, (x, y) in enumerate(xy.tolist())}
+    ids = list(nodes)
+    edges = [(u, v, None, "residential") for u, v in zip(ids, ids[1:]) if u[0] == v[0]]
+    net = network_from_records(edges, nodes)
+    a_nodes = [nodes[i] for i in ids if i[0] == "a"]
+    supermarkets = []
+    for k in range(int(rng.integers(1, 4))):
+        x, y = a_nodes[int(rng.integers(0, len(a_nodes)))]
+        u, v = rng.uniform(-50, 50, size=2)
+        location = ProjectedPoint(x + u, y + v)
+        supermarkets.append(ingest.ProviderPoint(f"s{k}", "supermarket", location, 1000.0))
+    if rng.random() < 0.1:
+        far = ingest.ProviderPoint("far", "supermarket", ProjectedPoint(9e3, 9e3), 1000.0)
+        supermarkets.insert(1, far)
+    tracts = []
+    for _ in range(12):
+        x0, y0 = rng.uniform([-500, -500], [4000, 2000])
+        w, h = rng.uniform(100, 1500, size=2)
+        ring = [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]
+        if rng.random() < 0.3:  # an L: its bbox centre is outside
+            ring[2:3] = [(x0 + w, y0 + h / 3), (x0 + w / 3, y0 + h / 3), (x0 + w / 3, y0 + h)]
+        tracts.append([Polygon([ring])])
+    ids = [f"t{i:02d}" for i in rng.permutation(len(tracts))]
+    return pack(tracts, ids), supermarkets, net
+
+
+def test_ace_net_matches_per_tract_oracle():
+    rng = np.random.default_rng(1807)
+    seen = Counter()
+    for _ in range(80):
+        tracts, supermarkets, net = random_ace_net_inputs(rng)
+        mode = str(rng.choice(["centroid", "grid-1", "grid-2", "grid-3", "grid-4"]))
+        max_snap_m = float(rng.uniform(300, 900))
+        full = dict.fromkeys(ingest.DEMOGRAPHIC_COLUMNS, 1.0)
+        demographics = [ingest.DemographicRecord(t, full) for t in tracts.ids]
+
+        def assemble():
+            return ingest.assemble_variable_table(
+                tracts, supermarkets, net, demographics, ace_net_mode=mode, max_snap_m=max_snap_m
+            )
+
+        try:
+            kept, dropped = ace_net_loop(tracts, supermarkets, net, mode, max_snap_m)
+        except SnapError as exc:
+            with pytest.raises(SnapError) as got:
+                assemble()
+            assert (str(got.value), got.value.distance_m) == (str(exc), exc.distance_m)
+            seen["supermarket"] += 1
+            continue
+        if not kept:
+            with pytest.raises(EmptyTableError):
+                assemble()
+            continue
+        table = assemble()
+        assert table.tract_ids == list(kept)
+        assert column(table, "ACE_NET").tolist() == list(kept.values())
+        assert table.dropped == dropped
+        seen["kept"] += len(kept)
+        # what each tract's points were: beyond the radius, or snapped into "b"
+        order = sorted(range(len(tracts.ids)), key=tracts.ids.__getitem__)
+        px, py, owner = origin_points(tracts, order, mode)
+        node, dist = snap_points(net, px, py)
+        for k in range(len(order)):
+            far = (dist[owner == k] > max_snap_m).tolist()
+            in_b = [net.ids[i][0] == "b" for i in node[owner == k].tolist()]
+            if any(far):
+                seen["far point after the first" if not far[0] else "far first point"] += 1
+            elif all(in_b):
+                seen["no point reaches"] += 1
+            elif any(in_b):
+                seen["some points reach"] += 1
+    assert min(seen.values()) >= 8 and len(seen) == 6, seen
 
 
 def test_assemble_without_supermarkets_rejected(minitown_dir):

@@ -6,20 +6,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from access_atlas import network
-from access_atlas.errors import DomainError, SchemaError, SnapError
+from access_atlas import ingest, network
+from access_atlas.errors import DomainError, SchemaError
 from access_atlas.geometry import ProjectedPoint
 from access_atlas.network import (
     build_network,
     load_road_edges,
     load_road_nodes,
     multisource_shortest_distances,
-    origin_points,
-    snap_point,
-    tract_network_distance,
+    snap_points,
 )
 
-from conftest import network_from_records
+from conftest import each_budget, network_from_records
 from _oracles import (
     Polygon,
     _node_id_key,
@@ -135,7 +133,7 @@ def test_build_sorts_ids_once_into_a_symmetric_csr(monkeypatch):
         assert all(arcs[(b, a, w)] == count for (a, b, w), count in arcs.items())
         calls.clear()
         if net.ids:
-            snap_point(ProjectedPoint(0.0, 0.0), net, max_snap_m=1.0)
+            snap_points(net, [0.0], [0.0])
             multisource_shortest_distances(net, {0, len(net.ids) - 1})
         assert calls == []
 
@@ -149,27 +147,33 @@ def test_build_computes_euclidean_length_when_missing():
 # ------------------------------------------------------------------ snapping
 
 
+def snap(net, pt):
+    """snap_points of one point, as (index, distance)."""
+    node, dist = snap_points(net, [pt.x], [pt.y])
+    return int(node[0]), float(dist[0])
+
+
 def test_snap_exact_node():
     net = chain_network()
-    assert snap_point(ProjectedPoint(300, 0), net) == index(net, "C")
+    assert snap(net, ProjectedPoint(300, 0)) == (index(net, "C"), 0.0)
 
 
 def test_snap_tie_breaks_to_lowest_id():
     nodes = {"3": ProjectedPoint(-100, 0), "9": ProjectedPoint(100, 0)}
     net = network_from_records([("3", "9", 200.0, "residential")], nodes)
-    assert net.ids[snap_point(ProjectedPoint(0, 0), net)] == "3"
+    assert net.ids[snap(net, ProjectedPoint(0, 0))[0]] == "3"
 
 
 def test_snap_numeric_ids_order_numerically():
     nodes = {"9": ProjectedPoint(-100, 0), "10": ProjectedPoint(100, 0)}
     net = network_from_records([("9", "10", 200.0, "residential")], nodes)
-    assert net.ids[snap_point(ProjectedPoint(0, 0), net)] == "9"
+    assert net.ids[snap(net, ProjectedPoint(0, 0))[0]] == "9"
 
 
-def test_snap_beyond_max_raises():
+def test_snap_beyond_max_returns_its_distance():
+    # snap_points knows no max_snap_m: the caller compares the distance
     net = chain_network()
-    with pytest.raises(SnapError):
-        snap_point(ProjectedPoint(0, 800), net, max_snap_m=500)
+    assert snap(net, ProjectedPoint(0, 800)) == (index(net, "A"), 800.0)
 
 
 def test_non_decimal_digit_id_sorts_as_text():
@@ -178,7 +182,7 @@ def test_non_decimal_digit_id_sorts_as_text():
     nodes = {"²": ProjectedPoint(-100, 0), "7": ProjectedPoint(100, 0)}
     net = network_from_records([("²", "7", 200.0, "residential")], nodes)
     assert row(net, "²") == [("7", 200.0)]
-    assert net.ids[snap_point(ProjectedPoint(0, 0), net)] == "7"
+    assert net.ids[snap(net, ProjectedPoint(0, 0))[0]] == "7"
     assert distances_by_id(net, {"²"}) == {"²": 0.0, "7": 200.0}
 
 
@@ -232,21 +236,31 @@ def test_snap_point_matches_sorted_scan_oracle():
     ties = snapped = too_far = 0
     for _ in range(200):
         net, points, max_snap_m = random_snap_network(rng)
-        for pt in points:
-            try:
-                want = snap_loop(pt, net, max_snap_m)
-            except SnapError as exc:
-                with pytest.raises(SnapError) as got:
-                    snap_point(pt, net, max_snap_m)
-                assert got.value.distance_m == exc.distance_m
+        node, dist = snap_points(net, [pt.x for pt in points], [pt.y for pt in points])
+        coords = list(zip(net.xs.tolist(), net.ys.tolist()))
+        for pt, got in zip(points, zip(node.tolist(), dist.tolist())):
+            want, best = snap_loop(pt, net)
+            assert got == (want, best)
+            if best > max_snap_m:
                 too_far += 1
                 continue
-            assert snap_point(pt, net, max_snap_m) == want
             snapped += 1
-            coords = list(zip(net.xs.tolist(), net.ys.tolist()))
-            best = math.hypot(pt.x - coords[want][0], pt.y - coords[want][1])
             ties += sum(math.hypot(pt.x - x, pt.y - y) == best for x, y in coords) > 1
     assert min(ties, snapped, too_far) > 500
+
+
+@pytest.mark.parametrize("spots, copies", [(12, 5), (3, 2)])  # blocks of 136 or 1365 points
+def test_snap_points_blocks_match_sorted_scan_oracle(monkeypatch, spots, copies):
+    # every coordinate is held by several ids, so the block edges, moved by
+    # the kernel budget, fall between points whose nearest nodes tie
+    rng = np.random.default_rng(1018 + spots)
+    at = [(float(x), float(y)) for x, y in rng.integers(-5, 6, size=(spots, 2)) * 40.0]
+    ids = [str(i) for i in rng.permutation(spots * copies)]
+    net = edgeless_network({nid: ProjectedPoint(*at[k % spots]) for k, nid in enumerate(ids)})
+    px, py = (rng.integers(-12, 13, size=(2, 500)) * 20.0).tolist()
+    want = [snap_loop(ProjectedPoint(x, y), net) for x, y in zip(px, py)]
+    for node, dist in each_budget(monkeypatch, lambda: snap_points(net, px, py)):
+        assert list(zip(node.tolist(), dist.tolist())) == want
 
 
 @pytest.mark.parametrize("px, py", [(0.0, 0.0), (-1e308, -1e308), (1e308, 1e308), (3e307, -1e154)])
@@ -261,17 +275,15 @@ def test_snap_point_with_overflowing_squares_matches_oracle(px, py):
     pt = ProjectedPoint(px, py)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert snap_point(pt, net, math.inf) == snap_loop(pt, net, math.inf)
+        assert snap(net, pt) == snap_loop(pt, net)
 
 
-def test_snap_point_overflowing_distance_raises_snap_error():
-    # math.hypot overflows to inf for both nodes: the first id in order is
-    # named, and it is beyond any finite max_snap_m
+def test_snap_overflowing_distance_is_inf():
+    # math.hypot overflows to inf for both nodes: the first id in order
+    # wins, beyond any finite max_snap_m
     nodes = {"2": ProjectedPoint(-1.7e308, 1.7e308), "1": ProjectedPoint(1.7e308, 1.7e308)}
     net = edgeless_network(nodes)
-    with pytest.raises(SnapError, match="'1'") as exc:
-        snap_point(ProjectedPoint(0.0, -1e7), net, max_snap_m=1e300)
-    assert exc.value.distance_m == math.inf
+    assert snap(net, ProjectedPoint(0.0, -1e7)) == (index(net, "1"), math.inf)
 
 
 def test_snap_point_does_not_sort_per_call(monkeypatch):
@@ -287,8 +299,10 @@ def test_snap_point_does_not_sort_per_call(monkeypatch):
         return original(node_id)
 
     monkeypatch.setattr(network, "_node_sort_key", counted)
-    for x, y in rng.uniform(0, 1e4, size=(200, 2)):
-        snap_point(ProjectedPoint(float(x), float(y)), net, max_snap_m=1e5)
+    points = rng.uniform(0, 1e4, size=(200, 2))
+    for x, y in points:
+        snap_points(net, [x], [y])
+    snap_points(net, points[:, 0], points[:, 1])
     assert len(calls) <= n
 
 
@@ -482,11 +496,30 @@ def tract_at(x0, y0, size=100.0):
 
 
 def distance_to(parts, net, sources, mode="centroid", max_snap_m=network.DEFAULT_SNAP_MAX_M):
-    """tract_network_distance from the origin points of one list-form tract
-    over the shared Dijkstra map of `sources`."""
-    distances = multisource_shortest_distances(net, {index(net, s) for s in sources})
-    [points] = origin_points(pack([parts]), [0], mode)
-    return tract_network_distance(points, net, distances, max_snap_m=max_snap_m)
+    """ACE_NET of one list-form tract from assemble_variable_table, with a
+    supermarket on each node of `sources`: its value, or its drop reason. A
+    second tract, 1 m wide on a source node, keeps the table from being
+    empty."""
+    def at(node_id):
+        i = index(net, node_id)
+        return ProjectedPoint(float(net.xs[i]), float(net.ys[i]))
+
+    x, y = at(min(sources))
+    anchor = tract_at(x - 0.5, y - 0.5, size=1.0)
+    supermarkets = [ingest.ProviderPoint(s, "supermarket", at(s), 3000.0) for s in sorted(sources)]
+    full = dict.fromkeys(ingest.DEMOGRAPHIC_COLUMNS, 1.0)
+    demographics = [ingest.DemographicRecord(t, full) for t in ("a", "b")]
+    table = ingest.assemble_variable_table(
+        pack([parts, anchor], ids=["a", "b"]),
+        supermarkets,
+        net,
+        demographics,
+        ace_net_mode=mode,
+        max_snap_m=max_snap_m,
+    )
+    if table.tract_ids[0] == "a":
+        return float(table.values[0, ingest.VARIABLE_COLUMNS.index("ACE_NET")])
+    return dict(table.dropped)["a"]
 
 
 def test_centroid_mode_uses_snapped_centroid():
@@ -529,14 +562,13 @@ def test_disconnected_tract_is_unreachable():
         [("A", "B", 100.0, "residential"), ("X", "Y", 100.0, "residential")], nodes
     )
     parts = tract_at(-50, -50)  # snaps to A, component {A, B}
-    assert distance_to(parts, net, {"X"}) is None
+    assert distance_to(parts, net, {"X"}) == "unreachable"
 
 
-def test_snap_error_propagates():
+def test_far_tract_is_dropped_unsnappable():
     net = chain_network()
-    parts = tract_at(10000, 10000)
-    with pytest.raises(SnapError):
-        distance_to(parts, net, {"C"})
+    parts = tract_at(10000, 10000)  # centroid (10050, 10050), 14,002 m from C
+    assert distance_to(parts, net, {"C"}) == "unsnappable (14002 m)"
 
 
 def test_bad_mode_rejected():

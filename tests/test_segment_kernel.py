@@ -24,6 +24,7 @@ from access_atlas.geometry import (
 )
 from access_atlas.network import origin_points
 
+from conftest import TINY_BUDGETS, each_budget
 from _oracles import (
     Polygon,
     availability_loop,
@@ -35,8 +36,6 @@ from _oracles import (
     queen_adjacency_loop,
 )
 
-TINY_BUDGETS = (None, 1, 5, 17)
-
 
 def counting(monkeypatch, name: str) -> list:
     """Wrap geometry.<name> so that every call through the module is recorded."""
@@ -44,18 +43,6 @@ def counting(monkeypatch, name: str) -> list:
     real = getattr(geometry, name)
     monkeypatch.setattr(geometry, name, lambda *a: calls.append(a) or real(*a))
     return calls
-
-
-def each_budget(monkeypatch, compute):
-    """compute() under the default KERNEL_BUDGET and under tiny ones; then
-    undoes every monkeypatch of the test, counting wrappers included."""
-    results = []
-    for budget in TINY_BUDGETS:
-        if budget is not None:
-            monkeypatch.setattr(geometry, "KERNEL_BUDGET", budget)
-        results.append(compute())
-    monkeypatch.undo()
-    return results
 
 
 def star(rng, cx, cy, r_min, r_max, n):
@@ -210,20 +197,26 @@ def test_grid_samples_on_a_tract_edge_fall_back(monkeypatch):
     # the 4 x 4 sample grid puts (375, 625), (625, 375), ... on the notch edges
     ell = [Polygon([[(0, 0), (1000, 0), (1000, 375), (375, 375), (375, 1000), (0, 1000)]])]
     rng = np.random.default_rng(505)
-    for parts, k in [(ell, 4), *[(random_tract(rng, 0.0, 0.0), int(rng.integers(1, 9))) for _ in range(6)]]:
+    # grid-1 samples the ell at its bbox centre, which lies in the notch
+    cases = [(ell, 4), (ell, 1)]
+    cases += [(random_tract(rng, 0.0, 0.0), int(rng.integers(1, 9))) for _ in range(6)]
+    for parts, k in cases:
         xmin, ymin, xmax, ymax = parts_bounds(parts)
         grid = [
             ProjectedPoint(xmin + (i + 0.5) * (xmax - xmin) / k, ymin + (j + 0.5) * (ymax - ymin) / k)
             for j in range(k)
             for i in range(k)
         ]
-        want = [pt for pt in grid if any(point_in_polygon(pt, part) for part in parts)]
         # the tract beside a copy of it: one call samples both
         packed = pack([parts, parts])
+        want = [pt for pt in grid if any(point_in_polygon(pt, part) for part in parts)]
+        want = want or [ProjectedPoint(*packed.centroid[0].tolist())]
         calls = counting(monkeypatch, "circle_intersects_polygon")
         got = each_budget(monkeypatch, lambda: origin_points(packed, [1, 0], f"grid-{k}"))
-        assert all(g == [want, want] for g in got)
-        if parts is ell:
+        for px, py, owner in got:
+            assert list(zip(px.tolist(), py.tolist())) == want + want
+            assert owner.tolist() == [0] * len(want) + [1] * len(want)
+        if parts is ell and k == 4:
             # 4 edge samples and the notch vertex, in each copy
             assert len(calls) >= len(TINY_BUDGETS) * 10
             assert ProjectedPoint(625.0, 375.0) in want
