@@ -22,7 +22,6 @@ from .geometry import (
     ProjectedPoint,
     Tracts,
     availability_counts,
-    circle_intersects_polygon,
     pack_tracts,
     project_lonlat,
     queen_adjacency,

@@ -108,7 +108,8 @@ def _coerce(key: str, value):
 
 
 def load_config_file(path: str) -> RunConfig:
-    """Parse a JSON config; relative paths resolve against its directory."""
+    """Parse a JSON config; relative paths resolve against its directory,
+    and an empty path stays empty, for validate to reject."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
@@ -125,7 +126,7 @@ def load_config_file(path: str) -> RunConfig:
     base = os.path.dirname(os.path.abspath(path))
     for key, value in raw.items():
         value = _coerce(key, value)
-        if key in _PATH_KEYS:
+        if key in _PATH_KEYS and value:
             value = os.path.join(base, value)
         setattr(cfg, key, value)
     return cfg

@@ -15,14 +15,14 @@ area or centroid is a sum taken in vertex order, one vertex position at a
 time across all rings (`_sums_in_order`), so it keeps the bits of the
 scalar shoelace loop; a pairwise sum such as np.add.reduceat would not.
 
-`circle_intersects_polygon` is the one scalar predicate. The batched
-callers (`availability_counts`, `queen_adjacency`, `points_in_tract`) take
-the Tracts and the indices of the tracts they work on, and run one numpy
-kernel, `_scan`, over (query point, part) pairs in chunks of KERNEL_BUDGET
-elements. It repeats the scalar float operations in the same order, so
-only np.hypot can differ from math.hypot; a pair whose distance lies
-within 1e-9 * max(r, 1) of its threshold r is decided again by the scalar
-code on that part's rings, and every result equals the scalar one.
+The batched predicates (`availability_counts`, `queen_adjacency`,
+`points_in_tract`) take the Tracts and the indices of the tracts they work
+on, and run one numpy kernel, `_scan`, over (query point, part) pairs in
+chunks of KERNEL_BUDGET elements. It repeats the float operations of a
+scalar segment-distance loop in the same order, so only np.hypot can
+differ from math.hypot; a pair whose distance lies within
+1e-9 * max(r, 1) of its threshold r is measured again by `_scan` with
+math.hypot, and every result equals that of the scalar loop.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ class Tracts:
     ymin, xmax, ymax).
 
     The segments of part p are seg_start[p]:seg_start[p + 1]. Segment s runs
-    from (ax[s], ay[s]) to (ax[s] + dx[s], by[s]); dx, dy and seg2 are
-    computed as in `_segment_distance`. The segment starts are the ring
+    from (ax[s], ay[s]) to (ax[s] + dx[s], by[s]), with dx = bx - ax,
+    dy = by - ay and seg2 = dx * dx + dy * dy. The segment starts are the ring
     vertices without the closing repeat, so a tract's vertices are the
     starts of its segments.
     """
@@ -120,15 +120,6 @@ class Tracts:
     dx: np.ndarray
     dy: np.ndarray
     seg2: np.ndarray
-
-    def part_rings(self, p: int) -> list[list[tuple[float, float]]]:
-        """The closed rings of part p as (x, y) vertex lists, the form the
-        scalar predicates read."""
-        bounds = self.ring_start[self.part_ring[p] : self.part_ring[p + 1] + 1].tolist()
-        return [
-            list(zip(self.x[lo:hi].tolist(), self.y[lo:hi].tolist()))
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
 
 
 def _offsets(counts) -> np.ndarray:
@@ -231,60 +222,6 @@ def pack_tracts(ids, source_geometry, x, y, ring_sizes, ring_counts, part_counts
     )
 
 
-def _segment_distance(pt: ProjectedPoint, a, b) -> float:
-    """Euclidean distance from pt to the closed segment [a, b]."""
-    ax, ay = a
-    bx, by = b
-    dx = bx - ax
-    dy = by - ay
-    seg2 = dx * dx + dy * dy
-    if seg2 == 0.0:
-        return math.hypot(pt.x - ax, pt.y - ay)
-    t = ((pt.x - ax) * dx + (pt.y - ay) * dy) / seg2
-    t = max(0.0, min(1.0, t))
-    return math.hypot(pt.x - (ax + t * dx), pt.y - (ay + t * dy))
-
-
-def boundary_distance(pt: ProjectedPoint, rings: Sequence[Sequence[tuple[float, float]]]) -> float:
-    """Minimum distance from pt to any segment of the closed rings of one
-    polygon, each a sequence of (x, y) vertices."""
-    best = math.inf
-    for ring in rings:
-        for i in range(len(ring) - 1):
-            d = _segment_distance(pt, ring[i], ring[i + 1])
-            if d < best:
-                best = d
-    return best
-
-
-def circle_intersects_polygon(
-    center: ProjectedPoint, radius_m: float, rings: Sequence[Sequence[tuple[float, float]]]
-) -> bool:
-    """True iff the closed disk of radius_m around center meets the polygon
-    whose closed rings (exterior and holes) are `rings`.
-
-    Exact test: either some boundary segment comes within radius_m (and
-    never less than BOUNDARY_EPS) of the center, or the center lies inside
-    by the even-odd rule: a horizontal ray cast east from it crosses the
-    rings (exterior and holes together) an odd number of times. Tangency
-    counts.
-    """
-    if not (radius_m > 0):
-        raise DomainError(f"radius must be > 0, got {radius_m}")
-    if boundary_distance(center, rings) <= max(radius_m, BOUNDARY_EPS):
-        return True
-    inside = False
-    for ring in rings:
-        for i in range(len(ring) - 1):
-            xi, yi = ring[i]
-            xj, yj = ring[i + 1]
-            if (yi > center.y) != (yj > center.y):
-                x_cross = (xj - xi) * (center.y - yi) / (yj - yi) + xi
-                if center.x < x_cross:
-                    inside = not inside
-    return inside
-
-
 def _reach(threshold, scale: float):
     """`threshold` widened by far more than the rounding of any coordinate
     up to `scale`: a point farther than this from a bbox is, in float
@@ -325,16 +262,25 @@ def _chunks(weights: np.ndarray):
         lo = hi
 
 
+def _exact_hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """math.hypot of each pair: correctly rounded, where np.hypot may be an
+    ulp off."""
+    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), dtype=float, count=len(x))
+
+
 def _scan(
-    tracts: Tracts, px: np.ndarray, py: np.ndarray, part: np.ndarray
+    tracts: Tracts, px: np.ndarray, py: np.ndarray, part: np.ndarray, hypot=np.hypot
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum boundary distance and odd crossing parity of each query
     point (px[k], py[k]) against part[k].
 
-    The float operations are those of `_segment_distance` and of the ray
-    cast in `circle_intersects_polygon`, in the same order, so the parity
-    is bitwise the scalar one and the distance differs only where np.hypot
-    differs from math.hypot (by an ulp or so).
+    Per segment, in the order of a scalar loop: t = ((x - ax) * dx +
+    (y - ay) * dy) / seg2 clamped to [0, 1] (0 on a zero-length segment),
+    the distance hypot(x - (ax + t * dx), y - (ay + t * dy)), and whether
+    the segment crosses the ray cast east from the point. The parity is
+    bitwise that of the scalar ray cast; with `_exact_hypot` the distance
+    is bitwise the scalar one too, and with np.hypot it may differ by an
+    ulp or so.
     """
     dmin = np.empty(len(px))
     odd = np.empty(len(px), dtype=bool)
@@ -352,7 +298,7 @@ def _scan(
         t = (ex * dx + ey * dy) / np.where(degenerate, 1.0, seg2)
         t = np.maximum(0.0, np.minimum(1.0, t))
         t[degenerate] = 0.0
-        d = np.hypot(x - (ax + t * dx), y - (ay + t * dy))
+        d = hypot(x - (ax + t * dx), y - (ay + t * dy))
         dmin[lo:hi] = np.minimum.reduceat(d, offsets)
         spans = (ay > y) != (tracts.by[s] > y)
         x_cross = dx * ey / np.where(spans, dy, 1.0) + ax
@@ -360,25 +306,25 @@ def _scan(
     return dmin, odd
 
 
-def _decide(dmin: np.ndarray, threshold, scalar) -> np.ndarray:
-    """dmin <= threshold, with every query in the tie band
-    |dmin - threshold| <= 1e-9 * max(threshold, 1) decided by scalar(k)."""
+def _decide(tracts: Tracts, px, py, part, dmin: np.ndarray, threshold) -> np.ndarray:
+    """dmin <= threshold, dmin being _scan's distances of the queries; the
+    queries in the tie band |dmin - threshold| <= 1e-9 * max(threshold, 1)
+    are measured again with `_exact_hypot`."""
+    threshold = np.broadcast_to(threshold, dmin.shape)
     hit = dmin <= threshold
-    for k in np.flatnonzero(np.abs(dmin - threshold) <= 1e-9 * np.maximum(threshold, 1.0)):
-        hit[k] = scalar(int(k))
+    band = np.flatnonzero(np.abs(dmin - threshold) <= 1e-9 * np.maximum(threshold, 1.0))
+    exact, _ = _scan(tracts, px[band], py[band], part[band], _exact_hypot)
+    hit[band] = exact <= threshold[band]
     return hit
 
 
 def _disk_hits(tracts: Tracts, px, py, radius, part) -> np.ndarray:
-    """circle_intersects_polygon(query k, radius[k], part[k]) for every k."""
-    radius = np.broadcast_to(radius, px.shape)
+    """Whether the closed disk around query k, of radius[k] or of one
+    shared radius, meets part[k]: the centre lies inside by the even-odd
+    rule, or the boundary comes within the radius (never less than
+    BOUNDARY_EPS). Tangency counts."""
     dmin, odd = _scan(tracts, px, py, part)
-
-    def scalar(k: int) -> bool:
-        center = ProjectedPoint(float(px[k]), float(py[k]))
-        return circle_intersects_polygon(center, float(radius[k]), tracts.part_rings(part[k]))
-
-    return odd | _decide(dmin, np.maximum(radius, BOUNDARY_EPS), scalar)
+    return odd | _decide(tracts, px, py, part, dmin, np.maximum(radius, BOUNDARY_EPS))
 
 
 def availability_counts(
@@ -480,12 +426,7 @@ def queen_adjacency(
         part, w = _ranges(tracts.part_start[t], np.diff(tracts.part_start)[t])
         px, py = tracts.ax[v][w], tracts.ay[v][w]
         dmin, _ = _scan(tracts, px, py, part)
-
-        def scalar(k: int) -> bool:
-            vertex = ProjectedPoint(float(px[k]), float(py[k]))
-            return boundary_distance(vertex, tracts.part_rings(part[k])) <= eps
-
-        touching[pair[lo:hi][q[w[_decide(dmin, eps, scalar)]]]] = True
+        touching[pair[lo:hi][q[w[_decide(tracts, px, py, part, dmin, eps)]]]] = True
     both = np.tile(touching, 2)
     tail, head = src[both], dst[both]
     return _offsets(np.bincount(tail, minlength=n)), head[np.lexsort((head, tail))]

@@ -9,15 +9,17 @@ of the batched Moran kernel, row-standardised weights built one tract at a
 time instead of by array operations on the CSR adjacency, a scan over every
 node id in sorted order, one point and one tract at a time, instead of
 blocks of points against the coordinate arrays and per-tract sums by
-bincount, scalar loops over every (provider, part) and every tract pair
-instead of the batched numpy segment kernel, list-form polygons (`Polygon`,
-rings of ProjectedPoint tuples) with scalar shoelace loops for area,
-centroid and bbox instead of the packed `geometry.Tracts` and its array
-sums, a row-by-row road loader and graph build instead of the column
-passes, and a box-map renderer that draws one map per call instead of one
-shared frame for every map. Tests that need scipy compare against it where
-it is installed: csgraph's Dijkstra and LAPACK's eigh through scipy.linalg;
-likewise networkx's multi-source Dijkstra.
+bincount, scalar loops over every (provider, part) and every tract pair,
+measuring one segment at a time (`boundary_distance`,
+`circle_intersects_polygon`), instead of the batched numpy segment kernel,
+list-form polygons (`Polygon`, rings of ProjectedPoint tuples) with scalar
+shoelace loops for area, centroid and bbox instead of the packed
+`geometry.Tracts` and its array sums, a row-by-row road loader and graph
+build instead of the column passes, and a box-map renderer that draws one
+map per call instead of one shared frame for every map. Tests that need
+scipy compare against it where it is installed: csgraph's Dijkstra and
+LAPACK's eigh through scipy.linalg; likewise networkx's multi-source
+Dijkstra.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -34,8 +37,6 @@ from access_atlas.geometry import (
     BOUNDARY_EPS,
     ProjectedPoint,
     Tracts,
-    boundary_distance,
-    circle_intersects_polygon,
     pack_tracts,
     project_lonlat,
 )
@@ -476,6 +477,60 @@ def parts_area_centroid(parts) -> tuple[float, ProjectedPoint]:
     return total, ProjectedPoint(mx / total, my / total)
 
 
+def _segment_distance(pt: ProjectedPoint, a, b) -> float:
+    """Euclidean distance from pt to the closed segment [a, b]."""
+    ax, ay = a
+    bx, by = b
+    dx = bx - ax
+    dy = by - ay
+    seg2 = dx * dx + dy * dy
+    if seg2 == 0.0:
+        return math.hypot(pt.x - ax, pt.y - ay)
+    t = ((pt.x - ax) * dx + (pt.y - ay) * dy) / seg2
+    t = max(0.0, min(1.0, t))
+    return math.hypot(pt.x - (ax + t * dx), pt.y - (ay + t * dy))
+
+
+def boundary_distance(pt: ProjectedPoint, rings: Sequence[Sequence[tuple[float, float]]]) -> float:
+    """Minimum distance from pt to any segment of the closed rings of one
+    polygon, each a sequence of (x, y) vertices."""
+    best = math.inf
+    for ring in rings:
+        for i in range(len(ring) - 1):
+            d = _segment_distance(pt, ring[i], ring[i + 1])
+            if d < best:
+                best = d
+    return best
+
+
+def circle_intersects_polygon(
+    center: ProjectedPoint, radius_m: float, rings: Sequence[Sequence[tuple[float, float]]]
+) -> bool:
+    """True iff the closed disk of radius_m around center meets the polygon
+    whose closed rings (exterior and holes) are `rings`.
+
+    Exact test: either some boundary segment comes within radius_m (and
+    never less than BOUNDARY_EPS) of the center, or the center lies inside
+    by the even-odd rule: a horizontal ray cast east from it crosses the
+    rings (exterior and holes together) an odd number of times. Tangency
+    counts.
+    """
+    if not (radius_m > 0):
+        raise DomainError(f"radius must be > 0, got {radius_m}")
+    if boundary_distance(center, rings) <= max(radius_m, BOUNDARY_EPS):
+        return True
+    inside = False
+    for ring in rings:
+        for i in range(len(ring) - 1):
+            xi, yi = ring[i]
+            xj, yj = ring[i + 1]
+            if (yi > center.y) != (yj > center.y):
+                x_cross = (xj - xi) * (center.y - yi) / (yj - yi) + xi
+                if center.x < x_cross:
+                    inside = not inside
+    return inside
+
+
 def point_in_polygon(pt, p: Polygon) -> bool:
     """The scalar point-in-polygon test: a disk of radius BOUNDARY_EPS, so
     the boundary counts as inside and a point in a hole is outside."""
@@ -509,11 +564,20 @@ def pack(tracts, ids=None) -> Tracts:
     )
 
 
+def part_rings(tracts: Tracts, p: int) -> list[list[tuple[float, float]]]:
+    """The closed rings of packed part p as (x, y) vertex lists."""
+    bounds = tracts.ring_start[tracts.part_ring[p] : tracts.part_ring[p + 1] + 1].tolist()
+    return [
+        list(zip(tracts.x[lo:hi].tolist(), tracts.y[lo:hi].tolist()))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
 def list_form(tracts: Tracts, index) -> list[list[Polygon]]:
     """The tracts of `index` as lists of list-form parts."""
     return [
         [
-            Polygon(tracts.part_rings(p))
+            Polygon(part_rings(tracts, p))
             for p in range(tracts.part_start[i], tracts.part_start[i + 1])
         ]
         for i in index

@@ -8,6 +8,8 @@ from hypothesis import settings
 from access_atlas import geometry
 from access_atlas.network import DEFAULT_ROAD_CLASSES, RoadEdges, RoadNodes, build_network
 
+from _oracles import pack
+
 settings.register_profile("repeatable", derandomize=True, deadline=None)
 settings.load_profile("repeatable")
 
@@ -31,6 +33,30 @@ def network_from_records(edge_records, node_records, allowed_classes=DEFAULT_ROA
         [c for _, _, _, c in edge_records],
     )
     return build_network(edges, nodes, allowed_classes)
+
+
+def disk_meets(center, radius_m: float, tract) -> bool:
+    """Whether the closed disk of radius_m around center meets one list-form
+    tract: geometry.availability_counts of that one disk on that tract."""
+    provider = (geometry.ProjectedPoint(*center), radius_m)
+    return bool(geometry.availability_counts(pack([tract]), [0], [provider])[0])
+
+
+def recording_scans(monkeypatch) -> list:
+    """Wrap geometry._scan, recording (exact, queries, segments) for every
+    call: whether it is the exact pass that measures tie-band queries again
+    with math.hypot, how many queries it took, and how many segments it
+    measured in all."""
+    calls = []
+    real = geometry._scan
+
+    def scan(tracts, px, py, part, hypot=np.hypot):
+        segments = int((tracts.seg_start[part + 1] - tracts.seg_start[part]).sum())
+        calls.append((hypot is geometry._exact_hypot, len(px), segments))
+        return real(tracts, px, py, part, hypot)
+
+    monkeypatch.setattr(geometry, "_scan", scan)
+    return calls
 
 
 TINY_BUDGETS = (None, 1, 5, 17)

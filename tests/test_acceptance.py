@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from access_atlas import cli
-from access_atlas.geometry import ProjectedPoint, circle_intersects_polygon, queen_adjacency
+from access_atlas.geometry import ProjectedPoint, queen_adjacency
 from access_atlas.ingest import VARIABLE_COLUMNS
 from access_atlas.network import multisource_shortest_distances
 from access_atlas.report import boxmap_classify
@@ -31,7 +31,7 @@ from access_atlas.stats import (
     pca,
 )
 
-from conftest import network_from_records
+from conftest import disk_meets, network_from_records
 from _oracles import (
     Polygon,
     csr,
@@ -254,7 +254,7 @@ def test_c8_geometry_oracle_and_boxmap_hand_classes():
                 radius = d * float(rng.choice([0.7, 1.3])) + float(rng.choice([-5.0, 5.0]))
                 if radius <= 0 or abs(d - radius) < 2.0:
                     continue  # stay out of the sampling oracle's error band
-            got = circle_intersects_polygon(center, radius, poly.rings)
+            got = disk_meets(center, radius, poly)
             want = disk_intersects_sampled(rings, center, radius)
             assert got == want, f"fixture {fixtures}, center {center}, r={radius}"
             checked += 1

@@ -696,6 +696,22 @@ def test_missing_config_paths_exit_4(tmp_path):
     assert run(["variables", "--out", str(tmp_path / "out")]) == 4
 
 
+@pytest.mark.parametrize(
+    "key", ["tracts", "providers", "roads_nodes", "roads_edges", "demographics", "out_dir"]
+)
+def test_empty_config_path_exits_4(minitown_dir, tmp_path, capsys, key):
+    # joined onto the config's directory, an empty path used to name that
+    # directory: an empty out_dir wrote the bundle beside the inputs
+    work = minitown_copy(minitown_dir, tmp_path)
+    cfg = read_json(work / "config.json")
+    cfg[key] = ""
+    (work / "config.json").write_text(json.dumps(cfg))
+    before = tree_bytes(work)
+    assert run(["report", "--config", str(work / "config.json")]) == 4
+    assert f"config: {key} path is empty" in capsys.readouterr().err
+    assert tree_bytes(work) == before
+
+
 def test_non_numeric_config_value_exits_4(minitown_dir, tmp_path, capsys):
     # booleans and strings are not numbers, an integer key takes no fraction,
     # a float is finite (json.dumps writes inf as a bare Infinity), a seed >= 0,

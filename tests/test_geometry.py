@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from access_atlas import geometry
 from access_atlas.errors import DegenerateGeometry, DomainError
 from access_atlas.geometry import (
     ProjectedPoint,
     availability_counts,
-    circle_intersects_polygon,
     points_in_tract,
     project_lonlat,
     project_points,
     queen_adjacency,
 )
 
+from conftest import disk_meets, recording_scans
 from _oracles import (
     Polygon,
     disk_intersects_sampled,
@@ -24,7 +23,6 @@ from _oracles import (
     parts_area_centroid,
     parts_bounds,
 )
-from _oracles import point_in_polygon as scalar_point_in_polygon
 
 KM_SQUARE = Polygon([[(0, 0), (1000, 0), (1000, 1000), (0, 1000)]])
 
@@ -246,16 +244,16 @@ def test_point_in_hole_is_outside_but_hole_rim_is_inside():
 
 
 def test_center_inside_any_radius():
-    assert circle_intersects_polygon(ProjectedPoint(500, 500), 1e-6, KM_SQUARE.rings)
+    assert disk_meets((500, 500), 1e-6, KM_SQUARE)
 
 
 def test_tangent_disk_intersects():
     # distance from (4000, 500) to the edge x=1000 is exactly 3000
-    assert circle_intersects_polygon(ProjectedPoint(4000, 500), 3000, KM_SQUARE.rings)
+    assert disk_meets((4000, 500), 3000, KM_SQUARE)
 
 
 def test_separated_disk_does_not_intersect():
-    assert not circle_intersects_polygon(ProjectedPoint(1600, 500), 500, KM_SQUARE.rings)
+    assert not disk_meets((1600, 500), 500, KM_SQUARE)
 
 
 HOLED = Polygon(
@@ -277,22 +275,18 @@ HOLED = Polygon(
     ],
 )
 def test_disk_test_measures_each_segment_at_most_once(monkeypatch, center, radius, hit):
+    """None of these disks is in the tie band, so the kernel measures each
+    segment once and nothing again with math.hypot."""
     segments = sum(len(ring) - 1 for ring in HOLED.rings)
-    calls = []
-    real = geometry._segment_distance
-    monkeypatch.setattr(geometry, "_segment_distance", lambda *a: calls.append(a) or real(*a))
-    pt = ProjectedPoint(*center)
-    assert circle_intersects_polygon(pt, radius, HOLED.rings) == hit
-    assert len(calls) <= segments
-    calls.clear()
-    scalar_point_in_polygon(pt, HOLED)
-    assert len(calls) <= segments
+    scans = recording_scans(monkeypatch)
+    assert disk_meets(center, radius, HOLED) == hit
+    assert sum(measured for _, _, measured in scans) <= segments
 
 
 def test_corner_distance_is_exact():
     d = math.hypot(1000, 1000)
-    assert not circle_intersects_polygon(ProjectedPoint(2000, 2000), d - 1e-6, KM_SQUARE.rings)
-    assert circle_intersects_polygon(ProjectedPoint(2000, 2000), d + 1e-6, KM_SQUARE.rings)
+    assert not disk_meets((2000, 2000), d - 1e-6, KM_SQUARE)
+    assert disk_meets((2000, 2000), d + 1e-6, KM_SQUARE)
 
 
 @given(
@@ -302,9 +296,8 @@ def test_corner_distance_is_exact():
     cy=st.floats(min_value=-4000, max_value=5000),
 )
 def test_intersection_monotone_in_radius(r1, r2, cx, cy):
-    center = ProjectedPoint(cx, cy)
-    if circle_intersects_polygon(center, r1, KM_SQUARE.rings):
-        assert circle_intersects_polygon(center, r1 + r2 + 1e-9, KM_SQUARE.rings)
+    if disk_meets((cx, cy), r1, KM_SQUARE):
+        assert disk_meets((cx, cy), r1 + r2 + 1e-9, KM_SQUARE)
 
 
 @given(
@@ -315,7 +308,7 @@ def test_intersection_monotone_in_radius(r1, r2, cx, cy):
 def test_containment_implies_intersection(cx, cy, r):
     center = ProjectedPoint(cx, cy)
     assert point_in_polygon(center, KM_SQUARE)
-    assert circle_intersects_polygon(center, r, KM_SQUARE.rings)
+    assert disk_meets(center, r, KM_SQUARE)
 
 
 def test_matches_sampling_oracle_on_fixed_cases():
@@ -325,7 +318,7 @@ def test_matches_sampling_oracle_on_fixed_cases():
     for _ in range(25):
         center = ProjectedPoint(*rng.uniform(-2000, 3000, size=2))
         base = max(10.0, float(rng.uniform(10, 2500)))
-        got = circle_intersects_polygon(center, base, poly.rings)
+        got = disk_meets(center, base, poly)
         want = disk_intersects_sampled([[tuple(p) for p in r] for r in poly.rings], center, base)
         # skip the +-2 m band where the 1 m sampling oracle may disagree
         from _oracles import sampled_boundary_distance, winding_inside
@@ -363,7 +356,7 @@ def test_convex_fixture_matches_disk_grid_oracle():
         center = ProjectedPoint(*rng.uniform(-700, 700, size=2))
         radius = float(rng.uniform(20, 300))
         want = disk_grid_hits(center, radius)
-        got = circle_intersects_polygon(center, radius, hexagon.rings)
+        got = disk_meets(center, radius, hexagon)
         if want != got:
             # the grid oracle misses by up to ~1.5 m near tangency
             from _oracles import sampled_boundary_distance
@@ -388,7 +381,7 @@ def test_availability_empty():
 def test_availability_supermarket_within_reach():
     # nearest boundary point 2900 m away, buffer 3000 m
     provider = (ProjectedPoint(3900, 500), 3000.0)
-    assert circle_intersects_polygon(provider[0], 3000, KM_SQUARE.rings)
+    assert disk_meets(provider[0], 3000, KM_SQUARE)
     assert availability_count(KM_SQUARE, [provider]) == 1
 
 
@@ -487,5 +480,5 @@ def test_disk_reaching_into_hole_intersects_hole_rim():
     )
     center = ProjectedPoint(500, 500)  # inside the hole, outside the polygon
     assert not point_in_polygon(center, holed)
-    assert not circle_intersects_polygon(center, 99.0, holed.rings)  # rim is 100 m away
-    assert circle_intersects_polygon(center, 100.0, holed.rings)  # tangent to the rim
+    assert not disk_meets(center, 99.0, holed)  # rim is 100 m away
+    assert disk_meets(center, 100.0, holed)  # tangent to the rim

@@ -2,9 +2,10 @@
 the grid-K sampler, against the scalar loops in _oracles.
 
 Planted cases sit inside the kernel's tie band (|d - r| <= 1e-9 * max(r, 1)),
-where np.hypot and math.hypot may disagree; each test checks that the scalar
-fallback really ran on them, and every comparison is repeated with a kernel
-budget of a few elements, so that results cannot depend on chunk bounds.
+where np.hypot and math.hypot may disagree; each test checks that the kernel
+really measured them again with math.hypot, and every comparison is repeated
+with a kernel budget of a few elements, so that results cannot depend on
+chunk bounds.
 """
 
 import math
@@ -18,16 +19,16 @@ from access_atlas.geometry import (
     ADJACENCY_EPS,
     ProjectedPoint,
     availability_counts,
-    boundary_distance,
     points_in_tract,
     queen_adjacency,
 )
 from access_atlas.network import origin_points
 
-from conftest import TINY_BUDGETS, each_budget
+from conftest import TINY_BUDGETS, each_budget, recording_scans
 from _oracles import (
     Polygon,
     availability_loop,
+    boundary_distance,
     neighbour_sets,
     pack,
     parts_bounds,
@@ -37,12 +38,10 @@ from _oracles import (
 )
 
 
-def counting(monkeypatch, name: str) -> list:
-    """Wrap geometry.<name> so that every call through the module is recorded."""
-    calls = []
-    real = getattr(geometry, name)
-    monkeypatch.setattr(geometry, name, lambda *a: calls.append(a) or real(*a))
-    return calls
+def measured_again(scans) -> int:
+    """The queries that the exact passes among recorded _scan calls measured
+    again with math.hypot: those in the tie band."""
+    return sum(queries for exact, queries, _ in scans if exact)
 
 
 def star(rng, cx, cy, r_min, r_max, n):
@@ -92,6 +91,39 @@ def planted_centers(rng, parts):
     return centers
 
 
+def test_exact_scan_is_the_scalar_boundary_distance():
+    """The premise of the tie band: with math.hypot, _scan gives the scalar
+    boundary_distance bit for bit and the scalar ray-cast parity, and with
+    np.hypot it stays within the band of that. Star and holed parts, one
+    with a zero-length segment, near the origin and near 1e6 m."""
+    rng = np.random.default_rng(808)
+    tracts = [random_tract(rng, cx, cy) for cx, cy in [(0.0, 0.0), (1e6, 1e6), (-1e6, 9.9e5)]]
+    ring, hole = star(rng, 1e6, -1e6, 600.0, 1000.0, 9), star(rng, 1e6, -1e6, 100.0, 300.0, 5)
+    ring.insert(4, ring[4])
+    tracts.append([Polygon([ring, hole])])
+    packed = pack(tracts)
+    px, py, part, want, inside = [], [], [], [], []
+    for t, parts in enumerate(tracts):
+        cx, cy = packed.centroid[t].tolist()
+        points = planted_centers(rng, parts)
+        points += [ProjectedPoint(*xy) for xy in rng.uniform(-3000.0, 3000.0, (20, 2)) + (cx, cy)]
+        for j, polygon in enumerate(parts):
+            for pt in points:
+                px.append(pt.x)
+                py.append(pt.y)
+                part.append(packed.part_start[t] + j)
+                want.append(boundary_distance(pt, polygon.rings))
+                inside.append(point_in_polygon(pt, polygon))
+    px, py, part = np.array(px), np.array(py), np.array(part)
+    exact, odd = geometry._scan(packed, px, py, part, geometry._exact_hypot)
+    assert exact.tolist() == want
+    off_rim = exact > geometry.BOUNDARY_EPS
+    assert odd[off_rim].tolist() == np.array(inside)[off_rim].tolist()
+    fast, fast_odd = geometry._scan(packed, px, py, part)
+    assert np.all(np.abs(fast - exact) < 1e-9 * np.maximum(exact, 1.0))
+    assert np.array_equal(fast_odd, odd)
+
+
 def test_availability_matches_oracle_on_random_tracts(monkeypatch):
     rng = np.random.default_rng(101)
     tracts = [random_tract(rng, 8000.0 * (i % 3), 4000.0 * (i // 3)) for i in range(6)]
@@ -106,7 +138,8 @@ def test_availability_matches_oracle_on_random_tracts(monkeypatch):
 
 
 def test_tangent_disks_fall_back_to_the_scalar_predicate(monkeypatch):
-    """r equal to the scalar corner distance, and 1 ulp either side of it."""
+    """r equal to the scalar corner distance, and 1 ulp either side of it:
+    every such disk is measured again with math.hypot."""
     rng = np.random.default_rng(202)
     tracts = [random_tract(rng, 0.0, 0.0), [Polygon([[(0, 0), (1000, 0), (1000, 1000), (0, 1000)]])]]
     providers = []
@@ -126,10 +159,11 @@ def test_tangent_disks_fall_back_to_the_scalar_predicate(monkeypatch):
     providers += [(ProjectedPoint(2000.0, 2000.0), r) for r in (math.nextafter(corner, 0.0), corner)]
     want = [availability_loop(parts, providers) for parts in tracts]
     packed, index = pack(tracts), np.arange(len(tracts))
-    calls = counting(monkeypatch, "circle_intersects_polygon")
+    scans = recording_scans(monkeypatch)
     got = each_budget(monkeypatch, lambda: availability_counts(packed, index, providers))
     assert all(g.tolist() == want for g in got)
-    assert len(calls) >= len(TINY_BUDGETS) * len(providers)  # each is in the band of its part
+    # each is in the band of its part
+    assert measured_again(scans) >= len(TINY_BUDGETS) * len(providers)
 
 
 def test_queen_adjacency_matches_oracle_at_eps_plus_minus_1e12(monkeypatch):
@@ -155,10 +189,10 @@ def test_queen_adjacency_matches_oracle_at_eps_plus_minus_1e12(monkeypatch):
             y += 1000.0 + float(rng.choice(gaps))
         want = queen_adjacency_loop(tracts)
         packed, index = pack(tracts), np.arange(len(tracts))
-        calls = counting(monkeypatch, "boundary_distance")
+        scans = recording_scans(monkeypatch)
         got = each_budget(monkeypatch, lambda: neighbour_sets(queen_adjacency(packed, index)))
         assert all(g == want for g in got)
-        assert calls  # some vertex lies in the band round ADJACENCY_EPS
+        assert measured_again(scans)  # some vertex lies in the band round ADJACENCY_EPS
 
 
 def test_queen_adjacency_matches_oracle_on_random_multipart_tracts(monkeypatch):
@@ -211,14 +245,14 @@ def test_grid_samples_on_a_tract_edge_fall_back(monkeypatch):
         packed = pack([parts, parts])
         want = [pt for pt in grid if any(point_in_polygon(pt, part) for part in parts)]
         want = want or [ProjectedPoint(*packed.centroid[0].tolist())]
-        calls = counting(monkeypatch, "circle_intersects_polygon")
+        scans = recording_scans(monkeypatch)
         got = each_budget(monkeypatch, lambda: origin_points(packed, [1, 0], f"grid-{k}"))
         for px, py, owner in got:
             assert list(zip(px.tolist(), py.tolist())) == want + want
             assert owner.tolist() == [0] * len(want) + [1] * len(want)
         if parts is ell and k == 4:
             # 4 edge samples and the notch vertex, in each copy
-            assert len(calls) >= len(TINY_BUDGETS) * 10
+            assert measured_again(scans) >= len(TINY_BUDGETS) * 10
             assert ProjectedPoint(625.0, 375.0) in want
 
 
