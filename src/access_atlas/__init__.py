@@ -19,7 +19,6 @@ from .errors import (
     SnapError,
 )
 from .geometry import (
-    ProjectedPoint,
     Tracts,
     availability_counts,
     pack_tracts,
@@ -27,8 +26,8 @@ from .geometry import (
     queen_adjacency,
 )
 from .ingest import (
-    DemographicRecord,
-    ProviderPoint,
+    Demographics,
+    Providers,
     VariableTable,
     VARIABLE_COLUMNS,
     assemble_variable_table,

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,13 +42,6 @@ BOUNDARY_EPS = 1e-9
 # Queen contiguity: polygons within this distance share a boundary point.
 # Below digitization noise at metric scale, above float noise.
 ADJACENCY_EPS = 1e-3
-
-
-class ProjectedPoint(NamedTuple):
-    """A point in the local projected plane, meters east/north of reference."""
-
-    x: float
-    y: float
 
 
 def project_points(lon, lat, ref_lon: float, ref_lat: float):
@@ -71,7 +63,7 @@ def project_points(lon, lat, ref_lon: float, ref_lat: float):
 
 def project_lonlat(
     lon: float, lat: float, ref_lon: float, ref_lat: float, where: str = ""
-) -> ProjectedPoint:
+) -> tuple[float, float]:
     """project_points of one point; DomainError, its message prefixed by
     `where` (the input the point came from), if it is not valid."""
     x, y, valid = project_points(lon, lat, ref_lon, ref_lat)
@@ -81,7 +73,7 @@ def project_lonlat(
                 f"{where}latitude out of range (-89, 89): lat={lat}, ref_lat={ref_lat}"
             )
         raise DomainError(f"{where}projected point ({x:.0f}, {y:.0f}) exceeds local-plane validity")
-    return ProjectedPoint(x, y)
+    return x, y
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,26 +319,20 @@ def _disk_hits(tracts: Tracts, px, py, radius, part) -> np.ndarray:
     return odd | _decide(tracts, px, py, part, dmin, np.maximum(radius, BOUNDARY_EPS))
 
 
-def availability_counts(
-    tracts: Tracts,
-    index: np.ndarray,
-    providers: Sequence[tuple[ProjectedPoint, float]],
-) -> np.ndarray:
+def availability_counts(tracts: Tracts, index: np.ndarray, cx, cy, radius) -> np.ndarray:
     """Number of providers whose buffer disk intersects each tract of
     `index` (indices into tracts).
 
-    `providers` holds (location, radius_m) pairs. A provider counts at most
-    once per tract, even when the tract has several parts, and order does
-    not matter. Only providers whose disk, widened by `_reach`, meets a
-    tract's bbox are tested against it.
+    Provider k is the disk of radius[k] meters around (cx[k], cy[k]). A
+    provider counts at most once per tract, even when the tract has several
+    parts, and order does not matter. Only providers whose disk, widened by
+    `_reach`, meets a tract's bbox are tested against it.
     """
     index = np.asarray(index, dtype=np.intp)
+    cx, cy, radius = (np.asarray(v, dtype=float) for v in (cx, cy, radius))
     n = len(index)
-    if not n or not providers:
+    if not n or not len(radius):
         return np.zeros(n, dtype=np.int64)
-    cx = np.array([pt.x for pt, _ in providers], dtype=float)
-    cy = np.array([pt.y for pt, _ in providers], dtype=float)
-    radius = np.array([r for _, r in providers], dtype=float)
     if not (radius > 0).all():
         raise DomainError(f"buffer radius must be > 0, got {radius.min()}")
     boxes = tracts.bounds[index]

@@ -5,14 +5,18 @@ Inputs are deliberately plain: a GeoJSON FeatureCollection for tracts, and
 comma-delimited UTF-8 CSVs with mandatory headers for everything else. The
 tracts are loaded once into the packed `geometry.Tracts` that every later
 stage reads; the table carries the index of each retained tract into it.
-Tracts with any missing, unreachable or unsnappable value are dropped with
-an audit reason rather than imputed.
+Like the road files, the providers and demographics load as columns:
+`Providers` holds projected coordinates and radii as arrays, and
+`Demographics` one float array with nan for an empty cell. Tracts with
+any missing, unreachable or unsnappable value are dropped with an audit
+reason rather than imputed.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -26,7 +30,6 @@ from .errors import (
     SnapError,
 )
 from .geometry import (
-    ProjectedPoint,
     Tracts,
     availability_counts,
     pack_tracts,
@@ -84,22 +87,25 @@ KIND_RADII = {
 }
 
 
-@dataclass
-class ProviderPoint:
-    """A food provider with its service-buffer radius."""
+@dataclass(frozen=True, eq=False)
+class Providers:
+    """The provider file, in file order: provider k is ids[k], of kind
+    kinds[k], with a buffer of radius[k] meters around (xs[k], ys[k])."""
 
-    id: str
-    kind: str
-    location: ProjectedPoint
-    radius_m: float
+    ids: list[str]
+    kinds: list[str]
+    xs: np.ndarray
+    ys: np.ndarray
+    radius: np.ndarray
 
 
-@dataclass
-class DemographicRecord:
-    """One tract's demographic row; missing cells stay None, never zero."""
+@dataclass(frozen=True, eq=False)
+class Demographics:
+    """The demographic file, in file order: row k of values is tract ids[k],
+    its columns in DEMOGRAPHIC_COLUMNS order; an empty cell is nan, never zero."""
 
-    tract_id: str
-    values: dict[str, float | None]
+    ids: list[str]
+    values: np.ndarray  # shape (m, 8)
 
 
 @dataclass
@@ -213,17 +219,23 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> Tracts:
     return pack_tracts(ids, geometries, x, y, ring_sizes, ring_counts, part_counts)
 
 
-def load_providers(path: str, ref_lon: float, ref_lat: float) -> list[ProviderPoint]:
+def load_providers(path: str, ref_lon: float, ref_lat: float) -> Providers:
     """Read the provider CSV: id,kind,lon,lat[,radius_m].
 
     An empty radius falls back to the kind default. A bare `grocery` kind
     (no size class) is treated as grocery_large with a logged warning.
+    Every row is checked first, in file order; then every location is
+    projected at once, and the first point off the local plane raises
+    DomainError naming its row.
     """
     header = ("id", "kind", "lon", "lat")
-    _, row_nos, columns = read_csv_table(path, [header, (*header, "radius_m")], "provider")
-    providers: list[ProviderPoint] = []
+    _, row_nos, (ids, kinds, *columns) = read_csv_table(
+        path, [header, (*header, "radius_m")], "provider"
+    )
+    lons, lats, radii = [], [], []
     seen: set[str] = set()
-    for row_no, pid, kind, raw_lon, raw_lat, *raw_radius in zip(row_nos, *columns):
+    rows = zip(row_nos, ids, kinds, *columns)
+    for k, (row_no, pid, kind, raw_lon, raw_lat, *raw_radius) in enumerate(rows):
         if not pid:
             raise SchemaError(f"{path} row {row_no}: empty provider id")
         if pid in seen:
@@ -236,49 +248,48 @@ def load_providers(path: str, ref_lon: float, ref_lat: float) -> list[ProviderPo
                 row_no,
                 pid,
             )
-            kind = "grocery_large"
+            kind = kinds[k] = "grocery_large"
         if kind not in KIND_RADII:
             raise SchemaError(f"{path} row {row_no}: unknown provider kind {kind!r}")
-        lon = parse_finite(raw_lon, f"{path} row {row_no} lon")
-        lat = parse_finite(raw_lat, f"{path} row {row_no} lat")
+        lons.append(parse_finite(raw_lon, f"{path} row {row_no} lon"))
+        lats.append(parse_finite(raw_lat, f"{path} row {row_no} lat"))
         if any(raw_radius):
             radius = parse_finite(raw_radius[0], f"{path} row {row_no} radius_m")
             if radius <= 0:
                 raise RangeError(f"{path} row {row_no}: radius must be > 0")
         else:
             radius = KIND_RADII[kind]
-        providers.append(
-            ProviderPoint(
-                id=pid,
-                kind=kind,
-                location=project_lonlat(lon, lat, ref_lon, ref_lat, f"{path} row {row_no}: "),
-                radius_m=radius,
-            )
-        )
-    return providers
+        radii.append(radius)
+    lon, lat = np.array(lons, dtype=float), np.array(lats, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, valid = project_points(lon, lat, ref_lon, ref_lat)
+    if not valid.all():  # the first point off the plane raises its error
+        k = int(valid.argmin())
+        project_lonlat(lons[k], lats[k], ref_lon, ref_lat, f"{path} row {row_nos[k]}: ")
+    return Providers(ids, kinds, x, y, np.array(radii, dtype=float))
 
 
-def load_demographics(path: str) -> list[DemographicRecord]:
-    """Read the demographic CSV; empty cells become missing values.
+def load_demographics(path: str) -> Demographics:
+    """Read the demographic CSV; empty cells become nan, a missing value.
 
     Every value must be finite, percent columns must land in [0, 100] and
     AV_POP must be nonnegative, otherwise RangeError names the tract.
     """
-    _, row_nos, columns = read_csv_table(
+    _, row_nos, (ids, *columns) = read_csv_table(
         path, [("tract_id", *DEMOGRAPHIC_COLUMNS)], "demographics"
     )
-    records: list[DemographicRecord] = []
+    rows: list[list[float]] = []
     seen: set[str] = set()
-    for row_no, tract_id, *cells in zip(row_nos, *columns):
+    for row_no, tract_id, *cells in zip(row_nos, ids, *columns):
         if not tract_id:
             raise SchemaError(f"{path} row {row_no}: empty tract_id")
         if tract_id in seen:
             raise SchemaError(f"{path} row {row_no}: duplicate tract_id {tract_id!r}")
         seen.add(tract_id)
-        values: dict[str, float | None] = {}
+        row: list[float] = []
         for name, cell in zip(DEMOGRAPHIC_COLUMNS, cells):
             if cell == "":
-                values[name] = None
+                row.append(math.nan)
                 continue
             v = parse_finite(cell, f"{path} row {row_no}: {name} for tract {tract_id}")
             if name in PERCENT_COLUMNS and not (0.0 <= v <= 100.0):
@@ -287,16 +298,16 @@ def load_demographics(path: str) -> list[DemographicRecord]:
                 )
             if name == "AV_POP" and v < 0:
                 raise RangeError(f"tract {tract_id}: AV_POP={v} is negative")
-            values[name] = v
-        records.append(DemographicRecord(tract_id=tract_id, values=values))
-    return records
+            row.append(v)
+        rows.append(row)
+    return Demographics(ids, np.array(rows, dtype=float).reshape(-1, len(DEMOGRAPHIC_COLUMNS)))
 
 
 def assemble_variable_table(
     tracts: Tracts,
-    providers: list[ProviderPoint],
+    providers: Providers,
     net: RoadNetwork,
-    demographics: list[DemographicRecord],
+    demographics: Demographics,
     *,
     ace_net_mode: str = "centroid",
     max_snap_m: float = DEFAULT_SNAP_MAX_M,
@@ -314,18 +325,18 @@ def assemble_variable_table(
     order. Demographics rows without tract geometry are ignored with a
     warning. The first supermarket beyond max_snap_m raises SnapError.
     """
-    supermarkets = [p for p in providers if p.kind == "supermarket"]
-    if not supermarkets:
+    supermarkets = np.flatnonzero([kind == "supermarket" for kind in providers.kinds])
+    if not len(supermarkets):
         raise DomainError("no supermarket providers; ACE_NET is undefined")
     order = sorted(range(len(tracts.ids)), key=tracts.ids.__getitem__)
     px, py, owner = origin_points(tracts, order, ace_net_mode)
     s = len(supermarkets)
-    sx, sy = zip(*(p.location for p in supermarkets))
+    sx, sy = providers.xs[supermarkets], providers.ys[supermarkets]
     node, dist = snap_points(net, np.concatenate([sx, px]), np.concatenate([sy, py]))
-    for p, i, d in zip(supermarkets, node[:s].tolist(), dist[:s].tolist()):
+    for k, i, d in zip(supermarkets.tolist(), node[:s].tolist(), dist[:s].tolist()):
         if d > max_snap_m:
             msg = f"nearest node {net.ids[i]!r} is {d:.1f} m away (max {max_snap_m:.0f} m)"
-            raise SnapError(f"supermarket {p.id}: {msg}", d)
+            raise SnapError(f"supermarket {providers.ids[k]}: {msg}", d)
     distances = multisource_shortest_distances(net, set(node[:s].tolist()))
     # reversed, so that dict() keeps each tract's first point beyond max_snap_m
     far = np.flatnonzero(dist[s:] > max_snap_m)[::-1]
@@ -336,44 +347,38 @@ def assemble_variable_table(
     # bincount adds each tract's distances left to right in point order from 0.0
     ace_net = np.bincount(owner[ok], reached[ok], len(order)) / np.maximum(counts, 1)
 
-    demo_by_id = {rec.tract_id: rec for rec in demographics}
-    retained: list[int] = []
-    rows: list[list[float]] = []
+    row_of = dict(zip(demographics.ids, range(len(demographics.ids))))
+    blank = np.isnan(demographics.values)
+    first_blank = np.where(blank.any(axis=1), blank.argmax(axis=1), -1).tolist()
+    kept: list[int] = []  # positions in order
+    rows: list[int] = []  # and the demographics row of each
     dropped: list[tuple[str, str]] = []
-    for pos, (i, count, mean) in enumerate(zip(order, counts.tolist(), ace_net.tolist())):
+    for pos, (i, count) in enumerate(zip(order, counts.tolist())):
         tract_id = tracts.ids[i]
-        rec = demo_by_id.get(tract_id)
-        if rec is None:
+        row = row_of.get(tract_id)
+        if row is None:
             dropped.append((tract_id, "missing demographics"))
-            continue
-        missing = [name for name in DEMOGRAPHIC_COLUMNS if rec.values[name] is None]
-        if missing:
-            dropped.append((tract_id, f"missing {missing[0]}"))
-            continue
-        if pos in unsnappable:
+        elif first_blank[row] >= 0:
+            dropped.append((tract_id, f"missing {DEMOGRAPHIC_COLUMNS[first_blank[row]]}"))
+        elif pos in unsnappable:
             dropped.append((tract_id, f"unsnappable ({unsnappable[pos]:.0f} m)"))
-            continue
-        if not count:
+        elif not count:
             dropped.append((tract_id, "unreachable"))
-            continue
-        row = [0.0, rec.values["AV_POP"], mean]  # AV_INT is filled in below
-        row += (rec.values[name] for name in VARIABLE_COLUMNS[3:])
-        retained.append(i)
-        rows.append(row)
+        else:
+            kept.append(pos)
+            rows.append(row)
     for tract_id, reason in dropped:
         log.warning("dropping tract %s: %s", tract_id, reason)
-    for tract_id in sorted(demo_by_id.keys() - set(tracts.ids)):
+    for tract_id in sorted(row_of.keys() - set(tracts.ids)):
         log.warning("ignoring demographics row %s: no tract geometry", tract_id)
-    if not rows:
+    if not kept:
         raise EmptyTableError("all tracts were dropped; nothing to analyze")
-    index = np.array(retained, dtype=np.intp)
-    values = np.array(rows, dtype=float)
-    values[:, 0] = availability_counts(
-        tracts, index, [(p.location, p.radius_m) for p in providers]
-    )
+    index = np.array(order, dtype=np.intp)[kept]
+    av_int = availability_counts(tracts, index, providers.xs, providers.ys, providers.radius)
+    demo = demographics.values[rows]
     return VariableTable(
-        tract_ids=[tracts.ids[i] for i in retained],
-        values=values,
+        tract_ids=[tracts.ids[i] for i in index.tolist()],
+        values=np.column_stack([av_int, demo[:, :1], ace_net[kept], demo[:, 1:]]),
         index=index,
         dropped=dropped,
     )

@@ -95,21 +95,9 @@ def boxmap_classify(values: np.ndarray, hinge: float = 1.5) -> list[str]:
     iqr = q3 - q1
     lower_fence = q1 - hinge * iqr
     upper_fence = q3 + hinge * iqr
-    classes = []
-    for v in x:
-        if v < lower_fence:
-            classes.append("lower_outlier")
-        elif v > upper_fence:
-            classes.append("upper_outlier")
-        elif v <= q1:
-            classes.append("q1")
-        elif v <= q2:
-            classes.append("q2")
-        elif v <= q3:
-            classes.append("q3")
-        else:
-            classes.append("q4")
-    return classes
+    conditions = [x < lower_fence, x > upper_fence, x <= q1, x <= q2, x <= q3]
+    classes = ["lower_outlier", "upper_outlier", "q1", "q2", "q3"]
+    return np.select(conditions, classes, "q4").tolist()
 
 
 class _Records(list):

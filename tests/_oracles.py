@@ -16,7 +16,8 @@ list-form polygons (`Polygon`, rings of ProjectedPoint tuples) with scalar
 shoelace loops for area, centroid and bbox instead of the packed
 `geometry.Tracts` and its array sums, a row-by-row road loader and graph
 build instead of the column passes, and a box-map renderer that draws one
-map per call instead of one shared frame for every map. Tests that need
+map per call instead of one shared frame for every map, and an if/elif
+chain per value instead of one np.select for the box-map classes. Tests that need
 scipy compare against it where it is installed: csgraph's Dijkstra and
 LAPACK's eigh through scipy.linalg; likewise networkx's multi-source
 Dijkstra.
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from access_atlas.errors import DegenerateGeometry, DomainError, SchemaError, Sn
 from access_atlas.geometry import (
     ADJACENCY_EPS,
     BOUNDARY_EPS,
-    ProjectedPoint,
     Tracts,
     pack_tracts,
     project_lonlat,
@@ -48,8 +48,22 @@ from access_atlas.network import (
     parse_finite,
     read_csv_table,
 )
-from access_atlas.report import BOX_CLASSES, BOX_PALETTE, CLASS_LABELS, SVG_HEIGHT, SVG_WIDTH
+from access_atlas.report import (
+    BOX_CLASSES,
+    BOX_PALETTE,
+    CLASS_LABELS,
+    SVG_HEIGHT,
+    SVG_WIDTH,
+    _interpolated_quantile,
+)
 from access_atlas.stats import MoranWeights
+
+
+class ProjectedPoint(NamedTuple):
+    """A point of the list-form oracles, meters east/north of the reference."""
+
+    x: float
+    y: float
 
 
 def floyd_warshall(n: int, edges: list[tuple[int, int, float]]) -> np.ndarray:
@@ -109,7 +123,8 @@ def road_network_loop(
         u = parse_finite(raw_u, f"{path} row {row_no} {header[1]}")
         v = parse_finite(raw_v, f"{path} row {row_no} {header[2]}")
         if geographic:
-            nodes[nid] = project_lonlat(u, v, ref_lon, ref_lat, f"{path} row {row_no}: ")
+            where = f"{path} row {row_no}: "
+            nodes[nid] = ProjectedPoint(*project_lonlat(u, v, ref_lon, ref_lat, where))
         else:
             nodes[nid] = ProjectedPoint(u, v)
 
@@ -352,20 +367,23 @@ def tract_network_distance_loop(points, net, distances, max_snap_m: float) -> fl
     return total / len(values)
 
 
-def ace_net_loop(tracts, supermarkets, net, mode: str, max_snap_m: float):
+def ace_net_loop(tracts, providers, net, mode: str, max_snap_m: float):
     """ACE_NET of every tract, in tract_id order, one point and one snap at
     a time: ({tract_id: value} of the tracts kept, [(tract_id, reason)] of
     those dropped as unsnappable or unreachable). The origin points are
     those of network.origin_points, as one list per tract. The first
-    supermarket (a ProviderPoint) beyond max_snap_m raises SnapError. This
-    is ingest.assemble_variable_table's ACE_NET for tracts whose
-    demographics are complete."""
+    supermarket among the ingest.Providers beyond max_snap_m raises
+    SnapError. This is ingest.assemble_variable_table's ACE_NET for tracts
+    whose demographics are complete."""
     sources = set()
-    for p in supermarkets:
-        i, d = snap_loop(p.location, net)
+    xs, ys = providers.xs.tolist(), providers.ys.tolist()
+    for pid, kind, x, y in zip(providers.ids, providers.kinds, xs, ys):
+        if kind != "supermarket":
+            continue
+        i, d = snap_loop(ProjectedPoint(x, y), net)
         if d > max_snap_m:
             raise SnapError(
-                f"supermarket {p.id}: nearest node {net.ids[i]!r} is {d:.1f} m away "
+                f"supermarket {pid}: nearest node {net.ids[i]!r} is {d:.1f} m away "
                 f"(max {max_snap_m:.0f} m)",
                 d,
             )
@@ -623,6 +641,35 @@ def queen_adjacency_loop(tracts, eps: float = ADJACENCY_EPS) -> list[set[int]]:
                 adj[i].add(j)
                 adj[j].add(i)
     return adj
+
+
+def boxmap_classify_loop(values, hinge: float = 1.5) -> list[str]:
+    """Box-map classes one value at a time, by an if/elif chain on the
+    hinge fences and the quartiles; a drop-in for report.boxmap_classify on
+    5 or more values."""
+    x = np.asarray(values, dtype=float)
+    s = np.sort(x)
+    q1 = _interpolated_quantile(s, 0.25)
+    q2 = _interpolated_quantile(s, 0.50)
+    q3 = _interpolated_quantile(s, 0.75)
+    iqr = q3 - q1
+    lower_fence = q1 - hinge * iqr
+    upper_fence = q3 + hinge * iqr
+    classes = []
+    for v in x:
+        if v < lower_fence:
+            classes.append("lower_outlier")
+        elif v > upper_fence:
+            classes.append("upper_outlier")
+        elif v <= q1:
+            classes.append("q1")
+        elif v <= q2:
+            classes.append("q2")
+        elif v <= q3:
+            classes.append("q3")
+        else:
+            classes.append("q4")
+    return classes
 
 
 def svg_choropleth_loop(tracts, classes, component_index) -> str:

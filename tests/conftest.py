@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from access_atlas import geometry
+from access_atlas import geometry, ingest
 from access_atlas.network import DEFAULT_ROAD_CLASSES, RoadEdges, RoadNodes, build_network
 
 from _oracles import pack
@@ -35,11 +36,46 @@ def network_from_records(edge_records, node_records, allowed_classes=DEFAULT_ROA
     return build_network(edges, nodes, allowed_classes)
 
 
+def providers_of(records) -> ingest.Providers:
+    """The ingest.Providers of (id, kind, (x, y), radius_m) records."""
+    records = list(records)
+    return ingest.Providers(
+        [pid for pid, _, _, _ in records],
+        [kind for _, kind, _, _ in records],
+        np.array([float(x) for _, _, (x, _), _ in records]),
+        np.array([float(y) for _, _, (_, y), _ in records]),
+        np.array([float(r) for _, _, _, r in records]),
+    )
+
+
+def full_demographics(ids) -> ingest.Demographics:
+    """The ingest.Demographics of tracts `ids`, every value 1.0."""
+    return ingest.Demographics(list(ids), np.ones((len(ids), len(ingest.DEMOGRAPHIC_COLUMNS))))
+
+
+def take(columns, rows):
+    """The given rows, in that order, of a Providers or a Demographics."""
+    rows = [int(k) for k in rows]
+    picked = {}
+    for f in dataclasses.fields(columns):
+        v = getattr(columns, f.name)
+        picked[f.name] = [v[k] for k in rows] if isinstance(v, list) else v[rows]
+    return type(columns)(**picked)
+
+
+def counts_of_disks(tracts, index, providers):
+    """geometry.availability_counts of providers given as (center, radius_m)
+    pairs, each center an (x, y) pair."""
+    cx = [float(center[0]) for center, _ in providers]
+    cy = [float(center[1]) for center, _ in providers]
+    radius = [float(r) for _, r in providers]
+    return geometry.availability_counts(tracts, index, cx, cy, radius)
+
+
 def disk_meets(center, radius_m: float, tract) -> bool:
     """Whether the closed disk of radius_m around center meets one list-form
     tract: geometry.availability_counts of that one disk on that tract."""
-    provider = (geometry.ProjectedPoint(*center), radius_m)
-    return bool(geometry.availability_counts(pack([tract]), [0], [provider])[0])
+    return bool(counts_of_disks(pack([tract]), [0], [(center, radius_m)])[0])
 
 
 def recording_scans(monkeypatch) -> list:
@@ -88,7 +124,6 @@ def minitown_config(minitown_dir) -> str:
 @pytest.fixture(scope="session")
 def minitown_table(minitown_dir):
     """Assembled 9-tract variable table plus the loaded tract geometries."""
-    from access_atlas import ingest
     from access_atlas.network import load_road_edges, load_road_nodes
 
     ref_lon, ref_lat = -87.70, 41.85

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from access_atlas import cli
-from access_atlas.geometry import ProjectedPoint, queen_adjacency
+from access_atlas.geometry import queen_adjacency
 from access_atlas.ingest import VARIABLE_COLUMNS
 from access_atlas.network import multisource_shortest_distances
 from access_atlas.report import boxmap_classify
@@ -34,6 +34,7 @@ from access_atlas.stats import (
 from conftest import disk_meets, network_from_records
 from _oracles import (
     Polygon,
+    ProjectedPoint,
     csr,
     cubic_eigenvalues,
     disk_intersects_sampled,

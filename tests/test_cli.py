@@ -510,8 +510,8 @@ def test_projected_road_nodes_give_the_golden_bundle(minitown_dir, tmp_path):
     lines = ["node_id,x,y"]
     for line in rows:
         node_id, lon, lat = line.split(",")
-        pt = geometry.project_lonlat(float(lon), float(lat), cfg["ref_lon"], cfg["ref_lat"])
-        lines.append(f"{node_id},{pt.x!r},{pt.y!r}")
+        x, y = geometry.project_lonlat(float(lon), float(lat), cfg["ref_lon"], cfg["ref_lat"])
+        lines.append(f"{node_id},{x!r},{y!r}")
     (work / "roads_nodes.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "out"
     assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
@@ -690,6 +690,26 @@ def test_bad_ace_net_mode_exits_4(minitown_config, tmp_path):
              "--ace-net-mode", mode]
         )
         assert code == 4, mode
+
+
+@pytest.mark.parametrize("ref_lat", [95, 89, -89])
+def test_ref_lat_outside_the_plane_band_exits_4(minitown_dir, tmp_path, capsys, ref_lat):
+    # a reference latitude the projection rejects is an invalid configuration,
+    # by flag or by config key; it used to fail as an ingest fault of the
+    # first tract (exit 2)
+    work = minitown_copy(minitown_dir, tmp_path)
+    message = f"error: config: ref_lat must be in (-89, 89), got {float(ref_lat)}\n"
+    out = tmp_path / "out"
+    args = ["report", "--config", str(work / "config.json"), "--out", str(out)]
+    assert run([*args, "--ref-lat", str(ref_lat)]) == 4
+    assert capsys.readouterr().err == message
+    cfg = read_json(work / "config.json")
+    cfg["ref_lat"] = ref_lat
+    (work / "config.json").write_text(json.dumps(cfg))
+    assert run(args) == 4
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    assert sorted(os.listdir(work)) == sorted(os.listdir(minitown_dir))
 
 
 def test_missing_config_paths_exit_4(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from access_atlas.errors import DegenerateGeometry, DomainError
 from access_atlas.geometry import (
-    ProjectedPoint,
     availability_counts,
     points_in_tract,
     project_lonlat,
@@ -14,9 +13,10 @@ from access_atlas.geometry import (
     queen_adjacency,
 )
 
-from conftest import disk_meets, recording_scans
+from conftest import counts_of_disks, disk_meets, recording_scans
 from _oracles import (
     Polygon,
+    ProjectedPoint,
     disk_intersects_sampled,
     neighbour_sets,
     pack,
@@ -58,16 +58,16 @@ def test_project_reference_maps_to_origin():
 def test_project_small_latitude_offset():
     # independent evaluation of the projection formula
     expected_y = 6_371_000 * 0.01 * math.pi / 180.0
-    p = project_lonlat(-87.7, 41.86, -87.7, 41.85)
-    assert p.x == 0.0
-    assert p.y == pytest.approx(expected_y, abs=1e-9)
-    assert p.y == pytest.approx(1111.95, abs=0.01)
+    x, y = project_lonlat(-87.7, 41.86, -87.7, 41.85)
+    assert x == 0.0
+    assert y == pytest.approx(expected_y, abs=1e-9)
+    assert y == pytest.approx(1111.95, abs=0.01)
 
 
 def test_project_longitude_shrinks_with_latitude():
     expected_x = 6_371_000 * 0.01 * math.pi / 180.0 * math.cos(math.radians(41.85))
-    p = project_lonlat(-87.69, 41.85, -87.7, 41.85)
-    assert p.x == pytest.approx(expected_x, abs=1e-9)
+    x, _ = project_lonlat(-87.69, 41.85, -87.7, 41.85)
+    assert x == pytest.approx(expected_x, abs=1e-9)
 
 
 def test_array_projection_keeps_the_bits_of_the_scalar_one():
@@ -370,12 +370,12 @@ def test_convex_fixture_matches_disk_grid_oracle():
 
 
 def availability_count(tract, providers) -> int:
-    return int(availability_counts(pack([tract]), [0], providers)[0])
+    return int(counts_of_disks(pack([tract]), [0], providers)[0])
 
 
 def test_availability_empty():
     assert availability_count(KM_SQUARE, []) == 0
-    assert availability_counts(pack([]), [], [(ProjectedPoint(0, 0), 1.0)]).shape == (0,)
+    assert availability_counts(pack([]), [], [0.0], [0.0], [1.0]).shape == (0,)
 
 
 def test_availability_supermarket_within_reach():
@@ -413,7 +413,7 @@ def test_availability_order_invariant_and_additive():
 
 def test_availability_rejects_non_positive_radius():
     with pytest.raises(DomainError):
-        availability_counts(pack([KM_SQUARE]), [0], [(ProjectedPoint(0, 0), 0.0)])
+        availability_counts(pack([KM_SQUARE]), [0], [0.0], [0.0], [0.0])
 
 
 # ------------------------------------------------------------ queen adjacency

@@ -16,7 +16,6 @@ from access_atlas.errors import (
     SchemaError,
     SnapError,
 )
-from access_atlas.geometry import ProjectedPoint
 from access_atlas.ingest import VARIABLE_COLUMNS
 from access_atlas.network import (
     RoadNetwork,
@@ -27,8 +26,8 @@ from access_atlas.network import (
     snap_points,
 )
 
-from conftest import network_from_records
-from _oracles import Polygon, ace_net_loop, list_form, pack
+from conftest import full_demographics, network_from_records, providers_of, take
+from _oracles import Polygon, ProjectedPoint, ace_net_loop, list_form, pack
 
 
 def column(table, name):
@@ -265,12 +264,12 @@ def test_provider_kind_default_radii(tmp_path):
         "f1,farmers_market,-87.7,41.86,\n",
     )
     providers = ingest.load_providers(path, *REF)
-    assert [p.radius_m for p in providers] == [3000.0, 800.0, 1600.0, 500.0, 1000.0]
+    assert providers.radius.tolist() == [3000.0, 800.0, 1600.0, 500.0, 1000.0]
 
 
 def test_provider_explicit_radius_override(tmp_path):
     path = write(tmp_path / "p.csv", "id,kind,lon,lat,radius_m\ns1,supermarket,-87.7,41.85,2500\n")
-    assert ingest.load_providers(path, *REF)[0].radius_m == 2500.0
+    assert ingest.load_providers(path, *REF).radius[0] == 2500.0
 
 
 def test_unknown_provider_kind_rejected(tmp_path):
@@ -283,8 +282,8 @@ def test_bare_grocery_defaults_to_large_with_warning(tmp_path, caplog):
     path = write(tmp_path / "p.csv", "id,kind,lon,lat,radius_m\ng1,grocery,-87.7,41.85,\n")
     with caplog.at_level("WARNING"):
         providers = ingest.load_providers(path, *REF)
-    assert providers[0].kind == "grocery_large"
-    assert providers[0].radius_m == 1600.0
+    assert providers.kinds[0] == "grocery_large"
+    assert providers.radius[0] == 1600.0
     assert any("size class" in r.message for r in caplog.records)
 
 
@@ -292,6 +291,13 @@ def test_non_numeric_coordinates_name_row(tmp_path):
     path = write(tmp_path / "p.csv", "id,kind,lon,lat,radius_m\ns1,supermarket,west,41.85,\n")
     with pytest.raises(SchemaError, match="row 2"):
         ingest.load_providers(path, *REF)
+    # every row is checked before any location is projected: a bad lat on
+    # row 4 is reported, not the point off the plane on row 2
+    rows = ["s1,supermarket,100,41.85", "s2,supermarket,-87.7,41.85", "s3,supermarket,-87.7,north"]
+    path = write(tmp_path / "q.csv", "\n".join(["id,kind,lon,lat", *rows]) + "\n")
+    with pytest.raises(SchemaError) as exc:
+        ingest.load_providers(path, *REF)
+    assert str(exc.value) == f"{path} row 4 lat: non-numeric value 'north'"
 
 
 @pytest.mark.parametrize(
@@ -331,8 +337,9 @@ def test_non_finite_provider_number_rejected(tmp_path, row):
 
 def test_load_minitown_demographics(minitown_dir):
     records = ingest.load_demographics(os.path.join(minitown_dir, "demographics.csv"))
-    assert len(records) == 9
-    assert all(v is not None for r in records for v in r.values.values())
+    assert len(records.ids) == 9
+    assert records.values.shape == (9, len(ingest.DEMOGRAPHIC_COLUMNS))
+    assert not np.isnan(records.values).any()
 
 
 def demo_header():
@@ -348,8 +355,9 @@ def test_percent_out_of_range_names_tract(tmp_path):
 def test_empty_cell_is_missing_not_zero(tmp_path):
     path = write(tmp_path / "d.csv", demo_header() + "t1,100,10,10,,20,10,10,10\n")
     records = ingest.load_demographics(path)
-    assert records[0].values["ACE_DIS"] is None
-    assert records[0].values["AFF_POV"] == 20.0
+    col = ingest.DEMOGRAPHIC_COLUMNS.index
+    assert np.isnan(records.values[0, col("ACE_DIS")])
+    assert records.values[0, col("AFF_POV")] == 20.0
 
 
 def test_negative_density_rejected(tmp_path):
@@ -518,7 +526,7 @@ def test_assemble_complete_fixture(minitown_table):
 
 def test_assemble_missing_demographics_row_drops_tract(minitown_dir):
     tracts, providers, net, demographics = minitown_inputs(minitown_dir)
-    trimmed = [r for r in demographics if r.tract_id != "t22"]
+    trimmed = take(demographics, [k for k, t in enumerate(demographics.ids) if t != "t22"])
     table = ingest.assemble_variable_table(
         tracts, providers, net, trimmed, max_snap_m=700.0
     )
@@ -545,14 +553,21 @@ def test_assemble_reports_demographics_rows_without_geometry(minitown_dir, caplo
 
 def test_assemble_missing_cell_drops_tract(minitown_dir):
     tracts, providers, net, demographics = minitown_inputs(minitown_dir)
-    for rec in demographics:
-        if rec.tract_id == "t13":
-            rec.values["ACE_DIS"] = None
+    col = ingest.DEMOGRAPHIC_COLUMNS.index
+    demographics.values[demographics.ids.index("t13"), col("ACE_DIS")] = np.nan
     table = ingest.assemble_variable_table(
         tracts, providers, net, demographics, max_snap_m=700.0
     )
     assert ("t13", "missing ACE_DIS") in table.dropped
     assert table.n == 8
+    # of two empty cells, the first in column order names the drop
+    for name in ("ACO_SNAP", "ACE_ELD"):
+        demographics.values[demographics.ids.index("t22"), col(name)] = np.nan
+    table = ingest.assemble_variable_table(
+        tracts, providers, net, demographics, max_snap_m=700.0
+    )
+    assert ("t22", "missing ACE_ELD") in table.dropped
+    assert table.n == 7
 
 
 def test_assemble_unreachable_tract_dropped(minitown_dir):
@@ -582,8 +597,7 @@ def test_grid_mode_snaps_like_sorted_scan_oracle(minitown_dir, monkeypatch, max_
         )
 
     got = assemble()
-    supermarkets = [p for p in providers if p.kind == "supermarket"]
-    kept, dropped = ace_net_loop(tracts, supermarkets, net, "grid-3", max_snap_m)
+    kept, dropped = ace_net_loop(tracts, providers, net, "grid-3", max_snap_m)
     assert got.tract_ids == list(kept)
     assert column(got, "ACE_NET").tolist() == list(kept.values())
     assert got.dropped == dropped
@@ -608,11 +622,9 @@ def random_ace_net_inputs(rng):
     for k in range(int(rng.integers(1, 4))):
         x, y = a_nodes[int(rng.integers(0, len(a_nodes)))]
         u, v = rng.uniform(-50, 50, size=2)
-        location = ProjectedPoint(x + u, y + v)
-        supermarkets.append(ingest.ProviderPoint(f"s{k}", "supermarket", location, 1000.0))
+        supermarkets.append((f"s{k}", "supermarket", (x + u, y + v), 1000.0))
     if rng.random() < 0.1:
-        far = ingest.ProviderPoint("far", "supermarket", ProjectedPoint(9e3, 9e3), 1000.0)
-        supermarkets.insert(1, far)
+        supermarkets.insert(1, ("far", "supermarket", (9e3, 9e3), 1000.0))
     tracts = []
     for _ in range(12):
         x0, y0 = rng.uniform([-500, -500], [4000, 2000])
@@ -622,7 +634,7 @@ def random_ace_net_inputs(rng):
             ring[2:3] = [(x0 + w, y0 + h / 3), (x0 + w / 3, y0 + h / 3), (x0 + w / 3, y0 + h)]
         tracts.append([Polygon([ring])])
     ids = [f"t{i:02d}" for i in rng.permutation(len(tracts))]
-    return pack(tracts, ids), supermarkets, net
+    return pack(tracts, ids), providers_of(supermarkets), net
 
 
 def test_ace_net_matches_per_tract_oracle():
@@ -632,8 +644,7 @@ def test_ace_net_matches_per_tract_oracle():
         tracts, supermarkets, net = random_ace_net_inputs(rng)
         mode = str(rng.choice(["centroid", "grid-1", "grid-2", "grid-3", "grid-4"]))
         max_snap_m = float(rng.uniform(300, 900))
-        full = dict.fromkeys(ingest.DEMOGRAPHIC_COLUMNS, 1.0)
-        demographics = [ingest.DemographicRecord(t, full) for t in tracts.ids]
+        demographics = full_demographics(tracts.ids)
 
         def assemble():
             return ingest.assemble_variable_table(
@@ -675,15 +686,16 @@ def test_ace_net_matches_per_tract_oracle():
 
 def test_assemble_without_supermarkets_rejected(minitown_dir):
     tracts, providers, net, demographics = minitown_inputs(minitown_dir)
-    rest = [p for p in providers if p.kind != "supermarket"]
+    rest = take(providers, [k for k, kind in enumerate(providers.kinds) if kind != "supermarket"])
     with pytest.raises(DomainError, match="supermarket"):
         ingest.assemble_variable_table(tracts, rest, net, demographics, max_snap_m=700.0)
 
 
 def test_assemble_all_dropped_is_empty_table(minitown_dir):
-    tracts, providers, net, _ = minitown_inputs(minitown_dir)
+    tracts, providers, net, demographics = minitown_inputs(minitown_dir)
+    none = take(demographics, [])
     with pytest.raises(EmptyTableError):
-        ingest.assemble_variable_table(tracts, providers, net, [], max_snap_m=700.0)
+        ingest.assemble_variable_table(tracts, providers, net, none, max_snap_m=700.0)
 
 
 def test_assemble_key_stable_under_input_order(minitown_dir):
@@ -693,8 +705,8 @@ def test_assemble_key_stable_under_input_order(minitown_dir):
     )
     rng = np.random.default_rng(1)
     shuffled_tracts = subset(tracts, rng.permutation(len(tracts.ids)))
-    shuffled_demo = [demographics[i] for i in rng.permutation(len(demographics))]
-    shuffled_providers = [providers[i] for i in rng.permutation(len(providers))]
+    shuffled_demo = take(demographics, rng.permutation(len(demographics.ids)))
+    shuffled_providers = take(providers, rng.permutation(len(providers.ids)))
     again = ingest.assemble_variable_table(
         shuffled_tracts, shuffled_providers, net, shuffled_demo, max_snap_m=700.0
     )
@@ -712,7 +724,8 @@ def test_assemble_bit_identical_reruns(minitown_dir):
 
 def test_every_tract_exactly_once_across_retained_and_dropped(minitown_dir):
     tracts, providers, net, demographics = minitown_inputs(minitown_dir)
-    trimmed = [r for r in demographics if r.tract_id not in ("t11", "t32")]
+    keep = [k for k, t in enumerate(demographics.ids) if t not in ("t11", "t32")]
+    trimmed = take(demographics, keep)
     table = ingest.assemble_variable_table(tracts, providers, net, trimmed, max_snap_m=700.0)
     seen = list(table.tract_ids) + [tid for tid, _ in table.dropped]
     assert sorted(seen) == sorted(tracts.ids)

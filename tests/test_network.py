@@ -8,7 +8,6 @@ import pytest
 
 from access_atlas import ingest, network
 from access_atlas.errors import DomainError, SchemaError
-from access_atlas.geometry import ProjectedPoint
 from access_atlas.network import (
     build_network,
     load_road_edges,
@@ -17,9 +16,10 @@ from access_atlas.network import (
     snap_points,
 )
 
-from conftest import each_budget, network_from_records
+from conftest import each_budget, full_demographics, network_from_records, providers_of
 from _oracles import (
     Polygon,
+    ProjectedPoint,
     _node_id_key,
     bellman_ford,
     floyd_warshall,
@@ -506,9 +506,8 @@ def distance_to(parts, net, sources, mode="centroid", max_snap_m=network.DEFAULT
 
     x, y = at(min(sources))
     anchor = tract_at(x - 0.5, y - 0.5, size=1.0)
-    supermarkets = [ingest.ProviderPoint(s, "supermarket", at(s), 3000.0) for s in sorted(sources)]
-    full = dict.fromkeys(ingest.DEMOGRAPHIC_COLUMNS, 1.0)
-    demographics = [ingest.DemographicRecord(t, full) for t in ("a", "b")]
+    supermarkets = providers_of((s, "supermarket", at(s), 3000.0) for s in sorted(sources))
+    demographics = full_demographics(["a", "b"])
     table = ingest.assemble_variable_table(
         pack([parts, anchor], ids=["a", "b"]),
         supermarkets,

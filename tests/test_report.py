@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from access_atlas import stats
 from access_atlas.errors import DomainError
-from access_atlas.geometry import ProjectedPoint
 from access_atlas.ingest import VARIABLE_COLUMNS, VariableTable
 from access_atlas.report import (
     BOX_CLASSES,
@@ -24,7 +23,7 @@ from access_atlas.report import (
     emit_svg_choropleth,
 )
 
-from _oracles import Polygon, pack, svg_choropleth_loop
+from _oracles import Polygon, ProjectedPoint, boxmap_classify_loop, pack, svg_choropleth_loop
 
 
 # ------------------------------------------------------------ boxmap classes
@@ -82,6 +81,28 @@ def test_raising_hinge_never_adds_outliers(values, hinge, extra):
     def outliers(cs):
         return sum(1 for c in cs if c.endswith("outlier"))
     assert outliers(hi) <= outliers(lo)
+
+
+def test_boxmap_classes_match_the_per_value_loop():
+    # repeated values land on the quartiles, a constant column with one
+    # outlier has an IQR of 0, and hinges go down to 1e-9
+    rng = np.random.default_rng(33)
+    seen = set()
+    for case in range(3000):
+        n = int(rng.integers(5, 40))
+        if case % 3 == 0:
+            values = rng.choice(rng.normal(size=int(rng.integers(1, 5))), size=n)
+        elif case % 3 == 1:
+            values = np.full(n, float(rng.normal()))
+            jump = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, 3))
+            values[int(rng.integers(0, n))] += jump
+        else:
+            values = rng.normal(size=n) * 10.0 ** float(rng.integers(-6, 6))
+        hinge = 1e-9 if case % 10 == 0 else float(10.0 ** rng.uniform(-9, 1))
+        got = boxmap_classify(values, hinge)
+        assert got == boxmap_classify_loop(values, hinge), (values.tolist(), hinge)
+        seen.update(got)
+    assert seen == set(BOX_CLASSES)
 
 
 def test_quartile_bin_counts_balanced_without_ties():

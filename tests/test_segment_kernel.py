@@ -17,16 +17,15 @@ from access_atlas import geometry
 from access_atlas.errors import DegenerateGeometry
 from access_atlas.geometry import (
     ADJACENCY_EPS,
-    ProjectedPoint,
-    availability_counts,
     points_in_tract,
     queen_adjacency,
 )
 from access_atlas.network import origin_points
 
-from conftest import TINY_BUDGETS, each_budget, recording_scans
+from conftest import TINY_BUDGETS, counts_of_disks, each_budget, recording_scans
 from _oracles import (
     Polygon,
+    ProjectedPoint,
     availability_loop,
     boundary_distance,
     neighbour_sets,
@@ -133,7 +132,7 @@ def test_availability_matches_oracle_on_random_tracts(monkeypatch):
             providers.append((center, float(rng.uniform(1.0, 1500.0))))
     want = [availability_loop(parts, providers) for parts in tracts]
     packed, index = pack(tracts), np.arange(len(tracts))
-    for got in each_budget(monkeypatch, lambda: availability_counts(packed, index, providers)):
+    for got in each_budget(monkeypatch, lambda: counts_of_disks(packed, index, providers)):
         assert got.tolist() == want
 
 
@@ -160,7 +159,7 @@ def test_tangent_disks_fall_back_to_the_scalar_predicate(monkeypatch):
     want = [availability_loop(parts, providers) for parts in tracts]
     packed, index = pack(tracts), np.arange(len(tracts))
     scans = recording_scans(monkeypatch)
-    got = each_budget(monkeypatch, lambda: availability_counts(packed, index, providers))
+    got = each_budget(monkeypatch, lambda: counts_of_disks(packed, index, providers))
     assert all(g.tolist() == want for g in got)
     # each is in the band of its part
     assert measured_again(scans) >= len(TINY_BUDGETS) * len(providers)
