@@ -52,6 +52,8 @@ class RunConfig:
                 raise ConfigError(f"config: {key} must be finite, got {getattr(self, key)}")
         if not (-89.0 < self.ref_lat < 89.0):
             raise ConfigError(f"config: ref_lat must be in (-89, 89), got {self.ref_lat}")
+        if not (-180.0 <= self.ref_lon <= 180.0):
+            raise ConfigError(f"config: ref_lon must be in [-180, 180], got {self.ref_lon}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"config: seed must be >= 0, got {self.seed}")
         if not (self.hinge > 0):

@@ -14,12 +14,13 @@ Everything downstream (contributor thresholds, loading-profile
 correlations) is invariant under per-column sign flips.
 
 Global Moran's I is computed for every column of the n x p table in one
-call, with row-standardised weights built once as flat (row, column,
-weight) arrays. One kernel evaluates any stack of value vectors: the
-observed columns and, for the permutation test, the permuted columns.
-Permutation t draws one index from an RNG seeded as seed + t and applies
-it to every column, so all columns share one permutation stream; the
-permuted columns go through the kernel in blocks of bounded size. A
+call. The row-standardised weights are built once from the CSR adjacency,
+and the table is centred once, with its sums of squares, since neither
+changes when the rows are permuted. Permutation t draws one index from an
+RNG seeded as seed + t and applies it to every column, so all columns
+share one permutation stream; each permutation costs one gather of the
+neighbour rows, a spatial lag by CSR row sums and one product with the
+permuted rows, and the observed I is the identity permutation. A
 permutation counts as a hit when it is at least as extreme as the
 observed I up to a relative tolerance (MORAN_TIE_RTOL), so exact ties are
 hits whatever order the floating-point sums ran in.
@@ -35,11 +36,6 @@ from .errors import ConstantColumnError, DomainError, NumericalError
 
 # eigenvalues at most this belong to null components (see module docstring)
 NULL_EIGENVALUE_TOL = 1e-9
-
-# Permuted columns are evaluated in blocks of about this many
-# (row x weight entry) products, so the memory held by one morans_i call
-# stays bounded whatever the permutation count (see morans_i).
-MORAN_BLOCK = 1 << 15
 
 # A permutation counts as at least as extreme as the observed statistic
 # when |I_perm| >= |I| * (1 - MORAN_TIE_RTOL). Permutations that tie the
@@ -230,17 +226,19 @@ def loading_profile_correlation(
 
 @dataclass(frozen=True)
 class MoranWeights:
-    """Row-standardised spatial weights as flat coordinate arrays.
+    """Row-standardised spatial weights, as the permutation pass reads them.
 
-    Entry k is the weight w[k] = 1/|N(rows[k])| that tract rows[k] gives
-    its neighbour cols[k]; each tract's neighbours appear in ascending
-    order. s0 is the total weight, i.e. the number of tracts that have at
-    least one neighbour, since every non-empty row sums to 1.
+    has: the tracts with a neighbour, ascending; starts[k]: the CSR start
+    of has[k]'s neighbours in nbr (ascending per tract), so np.add.reduceat
+    over starts sums exactly those rows and islands add nothing;
+    inv_degree[k] = 1/|N(has[k])|, each neighbour's weight; s0: the total
+    weight, len(has), since every non-empty row sums to 1.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    w: np.ndarray
+    has: np.ndarray
+    starts: np.ndarray
+    nbr: np.ndarray
+    inv_degree: np.ndarray
     s0: float
 
 
@@ -250,19 +248,26 @@ def moran_weights(adjacency: tuple[np.ndarray, np.ndarray]) -> MoranWeights:
     neighbour."""
     indptr, nbr = adjacency
     degree = np.diff(indptr)
-    s0 = float(np.count_nonzero(degree))
-    if s0 == 0.0:
+    has = np.flatnonzero(degree)
+    if has.size == 0:
         raise DomainError("no tract has a neighbor; Moran's I is undefined")
-    rows = np.repeat(np.arange(len(degree), dtype=np.intp), degree)
-    return MoranWeights(rows=rows, cols=nbr, w=1.0 / degree[rows], s0=s0)
+    return MoranWeights(
+        has=has, starts=indptr[has], nbr=nbr, inv_degree=1.0 / degree[has], s0=float(has.size)
+    )
 
 
-def _moran_kernel(x: np.ndarray, weights: MoranWeights) -> np.ndarray:
-    """Moran's I of every row of the m x n matrix x; no row may be constant."""
-    z = x - x.mean(axis=1, keepdims=True)
-    denom = np.einsum("ij,ij->i", z, z)
-    num = (z[:, weights.rows] * z[:, weights.cols]) @ weights.w
-    return (x.shape[1] / weights.s0) * num / denom
+def _moran_stat(
+    z: np.ndarray, ss: np.ndarray, weights: MoranWeights, perm: np.ndarray
+) -> np.ndarray:
+    """Moran's I of every column of the centred n x p table z with its rows
+    permuted by perm; ss holds the column sums of z**2. The spatial lag of
+    tract i is (1/deg_i) * sum_{k in row i} z[perm[nbr_k]]: one gather of
+    the neighbour rows and one CSR row sum per tract."""
+    # take, not z[...]: the same rows, about 3x faster on numpy 2.4
+    lag = np.add.reduceat(z.take(perm[weights.nbr], axis=0), weights.starts)
+    lag *= weights.inv_degree[:, None]
+    num = np.einsum("ij,ij->j", z.take(perm[weights.has], axis=0), lag)
+    return (len(z) / weights.s0) * num / ss
 
 
 def morans_i(
@@ -276,19 +281,18 @@ def morans_i(
     two-sided permutation pseudo p-value; the p results in column order.
     `adjacency` is the (indptr, nbr) pair of geometry.queen_adjacency.
 
-    I = (n / S0) * sum_ij w_ij z_i z_j / sum_i z_i^2, where z = x - mean(x),
-    w_ij = 1/|N(i)| for j in N(i) and S0 is the total weight (see
-    MoranWeights). The weights are built once and the observed I of every
-    column comes from one kernel call. Permutation t shuffles the rows with
-    an RNG seeded as seed + t, drawn once and applied to every column, so
-    each column's result is independent of execution order and of the
-    other columns. A block holds max(1, MORAN_BLOCK // (p * weight
-    entries)) permutations of all p columns; when one permutation alone
-    exceeds MORAN_BLOCK products, a block is p * weight entries products
-    (about 1.2 MB per temporary at 10 columns and 15,350 entries). pseudo_p
-    is (hits + 1) / (permutations + 1), where a permutation is a hit when
-    |I_perm| >= |I| * (1 - MORAN_TIE_RTOL). A constant column (so also its
-    permutations) raises ConstantColumnError naming it, as in standardize_table.
+    I = (n / S0) * sum_i z_i lag_i / sum_i z_i^2, where z = x - mean(x),
+    lag_i = (1/|N(i)|) sum_{j in N(i)} z_j and S0 is the total weight (see
+    MoranWeights). The table is centred once and its sums of squares taken
+    once: both are the same for every permutation of the rows, so only the
+    numerator is evaluated per permutation (_moran_stat), the observed I
+    being the identity permutation. Permutation t shuffles the rows with an
+    RNG seeded as seed + t, drawn once and applied to every column, so each
+    column's result is independent of execution order and of the other
+    columns. pseudo_p is (hits + 1) / (permutations + 1), where a
+    permutation is a hit when |I_perm| >= |I| * (1 - MORAN_TIE_RTOL). A
+    constant column (so also its permutations) raises ConstantColumnError
+    naming it, as in standardize_table.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -303,22 +307,14 @@ def morans_i(
         raise DomainError(f"permutations must be >= 99, got {permutations}")
     weights = moran_weights(adjacency)
     standardize_table(x, names)  # names the first constant column
-    columns = np.ascontiguousarray(x.T)
-    observed = _moran_kernel(columns, weights)
+    z = x - x.mean(axis=0)
+    ss = np.einsum("ij,ij->j", z, z)
+    observed = _moran_stat(z, ss, weights, np.arange(n))
     thresholds = np.abs(observed) * (1.0 - MORAN_TIE_RTOL)
-    block = max(1, MORAN_BLOCK // (p * weights.w.size))
     hits = np.zeros(p, dtype=np.int64)
-    for start in range(0, permutations, block):
-        index = np.stack(
-            [
-                np.random.default_rng(seed + t).permutation(n)
-                for t in range(start, min(start + block, permutations))
-            ]
-        )
-        # row j * len(index) + k is column j under permutation start + k
-        perms = columns[:, index].reshape(-1, n)
-        stat = _moran_kernel(perms, weights).reshape(p, -1)
-        hits += np.count_nonzero(np.abs(stat) >= thresholds[:, None], axis=1)
+    for t in range(permutations):
+        perm = np.random.default_rng(seed + t).permutation(n)
+        hits += np.abs(_moran_stat(z, ss, weights, perm)) >= thresholds
     return [
         MoranResult(
             I=float(observed[j]),

@@ -282,24 +282,25 @@ def neighbour_sets(adjacency) -> list[set[int]]:
 def moran_weights_loop(neighbors) -> MoranWeights:
     """Row-standardised weights one tract at a time, from neighbour sets;
     a drop-in for stats.moran_weights."""
-    rows: list[int] = []
-    cols: list[int] = []
-    w: list[float] = []
-    s0 = 0.0
+    has: list[int] = []
+    starts: list[int] = []
+    nbr: list[int] = []
+    inv_degree: list[float] = []
     for i, neigh in enumerate(neighbors):
         if not neigh:
             continue
-        rows.extend([i] * len(neigh))
-        cols.extend(sorted(neigh))
-        w.extend([1.0 / len(neigh)] * len(neigh))
-        s0 += 1.0
-    if s0 == 0.0:
+        has.append(i)
+        starts.append(len(nbr))
+        nbr.extend(sorted(neigh))
+        inv_degree.append(1.0 / len(neigh))
+    if not has:
         raise DomainError("no tract has a neighbor; Moran's I is undefined")
     return MoranWeights(
-        rows=np.array(rows, dtype=np.intp),
-        cols=np.array(cols, dtype=np.intp),
-        w=np.array(w, dtype=float),
-        s0=s0,
+        has=np.array(has, dtype=np.intp),
+        starts=np.array(starts, dtype=np.intp),
+        nbr=np.array(nbr, dtype=np.intp),
+        inv_degree=np.array(inv_degree, dtype=float),
+        s0=float(len(has)),
     )
 
 

@@ -712,6 +712,26 @@ def test_ref_lat_outside_the_plane_band_exits_4(minitown_dir, tmp_path, capsys, 
     assert sorted(os.listdir(work)) == sorted(os.listdir(minitown_dir))
 
 
+@pytest.mark.parametrize("ref_lon", [500, 180.5, -181])
+def test_ref_lon_outside_the_globe_exits_4(minitown_dir, tmp_path, capsys, ref_lon):
+    # a reference longitude off the globe is an invalid configuration, by
+    # flag or by config key; it used to fail as an ingest fault of the
+    # first tract, whose projected point left the local plane (exit 2)
+    work = minitown_copy(minitown_dir, tmp_path)
+    message = f"error: config: ref_lon must be in [-180, 180], got {float(ref_lon)}\n"
+    out = tmp_path / "out"
+    args = ["report", "--config", str(work / "config.json"), "--out", str(out)]
+    assert run([*args, "--ref-lon", str(ref_lon)]) == 4
+    assert capsys.readouterr().err == message
+    cfg = read_json(work / "config.json")
+    cfg["ref_lon"] = ref_lon
+    (work / "config.json").write_text(json.dumps(cfg))
+    assert run(args) == 4
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    assert sorted(os.listdir(work)) == sorted(os.listdir(minitown_dir))
+
+
 def test_missing_config_paths_exit_4(tmp_path):
     assert run(["variables", "--out", str(tmp_path / "out")]) == 4
 

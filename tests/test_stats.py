@@ -1,5 +1,4 @@
 import dataclasses
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -449,10 +448,14 @@ def test_morans_i_pseudo_p_definition():
 
 
 def random_graph_with_islands(rng, n, p_edge):
-    """Random symmetric neighbour sets; the last three tracts are islands."""
+    """Random symmetric neighbour sets whose islands include the first
+    tract, two consecutive mid-table tracts and the last three, so the CSR
+    starts of the linked tracts skip empty rows at both ends and inside."""
+    islands = {0, n // 2, n // 2 + 1, n - 3, n - 2, n - 1}
+    linked = [i for i in range(n) if i not in islands]
     neighbors = [set() for _ in range(n)]
-    for i in range(n - 3):
-        for j in range(i + 1, n - 3):
+    for a, i in enumerate(linked):
+        for j in linked[a + 1 :]:
             if rng.random() < p_edge:
                 neighbors[i].add(j)
                 neighbors[j].add(i)
@@ -464,11 +467,11 @@ def test_moran_weights_equal_per_tract_loop():
     for n, p_edge in ((5, 0.5), (40, 0.1), (90, 0.15), (120, 0.02)):
         neighbors = random_graph_with_islands(rng, n, p_edge)
         if not any(neighbors):
-            neighbors[0].add(1)
-            neighbors[1].add(0)
+            neighbors[1].add(2)
+            neighbors[2].add(1)
         got = moran_weights(csr(neighbors))
         want = moran_weights_loop(neighbors)
-        for name in ("rows", "cols", "w"):
+        for name in ("has", "starts", "nbr", "inv_degree"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert type(got.s0) is type(want.s0) and got.s0 == want.s0
@@ -489,19 +492,33 @@ def loop_hits(x, neighbors, permutations, seed, exact):
     )
 
 
+def record_stats(monkeypatch):
+    """The (permutation, statistics) pair of every stats._moran_stat call
+    made after this, in call order."""
+    calls = []
+    original = stats._moran_stat
+
+    def recorded(z, ss, weights, perm):
+        got = original(z, ss, weights, perm)
+        calls.append((perm.copy(), got))
+        return got
+
+    monkeypatch.setattr(stats, "_moran_stat", recorded)
+    return calls
+
+
 @pytest.mark.parametrize(
     "case, permutations, integer_data",
     [(0, 101, False), (1, 199, False), (2, 999, False), (3, 199, True), (4, 101, True)],
 )
-def test_batched_moran_matches_per_permutation_loop(case, permutations, integer_data):
+def test_batched_moran_matches_per_permutation_loop(
+    monkeypatch, case, permutations, integer_data
+):
     rng = np.random.default_rng(300 + case)
     n = int(rng.integers(60, 90))
     neighbors = random_graph_with_islands(rng, n, 0.15)
     adj = csr(neighbors)
-    weights = moran_weights(adj)
-    # several blocks, the last one partial
-    block = stats.MORAN_BLOCK // weights.w.size
-    assert 1 < block < permutations and permutations % block != 0
+
     def draw():
         if integer_data:  # duplicated values: exact ties are possible
             return rng.integers(0, 6, size=n).astype(float)
@@ -509,22 +526,29 @@ def test_batched_moran_matches_per_permutation_loop(case, permutations, integer_
 
     x = draw()
     seed = 17 * case
-    perms = permuted_rows(x, permutations, seed)
-    got = stats._moran_kernel(np.stack(perms), weights)
-    want = [moran_loop(p, neighbors) for p in perms]
-    assert got == pytest.approx(want, rel=1e-12)
-
+    perms = permuted_rows(np.arange(n), permutations, seed)
+    calls = record_stats(monkeypatch)
     [res] = morans_i(x[:, None], adj, permutations, seed)
+    # the observed I first, then every permuted statistic the pass counted
+    assert len(calls) == 1 + permutations
+    assert np.array_equal(calls[0][0], np.arange(n))
+    for perm, (used, stat) in zip(perms, calls[1:]):
+        assert np.array_equal(used, perm)
+        assert stat[0] == pytest.approx(moran_loop(x[perm], neighbors), rel=1e-12)
     assert res.I == pytest.approx(moran_loop(x, neighbors), rel=1e-12)
     hits = loop_hits(x, neighbors, permutations, seed, integer_data)
     assert res.pseudo_p == (hits + 1) / (permutations + 1)
 
-    # three columns share every permutation: fewer per block, the last
-    # block still partial
-    block = max(1, stats.MORAN_BLOCK // (3 * weights.w.size))
-    assert 1 < block < permutations and permutations % block != 0
+    # three columns share every permutation
     table = np.column_stack([x, draw(), draw()])
-    for column, res in zip(table.T, morans_i(table, adj, permutations, seed)):
+    calls.clear()
+    results = morans_i(table, adj, permutations, seed)
+    assert len(calls) == 1 + permutations
+    for perm, (used, stat) in zip(perms, calls[1:]):
+        assert np.array_equal(used, perm)
+        want = [moran_loop(column[perm], neighbors) for column in table.T]
+        assert stat == pytest.approx(want, rel=1e-12)
+    for column, res in zip(table.T, results):
         assert res.I == pytest.approx(moran_loop(column, neighbors), rel=1e-12)
         hits = loop_hits(column, neighbors, permutations, seed, integer_data)
         assert res.pseudo_p == (hits + 1) / (permutations + 1)
@@ -555,22 +579,30 @@ def random_table(rng, n, p):
     return table
 
 
-def test_morans_i_calls_kernel_once_per_block(monkeypatch):
+def test_morans_i_evaluates_each_permutation_once(monkeypatch):
+    # one draw per seed + t, and one evaluation of that draw for all ten
+    # columns; the observed I is the identity permutation, evaluated first
     rng = np.random.default_rng(41)
-    n, permutations = 70, 199
+    n, permutations, seed = 70, 199, 5
     adj = csr(random_graph_with_islands(rng, n, 0.15))
     table = random_table(rng, n, 10)
-    block = max(1, stats.MORAN_BLOCK // (10 * moran_weights(adj).w.size))
-    calls = []
-    original = stats._moran_kernel
+    want = permuted_rows(np.arange(n), permutations, seed)
+    seeds = []
+    original = np.random.default_rng
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(seed=None):
+        seeds.append(seed)
+        return original(seed)
 
-    monkeypatch.setattr(stats, "_moran_kernel", counted)
-    morans_i(table, adj, permutations, seed=5)
-    assert len(calls) <= 1 + math.ceil(permutations / block)
+    calls = record_stats(monkeypatch)
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    results = morans_i(table, adj, permutations, seed)
+    assert seeds == [seed + t for t in range(permutations)]
+    assert [len(perm) for perm, _ in calls] == [n] * (1 + permutations)
+    assert np.array_equal(calls[0][0], np.arange(n))
+    for perm, (used, stat) in zip(want, calls[1:]):
+        assert np.array_equal(used, perm) and stat.shape == (10,)
+    assert [res.I for res in results] == calls[0][1].tolist()
 
 
 def test_morans_i_draws_each_permutation_once_for_all_columns(monkeypatch):
