@@ -486,6 +486,28 @@ def test_report_golden_bytes(minitown_config, tmp_path):
     assert digests == GOLDEN_SHA256
 
 
+def env_without_blas_threads():
+    """This process's environment without OPENBLAS_NUM_THREADS."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+def test_report_golden_bytes_on_the_cli_entry_path(minitown_config, tmp_path):
+    # in a fresh `python -m access_atlas.cli`, access_atlas loads numpy and
+    # so picks the BLAS thread count; in pytest, conftest loaded numpy first
+    out = tmp_path / "out"
+    subprocess.run(
+        [sys.executable, "-m", "access_atlas.cli", "report", "--config", minitown_config,
+         "--out", str(out)],
+        env=env_without_blas_threads(),
+        capture_output=True,
+        check=True,
+    )
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+    assert digests == GOLDEN_SHA256
+
+
 # variables.csv of `report --ace-net-mode grid-3`: the pins above cover
 # centroid mode only, and grid sampling reads the tract bboxes and the
 # point-in-tract test besides the centroids
@@ -820,3 +842,26 @@ def test_cli_import_loads_no_network_or_mail_modules():
     loaded = set(proc.stdout.split())
     assert "access_atlas.report" in loaded
     assert loaded.isdisjoint({"urllib.request", "http.client", "email.parser"})
+
+
+BLAS_PROBE = """
+import os, access_atlas.cli
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_cli_import_defaults_openblas_to_one_thread(given, expected):
+    # the package's BLAS calls are all at most n x 10; an idle OpenBLAS
+    # worker only spins on another core. A value the caller set is kept.
+    env = env_without_blas_threads()
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    value, threads = proc.stdout.split()
+    assert value == expected
+    if given is None and threads != "None":
+        assert threads == "1"
