@@ -34,7 +34,7 @@ from contextlib import contextmanager
 from typing import Iterable, NoReturn
 
 from . import ingest, report, stats
-from .config import RunConfig, apply_overrides, load_config_file, resolve_seed
+from .config import RunConfig, load_config_file, resolve_seed
 from .errors import AccessAtlasError, ConfigError
 from .geometry import Tracts, queen_adjacency
 from .ingest import VARIABLE_COLUMNS, VariableTable
@@ -207,9 +207,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory (overrides config out_dir)")
+        p.add_argument(
+            "--out", dest="out_dir", metavar="OUT", help="output directory (overrides config out_dir)"
+        )
         p.add_argument("--seed", type=int, help="RNG seed for permutation tests")
-        p.add_argument("--permutations", type=int, help="Moran permutation count (>= 99)")
+        p.add_argument(
+            "--permutations",
+            dest="moran_permutations",
+            metavar="PERMUTATIONS",
+            type=int,
+            help="Moran permutation count (>= 99)",
+        )
         p.add_argument("--hinge", type=float, help="box-map hinge multiplier")
         p.add_argument("--sig-threshold", type=float, help="significant-loading cutoff")
         p.add_argument("--sec-threshold", type=float, help="secondary-loading cutoff")
@@ -221,18 +229,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = load_config_file(args.config) if args.config else RunConfig()
-    overrides = {
-        "out_dir": args.out,
-        "seed": args.seed,
-        "moran_permutations": args.permutations,
-        "hinge": args.hinge,
-        "sig_threshold": args.sig_threshold,
-        "sec_threshold": args.sec_threshold,
-        "ace_net_mode": args.ace_net_mode,
-        "ref_lon": args.ref_lon,
-        "ref_lat": args.ref_lat,
-    }
-    apply_overrides(cfg, overrides)
+    # every flag's dest is the name of the RunConfig field it overrides
+    for key, value in vars(args).items():
+        if value is not None and key in vars(cfg):
+            setattr(cfg, key, value)
     cfg.seed = resolve_seed(cfg.seed)
     cfg.validate()
     return cfg

@@ -136,17 +136,6 @@ def load_config_file(path: str) -> RunConfig:
     return cfg
 
 
-def apply_overrides(cfg: RunConfig, overrides: dict[str, object]) -> RunConfig:
-    """Apply flag-level overrides (already typed); None values are skipped."""
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in _FIELD_NAMES:
-            raise ConfigError(f"unknown config override {key!r}")
-        setattr(cfg, key, value)
-    return cfg
-
-
 def resolve_seed(current: int | None) -> int:
     """Seed precedence: flag/config value if set, else environment, else 0."""
     if current is not None:

@@ -8,15 +8,16 @@ All predicates follow a closed-set convention: boundary points are inside,
 and a disk tangent to a polygon edge intersects it. That keeps behaviour
 deterministic at exact-threshold inputs.
 
-`pack_tracts` builds the one tract structure of a run, `Tracts`: flat x/y
-arrays of the closed rings with ring, part and tract offsets, each tract's
-area, centroid and bbox, and the ring segments the predicates read. An
-area or centroid is a sum taken in vertex order, one vertex position at a
-time across all rings (`_sums_in_order`), so it keeps the bits of the
-scalar shoelace loop; a pairwise sum such as np.add.reduceat would not.
+`pack_tracts` builds the one tract structure of a run, `Tracts`: the ring
+segments with ring, part and tract offsets, and each tract's area,
+centroid and bbox. The segment starts are the one copy of the ring
+vertices, which the predicates and the SVG read. An area or centroid is
+a sum taken in vertex order, one vertex position at a time across all
+rings (`_sums_in_order`), so it keeps the bits of the scalar shoelace
+loop; a pairwise sum such as np.add.reduceat would not.
 
-The batched predicates (`availability_counts`, `queen_adjacency`,
-`points_in_tract`) take the Tracts and the indices of the tracts they work
+The predicates (`disks_meet`, behind AV_INT and the grid-K sampler, and
+`queen_adjacency`) take the Tracts and the indices of the tracts they work
 on, and run one numpy kernel, `_scan`, over (query point, part) pairs in
 chunks of KERNEL_BUDGET elements. It repeats the float operations of a
 scalar segment-distance loop in the same order, so only np.hypot can
@@ -83,25 +84,23 @@ class Tracts:
     Tract i is ids[i]; source_geometry[i] is its input geometry, which
     scores.geojson echoes. Its parts are part_start[i]:part_start[i + 1];
     the rings of part p are part_ring[p]:part_ring[p + 1], the exterior
-    first; ring r is x[ring_start[r]:ring_start[r + 1]] (and likewise y),
-    closed: its first vertex is repeated at the end. area and centroid are
-    each tract's net area and area-weighted centroid, and bounds its (xmin,
-    ymin, xmax, ymax).
+    first. area and centroid are each tract's net area and area-weighted
+    centroid, and bounds its (xmin, ymin, xmax, ymax).
 
-    The segments of part p are seg_start[p]:seg_start[p + 1]. Segment s runs
-    from (ax[s], ay[s]) to (ax[s] + dx[s], by[s]), with dx = bx - ax,
-    dy = by - ay and seg2 = dx * dx + dy * dy. The segment starts are the ring
-    vertices without the closing repeat, so a tract's vertices are the
-    starts of its segments.
+    The segments of ring r are ring_seg[r]:ring_seg[r + 1], and those of
+    part p are seg_start[p]:seg_start[p + 1] (seg_start is
+    ring_seg[part_ring]). Segment s runs from (ax[s], ay[s]) to
+    (ax[s] + dx[s], by[s]), with dx = bx - ax, dy = by - ay and
+    seg2 = dx * dx + dy * dy. The segment starts of a ring are its
+    vertices in order, without the closing repeat: the one copy of the
+    rings.
     """
 
     ids: list[str]
     source_geometry: list
-    x: np.ndarray
-    y: np.ndarray
-    ring_start: np.ndarray
     part_ring: np.ndarray
     part_start: np.ndarray
+    ring_seg: np.ndarray
     area: np.ndarray
     centroid: np.ndarray  # (tracts, 2)
     bounds: np.ndarray  # (tracts, 4)
@@ -203,13 +202,14 @@ def pack_tracts(ids, source_geometry, x, y, ring_sizes, ring_counts, part_counts
         if message is not None:
             raise DegenerateGeometry(f"tract {ids[i]}: {message}")
 
-    seg_start = _offsets(nseg)[part_ring]
+    ring_seg = _offsets(nseg)
+    seg_start = ring_seg[part_ring]
     vstart = seg_start[part_start[:-1]]  # the first segment of each tract
     low = [np.minimum.reduceat(v, vstart) for v in (ax, ay)]
     high = [np.maximum.reduceat(v, vstart) for v in (ax, ay)]
     dx, dy = bx - ax, by - ay
     return Tracts(
-        list(ids), list(source_geometry), x, y, ring_start, part_ring, part_start, area, centroid,
+        list(ids), list(source_geometry), part_ring, part_start, ring_seg, area, centroid,
         np.stack(low + high, axis=1), seg_start, ax, ay, by, dx, dy, dx * dx + dy * dy,
     )
 
@@ -254,7 +254,7 @@ def _chunks(weights: np.ndarray):
         lo = hi
 
 
-def _exact_hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def exact_hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """math.hypot of each pair: correctly rounded, where np.hypot may be an
     ulp off."""
     return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), dtype=float, count=len(x))
@@ -270,7 +270,7 @@ def _scan(
     (y - ay) * dy) / seg2 clamped to [0, 1] (0 on a zero-length segment),
     the distance hypot(x - (ax + t * dx), y - (ay + t * dy)), and whether
     the segment crosses the ray cast east from the point. The parity is
-    bitwise that of the scalar ray cast; with `_exact_hypot` the distance
+    bitwise that of the scalar ray cast; with `exact_hypot` the distance
     is bitwise the scalar one too, and with np.hypot it may differ by an
     ulp or so.
     """
@@ -301,22 +301,30 @@ def _scan(
 def _decide(tracts: Tracts, px, py, part, dmin: np.ndarray, threshold) -> np.ndarray:
     """dmin <= threshold, dmin being _scan's distances of the queries; the
     queries in the tie band |dmin - threshold| <= 1e-9 * max(threshold, 1)
-    are measured again with `_exact_hypot`."""
+    are measured again with `exact_hypot`."""
     threshold = np.broadcast_to(threshold, dmin.shape)
     hit = dmin <= threshold
     band = np.flatnonzero(np.abs(dmin - threshold) <= 1e-9 * np.maximum(threshold, 1.0))
-    exact, _ = _scan(tracts, px[band], py[band], part[band], _exact_hypot)
+    exact, _ = _scan(tracts, px[band], py[band], part[band], exact_hypot)
     hit[band] = exact <= threshold[band]
     return hit
 
 
-def _disk_hits(tracts: Tracts, px, py, radius, part) -> np.ndarray:
-    """Whether the closed disk around query k, of radius[k] or of one
-    shared radius, meets part[k]: the centre lies inside by the even-odd
-    rule, or the boundary comes within the radius (never less than
-    BOUNDARY_EPS). Tangency counts."""
-    dmin, odd = _scan(tracts, px, py, part)
-    return odd | _decide(tracts, px, py, part, dmin, np.maximum(radius, BOUNDARY_EPS))
+def disks_meet(tracts: Tracts, px, py, radius, tract) -> np.ndarray:
+    """Whether the closed disk around (px[k], py[k]), of radius[k] or of one
+    shared radius, never less than BOUNDARY_EPS, meets any part of
+    tract[k]: its centre lies inside the part by the even-odd rule (a
+    point in a hole is outside), or the part's boundary comes within the
+    radius. Tangency counts."""
+    px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
+    tract = np.asarray(tract, dtype=np.intp)
+    part, k = _ranges(tracts.part_start[tract], np.diff(tracts.part_start)[tract])
+    qx, qy = px[k], py[k]
+    r = np.broadcast_to(np.maximum(radius, BOUNDARY_EPS), px.shape)[k]
+    dmin, odd = _scan(tracts, qx, qy, part)
+    met = np.zeros(len(px), dtype=bool)
+    met[k[odd | _decide(tracts, qx, qy, part, dmin, r)]] = True
+    return met
 
 
 def availability_counts(tracts: Tracts, index: np.ndarray, cx, cy, radius) -> np.ndarray:
@@ -326,7 +334,7 @@ def availability_counts(tracts: Tracts, index: np.ndarray, cx, cy, radius) -> np
     Provider k is the disk of radius[k] meters around (cx[k], cy[k]). A
     provider counts at most once per tract, even when the tract has several
     parts, and order does not matter. Only providers whose disk, widened by
-    `_reach`, meets a tract's bbox are tested against it.
+    `_reach`, meets a tract's bbox are tested against it, by `disks_meet`.
     """
     index = np.asarray(index, dtype=np.intp)
     cx, cy, radius = (np.asarray(v, dtype=float) for v in (cx, cy, radius))
@@ -340,44 +348,25 @@ def availability_counts(tracts: Tracts, index: np.ndarray, cx, cy, radius) -> np
     reach = _reach(np.maximum(radius, BOUNDARY_EPS), scale)
     near = [np.flatnonzero(_within(cx, cy, reach, box)) for box in boxes]
     row = np.repeat(np.arange(n), [len(k) for k in near])
-    provider = np.concatenate(near)
-    part, pair = _ranges(tracts.part_start[index[row]], np.diff(tracts.part_start)[index[row]])
-    k = provider[pair]
-    met = np.zeros(len(row), dtype=bool)
-    met[pair[_disk_hits(tracts, cx[k], cy[k], radius[k], part)]] = True
-    return np.bincount(row[met], minlength=n)
+    k = np.concatenate(near)
+    return np.bincount(row[disks_meet(tracts, cx[k], cy[k], radius[k], index[row])], minlength=n)
 
 
-def points_in_tract(
-    tracts: Tracts, px: np.ndarray, py: np.ndarray, tract: np.ndarray
-) -> np.ndarray:
-    """Whether each point (px[k], py[k]) lies in any part of tract[k],
-    boundary (within BOUNDARY_EPS) included; a point in a hole is outside."""
-    part, k = _ranges(tracts.part_start[tract], np.diff(tracts.part_start)[tract])
-    inside = np.zeros(len(px), dtype=bool)
-    inside[k[_disk_hits(tracts, px[k], py[k], BOUNDARY_EPS, part)]] = True
-    return inside
-
-
-def queen_adjacency(
-    tracts: Tracts,
-    index: np.ndarray,
-    eps: float = ADJACENCY_EPS,
-) -> tuple[np.ndarray, np.ndarray]:
+def queen_adjacency(tracts: Tracts, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Queen-contiguity adjacency among the tracts of `index`: tracts
     sharing any boundary point.
 
-    Two tracts are neighbors when some vertex of one lies within eps of the
-    other's boundary (vertex-to-vertex or vertex-to-segment), checked in
-    both directions. Multi-part tracts are tested against every part.
-    Returns (indptr, nbr), intp arrays in CSR form like RoadNetwork's over
-    the positions in `index`: the neighbours of index[i] are the
-    nbr[indptr[i]:indptr[i + 1]], in ascending order. The relation is
-    symmetric and irreflexive.
+    Two tracts are neighbors when some vertex of one lies within
+    ADJACENCY_EPS of the other's boundary (vertex-to-vertex or
+    vertex-to-segment), checked in both directions. Multi-part tracts are
+    tested against every part. Returns (indptr, nbr), intp arrays in CSR
+    form like RoadNetwork's over the positions in `index`: the neighbours
+    of index[i] are the nbr[indptr[i]:indptr[i + 1]], in ascending order.
+    The relation is symmetric and irreflexive.
 
-    Candidate pairs, whose bboxes come within eps, are found by a sort and
-    sweep on bbox xmin; only the vertices within `_reach(eps)` of the other
-    tract's bbox are measured.
+    Candidate pairs, whose bboxes come within ADJACENCY_EPS, are found by a
+    sort and sweep on bbox xmin; only the vertices within
+    `_reach(ADJACENCY_EPS)` of the other tract's bbox are measured.
     """
     index = np.asarray(index, dtype=np.intp)
     n = len(index)
@@ -386,14 +375,14 @@ def queen_adjacency(
     boxes = tracts.bounds[index]
     xmin, ymin, xmax, ymax = boxes.T
     order = np.argsort(xmin, kind="stable")
-    stop = np.searchsorted(xmin[order], xmax[order] + eps, side="right")
+    stop = np.searchsorted(xmin[order], xmax[order] + ADJACENCY_EPS, side="right")
     later, earlier = _ranges(np.arange(1, n + 1), stop - np.arange(1, n + 1))
     a, b = order[earlier], order[later]
     overlap = ~(
-        (xmax[a] + eps < xmin[b])
-        | (xmax[b] + eps < xmin[a])
-        | (ymax[a] + eps < ymin[b])
-        | (ymax[b] + eps < ymin[a])
+        (xmax[a] + ADJACENCY_EPS < xmin[b])
+        | (xmax[b] + ADJACENCY_EPS < xmin[a])
+        | (ymax[a] + ADJACENCY_EPS < ymin[b])
+        | (ymax[b] + ADJACENCY_EPS < ymin[a])
     )
     a, b = a[overlap], b[overlap]
     # both directions: the vertices of src against the parts of dst
@@ -402,7 +391,7 @@ def queen_adjacency(
     vstart = tracts.seg_start[tracts.part_start]
     vcount = vstart[index[src] + 1] - vstart[index[src]]
     target = index[dst]
-    reach = _reach(eps, float(np.abs(boxes).max()))
+    reach = _reach(ADJACENCY_EPS, float(np.abs(boxes).max()))
     touching = np.zeros(len(a), dtype=bool)
     for lo, hi in _chunks(vcount):
         v, q = _ranges(vstart[index[src[lo:hi]]], vcount[lo:hi])
@@ -412,7 +401,7 @@ def queen_adjacency(
         part, w = _ranges(tracts.part_start[t], np.diff(tracts.part_start)[t])
         px, py = tracts.ax[v][w], tracts.ay[v][w]
         dmin, _ = _scan(tracts, px, py, part)
-        touching[pair[lo:hi][q[w[_decide(tracts, px, py, part, dmin, eps)]]]] = True
+        touching[pair[lo:hi][q[w[_decide(tracts, px, py, part, dmin, ADJACENCY_EPS)]]]] = True
     both = np.tile(touching, 2)
     tail, head = src[both], dst[both]
     return _offsets(np.bincount(tail, minlength=n)), head[np.lexsort((head, tail))]

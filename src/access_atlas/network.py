@@ -6,8 +6,9 @@ filtered to the road classes people actually walk or drive locally
 come from a single multi-source Dijkstra pass seeded with every
 supermarket's snap node. `origin_points` gives the points each tract is
 measured from, as flat arrays: the stored centroids of the packed
-`Tracts`, or the grid-K samples of every tract from one `points_in_tract`
-call. One `snap_points` call snaps the supermarkets and all those points.
+`Tracts`, or the grid-K samples of every tract from one
+`geometry.disks_meet` call. One `snap_points` call snaps the supermarkets
+and all those points.
 
 `read_csv_table` reads all four CSV inputs (the road nodes and edges here,
 the providers and demographics in `ingest`): it matches the header, skips
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import geometry
 from .errors import DomainError, RangeError, SchemaError
-from .geometry import Tracts, points_in_tract, project_lonlat, project_points
+from .geometry import Tracts, project_lonlat, project_points
 
 DEFAULT_ROAD_CLASSES = frozenset(
     {"residential", "living_street", "unclassified", "tertiary", "secondary", "primary"}
@@ -161,10 +162,7 @@ def build_network(
     with np.errstate(over="ignore", invalid="ignore"):
         dx = nodes.xs[ends[0, euclidean]] - nodes.xs[ends[1, euclidean]]
         dy = nodes.ys[ends[0, euclidean]] - nodes.ys[ends[1, euclidean]]
-        # math.hypot, not np.hypot, which may differ in the last bit
-        length[euclidean] = np.fromiter(
-            map(math.hypot, dx.tolist(), dy.tolist()), dtype=float, count=len(euclidean)
-        )
+        length[euclidean] = geometry.exact_hypot(dx, dy)  # not np.hypot, which may be an ulp off
         bad = ~(found & (length > 0) & (length < math.inf))
     if bad.any():
         j = int(bad.argmax())
@@ -314,9 +312,10 @@ def snap_points(net: RoadNetwork, px, py) -> tuple[np.ndarray, np.ndarray]:
     that computes the squared distance from every point to every node. The
     nodes within a relative 1e-12 of a point's smallest squared distance,
     far wider than its rounding error, are its candidates; the first of
-    them with the strictly smallest `math.hypot` distance wins. That is the
-    node, and the distance, of a scan over all ids in sorted order. The
-    distance is inf when `math.hypot` overflows for every candidate.
+    them with the strictly smallest `geometry.exact_hypot` distance wins.
+    That is the node, and the distance, of a scan over all ids in sorted
+    order. The distance is inf when math.hypot overflows for every
+    candidate.
     """
     n = len(net.ids)
     if not n:
@@ -342,9 +341,7 @@ def snap_points(net: RoadNetwork, px, py) -> tuple[np.ndarray, np.ndarray]:
             # candidates in (point, index) order, by the 1-D mask: a 2-D
             # np.nonzero costs ten times more per point at 10^5 nodes
             row, col = np.divmod(np.flatnonzero(near), n)
-            cx = (bx[row] - net.xs[col]).tolist()
-            cy = (by[row] - net.ys[col]).tolist()
-        d = np.fromiter(map(math.hypot, cx, cy), dtype=float, count=len(cx))
+            d = geometry.exact_hypot(bx[row] - net.xs[col], by[row] - net.ys[col])
         # stable: a point's first candidate of least distance leads, inf or not
         ranked = np.lexsort((d, row))
         first = ranked[np.flatnonzero(np.diff(row[ranked], prepend=-1))]
@@ -401,8 +398,8 @@ def origin_points(tracts: Tracts, index, mode: str) -> tuple[np.ndarray, np.ndar
     index[owner[k]], and each tract's points are consecutive. Mode
     "centroid" gives its area centroid; mode "grid-K" the centres of the
     cells of a K x K grid over its bbox that lie inside it, row by row from
-    the south, or its centroid when none does. One points_in_tract call
-    tests the grid points of every tract."""
+    the south, or its centroid when none does. One disks_meet call, with
+    disks of radius BOUNDARY_EPS, tests the grid points of every tract."""
     k = sampling_grid_size(mode)
     cx, cy = tracts.centroid[index].T
     if k is None:
@@ -411,8 +408,9 @@ def origin_points(tracts: Tracts, index, mode: str) -> tuple[np.ndarray, np.ndar
     row, col = np.divmod(np.arange(k * k), k)
     px = xmin + (col + 0.5) * (xmax - xmin) / k
     py = ymin + (row + 0.5) * (ymax - ymin) / k
-    inside = points_in_tract(tracts, px.ravel(), py.ravel(), np.repeat(index, k * k))
-    inside = inside.reshape(px.shape)
+    inside = geometry.disks_meet(
+        tracts, px.ravel(), py.ravel(), geometry.BOUNDARY_EPS, np.repeat(index, k * k)
+    ).reshape(px.shape)
     empty = ~inside.any(axis=1)  # these tracts keep their centroid, in the first cell
     px[empty, 0], py[empty, 0], inside[empty, 0] = cx[empty], cy[empty], True
     return px[inside], py[inside], np.nonzero(inside)[0]

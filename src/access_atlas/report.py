@@ -234,19 +234,17 @@ def emit_svg_choropleth(
     span_x = xmax - xmin or 1.0
     span_y = ymax - ymin or 1.0
     scale = min(map_w / span_x, map_h / span_y)
-    # every vertex in SVG coordinates; each ring drops its closing repeat
-    sx = pad + (tracts.x - xmin) * scale
-    sy = pad + (ymax - tracts.y) * scale
-    ring_start = tracts.ring_start.tolist()
+    # every vertex in SVG coordinates: the segment starts, each ring's vertices
+    sx = pad + (tracts.ax - xmin) * scale
+    sy = pad + (ymax - tracts.ay) * scale
+    ring_seg = tracts.ring_seg.tolist()
     rings = tracts.part_ring[tracts.part_start].tolist()  # tract t's: rings[t]:rings[t + 1]
     paths = [
         " ".join(
             "M "
-            + " L ".join(
-                map("{:.2f},{:.2f}".format, sx[lo : hi - 1].tolist(), sy[lo : hi - 1].tolist())
-            )
+            + " L ".join(map("{:.2f},{:.2f}".format, sx[lo:hi].tolist(), sy[lo:hi].tolist()))
             + " Z"
-            for lo, hi in zip(ring_start[rings[t] : rings[t + 1]], ring_start[rings[t] + 1 :])
+            for lo, hi in zip(ring_seg[rings[t] : rings[t + 1]], ring_seg[rings[t] + 1 :])
         )
         for t in index.tolist()
     ]

@@ -584,12 +584,14 @@ def pack(tracts, ids=None) -> Tracts:
 
 
 def part_rings(tracts: Tracts, p: int) -> list[list[tuple[float, float]]]:
-    """The closed rings of packed part p as (x, y) vertex lists."""
-    bounds = tracts.ring_start[tracts.part_ring[p] : tracts.part_ring[p + 1] + 1].tolist()
-    return [
-        list(zip(tracts.x[lo:hi].tolist(), tracts.y[lo:hi].tolist()))
+    """The closed rings of packed part p as (x, y) vertex lists: the starts
+    of each ring's segments, then the first again."""
+    bounds = tracts.ring_seg[tracts.part_ring[p] : tracts.part_ring[p + 1] + 1].tolist()
+    rings = [
+        list(zip(tracts.ax[lo:hi].tolist(), tracts.ay[lo:hi].tolist()))
         for lo, hi in zip(bounds, bounds[1:])
     ]
+    return [ring + ring[:1] for ring in rings]
 
 
 def list_form(tracts: Tracts, index) -> list[list[Polygon]]:

@@ -88,7 +88,7 @@ def recording_scans(monkeypatch) -> list:
 
     def scan(tracts, px, py, part, hypot=np.hypot):
         segments = int((tracts.seg_start[part + 1] - tracts.seg_start[part]).sum())
-        calls.append((hypot is geometry._exact_hypot, len(px), segments))
+        calls.append((hypot is geometry.exact_hypot, len(px), segments))
         return real(tracts, px, py, part, hypot)
 
     monkeypatch.setattr(geometry, "_scan", scan)

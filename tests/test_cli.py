@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from access_atlas import cli, geometry, ingest, report, stats
+from access_atlas.config import load_config_file
 
 from _oracles import list_form, queen_adjacency_loop
 
@@ -689,6 +690,27 @@ def test_flag_overrides_config_value(minitown_config, tmp_path):
     ) == 0
     rows = read_csv(out / "moran.csv")
     assert all(r["seed"] == "555" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "flag, value, field, want",
+    [
+        ("--out", "elsewhere", "out_dir", "elsewhere"),
+        ("--seed", "555", "seed", 555),
+        ("--permutations", "199", "moran_permutations", 199),
+        ("--hinge", "3.0", "hinge", 3.0),
+        ("--sig-threshold", "0.5", "sig_threshold", 0.5),
+        ("--sec-threshold", "0.2", "sec_threshold", 0.2),
+        ("--ace-net-mode", "grid-3", "ace_net_mode", "grid-3"),
+        ("--ref-lon", "-87.5", "ref_lon", -87.5),
+        ("--ref-lat", "41.5", "ref_lat", 41.5),
+    ],
+)
+def test_every_flag_lands_in_its_config_field(minitown_config, flag, value, field, want):
+    # the config file holds another value, so the flag is what set it
+    assert getattr(load_config_file(minitown_config), field) != want
+    args = cli._build_parser().parse_args(["report", "--config", minitown_config, flag, value])
+    assert getattr(cli._config_from_args(args), field) == want
 
 
 def test_env_seed_fallback(minitown_dir, tmp_path, monkeypatch):

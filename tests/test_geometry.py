@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from access_atlas.errors import DegenerateGeometry, DomainError
 from access_atlas.geometry import (
     availability_counts,
-    points_in_tract,
+    disks_meet,
     project_lonlat,
     project_points,
     queen_adjacency,
@@ -38,8 +38,9 @@ def area_centroid(tract):
 
 
 def point_in_polygon(pt, tract) -> bool:
-    """points_in_tract of one point against one list-form tract."""
-    inside = points_in_tract(pack([tract]), np.array([pt[0]]), np.array([pt[1]]), np.zeros(1, int))
+    """disks_meet of one point, a disk of radius 0.0, against one list-form
+    tract."""
+    inside = disks_meet(pack([tract]), np.array([pt[0]]), np.array([pt[1]]), 0.0, np.zeros(1, int))
     return bool(inside[0])
 
 

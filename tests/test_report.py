@@ -272,19 +272,21 @@ def square_ring(x0, y0, size):
 
 def test_svg_maps_equal_one_map_per_call():
     # holes, a two-part tract and irrational coordinates, against a renderer
-    # that draws each map from scratch
+    # that draws each map from scratch; the tracts packed from closed source
+    # rings and from the same rings left open
     rng = np.random.default_rng(14)
-    tracts = []
+    tracts, open_tracts = [], []
     for i in range(12):
         x0, y0 = rng.uniform(-5e3, 5e3, size=2)
         size = rng.uniform(50.0, 900.0)
         rings = [square_ring(x0, y0, size)]
         if i % 3 == 0:
             rings.append(square_ring(x0 + size / 3, y0 + size / 3, size / 3))
-        parts = [Polygon(rings)]
+        parts = [rings]
         if i % 4 == 1:
-            parts.append(Polygon([square_ring(x0 + 2 * size, y0 - size / math.pi, size / 2)]))
-        tracts.append(parts)
+            parts.append([square_ring(x0 + 2 * size, y0 - size / math.pi, size / 2)])
+        tracts.append([Polygon(part) for part in parts])
+        open_tracts.append(parts)
     # a subset of the packed tracts, out of order
     index = rng.permutation(len(tracts))[:9]
     columns = [[BOX_CLASSES[j] for j in rng.integers(0, 6, size=len(index))] for _ in range(3)]
@@ -293,6 +295,7 @@ def test_svg_maps_equal_one_map_per_call():
         for c, column in enumerate(columns)
     }
     assert emit_svg_choropleth(pack(tracts), index, columns) == want
+    assert emit_svg_choropleth(pack(open_tracts), index, columns) == want
 
 
 def test_xml_escape_matches_saxutils():

@@ -17,7 +17,8 @@ from access_atlas import geometry
 from access_atlas.errors import DegenerateGeometry
 from access_atlas.geometry import (
     ADJACENCY_EPS,
-    points_in_tract,
+    BOUNDARY_EPS,
+    disks_meet,
     queen_adjacency,
 )
 from access_atlas.network import origin_points
@@ -28,6 +29,7 @@ from _oracles import (
     ProjectedPoint,
     availability_loop,
     boundary_distance,
+    circle_intersects_polygon,
     neighbour_sets,
     pack,
     parts_bounds,
@@ -114,7 +116,7 @@ def test_exact_scan_is_the_scalar_boundary_distance():
                 want.append(boundary_distance(pt, polygon.rings))
                 inside.append(point_in_polygon(pt, polygon))
     px, py, part = np.array(px), np.array(py), np.array(part)
-    exact, odd = geometry._scan(packed, px, py, part, geometry._exact_hypot)
+    exact, odd = geometry._scan(packed, px, py, part, geometry.exact_hypot)
     assert exact.tolist() == want
     off_rim = exact > geometry.BOUNDARY_EPS
     assert odd[off_rim].tolist() == np.array(inside)[off_rim].tolist()
@@ -230,8 +232,11 @@ def test_grid_samples_on_a_tract_edge_fall_back(monkeypatch):
     # the 4 x 4 sample grid puts (375, 625), (625, 375), ... on the notch edges
     ell = [Polygon([[(0, 0), (1000, 0), (1000, 375), (375, 375), (375, 1000), (0, 1000)]])]
     rng = np.random.default_rng(505)
+    # grid-3 samples the holed square at its centre, which lies in the hole
+    hole = [(300, 300), (600, 300), (600, 600), (300, 600)]
+    holed = [Polygon([[(0, 0), (900, 0), (900, 900), (0, 900)], hole])]
     # grid-1 samples the ell at its bbox centre, which lies in the notch
-    cases = [(ell, 4), (ell, 1)]
+    cases = [(ell, 4), (ell, 1), (holed, 3)]
     cases += [(random_tract(rng, 0.0, 0.0), int(rng.integers(1, 9))) for _ in range(6)]
     for parts, k in cases:
         xmin, ymin, xmax, ymax = parts_bounds(parts)
@@ -253,9 +258,15 @@ def test_grid_samples_on_a_tract_edge_fall_back(monkeypatch):
             # 4 edge samples and the notch vertex, in each copy
             assert measured_again(scans) >= len(TINY_BUDGETS) * 10
             assert ProjectedPoint(625.0, 375.0) in want
+        if parts is holed:
+            assert len(want) == 8 and ProjectedPoint(450.0, 450.0) not in want
 
 
 def test_points_in_tract_matches_point_in_polygon(monkeypatch):
+    """disks_meet with a radius of at most BOUNDARY_EPS, 0.0 included,
+    shared or one per query, is the scalar point-in-tract test: the rim is
+    inside, a hole outside. A wider shared radius acts as that radius
+    repeated per query, and as the scalar disk test."""
     rng = np.random.default_rng(606)
     tracts = [random_tract(rng, 0.0, 0.0) for _ in range(5)]
     points = [planted_centers(rng, parts) for parts in tracts]
@@ -264,12 +275,26 @@ def test_points_in_tract_matches_point_in_polygon(monkeypatch):
         for parts, pts in zip(tracts, points)
         for pt in pts
     ]
+    wide = [
+        any(circle_intersects_polygon(pt, 40.0, part.rings) for part in parts)
+        for parts, pts in zip(tracts, points)
+        for pt in pts
+    ]
     packed = pack(tracts)
     px = np.array([pt.x for pts in points for pt in pts])
     py = np.array([pt.y for pts in points for pt in pts])
     tract = np.repeat(np.arange(len(tracts)), [len(pts) for pts in points])
-    for got in each_budget(monkeypatch, lambda: points_in_tract(packed, px, py, tract)):
-        assert got.tolist() == want
+    n = len(px)
+    for radius, expected in [
+        (BOUNDARY_EPS, want),
+        (0.0, want),
+        (np.zeros(n), want),
+        (np.full(n, BOUNDARY_EPS), want),
+        (40.0, wide),
+        (np.full(n, 40.0), wide),
+    ]:
+        for got in each_budget(monkeypatch, lambda: disks_meet(packed, px, py, radius, tract)):
+            assert got.tolist() == expected
 
 
 @pytest.mark.parametrize("budget", [1, 7, 64])
