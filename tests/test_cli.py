@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -887,3 +888,74 @@ def test_cli_import_defaults_openblas_to_one_thread(given, expected):
     assert value == expected
     if given is None and threads != "None":
         assert threads == "1"
+
+
+# --------------------------------------------------------- garbage collector
+
+
+def run_recording_collections(args):
+    """cli.main(args), and (generation, function that set it off) for every
+    cyclic-collector pass that started during the call."""
+    passes = []
+
+    def hook(phase, info):
+        if phase == "start":
+            passes.append((info["generation"], sys._getframe(1).f_code.co_name))
+
+    gc.callbacks.append(hook)
+    try:
+        code = run(args)
+    finally:
+        gc.callbacks.remove(hook)
+    return code, passes
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_runs_without_the_cyclic_collector_and_restores_it(
+    minitown_dir, minitown_config, tmp_path, enabled
+):
+    # the pipeline makes no reference cycles, yet its allocations set off
+    # passes that walk every object numpy's import left; the one pass is
+    # main's own, over the young generation, for the argument parser
+    cfg = read_json(os.path.join(minitown_dir, "config.json"))
+    for key in ("tracts", "providers", "roads_nodes", "roads_edges"):
+        cfg[key] = os.path.join(minitown_dir, cfg[key])
+    cfg["demographics"] = str(tmp_path / "nope.csv")
+    cfg["out_dir"] = str(tmp_path / "bad")
+    (tmp_path / "missing.json").write_text(json.dumps(cfg))
+    parsed = [(0, "main")]
+    runs = [
+        (["report", "--config", minitown_config, "--out", str(tmp_path / "out")], 0, parsed),
+        (["report", "--config", str(tmp_path / "missing.json")], 2, parsed),
+        (["report", "--config", minitown_config, "--hinge", "steep"], 4, []),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for args, want_code, want_passes in runs:
+            assert run_recording_collections(args) == (want_code, want_passes), args
+            assert gc.isenabled() is enabled, args
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_run_leaves_no_pipeline_object_to_the_cyclic_collector(minitown_config, tmp_path):
+    # with the collector off, whatever forms a cycle stays in memory until
+    # the caller collects; no array and no object of the package may
+    was_enabled, debug = gc.isenabled(), gc.get_debug()
+    garbage = list(gc.garbage)
+    try:
+        gc.collect()
+        gc.disable()
+        assert run(["report", "--config", minitown_config, "--out", str(tmp_path / "out")]) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.garbage.clear()
+        gc.collect()
+        left = list(gc.garbage)
+    finally:
+        gc.set_debug(debug)
+        gc.garbage[:] = garbage
+        (gc.enable if was_enabled else gc.disable)()
+    assert not any(isinstance(o, np.ndarray) for o in left)
+    ours = [o for o in left if type(o).__module__.startswith("access_atlas")]
+    assert ours == []
