@@ -1,29 +1,30 @@
 """Command-line pipeline: raw files in, report bundle out.
 
-Subcommands
+Commands
     variables   build the tract x 10 variable table and the drop audit
     pca         PCA tables (variance, loadings, contributors, correlations, scores)
     moran       global spatial autocorrelation per variable
     boxmap      per-component box-map classes (scores GeoJSON + one SVG per component)
     report      all of the above
 
-Each subcommand is a subset of the steps of one pass: the inputs are read
-once and each artefact is computed once. The `report` module names and
-renders every file; this module is the only one that writes them, and
-only after all computation has succeeded: into a temporary directory
-beside the output directory first, then moved into the output directory
-once all of them were written, so a failed run leaves the previous bundle
-as it was. A run with the boxmap step then removes the box maps an earlier
-run left for components this run does not map. `report` runs every step
-and writes the same bytes as the four subcommands run in turn.
+One parser takes the command as its one positional argument and the
+same ten options for every command, before or after it. Each command is a
+subset of the steps of one pass: the inputs are read once and each
+artefact is computed once. The `report` module names and renders every
+file; this module is the only one that writes them, and only after all
+computation has succeeded: into a hidden temporary directory inside the
+output directory first, then moved into place once all of them were
+written, so a failed run leaves the previous bundle as it was. A run with
+the boxmap step then removes the box maps an earlier run left for
+components this run does not map. `report` runs every step and writes the
+same bytes as the four other commands run in turn.
 
 Exit codes: 0 success, 2 ingest failure, 3 numerical precondition,
 4 invalid configuration (a usage error included), 5 output I/O failure.
 
 `main` runs with Python's cyclic garbage collector off, since the pipeline
-makes no reference cycles: it makes one pass over the young generation,
-for the argument parser's cycles, and leaves the collector as it found it
-on every exit.
+makes no reference cycles: it starts no collector pass and leaves the
+collector as it found it on every exit.
 """
 
 from __future__ import annotations
@@ -123,17 +124,13 @@ def _write_bundle(
     out_dir: str, files: dict[str, str | Iterable[str]], replaces: re.Pattern | None
 ) -> None:
     """Write each file (its text, or the chunks of it in order, as UTF-8)
-    into a temporary directory beside out_dir, then move all of them into
-    out_dir and remove the files of out_dir whose names match `replaces`
-    and that this run did not write. On failure out_dir keeps its previous
-    files, and the temporary directory is removed either way."""
+    into a hidden temporary directory inside out_dir, on its filesystem so
+    that each move is atomic, then move all of them into out_dir and
+    remove the files of out_dir whose names match `replaces` and that this
+    run did not write. On failure out_dir keeps its previous files, and the
+    temporary directory is removed either way."""
     os.makedirs(out_dir, exist_ok=True)
-    if not os.access(out_dir, os.W_OK):
-        raise PermissionError(f"out_dir {out_dir} is not writable")
-    out_abs = os.path.abspath(out_dir)
-    tmp = tempfile.mkdtemp(
-        prefix=f".{os.path.basename(out_abs)}.tmp-", dir=os.path.dirname(out_abs)
-    )
+    tmp = tempfile.mkdtemp(prefix=".tmp-", dir=out_dir)
     try:
         for name, text in files.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8", newline="") as fh:
@@ -180,7 +177,7 @@ def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
     return EXIT_OK
 
 
-# Each subcommand is a subset of the steps; `report` runs all of them.
+# Each command is a subset of the steps; `report` runs all of them.
 STEPS = ("variables", "pca", "moran", "boxmap")
 COMMANDS = {step: (step,) for step in STEPS}
 COMMANDS["report"] = STEPS
@@ -191,7 +188,7 @@ COMMANDS["report"] = STEPS
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as ConfigError (exit 4), not as argparse's exit
-    2, which here means an ingest failure; subparsers inherit the class."""
+    2, which here means an ingest failure."""
 
     def error(self, message: str) -> NoReturn:
         self.print_usage(sys.stderr)
@@ -199,38 +196,36 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
+    p = _ArgumentParser(
         prog="access-atlas",
         description="Multidimensional food-access analysis over census tracts.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("variables", "build the tract x 10 variable table"),
-        ("pca", "principal component tables"),
-        ("moran", "global Moran's I per variable"),
-        ("boxmap", "box-map classes: scores GeoJSON + SVG choropleths"),
-        ("report", "full pipeline: variables + pca + moran + boxmap"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument(
-            "--out", dest="out_dir", metavar="OUT", help="output directory (overrides config out_dir)"
-        )
-        p.add_argument("--seed", type=int, help="RNG seed for permutation tests")
-        p.add_argument(
-            "--permutations",
-            dest="moran_permutations",
-            metavar="PERMUTATIONS",
-            type=int,
-            help="Moran permutation count (>= 99)",
-        )
-        p.add_argument("--hinge", type=float, help="box-map hinge multiplier")
-        p.add_argument("--sig-threshold", type=float, help="significant-loading cutoff")
-        p.add_argument("--sec-threshold", type=float, help="secondary-loading cutoff")
-        p.add_argument("--ace-net-mode", help="'centroid' or 'grid-K' origin sampling")
-        p.add_argument("--ref-lon", type=float, help="projection reference longitude")
-        p.add_argument("--ref-lat", type=float, help="projection reference latitude")
-    return parser
+    p.add_argument(
+        "command",
+        choices=COMMANDS,
+        help="variables (the tract x 10 variable table), pca (principal component "
+        "tables), moran (global Moran's I per variable), boxmap (scores GeoJSON + "
+        "SVG box maps), or report (all four steps)",
+    )
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument(
+        "--out", dest="out_dir", metavar="OUT", help="output directory (overrides config out_dir)"
+    )
+    p.add_argument("--seed", type=int, help="RNG seed for permutation tests")
+    p.add_argument(
+        "--permutations",
+        dest="moran_permutations",
+        metavar="PERMUTATIONS",
+        type=int,
+        help="Moran permutation count (>= 99)",
+    )
+    p.add_argument("--hinge", type=float, help="box-map hinge multiplier")
+    p.add_argument("--sig-threshold", type=float, help="significant-loading cutoff")
+    p.add_argument("--sec-threshold", type=float, help="secondary-loading cutoff")
+    p.add_argument("--ace-net-mode", help="'centroid' or 'grid-K' origin sampling")
+    p.add_argument("--ref-lon", type=float, help="projection reference longitude")
+    p.add_argument("--ref-lat", type=float, help="projection reference latitude")
+    return p
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -251,8 +246,9 @@ def main(argv: list[str] | None = None) -> int:
     # row and column lists as they load, and a full pass every object
     # numpy's import left too. On a 25.6k-node road graph, 40-58 ms of a
     # 277-329 ms run (2-vCPU VM) went to 148 passes, one of them full, while
-    # the road files loaded and the graph was built. No gc.collect() at
-    # exit: a full pass costs what this saves.
+    # the road files loaded and the graph was built. No pass at all: the
+    # argument parser leaves about 75 objects in cycles, too few to pin
+    # memory through the run, and a full pass at exit costs what this saves.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -263,11 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        # argparse leaves its ~400 objects in cycles, spread over some 23
-        # pymalloc pools that would stay pinned through the run (peak RSS
-        # +0.4 MiB); one young-generation pass, 0.3-0.4 ms, frees them
-        # before any input is read
-        gc.collect(0)
         try:
             return run(cfg, COMMANDS[args.command])
         except _StageFailure as exc:

@@ -616,7 +616,8 @@ def test_failed_emitter_leaves_previous_bundle(minitown_config, tmp_path, monkey
     code = run(["report", "--config", minitown_config, "--out", str(out), "--seed", "7"])
     assert code == 5
     assert tree_bytes(out) == before
-    assert os.listdir(tmp_path) == ["out"]  # no temporary directory left behind
+    assert os.listdir(tmp_path) == ["out"]
+    assert not any(name.startswith(".tmp-") for name in os.listdir(out))
 
 
 def test_failed_geojson_stream_leaves_previous_bundle(minitown_config, tmp_path, monkeypatch):
@@ -644,7 +645,8 @@ def test_failed_geojson_stream_leaves_previous_bundle(minitown_config, tmp_path,
     assert code == 5
     assert len(yielded) == 3
     assert tree_bytes(out) == before
-    assert os.listdir(tmp_path) == ["out"]  # no .out.tmp-* directory left behind
+    assert os.listdir(tmp_path) == ["out"]
+    assert not any(name.startswith(".tmp-") for name in os.listdir(out))
 
 
 def svg_files(out):
@@ -667,7 +669,7 @@ def test_fewer_mapped_components_remove_stale_boxmaps(minitown_dir, tmp_path):
         name for name in EXPECTED_REPORT_FILES if name not in ("boxmap_pc3.svg", "boxmap_pc4.svg")
     ]
 
-    # a subcommand without the boxmap step leaves the box maps alone
+    # a command without the boxmap step leaves the box maps alone
     doc["components_mapped"] = 1
     config.write_text(json.dumps(doc))
     assert run(["pca", "--config", str(config), "--out", str(out)]) == 0
@@ -679,6 +681,20 @@ def test_unwritable_out_dir_exits_5(minitown_config, tmp_path):
     blocker.write_text("a file where the out dir should go")
     code = run(["report", "--config", minitown_config, "--out", str(blocker)])
     assert code == 5
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mode bits")
+def test_out_dir_under_a_read_only_parent_runs(minitown_config, tmp_path):
+    # the bundle is staged inside out_dir, so only out_dir must be writable
+    parent = tmp_path / "parent"
+    out = parent / "out"
+    out.mkdir(parents=True)
+    parent.chmod(0o555)
+    try:
+        assert run(["report", "--config", minitown_config, "--out", str(out)]) == 0
+    finally:
+        parent.chmod(0o755)
+    assert sorted(os.listdir(out)) == EXPECTED_REPORT_FILES
 
 
 # ----------------------------------------------------------------- config
@@ -708,10 +724,17 @@ def test_flag_overrides_config_value(minitown_config, tmp_path):
     ],
 )
 def test_every_flag_lands_in_its_config_field(minitown_config, flag, value, field, want):
-    # the config file holds another value, so the flag is what set it
+    # the config file holds another value, so the flag is what set it; every
+    # command takes every flag, after the command or before it
     assert getattr(load_config_file(minitown_config), field) != want
-    args = cli._build_parser().parse_args(["report", "--config", minitown_config, flag, value])
-    assert getattr(cli._config_from_args(args), field) == want
+    for command in cli.COMMANDS:
+        for argv in (
+            [command, "--config", minitown_config, flag, value],
+            [flag, value, command, "--config", minitown_config],
+        ):
+            args = cli._build_parser().parse_args(argv)
+            assert args.command == command, argv
+            assert getattr(cli._config_from_args(args), field) == want, argv
 
 
 def test_env_seed_fallback(minitown_dir, tmp_path, monkeypatch):
@@ -843,7 +866,20 @@ def test_console_script_help():
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 4  # usage error: missing subcommand
+    assert proc.returncode == 4  # usage error: missing command
+    proc = subprocess.run(
+        [sys.executable, "-m", "access_atlas.cli", "frobnicate"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 4  # usage error: unknown command
+    proc = subprocess.run(
+        [sys.executable, "-m", "access_atlas.cli", "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert all(command in proc.stdout for command in cli.COMMANDS)
     proc = subprocess.run(
         [sys.executable, "-c", "from access_atlas.cli import main; raise SystemExit(main(['report', '--help']))"],
         capture_output=True,
@@ -915,25 +951,23 @@ def test_main_runs_without_the_cyclic_collector_and_restores_it(
     minitown_dir, minitown_config, tmp_path, enabled
 ):
     # the pipeline makes no reference cycles, yet its allocations set off
-    # passes that walk every object numpy's import left; the one pass is
-    # main's own, over the young generation, for the argument parser
+    # passes that walk every object numpy's import left; main starts none
     cfg = read_json(os.path.join(minitown_dir, "config.json"))
     for key in ("tracts", "providers", "roads_nodes", "roads_edges"):
         cfg[key] = os.path.join(minitown_dir, cfg[key])
     cfg["demographics"] = str(tmp_path / "nope.csv")
     cfg["out_dir"] = str(tmp_path / "bad")
     (tmp_path / "missing.json").write_text(json.dumps(cfg))
-    parsed = [(0, "main")]
     runs = [
-        (["report", "--config", minitown_config, "--out", str(tmp_path / "out")], 0, parsed),
-        (["report", "--config", str(tmp_path / "missing.json")], 2, parsed),
-        (["report", "--config", minitown_config, "--hinge", "steep"], 4, []),
+        (["report", "--config", minitown_config, "--out", str(tmp_path / "out")], 0),
+        (["report", "--config", str(tmp_path / "missing.json")], 2),
+        (["report", "--config", minitown_config, "--hinge", "steep"], 4),
     ]
     was_enabled = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        for args, want_code, want_passes in runs:
-            assert run_recording_collections(args) == (want_code, want_passes), args
+        for args, want_code in runs:
+            assert run_recording_collections(args) == (want_code, []), args
             assert gc.isenabled() is enabled, args
     finally:
         (gc.enable if was_enabled else gc.disable)()
