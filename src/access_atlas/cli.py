@@ -10,17 +10,19 @@ Commands
 One parser takes the command as its one positional argument and the
 same ten options for every command, before or after it. Each command is a
 subset of the steps of one pass: the inputs are read once and each
-artefact is computed once. The `report` module names and renders every
-file; this module is the only one that writes them, and only after all
-computation has succeeded: into a hidden temporary directory inside the
-output directory first, then moved into place once all of them were
-written, so a failed run leaves the previous bundle as it was. A run with
-the boxmap step then removes the box maps an earlier run left for
-components this run does not map. `report` runs every step and writes the
-same bytes as the four other commands run in turn.
+artefact is computed once, only by a step that writes it. The `report`
+module names and renders every file; this module is the only one that
+writes them, and only after all computation has succeeded: into a hidden
+temporary directory inside the output directory first, then moved into
+place once all of them were written, so a failed run leaves the previous
+bundle as it was. A run with the boxmap step then removes the box maps an
+earlier run left for components this run does not map. `report` runs every
+step and writes the same bytes as the four other commands run in turn.
 
-Exit codes: 0 success, 2 ingest failure, 3 numerical precondition,
-4 invalid configuration (a usage error included), 5 output I/O failure.
+`main` is that pass. Its one `stage` variable, set as each stage begins, is
+the exit code its one handler returns after printing `error: ...` for a
+package error or an OSError: 2 ingest failure, 3 numerical precondition, 4
+invalid configuration (a usage error included), 5 output I/O failure.
 
 `main` runs with Python's cyclic garbage collector off, since the pipeline
 makes no reference cycles: it starts no collector pass and leaves the
@@ -37,14 +39,13 @@ import re
 import shutil
 import sys
 import tempfile
-from contextlib import contextmanager
 from typing import Iterable, NoReturn
 
 from . import ingest, report, stats
 from .config import RunConfig, load_config_file, resolve_seed
 from .errors import AccessAtlasError, ConfigError
-from .geometry import Tracts, queen_adjacency
-from .ingest import VARIABLE_COLUMNS, VariableTable
+from .geometry import queen_adjacency
+from .ingest import VARIABLE_COLUMNS
 from .network import build_network, load_road_edges, load_road_nodes
 
 log = logging.getLogger(__name__)
@@ -56,68 +57,7 @@ EXIT_CONFIG = 4
 EXIT_IO = 5
 
 
-class _StageFailure(Exception):
-    """Carries the exit code of the pipeline stage that failed."""
-
-    def __init__(self, exit_code: int, cause: Exception):
-        super().__init__(str(cause))
-        self.exit_code = exit_code
-
-
-@contextmanager
-def _stage(exit_code: int):
-    """Map a package error or an OSError raised in the block to exit_code."""
-    try:
-        yield
-    except (AccessAtlasError, OSError) as exc:
-        raise _StageFailure(exit_code, exc) from exc
-
-
-# ---------------------------------------------------------------- pipeline
-
-
-def _load_inputs(cfg: RunConfig):
-    tracts = ingest.load_tracts(cfg.tracts, cfg.ref_lon, cfg.ref_lat)
-    providers = ingest.load_providers(cfg.providers, cfg.ref_lon, cfg.ref_lat)
-    nodes = load_road_nodes(cfg.roads_nodes, cfg.ref_lon, cfg.ref_lat)
-    net = build_network(load_road_edges(cfg.roads_edges), nodes, cfg.road_classes)
-    demographics = ingest.load_demographics(cfg.demographics)
-    return tracts, providers, net, demographics
-
-
-def _build_table(cfg: RunConfig):
-    # the node and edge columns are freed before the table is built
-    tracts, providers, net, demographics = _load_inputs(cfg)
-    table = ingest.assemble_variable_table(
-        tracts,
-        providers,
-        net,
-        demographics,
-        ace_net_mode=cfg.ace_net_mode,
-        max_snap_m=cfg.snap_max_m,
-    )
-    return tracts, table
-
-
-def _analyze(table: VariableTable):
-    names = list(VARIABLE_COLUMNS)
-    pca_result = stats.pca(table.values, names)
-    return pca_result, stats.loading_profile_correlation(pca_result.loadings, names)
-
-
-def _moran_rows(tracts: Tracts, table: VariableTable, cfg: RunConfig):
-    indptr, nbr = adjacency = queen_adjacency(tracts, table.index)
-    islands = (indptr[1:] == indptr[:-1]).sum()
-    log.info("adjacency: %d links, %d islands", len(nbr) // 2, islands)
-    names = list(VARIABLE_COLUMNS)
-    results = stats.morans_i(table.values, adjacency, cfg.moran_permutations, cfg.seed, names)
-    return list(zip(names, results))
-
-
-def _boxmap_classes(pca_result, cfg: RunConfig) -> list[list[str]]:
-    """One box-map class column per mapped component, in table row order."""
-    k = min(cfg.components_mapped, pca_result.n_components)
-    return [report.boxmap_classify(pca_result.scores[:, c], cfg.hinge) for c in range(k)]
+# ------------------------------------------------------------------ bundle
 
 
 def _write_bundle(
@@ -143,38 +83,6 @@ def _write_bundle(
                     os.remove(os.path.join(out_dir, name))
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-
-
-def run(cfg: RunConfig, steps: tuple[str, ...]) -> int:
-    """Run the chosen steps in one pass: every artefact they need is
-    computed once, nothing is written until all of it succeeded, and the
-    files reach out_dir only after every one of them was rendered and
-    written."""
-    with _stage(EXIT_INGEST):
-        tracts, table = _build_table(cfg)
-    with _stage(EXIT_NUMERIC):
-        if "pca" in steps or "boxmap" in steps:
-            pca_result, loading_corr = _analyze(table)
-        if "moran" in steps:
-            rows = _moran_rows(tracts, table, cfg)
-        if "boxmap" in steps:
-            classes = _boxmap_classes(pca_result, cfg)
-
-    with _stage(EXIT_IO):
-        files: dict[str, str | Iterable[str]] = {}
-        if "variables" in steps:
-            files.update(report.emit_variables_csv(table))
-            log.info("variables table: %d tracts retained, %d dropped", table.n, len(table.dropped))
-        if "pca" in steps:
-            thresholds = stats.ContributorThresholds(cfg.sig_threshold, cfg.sec_threshold)
-            files.update(report.emit_pca_tables(table, pca_result, loading_corr, thresholds))
-        if "moran" in steps:
-            files.update(report.emit_moran_csv(rows))
-        if "boxmap" in steps:
-            files.update(report.emit_geojson(tracts, table, pca_result.scores, classes))
-            files.update(report.emit_svg_choropleth(tracts, table.index, classes))
-        _write_bundle(cfg.out_dir, files, report.BOXMAP_SVG if "boxmap" in steps else None)
-    return EXIT_OK
 
 
 # Each command is a subset of the steps; `report` runs all of them.
@@ -251,19 +159,65 @@ def main(argv: list[str] | None = None) -> int:
     # memory through the run, and a full pass at exit costs what this saves.
     collecting = gc.isenabled()
     gc.disable()
+    stage = EXIT_CONFIG  # the exit code of a failure from here on
     try:
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-        try:
-            args = _build_parser().parse_args(argv)
-            cfg = _config_from_args(args)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        try:
-            return run(cfg, COMMANDS[args.command])
-        except _StageFailure as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return exc.exit_code
+        args = _build_parser().parse_args(argv)
+        cfg = _config_from_args(args)
+        steps = COMMANDS[args.command]
+
+        stage = EXIT_INGEST
+        tracts = ingest.load_tracts(cfg.tracts, cfg.ref_lon, cfg.ref_lat)
+        providers = ingest.load_providers(cfg.providers, cfg.ref_lon, cfg.ref_lat)
+        nodes = load_road_nodes(cfg.roads_nodes, cfg.ref_lon, cfg.ref_lat)
+        net = build_network(load_road_edges(cfg.roads_edges), nodes, cfg.road_classes)
+        del nodes  # the node columns are freed before the table is built
+        demographics = ingest.load_demographics(cfg.demographics)
+        table = ingest.assemble_variable_table(
+            tracts,
+            providers,
+            net,
+            demographics,
+            ace_net_mode=cfg.ace_net_mode,
+            max_snap_m=cfg.snap_max_m,
+        )
+        del providers, net, demographics  # and the graph before the statistics
+
+        stage = EXIT_NUMERIC
+        names = list(VARIABLE_COLUMNS)
+        if "pca" in steps or "boxmap" in steps:
+            pca_result = stats.pca(table.values, names)
+        if "pca" in steps:
+            loading_corr = stats.loading_profile_correlation(pca_result.loadings, names)
+        if "moran" in steps:
+            indptr, nbr = adjacency = queen_adjacency(tracts, table.index)
+            islands = (indptr[1:] == indptr[:-1]).sum()
+            log.info("adjacency: %d links, %d islands", len(nbr) // 2, islands)
+            moran = stats.morans_i(table.values, adjacency, cfg.moran_permutations, cfg.seed, names)
+            del indptr, nbr, adjacency  # freed before the bundle is rendered
+        if "boxmap" in steps:
+            # one box-map class column per mapped component, in table row order
+            k = min(cfg.components_mapped, pca_result.n_components)
+            classes = [report.boxmap_classify(pca_result.scores[:, c], cfg.hinge) for c in range(k)]
+
+        stage = EXIT_IO
+        files: dict[str, str | Iterable[str]] = {}
+        if "variables" in steps:
+            files.update(report.emit_variables_csv(table))
+            log.info("variables table: %d tracts retained, %d dropped", table.n, len(table.dropped))
+        if "pca" in steps:
+            thresholds = stats.ContributorThresholds(cfg.sig_threshold, cfg.sec_threshold)
+            files.update(report.emit_pca_tables(table, pca_result, loading_corr, thresholds))
+        if "moran" in steps:
+            files.update(report.emit_moran_csv(list(zip(names, moran))))
+        if "boxmap" in steps:
+            files.update(report.emit_geojson(tracts, table, pca_result.scores, classes))
+            files.update(report.emit_svg_choropleth(tracts, table.index, classes))
+        _write_bundle(cfg.out_dir, files, report.BOXMAP_SVG if "boxmap" in steps else None)
+        return EXIT_OK
+    except (AccessAtlasError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return stage
     finally:
         if collecting:
             gc.enable()

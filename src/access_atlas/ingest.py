@@ -273,7 +273,8 @@ def load_demographics(path: str) -> Demographics:
     """Read the demographic CSV; empty cells become nan, a missing value.
 
     Every value must be finite, percent columns must land in [0, 100] and
-    AV_POP must be nonnegative, otherwise RangeError names the tract.
+    AV_POP must be nonnegative, otherwise RangeError names the file, the row
+    and the tract.
     """
     _, row_nos, (ids, *columns) = read_csv_table(
         path, [("tract_id", *DEMOGRAPHIC_COLUMNS)], "demographics"
@@ -293,11 +294,10 @@ def load_demographics(path: str) -> Demographics:
                 continue
             v = parse_finite(cell, f"{path} row {row_no}: {name} for tract {tract_id}")
             if name in PERCENT_COLUMNS and not (0.0 <= v <= 100.0):
-                raise RangeError(
-                    f"tract {tract_id}: {name}={v} outside [0, 100]"
-                )
+                msg = f"tract {tract_id}: {name}={v} outside [0, 100]"
+                raise RangeError(f"{path} row {row_no}: {msg}")
             if name == "AV_POP" and v < 0:
-                raise RangeError(f"tract {tract_id}: AV_POP={v} is negative")
+                raise RangeError(f"{path} row {row_no}: tract {tract_id}: AV_POP={v} is negative")
             row.append(v)
         rows.append(row)
     return Demographics(ids, np.array(rows, dtype=float).reshape(-1, len(DEMOGRAPHIC_COLUMNS)))

@@ -142,7 +142,8 @@ def build_network(
     A nan length is the Euclidean distance between the endpoints.
     Isolated nodes (no surviving edge) are dropped. A kept edge with an
     endpoint missing from `nodes`, or with a length that is not positive
-    and finite, raises SchemaError for the first such edge in file order.
+    and finite, raises SchemaError naming the endpoints of the first such
+    edge in file order.
     Each CSR row keeps edge order; no distance depends on it.
     """
     keep = np.fromiter(
@@ -166,12 +167,11 @@ def build_network(
         bad = ~(found & (length > 0) & (length < math.inf))
     if bad.any():
         j = int(bad.argmax())
-        i = int(kept[j])
-        a, b = edges.from_node[i], edges.to_node[i]
+        a, b = edges.from_node[kept[j]], edges.to_node[kept[j]]
         if not found[j]:
             missing = a if a not in index else b
-            raise SchemaError(f"edge {i}: references missing node {missing!r}")
-        raise SchemaError(f"edge {i} ({a}-{b}): non-positive length {float(length[j])}")
+            raise SchemaError(f"edge {a}-{b}: references missing node {missing!r}")
+        raise SchemaError(f"edge {a}-{b}: non-positive length {float(length[j])}")
     used = np.zeros(len(nodes.ids), dtype=bool)
     used[ends.ravel()] = True
     ids = sorted(compress(nodes.ids, used.tolist()), key=_node_sort_key)

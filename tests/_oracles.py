@@ -140,16 +140,16 @@ def road_network_loop(
         edges.append((a, b, length, road_class))
 
     kept = []
-    for idx, (a, b, length, road_class) in enumerate(edges):
+    for a, b, length, road_class in edges:
         if road_class not in allowed_classes:
             continue
         if a not in nodes or b not in nodes:
             missing = a if a not in nodes else b
-            raise SchemaError(f"edge {idx}: references missing node {missing!r}")
+            raise SchemaError(f"edge {a}-{b}: references missing node {missing!r}")
         if length is None:
             length = math.hypot(nodes[a].x - nodes[b].x, nodes[a].y - nodes[b].y)
         if not (length > 0) or not math.isfinite(length):
-            raise SchemaError(f"edge {idx} ({a}-{b}): non-positive length {length}")
+            raise SchemaError(f"edge {a}-{b}: non-positive length {length}")
         kept.append((a, b, float(length)))
     ids = sorted({nid for a, b, _ in kept for nid in (a, b)}, key=_node_id_key)
     index = {nid: i for i, nid in enumerate(ids)}

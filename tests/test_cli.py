@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from access_atlas import cli, geometry, ingest, report, stats
 from access_atlas.config import load_config_file
+from access_atlas.errors import DomainError
 
 from _oracles import list_form, queen_adjacency_loop
 
@@ -681,6 +682,55 @@ def test_unwritable_out_dir_exits_5(minitown_config, tmp_path):
     blocker.write_text("a file where the out dir should go")
     code = run(["report", "--config", minitown_config, "--out", str(blocker)])
     assert code == 5
+
+
+# Every call main makes, under the name it looks the function up by, and
+# the exit code of the stage that makes it.
+PIPELINE_CALLS = [
+    (cli, "_config_from_args", 4),
+    (ingest, "load_tracts", 2),
+    (ingest, "load_providers", 2),
+    (cli, "load_road_nodes", 2),
+    (cli, "load_road_edges", 2),
+    (cli, "build_network", 2),
+    (ingest, "load_demographics", 2),
+    (ingest, "assemble_variable_table", 2),
+    (stats, "pca", 3),
+    (stats, "loading_profile_correlation", 3),
+    (cli, "queen_adjacency", 3),
+    (stats, "morans_i", 3),
+    (report, "boxmap_classify", 3),
+    (report, "emit_variables_csv", 5),
+    (report, "emit_pca_tables", 5),
+    (report, "emit_moran_csv", 5),
+    (report, "emit_geojson", 5),
+    (report, "emit_svg_choropleth", 5),
+    (cli, "_write_bundle", 5),
+]
+
+
+@pytest.mark.parametrize("error", [DomainError, OSError], ids=["DomainError", "OSError"])
+@pytest.mark.parametrize(
+    "module, name, code", PIPELINE_CALLS, ids=[name for _, name, _ in PIPELINE_CALLS]
+)
+def test_a_failing_call_exits_with_its_stage_code_and_writes_nothing(
+    minitown_config, tmp_path, monkeypatch, capsys, module, name, code, error
+):
+    def failing(*args, **kwargs):
+        raise error(f"{name} failed")
+
+    monkeypatch.setattr(module, name, failing)
+    out = tmp_path / "out"
+    assert run(["report", "--config", minitown_config, "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {name} failed"
+    assert not out.exists()
+
+
+def test_boxmap_computes_no_loading_correlation(minitown_config, tmp_path, monkeypatch):
+    # only the pca step writes loading_corr.csv
+    calls = count_calls(monkeypatch, (stats, "pca"), (stats, "loading_profile_correlation"))
+    assert run(["boxmap", "--config", minitown_config, "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"pca": 1, "loading_profile_correlation": 0}
 
 
 @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mode bits")

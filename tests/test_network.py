@@ -96,14 +96,18 @@ def test_build_filters_disallowed_classes():
 
 def test_build_rejects_negative_length():
     nodes = {"A": ProjectedPoint(0, 0), "B": ProjectedPoint(100, 0)}
-    with pytest.raises(SchemaError):
-        network_from_records([("A", "B", -5.0, "residential")], nodes)
+    edges = [("A", "B", 5.0, "motorway"), ("A", "B", -5.0, "residential")]
+    with pytest.raises(SchemaError) as info:
+        network_from_records(edges, nodes)
+    assert str(info.value) == "edge A-B: non-positive length -5.0"
 
 
 def test_build_rejects_missing_node():
     nodes = {"A": ProjectedPoint(0, 0)}
-    with pytest.raises(SchemaError):
-        network_from_records([("A", "Z", 10.0, "residential")], nodes)
+    edges = [("A", "A", 5.0, "motorway"), ("A", "Z", 10.0, "residential")]
+    with pytest.raises(SchemaError) as info:
+        network_from_records(edges, nodes)
+    assert str(info.value) == "edge A-Z: references missing node 'Z'"
 
 
 def test_build_sorts_ids_once_into_a_symmetric_csr(monkeypatch):
