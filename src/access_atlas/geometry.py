@@ -256,8 +256,9 @@ def _chunks(weights: np.ndarray):
 
 def exact_hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """math.hypot of each pair: correctly rounded, where np.hypot may be an
-    ulp off."""
-    return np.fromiter(map(math.hypot, x.tolist(), y.tolist()), dtype=float, count=len(x))
+    ulp off. It iterates the arrays themselves: list copies of both would
+    be the largest transient of `network.build_network`."""
+    return np.fromiter(map(math.hypot, x, y), dtype=float, count=len(x))
 
 
 def _scan(

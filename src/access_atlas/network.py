@@ -13,17 +13,24 @@ and all those points.
 `read_csv_table` reads all four CSV inputs (the road nodes and edges here,
 the providers and demographics in `ingest`): it matches the header, skips
 blank rows, strips every cell, checks each row's width and returns the
-whole file as columns. The road loaders parse those columns with array
-operations into `RoadNodes` and `RoadEdges` (lon/lat nodes are projected
-by `geometry.project_points`, the one copy of the projection formula); a
-bad cell is found by mask and reported by the scalar check of its row, so
-the first bad row in file order gives the error.
+whole file as columns. It reads the text once. Plain text, with no `"`,
+no CR, no NUL and no line past `csv.field_size_limit()`, is split on
+newlines and commas, and every column is a slice of one flat list of
+cells; any other text, and a file that is not UTF-8, goes through
+`csv.reader` row by row. Both routes give the same columns, row numbers
+and errors. The road loaders parse those columns with array operations
+into `RoadNodes` and `RoadEdges` (lon/lat nodes are projected by
+`geometry.project_points`, the one copy of the projection formula); a bad
+cell is found by mask and reported by the scalar check of its row, so the
+first bad row in file order gives the error.
 
-`build_network` owns node order: it sorts the kept ids once by
-`_node_sort_key` (decimal ids numerically, then the rest by string), and a
-node is its index in that order. A snap compares a block of points with
-every node in numpy passes, ties going to the lowest index; Dijkstra runs
-on the CSR edges and returns a float array, which no CSR row or heap order changes.
+`build_network` owns node order: it sorts the kept ids once into
+`_node_sort_key` order (decimal ids numerically, then the rest by string),
+and a node is its index in that order. Ids that are all ASCII decimal, of
+at most 18 digits and of distinct value, sort as int64 values; any other
+set sorts by the key. A snap compares a block of points with every node in
+numpy passes, ties going to the lowest index; Dijkstra runs on the CSR
+edges and returns a float array, which no CSR row or heap order changes.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
@@ -131,6 +138,24 @@ def _positions(index: dict[str, int], keys: list[str]) -> np.ndarray:
         return np.array([index.get(k, -1) for k in keys], dtype=np.intp)
 
 
+def _id_order(ids: list[str]) -> np.ndarray:
+    """The positions of `ids` in `_node_sort_key` order.
+
+    Ids that are all ASCII decimal, 1 to 18 digits long (so below 2**63),
+    with distinct integer values sort by their int64 values; any other set
+    sorts by the key, one call per id. Both give the same order.
+    """
+    digits = "".join(ids)
+    plain = digits.isascii() and digits.isdecimal()
+    if plain and 0 < min(map(len, ids)) and max(map(len, ids)) <= 18:
+        values = np.fromiter(map(int, ids), dtype=np.int64, count=len(ids))
+        order = np.argsort(values)
+        if (np.diff(values[order]) > 0).all():  # "7" and "007" tie here: the key breaks it
+            return order
+    keys = list(map(_node_sort_key, ids))
+    return np.array(sorted(range(len(ids)), key=keys.__getitem__), dtype=np.intp)
+
+
 def build_network(
     edges: RoadEdges,
     nodes: RoadNodes,
@@ -144,19 +169,21 @@ def build_network(
     endpoint missing from `nodes`, or with a length that is not positive
     and finite, raises SchemaError naming the endpoints of the first such
     edge in file order.
+    The kept ids are ordered by `_id_order`: as int64 values when they are
+    all plain decimal numbers of distinct value, else by `_node_sort_key`.
+    Each temporary is dropped once its last use is done, so the build's
+    peak stays near the size of the arrays it returns.
     Each CSR row keeps edge order; no distance depends on it.
     """
-    keep = np.fromiter(
+    kept = np.flatnonzero(np.fromiter(
         map(allowed_classes.__contains__, edges.road_class),
         dtype=bool,
         count=len(edges.road_class),
-    )
-    kept = np.flatnonzero(keep)
+    ))
     index = dict(zip(nodes.ids, range(len(nodes.ids))))
-    mask = keep.tolist()
-    # file positions of the from and to nodes of every kept edge
-    ends = _positions(index, [*compress(edges.from_node, mask), *compress(edges.to_node, mask)])
-    ends = ends.reshape(2, -1)
+    # file positions of the from and to nodes of every kept edge, -1 if missing
+    ends = np.stack([_positions(index, end)[kept] for end in (edges.from_node, edges.to_node)])
+    del index
     length = edges.length_m[kept]
     found = (ends >= 0).all(axis=0)
     euclidean = np.flatnonzero(np.isnan(length) & found)
@@ -169,22 +196,42 @@ def build_network(
         j = int(bad.argmax())
         a, b = edges.from_node[kept[j]], edges.to_node[kept[j]]
         if not found[j]:
-            missing = a if a not in index else b
+            missing = a if ends[0, j] < 0 else b
             raise SchemaError(f"edge {a}-{b}: references missing node {missing!r}")
         raise SchemaError(f"edge {a}-{b}: non-positive length {float(length[j])}")
+    del kept, found, euclidean, dx, dy, bad
     used = np.zeros(len(nodes.ids), dtype=bool)
     used[ends.ravel()] = True
-    ids = sorted(compress(nodes.ids, used.tolist()), key=_node_sort_key)
-    at = _positions(index, ids)  # file position of each node
+    at = np.flatnonzero(used)  # file position of each kept node
+    del used
+    at = at[_id_order(list(map(nodes.ids.__getitem__, at.tolist())))]
+    ids = list(map(nodes.ids.__getitem__, at.tolist()))
     rank = np.empty(len(nodes.ids), dtype=np.intp)
     rank[at] = np.arange(len(ids))
     tail = rank[ends.T.ravel()]  # from_node, to_node of every kept edge, in turn
-    head = tail.reshape(-1, 2)[:, ::-1].ravel()
+    del rank, ends
     order = np.argsort(tail, kind="stable")
     indptr = np.zeros(len(ids) + 1, dtype=np.intp)
     np.cumsum(np.bincount(tail, minlength=len(ids)), out=indptr[1:])
-    weights = np.repeat(length, 2)
-    return RoadNetwork(ids, nodes.xs[at], nodes.ys[at], indptr, head[order], weights[order])
+    head = tail.reshape(-1, 2)[:, ::-1].ravel()
+    del tail
+    nbr = head[order]
+    del head
+    order >>= 1  # the kept edge of each CSR entry
+    return RoadNetwork(ids, nodes.xs[at], nodes.ys[at], indptr, nbr, length[order])
+
+
+def _matched_header(
+    path: str, header: list[str], headers: Sequence[tuple[str, ...]]
+) -> tuple[str, ...]:
+    """The entry of `headers` that the header row matches after stripping
+    and lower-casing its cells; SchemaError naming the path if none does."""
+    cols = [h.strip().lower() for h in header]
+    matched = [h for h in headers if [c.lower() for c in h] == cols]
+    if not matched:
+        allowed = " or ".join(",".join(h) for h in headers)
+        raise SchemaError(f"{path}: header must be {allowed}, got {header}")
+    return matched[0]
 
 
 def read_csv_table(
@@ -201,19 +248,73 @@ def read_csv_table(
     or not CSV raises SchemaError naming the path (and the row). These are
     checks on the whole file, made before the caller sees any cell, so they
     come before every error in a cell, wherever the two lie in the file.
+
+    The file's text is read once. Text with no `"`, no CR, no NUL and no
+    line longer than `csv.field_size_limit()` is split directly: each line
+    is a row, each comma ends a cell, and each column is a slice of one
+    flat list of cells. Any other text, and a file that is not UTF-8, goes
+    through `csv.reader` row by row (`_read_csv_rows`). Both routes give
+    the same columns, row numbers and errors.
     """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return _read_csv_rows(path, headers, what)
+    if '"' in text or "\r" in text or "\0" in text:
+        return _read_csv_rows(path, headers, what)
+    lines = text.split("\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:  # csv.reader rejects such a cell
+        return _read_csv_rows(path, headers, what)
+    del text
+    if lines[-1] == "":
+        lines.pop()  # the text's final newline, or an empty file
+    if not lines:
+        raise SchemaError(f"{path}: empty {what} file")
+    header = lines[0].split(",") if lines[0] else []  # csv.reader's row of an empty line is []
+    matched = _matched_header(path, header, headers)
+    width = len(header)
+    del lines[0]
+    row_nos = range(2, len(lines) + 2)
+    commas = list(map(str.count, lines, repeat(",")))
+    if commas.count(width - 1) != len(lines):
+        # a row of another width must be blank, and is skipped
+        for row_no, line, n in zip(row_nos, lines, commas):
+            if n != width - 1 and line.replace(",", "").strip():
+                raise SchemaError(f"{path} row {row_no}: expected {width} fields, got {n + 1}")
+        wide = [n == width - 1 for n in commas]
+        lines, row_nos = list(compress(lines, wide)), list(compress(row_nos, wide))
+    del commas
+    # each intermediate goes as soon as the next is made: on a 200k-row
+    # file the lines and the cells are 15 and 40 MiB of objects
+    text, rows = ",".join(lines), len(lines)
+    del lines
+    cells = text.split(",") if rows else []
+    del text
+    columns = [list(map(str.strip, cells[i::width])) for i in range(width)]
+    del cells
+    if "" in columns[0]:  # skip the blank rows of the header's width
+        kept = list(map(any, zip(*columns)))
+        columns = [list(compress(column, kept)) for column in columns]
+        row_nos = compress(row_nos, kept)
+    return matched, list(row_nos), columns
+
+
+def _read_csv_rows(
+    path: str, headers: Sequence[tuple[str, ...]], what: str
+) -> tuple[tuple[str, ...], list[int], list[list[str]]]:
+    """`read_csv_table` by `csv.reader`, one row at a time: the route for
+    quoted cells, CR line ends, NUL, very long cells and text that is not
+    UTF-8."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise SchemaError(f"{path}: empty {what} file")
-            cols = [h.strip().lower() for h in header]
-            matched = [h for h in headers if [c.lower() for c in h] == cols]
-            if not matched:
-                allowed = " or ".join(",".join(h) for h in headers)
-                raise SchemaError(f"{path}: header must be {allowed}, got {header}")
-            width = len(cols)
+            matched = _matched_header(path, header, headers)
+            width = len(header)
             row_nos, rows = [], []
             for row_no, row in enumerate(reader, start=2):
                 if not "".join(row).strip():
@@ -226,7 +327,7 @@ def read_csv_table(
                 rows.append(row)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise SchemaError(f"{path}: not a UTF-8 CSV file: {exc}") from None
-    return matched[0], row_nos, [
+    return matched, row_nos, [
         list(map(str.strip, map(operator.itemgetter(i), rows))) for i in range(width)
     ]
 

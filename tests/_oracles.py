@@ -15,17 +15,20 @@ measuring one segment at a time (`boundary_distance`,
 list-form polygons (`Polygon`, rings of ProjectedPoint tuples) with scalar
 shoelace loops for area, centroid and bbox instead of the packed
 `geometry.Tracts` and its array sums, a row-by-row road loader and graph
-build instead of the column passes, and a box-map renderer that draws one
-map per call instead of one shared frame for every map, and an if/elif
-chain per value instead of one np.select for the box-map classes. Tests that need
-scipy compare against it where it is installed: csgraph's Dijkstra and
-LAPACK's eigh through scipy.linalg; likewise networkx's multi-source
-Dijkstra.
+build instead of the column passes, `csv.reader` one row at a time for
+every CSV text instead of splitting plain text whole, and a box-map
+renderer that draws one map per call instead of one shared frame for every
+map, and an if/elif chain per value instead of one np.select for the
+box-map classes. Tests that need scipy compare against it where it is
+installed: csgraph's Dijkstra and LAPACK's eigh through scipy.linalg;
+likewise networkx's multi-source Dijkstra.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Sequence
@@ -46,7 +49,6 @@ from access_atlas.network import (
     multisource_shortest_distances,
     origin_points,
     parse_finite,
-    read_csv_table,
 )
 from access_atlas.report import (
     BOX_CLASSES,
@@ -98,6 +100,42 @@ def bellman_ford(
     return dist
 
 
+def read_csv_table_loop(
+    path: str, headers: Sequence[tuple[str, ...]], what: str
+) -> tuple[tuple[str, ...], list[int], list[list[str]]]:
+    """network.read_csv_table by csv.reader alone, one row at a time, for
+    every text: the header matched, each blank row skipped and each row's
+    width checked as the row is read, and the columns taken from the list
+    of rows at the end."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty {what} file")
+            cols = [h.strip().lower() for h in header]
+            matched = [h for h in headers if [c.lower() for c in h] == cols]
+            if not matched:
+                allowed = " or ".join(",".join(h) for h in headers)
+                raise SchemaError(f"{path}: header must be {allowed}, got {header}")
+            width = len(cols)
+            row_nos, rows = [], []
+            for row_no, row in enumerate(reader, start=2):
+                if not "".join(row).strip():
+                    continue
+                if len(row) != width:
+                    raise SchemaError(
+                        f"{path} row {row_no}: expected {width} fields, got {len(row)}"
+                    )
+                row_nos.append(row_no)
+                rows.append(row)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise SchemaError(f"{path}: not a UTF-8 CSV file: {exc}") from None
+    return matched[0], row_nos, [
+        list(map(str.strip, map(operator.itemgetter(i), rows))) for i in range(width)
+    ]
+
+
 def road_network_loop(
     nodes_path, edges_path, ref_lon=None, ref_lat=None, allowed_classes=DEFAULT_ROAD_CLASSES
 ) -> RoadNetwork:
@@ -108,7 +146,7 @@ def road_network_loop(
     build_network(load_road_edges(edges_path), load_road_nodes(nodes_path,
     ref_lon, ref_lat), allowed_classes)."""
     path = nodes_path
-    header, row_nos, columns = read_csv_table(
+    header, row_nos, columns = read_csv_table_loop(
         path, [("node_id", "x", "y"), ("node_id", "lon", "lat")], "node"
     )
     geographic = header[1] == "lon"
@@ -129,7 +167,7 @@ def road_network_loop(
             nodes[nid] = ProjectedPoint(u, v)
 
     path = edges_path
-    _, row_nos, columns = read_csv_table(
+    _, row_nos, columns = read_csv_table_loop(
         path, [("from_node", "to_node", "length_m", "road_class")], "edge"
     )
     edges = []

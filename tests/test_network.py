@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -9,6 +11,8 @@ import pytest
 from access_atlas import ingest, network
 from access_atlas.errors import DomainError, SchemaError
 from access_atlas.network import (
+    RoadEdges,
+    RoadNodes,
     build_network,
     load_road_edges,
     load_road_nodes,
@@ -24,6 +28,7 @@ from _oracles import (
     bellman_ford,
     floyd_warshall,
     pack,
+    read_csv_table_loop,
     road_network_loop,
     snap_loop,
 )
@@ -124,12 +129,19 @@ def test_build_sorts_ids_once_into_a_symmetric_csr(monkeypatch):
     monkeypatch.setattr(network, "_node_sort_key", counted)
     for _ in range(100):
         nodes, edges, _ = order_prone_graph(rng)
+        if rng.random() < 0.5:  # plain decimal ids of up to 18 digits, which sort as int64
+            values = rng.choice(10**6, size=len(nodes), replace=False)
+            plain = dict(zip(nodes, map(str, (values * 10 ** int(rng.integers(0, 13))).tolist())))
+            nodes = {plain[nid]: p for nid, p in nodes.items()}
+            edges = [(plain[a], plain[b], w) for a, b, w in edges]
         records = [(a, b, w, str(rng.choice(["residential", "motorway"]))) for a, b, w in edges]
         kept = [(a, b, w) for a, b, w, road_class in records if road_class == "residential"]
         kept_ids = {nid for a, b, _ in kept for nid in (a, b)}
         calls.clear()
         net = network_from_records(records, nodes)
         assert net.ids == sorted(kept_ids, key=_node_id_key)
+        if all(nid.isascii() and nid.isdecimal() for nid in kept_ids):
+            assert calls == []
         assert len(calls) <= len(kept_ids)
         assert net.indptr[0] == 0 and net.indptr[-1] == len(net.nbr) == len(net.length)
         arcs = Counter((nid, *arc) for nid in net.ids for arc in row(net, nid))
@@ -603,7 +615,10 @@ def test_road_csvs_tolerate_crlf_and_blank_lines(tmp_path):
 # --------------------------------------------- column loaders against the row loop
 
 REF = (-87.70, 41.85)
-ID_POOL = ["007", "7", "²", "a", "0", "1", "01", "10", "2", "99", "b", "n3", "Z", "x7"]
+ID_POOL = [
+    "007", "7", "07", "²", "a", "0", "1", "01", "10", "2", "3", "٣", "99", "b", "n3", "Z", "x7",
+    "99999999999999999999",
+]
 CLASSES = ["residential", "primary", "motorway", "footway", "tertiary"]
 
 
@@ -625,11 +640,19 @@ def csv_text(header, rows, rng):
 def random_road_files(rng):
     """Node and edge CSV texts, the node header `node_id,x,y` or
     `node_id,lon,lat`, with edges among the nodes, empty lengths, and
-    classes the default filter keeps and drops."""
+    classes the default filter keeps and drops. The ids mix ID_POOL with
+    decimal numbers, or in about a third of the files are decimal numbers
+    alone, so that build_network orders them both as int64 and by key."""
     geographic = rng.random() < 0.5
-    k = int(rng.integers(2, len(ID_POOL) + 1))
-    ids = [ID_POOL[i] for i in rng.permutation(len(ID_POOL))[:k]]
-    ids += [str(int(i)) for i in rng.choice(5000, size=int(rng.integers(0, 30)), replace=False) + 100]
+    if rng.random() < 0.3:  # plain decimal ids of up to 18 digits only
+        k = int(rng.integers(2, 40))
+        values = rng.choice(10**6, size=k, replace=False) * 10 ** int(rng.integers(0, 13))
+        ids = list(map(str, values.tolist()))
+    else:
+        k = int(rng.integers(2, len(ID_POOL) + 1))
+        ids = [ID_POOL[i] for i in rng.permutation(len(ID_POOL))[:k]]
+        extra = rng.choice(5000, size=int(rng.integers(0, 30)), replace=False) + 100
+        ids += [str(int(i)) for i in extra]
     if geographic:
         header = str(rng.choice(["node_id,lon,lat", " NODE_ID , Lon,lat"]))
         coords = [(REF[0] + rng.uniform(-0.05, 0.05), REF[1] + rng.uniform(-0.05, 0.05)) for _ in ids]
@@ -746,6 +769,122 @@ def test_column_loaders_raise_the_row_loop_error(tmp_path, names):
         else:
             assert_same_network(got, want)
     assert raised >= 30
+
+
+NODE_HEADERS = [("node_id", "x", "y"), ("node_id", "lon", "lat")]
+CELL_POOL = ["7", "a", "", "12.5", "-0.25", "x y", "Ü", "٣", "\t", " "]
+BLANK_ROWS = ["", " , ,", ",,,", "\t", " ", ",", ",,"]
+TWISTS = ["quoted cell", "CRLF", "lone CR", "NUL", "invalid UTF-8", "long cell"]
+
+
+def random_csv_bytes(rng):
+    """A node file, and what was added to plain text (None for nothing).
+
+    The plain text has a header matching NODE_HEADERS in mixed case, or now
+    and then one that matches none or a blank one; padded cells; blank and
+    whitespace-only rows of the header's width and of others; now and then
+    a non-blank row of the wrong width; a BOM or none; the final newline or
+    none. A few files are empty, or a BOM alone. In two files of five a
+    twist then adds one of TWISTS."""
+    if rng.random() < 0.04:
+        return (b"" if rng.random() < 0.5 else "\ufeff".encode()), None
+    header = NODE_HEADERS[int(rng.integers(len(NODE_HEADERS)))]
+    header = [pad(c.upper() if rng.random() < 0.3 else c, rng) for c in header]
+    lines = [",".join(header[:2] if rng.random() < 0.05 else header)]
+    if rng.random() < 0.05:
+        lines[0] = str(rng.choice(BLANK_ROWS))
+    for _ in range(int(rng.integers(0, 12))):
+        if rng.random() < 0.25:
+            lines.append(str(rng.choice(BLANK_ROWS)))
+        width = 3 + int(rng.choice([-1, 1])) if rng.random() < 0.05 else 3
+        lines.append(",".join(pad(str(rng.choice(CELL_POOL)), rng) for _ in range(width)))
+    text = ("\ufeff" if rng.random() < 0.2 else "") + "\n".join(lines)
+    text += "\n" if rng.random() < 0.7 else ""
+    if rng.random() < 0.6:
+        return text.encode(), None
+    twist = str(rng.choice(TWISTS))
+    at = int(rng.integers(0, len(text) + 1))
+    if twist == "quoted cell":
+        i = int(rng.integers(len(lines)))
+        cells = lines[i].split(",")
+        j = int(rng.integers(len(cells)))
+        cells[j] = '"' + str(rng.choice([cells[j], "a,b", "a\nb", 'say ""hi""'])) + '"'
+        lines[i] = ",".join(cells)
+        text = "\n".join(lines) + "\n"
+    elif twist == "CRLF":
+        text = (text if text.endswith("\n") else text + "\n").replace("\n", "\r\n")
+    elif twist == "lone CR":
+        text = text[:at] + "\r" + text[at:]
+    elif twist == "NUL":
+        text = text[:at] + "\0" + text[at:]
+    elif twist == "long cell":
+        text += "\n" + "x" * (csv.field_size_limit() + 1) + ",1,2\n"
+    data = text.encode()
+    if twist == "invalid UTF-8":
+        at = int(rng.integers(0, len(data) + 1))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, twist
+
+
+def test_read_csv_table_matches_csv_reader_loop_on_random_texts(tmp_path, monkeypatch):
+    # the same header, row numbers and columns as csv.reader row by row, or
+    # the same exception and message; plain text is split whole, and only
+    # the texts with a twist go through csv.reader
+    rng = np.random.default_rng(2626)
+    loop_calls = []
+    rows_route = network._read_csv_rows
+    monkeypatch.setattr(
+        network, "_read_csv_rows", lambda *args: loop_calls.append(args) or rows_route(*args)
+    )
+    seen = Counter()
+    for trial in range(600):
+        data, twist = random_csv_bytes(rng)
+        path = tmp_path / f"t{trial}.csv"
+        path.write_bytes(data)
+        args = (str(path), NODE_HEADERS, "node")
+        loop_calls.clear()
+        got = outcome(network.read_csv_table, *args)
+        assert len(loop_calls) == (twist is not None), (twist, data[:200])
+        want = outcome(read_csv_table_loop, *args)
+        assert got == want, data[:200]
+        seen[twist, not isinstance(want[0], type)] += 1  # returned, not raised
+    for twist in [None, *TWISTS]:
+        assert seen[twist, True] + seen[twist, False] >= 20, twist
+    assert seen[None, True] >= 100 and seen[None, False] >= 40
+
+
+@pytest.mark.parametrize("name", [str, "n{}".format], ids=["decimal-ids", "text-ids"])
+def test_build_peak_stays_near_the_size_of_its_arrays(name):
+    # a 100 x 100 lattice with every other length empty and one edge in 50
+    # of a dropped class: tracemalloc's peak over build_network stays under
+    # 2.5 times the bytes of the arrays it returns (measured 1.7x with the
+    # int64 order and 2.1x with the key order; lists of every endpoint id
+    # and of the coordinates, held all at once, reach 4.6x)
+    k = 100
+    ids = list(map(name, range(k * k)))
+    row_of, col_of = np.divmod(np.arange(k * k), k)
+    nodes = RoadNodes(ids, col_of * 50.0, row_of * 50.0)
+    east = np.flatnonzero(col_of < k - 1).tolist()
+    north = list(range(k * k - k))
+    a = [ids[i] for i in east + north]
+    b = [ids[i + 1] for i in east] + [ids[i + k] for i in north]
+    length = np.where(np.arange(len(a)) % 2 == 0, 50.0, math.nan)
+    classes = ["motorway" if i % 50 == 0 else "residential" for i in range(len(a))]
+    edges = RoadEdges(a, b, length, classes)
+    build_network(edges, nodes)  # first calls into numpy set up what they keep
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        net = build_network(edges, nodes)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    arrays = sum(x.nbytes for x in (net.xs, net.ys, net.indptr, net.nbr, net.length))
+    assert peak < 2.5 * arrays, (peak, arrays)
 
 
 def ladder_network(n):
