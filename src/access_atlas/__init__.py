@@ -52,6 +52,7 @@ from .network import (
     RoadNodes,
     build_network,
     load_road_edges,
+    load_road_network,
     load_road_nodes,
     multisource_shortest_distances,
 )

@@ -46,7 +46,7 @@ from .config import RunConfig, load_config_file, resolve_seed
 from .errors import AccessAtlasError, ConfigError
 from .geometry import queen_adjacency
 from .ingest import VARIABLE_COLUMNS
-from .network import build_network, load_road_edges, load_road_nodes
+from .network import load_road_network
 
 log = logging.getLogger(__name__)
 
@@ -169,9 +169,9 @@ def main(argv: list[str] | None = None) -> int:
         stage = EXIT_INGEST
         tracts = ingest.load_tracts(cfg.tracts, cfg.ref_lon, cfg.ref_lat)
         providers = ingest.load_providers(cfg.providers, cfg.ref_lon, cfg.ref_lat)
-        nodes = load_road_nodes(cfg.roads_nodes, cfg.ref_lon, cfg.ref_lat)
-        net = build_network(load_road_edges(cfg.roads_edges), nodes, cfg.road_classes)
-        del nodes  # the node columns are freed before the table is built
+        net = load_road_network(
+            cfg.roads_nodes, cfg.roads_edges, cfg.road_classes, cfg.ref_lon, cfg.ref_lat
+        )
         demographics = ingest.load_demographics(cfg.demographics)
         table = ingest.assemble_variable_table(
             tracts,

@@ -24,19 +24,36 @@ into `RoadNodes` and `RoadEdges` (lon/lat nodes are projected by
 cell is found by mask and reported by the scalar check of its row, so the
 first bad row in file order gives the error.
 
+`load_road_network` is the road stage of a run, and it has two routes.
+Strictly plain files (ASCII, canonical decimal ids of at most 18 digits,
+no quote, padding, blank row or row of another width, the length column
+all empty or all filled; `_read_plain` and `load_road_network` list every
+rule) take the numeric route: the ids are read from their digits, numpy's
+C reader parses the coordinate and length columns, the nodes are ordered
+by their int64 ids, each edge end is found by binary search, and an edge
+is kept when its class cell equals an allowed class byte for byte. Any
+other pair of files takes the general route,
+`build_network(load_road_edges(...), load_road_nodes(...))`, which also
+runs from the start whenever the numeric route declines. The two share
+`_matched_header`, `project_points`, `exact_hypot` and one CSR build,
+`_csr_network`, and give the same network bit for bit, or the same error.
+
 `build_network` owns node order: it sorts the kept ids once into
 `_node_sort_key` order (decimal ids numerically, then the rest by string),
 and a node is its index in that order. Ids that are all ASCII decimal, of
 at most 18 digits and of distinct value, sort as int64 values; any other
 set sorts by the key. A snap compares a block of points with every node in
-numpy passes, ties going to the lowest index; Dijkstra runs on the CSR
-edges and returns a float array, which no CSR row or heap order changes.
+numpy passes, ties going to the lowest index; Dijkstra reads the CSR
+arrays in place and returns a float array, which no CSR row or heap order
+changes.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import heapq
+import io
 import math
 import operator
 import re
@@ -55,6 +72,9 @@ DEFAULT_ROAD_CLASSES = frozenset(
 )
 
 DEFAULT_SNAP_MAX_M = 500.0
+
+_NODE_HEADERS = (("node_id", "x", "y"), ("node_id", "lon", "lat"))
+_EDGE_HEADERS = (("from_node", "to_node", "length_m", "road_class"),)
 
 
 def _node_sort_key(node_id: str) -> tuple[int, int, str]:
@@ -174,6 +194,10 @@ def build_network(
     Each temporary is dropped once its last use is done, so the build's
     peak stays near the size of the arrays it returns.
     Each CSR row keeps edge order; no distance depends on it.
+
+    This is the general route of `load_road_network`, for road files of
+    any form; strictly plain files take its numeric route, which gives the
+    same network and the same errors.
     """
     kept = np.flatnonzero(np.fromiter(
         map(allowed_classes.__contains__, edges.road_class),
@@ -206,19 +230,30 @@ def build_network(
     del used
     at = at[_id_order(list(map(nodes.ids.__getitem__, at.tolist())))]
     ids = list(map(nodes.ids.__getitem__, at.tolist()))
-    rank = np.empty(len(nodes.ids), dtype=np.intp)
+    tail = ends.T.ravel()  # from_node, to_node of every kept edge, in turn
+    del ends
+    return _csr_network(ids, nodes.xs, nodes.ys, at, tail, length)
+
+
+def _csr_network(ids, xs, ys, at, tail, length) -> RoadNetwork:
+    """The RoadNetwork of nodes `ids`, which lie at positions `at` of the
+    coordinate arrays, and of the kept edges, whose from and to nodes lie
+    at positions tail[2k] and tail[2k + 1] and whose lengths are `length`.
+    Both routes of the road stage end here. `tail` is overwritten, by
+    ranks and then by the neighbour of each CSR entry, and becomes the
+    network's `nbr`, so no second array of its size outlives a step.
+    """
+    rank = np.empty(len(xs), dtype=np.intp)
     rank[at] = np.arange(len(ids))
-    tail = rank[ends.T.ravel()]  # from_node, to_node of every kept edge, in turn
-    del rank, ends
+    tail[:] = rank[tail]
+    del rank
     order = np.argsort(tail, kind="stable")
     indptr = np.zeros(len(ids) + 1, dtype=np.intp)
     np.cumsum(np.bincount(tail, minlength=len(ids)), out=indptr[1:])
-    head = tail.reshape(-1, 2)[:, ::-1].ravel()
-    del tail
-    nbr = head[order]
-    del head
+    order ^= 1  # the other end of each CSR entry's edge
+    tail[:] = tail[order]
     order >>= 1  # the kept edge of each CSR entry
-    return RoadNetwork(ids, nodes.xs[at], nodes.ys[at], indptr, nbr, length[order])
+    return RoadNetwork(ids, xs[at], ys[at], indptr, tail, length[order])
 
 
 def _matched_header(
@@ -357,9 +392,7 @@ def load_road_nodes(
     finite number, or a point `project_lonlat` rejects raises the error of
     the first such row.
     """
-    header, row_nos, (ids, raw_u, raw_v) = read_csv_table(
-        path, [("node_id", "x", "y"), ("node_id", "lon", "lat")], "node"
-    )
+    header, row_nos, (ids, raw_u, raw_v) = read_csv_table(path, _NODE_HEADERS, "node")
     geographic = header[1] == "lon"
     if geographic and (ref_lon is None or ref_lat is None):
         raise SchemaError(f"{path}: lon/lat nodes need a projection reference")
@@ -392,9 +425,7 @@ def load_road_edges(path: str) -> RoadEdges:
     An empty length is nan. An empty endpoint id, or a length that is not
     a finite number, raises the error of the first such row.
     """
-    _, row_nos, (a, b, raw_len, road_class) = read_csv_table(
-        path, [("from_node", "to_node", "length_m", "road_class")], "edge"
-    )
+    _, row_nos, (a, b, raw_len, road_class) = read_csv_table(path, _EDGE_HEADERS, "edge")
     length = _float_column(raw_len)
     bad = _blank(a) | _blank(b) | (~_blank(raw_len) & ~np.isfinite(length))
     if bad.any():  # the checks of the first bad row, in order, raise its error
@@ -403,6 +434,253 @@ def load_road_edges(path: str) -> RoadEdges:
             raise SchemaError(f"{path} row {row_nos[i]}: empty endpoint id")
         parse_finite(raw_len[i], f"{path} row {row_nos[i]} length_m")
     return RoadEdges(a, b, length, road_class)
+
+
+# Bytes that send a file to the general route: csv.reader reads a quote, CR
+# or NUL apart anywhere, and after the header (whose cells `_matched_header`
+# strips) str.strip would remove the others from the ends of a cell.
+_CSV_SPECIAL = (b'"', b"\r", b"\0")
+_NOT_PLAIN = tuple(bytes([c]) for c in b" \t\x0b\x0c\x1c\x1d\x1e\x1f")
+_ID_DIGITS = 18  # so that every id is below 2**63, as in `_id_order`
+
+
+def _read_plain(path: str, headers: Sequence[tuple[str, ...]]):
+    """A strictly plain CSV file as (matched header, its bytes, the body
+    after the header line as uint8, the end of every cell), or None.
+
+    Strictly plain: a file that opens and reads, of ASCII text (after an
+    optional UTF-8 BOM) with a header `_matched_header` accepts, at least
+    one row, no `"`, CR or NUL, and after the header no byte that
+    `str.isspace` matches, every line of the header's width and none
+    longer than `csv.field_size_limit()`.
+    ends[i, j] is the offset in the body of the comma or newline after
+    cell j of row i (the body's length for a last line with no newline).
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:  # the general route reports it
+        return None
+    skip = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    eol = data.find(b"\n", skip)
+    if eol < 0 or eol + 1 == len(data):  # an empty or header-only file
+        return None
+    if any(data.find(c, skip) >= 0 for c in _CSV_SPECIAL):
+        return None
+    if any(data.find(c, eol) >= 0 for c in _NOT_PLAIN):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if raw[skip:].max() > 127:
+        return None
+    header = data[skip:eol].decode("ascii")
+    try:
+        matched = _matched_header(path, header.split(",") if header else [], headers)
+    except SchemaError:
+        return None
+    width = len(matched)
+    body = raw[eol + 1 :]
+    rows = data.count(b"\n", eol + 1) + (body[-1] != 10)
+    if data.count(b",", eol + 1) != rows * (width - 1):
+        return None
+    ends = np.flatnonzero((body == 44) | (body == 10))  # every comma and newline
+    if body[-1] != 10:
+        ends = np.append(ends, len(body))
+    ends = ends.reshape(rows, width)
+    if not (body[ends[:-1, -1]] == 10).all():  # so each line holds width - 1 commas
+        return None
+    limit = csv.field_size_limit()
+    # each line's length plus its newline, for a file that may hold a long line
+    if len(body) > limit and np.diff(ends[:, -1], prepend=-1).max() > limit + 1:
+        return None
+    return matched, data, body, ends
+
+
+def _cells(ends: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end offsets in the body of every cell of column j."""
+    if j:
+        return ends[:, j - 1] + 1, ends[:, j]
+    start = np.zeros(len(ends), dtype=ends.dtype)
+    start[1:] = ends[:-1, -1] + 1
+    return start, ends[:, 0]
+
+
+def _decimal_ids(body: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The int64 value of every cell body[start[k]:end[k]], read one digit
+    position at a time; None unless every cell is a decimal number as
+    str() writes an int (ASCII digits only, no sign, no leading zero) of at
+    most _ID_DIGITS digits."""
+    size = end - start
+    if size.min() < 1 or size.max() > _ID_DIGITS:
+        return None
+    if ((body[start] == 48) & (size > 1)).any():  # a leading zero
+        return None
+    value = np.zeros(len(start), dtype=np.int64)
+    for k in range(int(size.max())):
+        rows = np.flatnonzero(size > k)
+        digit = body[start[rows] + k]
+        if ((digit < 48) | (digit > 57)).any():
+            return None
+        value[rows] = value[rows] * 10 + (digit - 48)
+    return value
+
+
+def _equal_cells(
+    body: np.ndarray, start: np.ndarray, end: np.ndarray, words: frozenset[str] | set[str]
+) -> np.ndarray:
+    """Mask of the cells body[start[k]:end[k]] equal to one of `words`,
+    compared one byte position at a time on the shrinking candidates."""
+    size = end - start
+    hit = np.zeros(len(start), dtype=bool)
+    for word in words:
+        if not word.isascii():  # equal to no ASCII cell
+            continue
+        rows = np.flatnonzero(size == len(word))
+        for k, byte in enumerate(word.encode("ascii")):
+            rows = rows[body[start[rows] + k] == byte]
+        hit[rows] = True
+    return hit
+
+
+def _loadtxt(data: bytes, columns: tuple[int, ...]) -> np.ndarray | None:
+    """The given columns of every row after the header, as float64 by
+    numpy's C reader (`float()`'s own parse, bit for bit), or None if it
+    rejects a cell."""
+    try:
+        return np.loadtxt(
+            io.BytesIO(data), delimiter=",", comments=None, skiprows=1,
+            usecols=columns, ndmin=2, dtype=np.float64,
+        )
+    except ValueError:
+        return None
+
+
+def _plain_nodes(path: str, ref_lon: float | None, ref_lat: float | None):
+    """A strictly plain node file with decimal distinct ids and valid
+    points as (ids, xs, ys) in increasing id order, ids as int64; or None."""
+    plain = _read_plain(path, _NODE_HEADERS)
+    if plain is None:
+        return None
+    header, data, body, ends = plain
+    geographic = header[1] == "lon"
+    if geographic and (ref_lon is None or ref_lat is None):
+        return None
+    ids = _decimal_ids(body, *_cells(ends, 0))
+    if ids is None:
+        return None
+    del plain, body, ends
+    table = _loadtxt(data, (1, 2))
+    if table is None:
+        return None
+    del data
+    xs, ys = table[:, 0], table[:, 1]
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        return None
+    if geographic:
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs, ys, valid = project_points(xs, ys, ref_lon, ref_lat)
+        if not valid.all():
+            return None
+    order = np.argsort(ids)
+    ids = ids[order]
+    if (ids[1:] == ids[:-1]).any():  # a repeated id
+        return None
+    return ids, xs[order], ys[order]
+
+
+def _plain_road_network(
+    nodes_path: str,
+    edges_path: str,
+    allowed_classes: frozenset[str] | set[str],
+    ref_lon: float | None,
+    ref_lat: float | None,
+) -> RoadNetwork | None:
+    """`load_road_network` by the numeric route, or None where that route
+    declines."""
+    nodes = _plain_nodes(nodes_path, ref_lon, ref_lat)
+    if nodes is None:
+        return None
+    node_ids, xs, ys = nodes
+    del nodes
+    plain = _read_plain(edges_path, _EDGE_HEADERS)
+    if plain is None:
+        return None
+    _, data, body, ends = plain
+    del plain
+    # the from and to node of every edge, in turn
+    wanted = np.empty((len(ends), 2), dtype=np.int64)
+    for j in (0, 1):
+        ids = _decimal_ids(body, *_cells(ends, j))
+        if ids is None:
+            return None
+        wanted[:, j] = ids
+    start, end = _cells(ends, 2)
+    given = end > start  # a length in the cell
+    filled = bool(given[0])
+    if not (given == filled).all():  # some lengths given and some empty
+        return None
+    kept = np.flatnonzero(_equal_cells(body, *_cells(ends, 3), allowed_classes))
+    del body, ends, start, end, given, ids
+    if filled:
+        table = _loadtxt(data, (2,))
+        if table is None or not np.isfinite(table).all():
+            return None
+        length = table[kept, 0]
+        del table
+    del data
+    # the position in id order of each end of every kept edge, found by
+    # binary search and then checked to be that id
+    wanted = wanted[kept].ravel()
+    tail = np.searchsorted(node_ids, wanted)
+    if not (node_ids[np.minimum(tail, len(node_ids) - 1)] == wanted).all():
+        return None  # a kept edge's endpoint is not in the node file
+    del wanted
+    if not filled:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx = xs[tail[0::2]] - xs[tail[1::2]]
+            dy = ys[tail[0::2]] - ys[tail[1::2]]
+        length = geometry.exact_hypot(dx, dy)
+        del dx, dy
+    if not ((length > 0) & (length < math.inf)).all():
+        return None
+    used = np.zeros(len(node_ids), dtype=bool)
+    used[tail] = True
+    at = np.flatnonzero(used)
+    del used
+    ids = list(map(str, node_ids[at].tolist()))
+    return _csr_network(ids, xs, ys, at, tail, length)
+
+
+def load_road_network(
+    nodes_path: str,
+    edges_path: str,
+    allowed_classes: frozenset[str] | set[str] = DEFAULT_ROAD_CLASSES,
+    ref_lon: float | None = None,
+    ref_lat: float | None = None,
+) -> RoadNetwork:
+    """Read both road files and build the graph: the network, or the
+    error, of build_network(load_road_edges(edges_path),
+    load_road_nodes(nodes_path, ref_lon, ref_lat), allowed_classes), bit
+    for bit.
+
+    Strictly plain files take a numeric route: the ids are read from their
+    digits, numpy's C reader parses the coordinate and length columns, the
+    nodes are ordered by their int64 ids and each edge end is found by
+    binary search, and an edge is kept when its class cell equals an
+    allowed class byte for byte. Both files must be strictly plain for
+    `_read_plain`, their ids decimal numbers as `_decimal_ids` reads them,
+    the node ids distinct, every coordinate
+    finite and valid for `project_points`, the length column empty in
+    every row or filled in every row, and every kept edge must have both
+    endpoints and a positive finite length. Where any of this fails, or
+    the reader rejects a cell, or a read fails, the numeric route declines
+    and the general route runs from the start, so that every error keeps
+    its type, its message and its order.
+    """
+    net = _plain_road_network(nodes_path, edges_path, allowed_classes, ref_lon, ref_lat)
+    if net is None:
+        nodes = load_road_nodes(nodes_path, ref_lon, ref_lat)
+        net = build_network(load_road_edges(edges_path), nodes, allowed_classes)
+    return net
 
 
 def snap_points(net: RoadNetwork, px, py) -> tuple[np.ndarray, np.ndarray]:
@@ -456,8 +734,10 @@ def multisource_shortest_distances(
 ) -> np.ndarray:
     """Shortest distance from every node to its nearest source, by index.
 
-    One Dijkstra pass over a heap initialised with all source indices.
-    Nodes with no path to any source get inf. No pop order changes a
+    One Dijkstra pass over a heap initialised with all source indices,
+    reading `indptr`, `nbr` and `length` in place through memoryviews,
+    whose items are the same Python ints and floats as list copies would
+    hold. Nodes with no path to any source get inf. No pop order changes a
     distance: for w > 0, fl(d + w) >= d and never falls as d grows.
     """
     if not sources:
@@ -466,7 +746,8 @@ def multisource_shortest_distances(
     missing = [s for s in sources if not 0 <= s < n]
     if missing:
         raise DomainError(f"source nodes not in network: {sorted(missing)}")
-    indptr, nbr, length = net.indptr.tolist(), net.nbr.tolist(), net.length.tolist()
+    # list copies of the three arrays would be the call's largest transient
+    indptr, nbr, length = memoryview(net.indptr), memoryview(net.nbr), memoryview(net.length)
     dist = [math.inf] * n
     for s in sources:
         dist[s] = 0.0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from access_atlas import cli, geometry, ingest, report, stats
+from access_atlas import cli, geometry, ingest, network, report, stats
 from access_atlas.config import load_config_file
 from access_atlas.errors import DomainError
 
@@ -544,6 +544,39 @@ def test_projected_road_nodes_give_the_golden_bundle(minitown_dir, tmp_path):
     assert digests == GOLDEN_SHA256
 
 
+def relabel_road_ids(work):
+    """Give minitown's road nodes the decimal ids 1, 2, ... in
+    `_node_sort_key` order of their old ids, in both road files: the
+    network keeps its node order, and no node id appears in the bundle."""
+    nodes = (work / "roads_nodes.csv").read_text(encoding="utf-8")
+    edges = (work / "roads_edges.csv").read_text(encoding="utf-8")
+    old = sorted((line.split(",")[0] for line in nodes.splitlines()[1:]), key=network._node_sort_key)
+    new = {node_id: str(i) for i, node_id in enumerate(old, start=1)}
+    for name, text in (("roads_nodes.csv", nodes), ("roads_edges.csv", edges)):
+        header, *rows = text.splitlines()
+        rows = [",".join(new.get(cell, cell) for cell in row.split(",")) for row in rows]
+        (work / name).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
+def test_decimal_road_ids_take_the_numeric_route_to_the_golden_bundle(
+    minitown_dir, tmp_path, monkeypatch
+):
+    # minitown's own ids (c11, h11, ...) send its road files to the general
+    # route of network.load_road_network; decimal ids send them to the
+    # numeric route, which must give the same bytes
+    work = minitown_copy(minitown_dir, tmp_path)
+    relabel_road_ids(work)
+    assert (work / "roads_edges.csv").read_text().splitlines()[1] == "1,10,,residential"
+    paths = []
+    real = network.read_csv_table
+    monkeypatch.setattr(network, "read_csv_table", lambda path, *a: paths.append(path) or real(path, *a))
+    out = tmp_path / "out"
+    assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+    assert not [p for p in paths if os.path.basename(p).startswith("roads_")], paths
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+    assert digests == GOLDEN_SHA256
+
+
 def shuffle_inputs(work, rnd):
     """Shuffle the data rows of every CSV and the features of the GeoJSON."""
     for name in ("providers.csv", "roads_nodes.csv", "roads_edges.csv", "demographics.csv"):
@@ -685,14 +718,17 @@ def test_unwritable_out_dir_exits_5(minitown_config, tmp_path):
 
 
 # Every call main makes, under the name it looks the function up by, and
-# the exit code of the stage that makes it.
+# the exit code of the stage that makes it; minitown's road files take the
+# general route of network.load_road_network, which makes the three calls
+# after it.
 PIPELINE_CALLS = [
     (cli, "_config_from_args", 4),
     (ingest, "load_tracts", 2),
     (ingest, "load_providers", 2),
-    (cli, "load_road_nodes", 2),
-    (cli, "load_road_edges", 2),
-    (cli, "build_network", 2),
+    (cli, "load_road_network", 2),
+    (network, "load_road_nodes", 2),
+    (network, "load_road_edges", 2),
+    (network, "build_network", 2),
     (ingest, "load_demographics", 2),
     (ingest, "assemble_variable_table", 2),
     (stats, "pca", 3),

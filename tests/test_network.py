@@ -637,14 +637,25 @@ def csv_text(header, rows, rng):
     return "\n".join(lines) + "\n"
 
 
-def random_road_files(rng):
+def plain_csv_text(header, rows, rng):
+    """Header, then the rows as they are: no padding and no blank rows; a
+    BOM now and then, and the final newline or none."""
+    text = "\n".join([header, *map(",".join, rows)])
+    return ("\ufeff" if rng.random() < 0.1 else "") + text + ("\n" if rng.random() < 0.8 else "")
+
+
+def random_road_files(rng, plain=False):
     """Node and edge CSV texts, the node header `node_id,x,y` or
     `node_id,lon,lat`, with edges among the nodes, empty lengths, and
     classes the default filter keeps and drops. The ids mix ID_POOL with
     decimal numbers, or in about a third of the files are decimal numbers
-    alone, so that build_network orders them both as int64 and by key."""
+    alone, so that build_network orders them both as int64 and by key.
+
+    With `plain`, both files are strictly plain for the numeric route of
+    load_road_network: decimal ids of at most 18 digits, no padded cell,
+    no blank row, and the lengths all empty or all given."""
     geographic = rng.random() < 0.5
-    if rng.random() < 0.3:  # plain decimal ids of up to 18 digits only
+    if plain or rng.random() < 0.3:  # plain decimal ids of up to 18 digits only
         k = int(rng.integers(2, 40))
         values = rng.choice(10**6, size=k, replace=False) * 10 ** int(rng.integers(0, 13))
         ids = list(map(str, values.tolist()))
@@ -662,13 +673,16 @@ def random_road_files(rng):
     digits = int(rng.integers(4, 10))
     nodes = [(nid, f"{u:.{digits}f}", f"{v:.{digits}f}") for nid, (u, v) in zip(ids, coords)]
     edges = []
+    no_lengths = plain and rng.random() < 0.5
     for _ in range(int(rng.integers(0, 3 * len(ids)))):
         a, b = rng.choice(len(ids), size=2, replace=False)
-        length = "" if rng.random() < 0.4 else f"{rng.uniform(0.5, 900):.{digits}f}"
+        empty = no_lengths if plain else rng.random() < 0.4
+        length = "" if empty else f"{rng.uniform(0.5, 900):.{digits}f}"
         edges.append((ids[a], ids[b], length, str(rng.choice(CLASSES))))
+    text = plain_csv_text if plain else csv_text
     return (
-        csv_text(header, nodes, rng),
-        csv_text("from_node,to_node,length_m,road_class", edges, rng),
+        text(header, nodes, rng),
+        text("from_node,to_node,length_m,road_class", edges, rng),
     )
 
 
@@ -710,6 +724,167 @@ def test_column_loaders_match_row_loop_on_random_csvs(tmp_path):
         assert_same_network(road_stage(*args, classes), want)
         built += len(want.ids) > 0
     assert built > 150
+
+
+def general_route_calls(monkeypatch):
+    """Wrap network.read_csv_table, recording the path of every call: the
+    general route of load_road_network reads both road files through it,
+    the numeric route neither."""
+    paths = []
+    real = network.read_csv_table
+
+    def counted(path, *args):
+        paths.append(path)
+        return real(path, *args)
+
+    monkeypatch.setattr(network, "read_csv_table", counted)
+    return paths
+
+
+def test_load_road_network_matches_row_loop_on_random_csvs(tmp_path, monkeypatch):
+    # half the trials write strictly plain files, which the numeric route
+    # takes, and half the files of the test above, which it mostly declines:
+    # both give the row loop's network, or its exception and message
+    rng = np.random.default_rng(2727)
+    general = general_route_calls(monkeypatch)
+    accepted = Counter()
+    for trial in range(240):
+        plain = trial % 2 == 0
+        nodes_text, edges_text = random_road_files(rng, plain=plain)
+        nodes_path, edges_path = tmp_path / f"n{trial}.csv", tmp_path / f"e{trial}.csv"
+        nodes_path.write_text(nodes_text, encoding="utf-8")
+        edges_path.write_text(edges_text, encoding="utf-8")
+        classes = network.DEFAULT_ROAD_CLASSES if rng.random() < 0.7 else frozenset(
+            rng.choice(CLASSES, size=2, replace=False).tolist()
+        )
+        args = (str(nodes_path), str(edges_path))
+        general.clear()
+        got = outcome(network.load_road_network, *args, classes, *REF)
+        want = outcome(road_network_loop, *args, *REF, classes)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_network(got, want)
+        accepted[plain] += not general
+    # a plain trial declines only for an edge file with no row
+    assert accepted[True] >= 110, accepted
+
+
+# A strictly plain file pair that the numeric route takes, and one change
+# to it per rule of that route: (file, old text, new text), or a function
+# of the two texts. Each change sends the pair to the general route, whose
+# network or error load_road_network returns.
+PLAIN_NODES = (
+    "node_id,lon,lat\n1,-87.7,41.85\n2,-87.69,41.85\n3,-87.69,41.86\n40,-87.7,41.86\n"
+)
+PLAIN_EDGES = (
+    "from_node,to_node,length_m,road_class\n"
+    "1,2,,residential\n2,3,,primary\n3,40,,motorway\n40,1,,residential\n"
+)
+
+
+def relabel(old, new):
+    """Rename node `old` in both files, where its id is the only text
+    equal to `old`."""
+    return lambda nodes, edges: (nodes.replace(old, new), edges.replace(old, new))
+
+
+def all_lengths(*lengths):
+    """The edge file with these lengths, in row order."""
+    def change(nodes, edges):
+        header, *rows = edges.splitlines()
+        rows = [row.replace(",,", f",{w},") for row, w in zip(rows, lengths)]
+        return nodes, "\n".join([header, *rows]) + "\n"
+    return change
+
+
+def uneven_widths(nodes, edges):
+    """One edge row a field too wide, the next a field too narrow: the
+    comma count is right, and every cell parses as a number where the
+    reader looks."""
+    nodes, edges = all_lengths("120.5", "80", "60", "95.25")(nodes, edges)
+    edges = edges.replace(",motorway\n", ",motorway,7\n").replace(",95.25,residential", ",95.25")
+    return nodes, edges
+
+
+PLAIN_DECLINES = {
+    "padded-cell": ("nodes", "2,-87.69,", "2, -87.69,"),
+    "blank-row": ("nodes", "\n3,", "\n\n3,"),
+    "id-leading-zero": relabel("40", "007"),
+    "id-sign": relabel("40", "+5"),
+    "id-decimal-point": relabel("40", "1.0"),
+    "id-exponent": relabel("40", "1e2"),
+    "id-19-digits": relabel("40", "9300000000000000000"),  # above 2**63
+    "underscore-length": all_lengths("120.5", "1_0", "80", "95.25"),
+    "nan-coordinate": ("nodes", "3,-87.69,41.86", "3,-87.69,nan"),
+    "nan-projected-coordinate": lambda nodes, edges: (
+        nodes.replace("node_id,lon,lat", "node_id,x,y") + "5,-87.69,nan\n",
+        edges,
+    ),
+    "infinite-coordinate": ("nodes", "3,-87.69,41.86", "3,inf,41.86"),
+    "overflowing-coordinate": ("nodes", "3,-87.69,41.86", "3,-87.69,1e999"),
+    "latitude-out-of-range": ("nodes", "3,-87.69,41.86", "3,-87.69,89.5"),
+    "duplicate-id": ("nodes", "40,-87.7,41.86\n", "40,-87.7,41.86\n2,-87.68,41.85\n"),
+    "missing-endpoint": ("edges", "1,2,,residential", "1,9,,residential"),
+    "mixed-lengths": ("edges", "2,3,,", "2,3,950.5,"),
+    "zero-length": all_lengths("120.5", "0", "80", "95.25"),
+    "infinite-length-of-a-dropped-edge": all_lengths("120.5", "80", "inf", "95.25"),
+    "non-ascii-cell": ("edges", "primary", "prímary"),
+    "separator-byte": ("edges", "2,3,,primary", "2,3,,primary\x1c"),
+    "tab": ("nodes", "41.85\n", "41.85\t\n"),
+    "quoted-cell": ("edges", "1,2,", '"1",2,'),
+    "crlf": ("nodes", "\n", "\r\n"),
+    "nul": ("edges", "motorway", "motor\0way"),
+    "wrong-width": ("nodes", "3,-87.69,41.86", "3,-87.69,41.86,7"),
+    "uneven-widths": uneven_widths,
+    "over-long-line": ("nodes", "3,-87.69,41.86", "3,-87.69,41.86" + "0" * csv.field_size_limit()),
+    "header-only-edges": ("edges", PLAIN_EDGES, "from_node,to_node,length_m,road_class\n"),
+    "header-only-nodes": ("nodes", PLAIN_NODES, "node_id,lon,lat\n"),
+}
+
+
+@pytest.mark.parametrize("name", [None, *PLAIN_DECLINES])
+def test_numeric_route_declines_each_file_it_cannot_read_exactly(tmp_path, monkeypatch, name):
+    nodes_text, edges_text = PLAIN_NODES, PLAIN_EDGES
+    change = PLAIN_DECLINES.get(name)
+    if callable(change):
+        nodes_text, edges_text = change(nodes_text, edges_text)
+    elif change is not None:
+        file, old, new = change
+        assert old in (nodes_text if file == "nodes" else edges_text)
+        if file == "nodes":
+            nodes_text = nodes_text.replace(old, new, 1)
+        else:
+            edges_text = edges_text.replace(old, new, 1)
+    nodes_path, edges_path = tmp_path / "n.csv", tmp_path / "e.csv"
+    nodes_path.write_bytes(nodes_text.encode())
+    edges_path.write_bytes(edges_text.encode())
+    args = (str(nodes_path), str(edges_path))
+    general = general_route_calls(monkeypatch)
+    with warnings.catch_warnings():
+        # no warning of numpy's reader (a body with no rows, an int column
+        # meeting "1.0") may reach a user
+        warnings.simplefilter("error")
+        got = outcome(network.load_road_network, *args, network.DEFAULT_ROAD_CLASSES, *REF)
+    want = outcome(road_network_loop, *args, *REF)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_network(got, want)
+    # the unchanged pair takes the numeric route, every changed one declines
+    assert (general == []) == (name is None), general
+    if name is None:
+        assert got.ids == ["1", "2", "3", "40"]
+
+
+def test_numeric_route_declines_a_file_it_cannot_open(tmp_path):
+    # the read's OSError comes from the general route, as from the row loop
+    nodes_path = tmp_path / "n.csv"
+    nodes_path.write_text(PLAIN_NODES, encoding="utf-8")
+    args = (str(nodes_path), str(tmp_path / "missing.csv"))
+    want = outcome(road_network_loop, *args, *REF)
+    assert want[0] is FileNotFoundError
+    assert outcome(network.load_road_network, *args, network.DEFAULT_ROAD_CLASSES, *REF) == want
 
 
 # each corruption writes one cell of a valid file pair: (file, column, value)
@@ -885,6 +1060,41 @@ def test_build_peak_stays_near_the_size_of_its_arrays(name):
             tracemalloc.stop()
     arrays = sum(x.nbytes for x in (net.xs, net.ys, net.indptr, net.nbr, net.length))
     assert peak < 2.5 * arrays, (peak, arrays)
+
+
+def test_dijkstra_peak_stays_below_the_size_of_the_csr_arrays():
+    # a 100 x 100 lattice from two sources: tracemalloc's peak over
+    # multisource_shortest_distances stays below the bytes of indptr, nbr
+    # and length (0.56x here, the distance list and the heap); list copies
+    # of the three arrays reach 5.1x
+    k = 100
+    ids = list(map(str, range(k * k)))
+    row_of, col_of = np.divmod(np.arange(k * k), k)
+    east = np.flatnonzero(col_of < k - 1).tolist()
+    north = list(range(k * k - k))
+    rng = np.random.default_rng(5)
+    edges = RoadEdges(
+        [ids[i] for i in east + north],
+        [ids[i + 1] for i in east] + [ids[i + k] for i in north],
+        rng.uniform(10, 100, len(east) + len(north)),
+        ["residential"] * (len(east) + len(north)),
+    )
+    net = build_network(edges, RoadNodes(ids, col_of * 50.0, row_of * 50.0))
+    multisource_shortest_distances(net, {0})  # first calls set up what they keep
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        dist = multisource_shortest_distances(net, {0, k * k // 2})
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert np.isfinite(dist).all()
+    arrays = sum(x.nbytes for x in (net.indptr, net.nbr, net.length))
+    assert peak < arrays, (peak, arrays)
 
 
 def ladder_network(n):
