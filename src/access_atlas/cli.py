@@ -26,7 +26,12 @@ invalid configuration (a usage error included), 5 output I/O failure.
 
 `main` runs with Python's cyclic garbage collector off, since the pipeline
 makes no reference cycles: it starts no collector pass and leaves the
-collector as it found it on every exit.
+collector as it found it on every exit. `console_main`, the entry behind
+the `access-atlas` script and `python -m access_atlas.cli`, then freezes
+the collector (`gc.freeze()`) before the interpreter exits: shutdown's own
+collection would otherwise walk every object numpy's import left, to free
+nothing. `main` does not freeze, so an in-process caller keeps a collector
+that can free what it allocates.
 """
 
 from __future__ import annotations
@@ -224,7 +229,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    # Shutdown's collection runs with the collector on or off; frozen
+    # objects are in no generation it walks. The exit took 14.9 ms, now
+    # 5.0 ms, on a 100-tract report (2-vCPU VM). Atexit handlers, stdio
+    # flushing and module teardown still run.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

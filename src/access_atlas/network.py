@@ -753,16 +753,18 @@ def multisource_shortest_distances(
         dist[s] = 0.0
     heap = [(0.0, s) for s in sources]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = heappop(heap)
         if d > dist[u]:
             continue
-        lo, hi = indptr[u], indptr[u + 1]
-        for v, w in zip(nbr[lo:hi], length[lo:hi]):
-            nd = d + w
+        # by position: slicing two memoryviews per settled node cost more
+        for k in range(indptr[u], indptr[u + 1]):
+            v = nbr[k]
+            nd = d + length[k]
             if nd < dist[v]:
                 dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+                heappush(heap, (nd, v))
     return np.array(dist, dtype=float)
 
 

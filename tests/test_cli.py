@@ -1049,12 +1049,14 @@ def test_main_runs_without_the_cyclic_collector_and_restores_it(
         (["report", "--config", str(tmp_path / "missing.json")], 2),
         (["report", "--config", minitown_config, "--hinge", "steep"], 4),
     ]
-    was_enabled = gc.isenabled()
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     try:
         (gc.enable if enabled else gc.disable)()
         for args, want_code in runs:
             assert run_recording_collections(args) == (want_code, []), args
             assert gc.isenabled() is enabled, args
+            # only the console entry freezes; main leaves nothing frozen
+            assert gc.get_freeze_count() == frozen, args
     finally:
         (gc.enable if was_enabled else gc.disable)()
 
@@ -1079,3 +1081,42 @@ def test_a_run_leaves_no_pipeline_object_to_the_cyclic_collector(minitown_config
     assert not any(isinstance(o, np.ndarray) for o in left)
     ours = [o for o in left if type(o).__module__.startswith("access_atlas")]
     assert ours == []
+
+
+# the console entry, with an atexit handler of the caller's own registered
+# beside whatever else the interpreter holds; the handler reports whether
+# the collector was frozen by then
+CONSOLE_ENTRY = """
+import atexit, gc, sys
+from access_atlas.cli import console_main
+atexit.register(lambda: print(f"atexit: frozen {gc.get_freeze_count() > 0}", file=sys.stderr))
+sys.argv = ["access-atlas", *sys.argv[1:]]
+console_main()
+"""
+
+
+def test_console_entry_freezes_the_collector_and_exits_like_a_normal_interpreter(
+    minitown_config, tmp_path
+):
+    # interpreter shutdown would walk every object numpy's import left; the
+    # console entry freezes them first, yet must exit as an interpreter does:
+    # its atexit handlers (coverage writes its data from one) run after the
+    # bundle and any error line
+    def console(*args):
+        return subprocess.run(
+            [sys.executable, "-c", CONSOLE_ENTRY, *args], capture_output=True, text=True
+        )
+
+    out = tmp_path / "out"
+    proc = console("report", "--config", minitown_config, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "atexit: frozen True"
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+    assert digests == GOLDEN_SHA256
+
+    missing = tmp_path / "missing.json"
+    proc = console("report", "--config", str(missing))
+    assert proc.returncode == 4
+    lines = proc.stderr.splitlines()
+    assert lines[-2].startswith(f"error: cannot read config {missing}: ")
+    assert lines[-1] == "atexit: frozen True"
