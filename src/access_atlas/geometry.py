@@ -9,12 +9,13 @@ and a disk tangent to a polygon edge intersects it. That keeps behaviour
 deterministic at exact-threshold inputs.
 
 `pack_tracts` builds the one tract structure of a run, `Tracts`: the ring
-segments with ring, part and tract offsets, and each tract's area,
-centroid and bbox. The segment starts are the one copy of the ring
-vertices, which the predicates and the SVG read. An area or centroid is
-a sum taken in vertex order, one vertex position at a time across all
-rings (`_sums_in_order`), so it keeps the bits of the scalar shoelace
-loop; a pairwise sum such as np.add.reduceat would not.
+segments with ring, part and tract offsets, each tract's area, centroid
+and bbox, and the input positions that scores.geojson echoes. The segment
+starts are the one copy of the ring vertices, which the predicates and the
+SVG read. An area or centroid is a sum taken in vertex order, one vertex
+position at a time across all rings (`_sums_in_order`), so it keeps the
+bits of the scalar shoelace loop; a pairwise sum such as np.add.reduceat
+would not.
 
 The predicates (`disks_meet`, behind AV_INT and the grid-K sampler, and
 `queen_adjacency`) take the Tracts and the indices of the tracts they work
@@ -81,8 +82,7 @@ def project_lonlat(
 class Tracts:
     """The tracts of a run, packed once into flat arrays by `pack_tracts`.
 
-    Tract i is ids[i]; source_geometry[i] is its input geometry, which
-    scores.geojson echoes. Its parts are part_start[i]:part_start[i + 1];
+    Tract i is ids[i]. Its parts are part_start[i]:part_start[i + 1];
     the rings of part p are part_ring[p]:part_ring[p + 1], the exterior
     first. area and centroid are each tract's net area and area-weighted
     centroid, and bounds its (xmin, ymin, xmax, ymax).
@@ -94,10 +94,22 @@ class Tracts:
     seg2 = dx * dx + dy * dy. The segment starts of a ring are its
     vertices in order, without the closing repeat: the one copy of the
     rings.
+
+    What scores.geojson echoes of the input: lon and lat hold every input
+    position as given, and the positions of ring r are
+    ring_pos[r]:ring_pos[r + 1] of them, so an open ring stays open. Tract
+    i is a MultiPolygon if multi[i], else a Polygon. verbatim[i] is its
+    parsed geometry object if that is not plain, else None: a plain one has
+    the keys type then coordinates and no others, and every position is
+    exactly two floats, so lon, lat and the offsets say all of it.
     """
 
     ids: list[str]
-    source_geometry: list
+    lon: np.ndarray
+    lat: np.ndarray
+    ring_pos: np.ndarray
+    multi: np.ndarray  # bool, per tract
+    verbatim: list[dict | None]
     part_ring: np.ndarray
     part_start: np.ndarray
     ring_seg: np.ndarray
@@ -137,10 +149,15 @@ def _sums_in_order(terms: np.ndarray, counts) -> np.ndarray:
     return total
 
 
-def pack_tracts(ids, source_geometry, x, y, ring_sizes, ring_counts, part_counts) -> Tracts:
+def pack_tracts(
+    ids, lon, lat, x, y, ring_sizes, ring_counts, part_counts, multi, verbatim
+) -> Tracts:
     """Pack tracts given as flat projected vertices: ring r is the next
     ring_sizes[r] vertices of x and y, part p the next ring_counts[p] rings
-    (exterior first), tract i the next part_counts[i] parts.
+    (exterior first), tract i the next part_counts[i] parts. lon and lat
+    are the same positions as given, multi and verbatim each tract's
+    geometry type and non-plain geometry object (see `Tracts`); they are
+    kept for the echo and not checked.
 
     An open ring is closed by repeating its first vertex. A part with no
     rings, a ring with fewer than 3 distinct vertices, a part whose net
@@ -150,8 +167,8 @@ def pack_tracts(ids, source_geometry, x, y, ring_sizes, ring_counts, part_counts
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     ring_counts, part_counts = np.asarray(ring_counts, np.intp), np.asarray(part_counts, np.intp)
-    offsets = _offsets(ring_sizes)
-    first, end = offsets[:-1], offsets[1:]
+    ring_pos = _offsets(ring_sizes)
+    first, end = ring_pos[:-1], ring_pos[1:]
     filled = np.flatnonzero(end > first)
     is_open = np.zeros(len(end), dtype=bool)
     head, tail = first[filled], end[filled] - 1
@@ -209,8 +226,10 @@ def pack_tracts(ids, source_geometry, x, y, ring_sizes, ring_counts, part_counts
     high = [np.maximum.reduceat(v, vstart) for v in (ax, ay)]
     dx, dy = bx - ax, by - ay
     return Tracts(
-        list(ids), list(source_geometry), part_ring, part_start, ring_seg, area, centroid,
-        np.stack(low + high, axis=1), seg_start, ax, ay, by, dx, dy, dx * dx + dy * dy,
+        list(ids), np.asarray(lon, dtype=float), np.asarray(lat, dtype=float), ring_pos,
+        np.asarray(multi, dtype=bool), list(verbatim), part_ring, part_start, ring_seg,
+        area, centroid, np.stack(low + high, axis=1), seg_start, ax, ay, by, dx, dy,
+        dx * dx + dy * dy,
     )
 
 

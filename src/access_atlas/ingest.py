@@ -18,6 +18,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
@@ -123,11 +124,14 @@ class VariableTable:
         return len(self.tract_ids)
 
 
-def _add_positions(geometry: dict, context: str, lons, lats, ring_sizes, ring_counts) -> int:
+def _add_positions(
+    geometry: dict, context: str, lons, lats, ring_sizes, ring_counts
+) -> tuple[int, bool]:
     """Append the lons and lats (as floats) of every position of a Polygon or
     MultiPolygon geometry, the size of each ring and the ring count of each
-    part; return its part count. A malformed geometry raises the error of
-    its JSON shape (TypeError, ...)."""
+    part; return its part count and whether it is plain (see
+    `geometry.Tracts`). A malformed geometry raises the error of its JSON
+    shape (TypeError, ...)."""
     gtype = geometry.get("type")
     if gtype == "Polygon":
         ring_sets = [geometry["coordinates"]]
@@ -137,38 +141,36 @@ def _add_positions(geometry: dict, context: str, lons, lats, ring_sizes, ring_co
         raise SchemaError(f"{context}: unsupported geometry type {gtype!r}")
     rings = [ring for rings in ring_sets for ring in rings]
     positions = [position for ring in rings for position in ring]
-    if min(map(len, positions), default=2) < 2:
+    sizes = set(map(len, positions))
+    if min(sizes, default=2) < 2:
         raise ValueError("a position needs a longitude and a latitude")
     # a position may carry an altitude (RFC 7946 section 3.1.1); it is ignored
     lon = list(map(itemgetter(0), positions))
     lat = list(map(itemgetter(1), positions))
-    if not set(map(type, lon + lat)) <= {int, float}:  # the type of true is bool, not int
+    types = set(map(type, lon + lat))
+    if not types <= {int, float}:  # the type of true is bool, not int
         bad = next(v for v in lon + lat if type(v) not in (int, float))
         raise TypeError(f"coordinate {bad!r} is not a number")
     lons += map(float, lon)  # OverflowError for an integer beyond the float range
     lats += map(float, lat)
     ring_sizes += map(len, rings)
     ring_counts += map(len, ring_sets)
-    return len(ring_sets)
+    plain = types == {float} and sizes == {2} and list(geometry) == ["type", "coordinates"]
+    return len(ring_sets), plain
 
 
 def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token}")
 
 
-def load_tracts(path: str, ref_lon: float, ref_lat: float) -> Tracts:
-    """Read a FeatureCollection of Polygon/MultiPolygon tracts into one
-    packed `Tracts`, in file order.
+def _read_features(path: str):
+    """Parse the tracts file and check every feature, in file order.
 
-    Every feature needs a unique, non-empty `tract_id` property and
-    coordinates that are JSON numbers (true and false are not). All
-    features are checked first, in file order, so a schema fault anywhere
-    in the file is reported before any geometry fault. Then every position
-    is projected into local meters about (ref_lon, ref_lat) at once; the
-    first point off the local plane raises DomainError naming its feature
-    and tract, and a degenerate ring or part fails with its tract id
-    attached.
-    """
+    Returns the tract ids; the lons and lats of every position, as float
+    arrays; the ring sizes, the ring count of each part and the part count
+    of each tract; whether each tract is a MultiPolygon, and its geometry
+    object if that is not plain; and the end of each tract's positions.
+    The rest of the parse tree is freed when this returns."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
@@ -178,11 +180,12 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> Tracts:
     if not isinstance(features, list) or doc.get("type") != "FeatureCollection":
         raise SchemaError(f"{path}: expected a FeatureCollection")
     ids: list[str] = []
-    geometries: list[dict] = []
+    multi: list[bool] = []
+    verbatim: list[dict | None] = []
     lons: list[float] = []  # of every position, in file order
     lats: list[float] = []
     ring_sizes, ring_counts, part_counts = [], [], []
-    ends: list[int] = []  # of the positions of each feature
+    ends: list[int] = []
     seen: set[str] = set()
     for idx, feature in enumerate(features):
         try:
@@ -197,18 +200,49 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> Tracts:
                 raise SchemaError(f"{path}: duplicate tract_id {tract_id!r}")
             seen.add(tract_id)
             geometry = feature.get("geometry") or {}
-            parts = _add_positions(
+            parts, plain = _add_positions(
                 geometry, f"tract {tract_id}", lons, lats, ring_sizes, ring_counts
             )
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             # a non-object where an object belongs, a missing or non-numeric coordinate
             raise SchemaError(f"{path}: feature {idx} is not a valid feature: {exc!r}") from None
         ids.append(tract_id)
-        geometries.append(geometry)
+        multi.append(geometry["type"] == "MultiPolygon")
+        verbatim.append(None if plain else geometry)
         part_counts.append(parts)
         ends.append(len(lons))
     lon, lat = np.array(lons, dtype=float), np.array(lats, dtype=float)
-    del lons, lats
+    return ids, lon, lat, ring_sizes, ring_counts, part_counts, multi, verbatim, ends
+
+
+def load_tracts(path: str, ref_lon: float, ref_lat: float) -> Tracts:
+    """Read a FeatureCollection of Polygon/MultiPolygon tracts into one
+    packed `Tracts`, in file order.
+
+    Every feature needs a unique, non-empty `tract_id` property and
+    coordinates that are JSON numbers (true and false are not). All
+    features are checked first, in file order, so a schema fault anywhere
+    in the file is reported before any geometry fault. Then every position
+    is projected into local meters about (ref_lon, ref_lat) at once; the
+    first point off the local plane raises DomainError naming its feature
+    and tract, and a degenerate ring or part fails with its tract id
+    attached.
+
+    The parse tree is freed before the positions are projected: `Tracts`
+    holds the positions as arrays, and of the parsed objects only the
+    geometry of a tract whose geometry is not plain.
+    """
+    ids, lon, lat, ring_sizes, ring_counts, part_counts, multi, verbatim, ends = (
+        _read_features(path)
+    )
+    # Python takes small objects from 1 MiB arenas and gives an arena back to
+    # the system only once all of it is free, so the id strings, left in the
+    # freed tree, would keep nearly all of its memory resident for the run.
+    # They are copied out of it once it is gone.
+    joined, stops = "".join(ids), list(accumulate(map(len, ids)))
+    del ids
+    ids = [joined[a:b] for a, b in zip([0, *stops], stops)]
+    del joined
     with np.errstate(over="ignore", invalid="ignore"):
         x, y, valid = project_points(lon, lat, ref_lon, ref_lat)
     if not valid.all():  # the first point off the plane raises its error
@@ -216,7 +250,9 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> Tracts:
         idx = int(np.searchsorted(ends, k, side="right"))
         where = f"{path}: feature {idx} (tract {ids[idx]}): "
         project_lonlat(float(lon[k]), float(lat[k]), ref_lon, ref_lat, where)
-    return pack_tracts(ids, geometries, x, y, ring_sizes, ring_counts, part_counts)
+    return pack_tracts(
+        ids, lon, lat, x, y, ring_sizes, ring_counts, part_counts, multi, verbatim
+    )
 
 
 def load_providers(path: str, ref_lon: float, ref_lat: float) -> Providers:

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
-from itertools import accumulate, chain
+from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -122,14 +124,16 @@ def _csv(header: list[str], rows: Iterable[Iterable[object]]) -> str:
 
 
 def _labelled(labels: list[str], matrix: np.ndarray) -> Iterator[list[object]]:
-    """The rows of matrix, each led by its label."""
-    return ([label, *row] for label, row in zip(labels, matrix))
+    """The rows of matrix, as Python floats, each led by its label."""
+    return ([label, *row] for label, row in zip(labels, matrix.tolist()))
 
 
 def emit_variables_csv(table: VariableTable) -> dict[str, str]:
     """Render variables.csv (the n x 10 matrix) and dropped.csv (the audit)."""
-    # AV_INT is a count
-    rows = ([tid, int(row[0]), *row[1:]] for tid, row in zip(table.tract_ids, table.values))
+    # AV_INT is a count; the rest are Python floats, which format faster than numpy's
+    rows = (
+        [tid, int(row[0]), *row[1:]] for tid, row in zip(table.tract_ids, table.values.tolist())
+    )
     return {
         "variables.csv": _csv(["tract_id", *VARIABLE_COLUMNS], rows),
         "dropped.csv": _csv(["tract_id", "reason"], table.dropped),
@@ -174,6 +178,32 @@ def emit_pca_tables(
     }
 
 
+def _json_floats(values: list[float]) -> list[str]:
+    """Floats as json writes them: each its repr, or NaN, Infinity or
+    -Infinity."""
+    if all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    return [json.dumps(v) for v in values]
+
+
+# The opening, item separator and closing of a non-empty list at depth d,
+# as json.JSONEncoder(indent=2) lays it out: the items on lines indented by
+# d + 1 steps of two spaces, the closing on a line indented by d steps. In
+# scores.geojson a geometry's coordinates are a list at depth 4 (document,
+# features, feature, geometry), its positions at depth 6 in a Polygon and
+# 7 in a MultiPolygon.
+_LAYOUT = [
+    ("[\n" + "  " * (d + 1), ",\n" + "  " * (d + 1), "\n" + "  " * d + "]") for d in range(8)
+]
+_POSITION = ("{!r}".join(_LAYOUT[6]), "{!r}".join(_LAYOUT[7]))
+_GEOMETRY_TYPE = ('"Polygon"', '"MultiPolygon"')
+
+
+def _nest(items: list[str], depth: int) -> str:
+    open_, sep, close = _LAYOUT[depth]
+    return open_ + sep.join(items) + close
+
+
 def emit_geojson(
     tracts: Tracts,
     table: VariableTable,
@@ -187,29 +217,68 @@ def emit_geojson(
     table.index[i]. Dropped tracts keep their geometry, carry null scores,
     and record their dropped_reason from table.dropped.
 
-    The document comes back as a lazy stream of text chunks, so it is never
-    held as one string."""
+    The bytes are those of json.JSONEncoder(indent=2) over the document
+    built as dicts, then "\n". A plain geometry (see `Tracts`) is drawn
+    from the tracts' arrays, each number as float.__repr__ writes it; any
+    other goes through json.dumps(indent=2), indented to its depth. The
+    properties are rendered here; the document comes back as a lazy stream
+    of one text chunk per feature, so it is never held as one string."""
     row_of = dict(zip(table.index.tolist(), range(table.n)))
     dropped = dict(table.dropped)
-    features = []
+    k = len(classes)
+    keys = [f',\n        "pc{c + 1}_score": ' for c in range(k)]
+    keys += [f',\n        "pc{c + 1}_class": ' for c in range(k)]
+    nulls = "".join(key + "null" for key in keys)
+    texts = _json_floats([round(v, 6) for v in scores[:, :k].ravel().tolist()])
+    values = [  # of each row, in the order of keys
+        texts[i * k : i * k + k] + [encode_basestring_ascii(column[i]) for column in classes]
+        for i in range(table.n)
+    ]
+    features = []  # (tract, the text of its properties after "tract_id": )
     for tract_id, t in sorted(zip(tracts.ids, range(len(tracts.ids)))):
         i = row_of.get(t)
-        props: dict[str, object] = {"tract_id": tract_id}
-        for c in range(len(classes)):
-            props[f"pc{c + 1}_score"] = None if i is None else round(float(scores[i, c]), 6)
-        for c, column in enumerate(classes):
-            props[f"pc{c + 1}_class"] = None if i is None else column[i]
         if i is None:
-            props["dropped_reason"] = dropped[tract_id]
-        features.append(
-            {
-                "type": "Feature",
-                "properties": props,
-                "geometry": tracts.source_geometry[t],
-            }
+            reason = encode_basestring_ascii(dropped[tract_id])
+            tail = nulls + ',\n        "dropped_reason": ' + reason
+        else:
+            tail = "".join(map(str.__add__, keys, values[i]))
+        features.append((t, encode_basestring_ascii(tract_id) + tail))
+    return {"scores.geojson": _geojson_chunks(tracts, features)}
+
+
+def _geojson_chunks(tracts: Tracts, features: list[tuple[int, str]]) -> Iterator[str]:
+    """The text of scores.geojson, one chunk per feature."""
+    if not features:
+        yield '{\n  "type": "FeatureCollection",\n  "features": []\n}\n'
+        return
+    part_start, part_ring = tracts.part_start.tolist(), tracts.part_ring.tolist()
+    ring_pos, multi = tracts.ring_pos.tolist(), tracts.multi.tolist()
+    head = '{\n  "type": "FeatureCollection",\n  "features": [\n    '
+    for t, props in features:
+        geometry = tracts.verbatim[t]
+        if geometry is not None:  # json escapes every line break inside a string
+            geometry = json.dumps(geometry, indent=2).replace("\n", "\n      ")
+        else:  # drawn from the arrays
+            m = multi[t]
+            rings = part_ring[part_start[t] : part_start[t + 1] + 1]
+            pos = ring_pos[rings[0] : rings[-1] + 1]
+            lo, hi = pos[0], pos[-1]
+            lon, lat = tracts.lon[lo:hi].tolist(), tracts.lat[lo:hi].tolist()
+            positions = list(map(_POSITION[m].format, lon, lat))
+            coords = [_nest(positions[a - lo : b - lo], 5 + m) for a, b in zip(pos, pos[1:])]
+            if m:  # the rings of each part
+                r0 = rings[0]
+                coords = [_nest(coords[a - r0 : b - r0], 5) for a, b in zip(rings, rings[1:])]
+            geometry = (
+                '{\n        "type": ' + _GEOMETRY_TYPE[m] + ',\n        "coordinates": '
+                + _nest(coords, 4) + "\n      }"
+            )
+        yield (
+            head + '{\n      "type": "Feature",\n      "properties": {\n        "tract_id": '
+            + props + '\n      },\n      "geometry": ' + geometry + "\n    }"
         )
-    doc = {"type": "FeatureCollection", "features": features}
-    return {"scores.geojson": chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])}
+        head = ",\n    "
+    yield "\n  ]\n}\n"
 
 
 def emit_svg_choropleth(

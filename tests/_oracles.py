@@ -18,8 +18,10 @@ shoelace loops for area, centroid and bbox instead of the packed
 build instead of the column passes, `csv.reader` one row at a time for
 every CSV text instead of splitting plain text whole, and a box-map
 renderer that draws one map per call instead of one shared frame for every
-map, and an if/elif chain per value instead of one np.select for the
-box-map classes. Tests that need scipy compare against it where it is
+map, an if/elif chain per value instead of one np.select for the
+box-map classes, and json.JSONEncoder(indent=2) over the parsed input
+geometry instead of the scores.geojson layout written from the tract
+arrays. Tests that need scipy compare against it where it is
 installed: csgraph's Dijkstra and LAPACK's eigh through scipy.linalg;
 likewise networkx's multi-source Dijkstra.
 """
@@ -27,6 +29,7 @@ likewise networkx's multi-source Dijkstra.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -605,19 +608,25 @@ def _rings(part) -> list:
 def pack(tracts, ids=None) -> Tracts:
     """geometry.pack_tracts of list-form tracts, with ids t0, t1, ... unless
     given: each tract a Polygon or a list of parts, each part a Polygon or a
-    list of rings of (x, y) vertices, closed or not."""
+    list of rings of (x, y) vertices, closed or not. The vertices stand for
+    the input positions too, and a tract given as a list of parts is a
+    MultiPolygon."""
     parts_list = [_parts(t) for t in tracts]
     parts = [part for ps in parts_list for part in ps]
     rings = [ring for part in parts for ring in _rings(part)]
     vertices = [v for ring in rings for v in ring]
+    x, y = [v[0] for v in vertices], [v[1] for v in vertices]
     return pack_tracts(
         list(ids or (f"t{i}" for i in range(len(tracts)))),
-        [None] * len(tracts),
-        [v[0] for v in vertices],
-        [v[1] for v in vertices],
+        x,
+        y,
+        x,
+        y,
         [len(ring) for ring in rings],
         [len(_rings(part)) for part in parts],
         [len(ps) for ps in parts_list],
+        [not isinstance(t, Polygon) for t in tracts],
+        [None] * len(tracts),
     )
 
 
@@ -759,3 +768,25 @@ def svg_choropleth_loop(tracts, classes, component_index) -> str:
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def scores_geojson_encoder(geometries, tracts: Tracts, table, scores, classes) -> str:
+    """scores.geojson as the whole document of dicts, encoded by
+    json.JSONEncoder(indent=2).iterencode, then "\\n"; geometries[t] is the
+    parsed input geometry of tract t. A drop-in for the joined stream of
+    report.emit_geojson."""
+    row_of = dict(zip(table.index.tolist(), range(table.n)))
+    dropped = dict(table.dropped)
+    features = []
+    for tract_id, t in sorted(zip(tracts.ids, range(len(tracts.ids)))):
+        i = row_of.get(t)
+        props: dict[str, object] = {"tract_id": tract_id}
+        for c in range(len(classes)):
+            props[f"pc{c + 1}_score"] = None if i is None else round(float(scores[i, c]), 6)
+        for c, column in enumerate(classes):
+            props[f"pc{c + 1}_class"] = None if i is None else column[i]
+        if i is None:
+            props["dropped_reason"] = dropped[tract_id]
+        features.append({"type": "Feature", "properties": props, "geometry": geometries[t]})
+    doc = {"type": "FeatureCollection", "features": features}
+    return "".join(json.JSONEncoder(indent=2).iterencode(doc)) + "\n"

@@ -53,6 +53,59 @@ def test_load_minitown_tracts(minitown_dir):
     assert np.diff(tracts.part_start).tolist() == [1] * 9
 
 
+def dicts_held(tracts) -> list[dict]:
+    """Every dict reachable from the fields of a Tracts through lists,
+    tuples and dicts."""
+    found, todo = [], [getattr(tracts, f.name) for f in dataclasses.fields(tracts)]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, dict):
+            found.append(v)
+            todo += v.values()
+        elif isinstance(v, (list, tuple)):
+            todo += v
+    return found
+
+
+def test_minitown_tracts_keep_no_parse_tree(minitown_dir):
+    tracts = ingest.load_tracts(os.path.join(minitown_dir, "tracts.geojson"), *REF)
+    assert dicts_held(tracts) == []
+    assert tracts.verbatim == [None] * 9
+    assert tracts.multi.tolist() == [False] * 9
+    # the positions as given, closing repeats included
+    assert np.diff(tracts.ring_pos).tolist() == [5] * 9
+    assert (tracts.lon[:2].tolist(), tracts.lat[:2].tolist()) == ([-87.715, -87.705], [41.835] * 2)
+
+
+def test_tracts_keep_only_the_geometry_objects_that_are_not_plain(tmp_path):
+    def square(x):
+        return [[x, 0.0], [x + 0.01, 0.0], [x + 0.01, 0.01], [x, 0.01]]
+
+    plain = {"type": "Polygon", "coordinates": [square(0.0)]}
+    odd = [
+        {"type": "Polygon", "coordinates": [[[0, 0.0], *square(0.0)[1:]]]},  # an int
+        {"type": "Polygon", "coordinates": [[p + [3.5] for p in square(0.0)]]},  # altitudes
+        {"type": "Polygon", "coordinates": [square(0.0)], "bbox": [0.0, 0.0, 0.01, 0.01]},
+        {"coordinates": [square(0.0)], "type": "Polygon"},
+    ]
+    multi = {"type": "MultiPolygon", "coordinates": [[square(0.0)], [square(0.05)]]}
+    geometries = [plain, *odd, multi]
+    doc = {
+        "type": "FeatureCollection",
+        "features": [
+            {"type": "Feature", "properties": {"tract_id": f"t{k}"}, "geometry": g}
+            for k, g in enumerate(geometries)
+        ],
+    }
+    path = write(tmp_path / "t.geojson", json.dumps(doc))
+    tracts = ingest.load_tracts(path, 0.0, 0.0)
+    assert tracts.verbatim == [None, *odd, None]
+    held = dicts_held(tracts)
+    assert len(held) == len(odd) and all(g in odd for g in held)
+    assert tracts.multi.tolist() == [False] * 5 + [True]
+    assert np.diff(tracts.ring_pos).tolist() == [4] * 7  # open rings stay open
+
+
 def test_missing_tract_id_names_feature_index(tmp_path):
     doc = {
         "type": "FeatureCollection",

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from access_atlas import stats
 from access_atlas.errors import DomainError
-from access_atlas.ingest import VARIABLE_COLUMNS, VariableTable
+from access_atlas.ingest import VARIABLE_COLUMNS, VariableTable, load_tracts
 from access_atlas.report import (
     BOX_CLASSES,
     BOX_PALETTE,
@@ -23,7 +23,14 @@ from access_atlas.report import (
     emit_svg_choropleth,
 )
 
-from _oracles import Polygon, ProjectedPoint, boxmap_classify_loop, pack, svg_choropleth_loop
+from _oracles import (
+    Polygon,
+    ProjectedPoint,
+    boxmap_classify_loop,
+    pack,
+    scores_geojson_encoder,
+    svg_choropleth_loop,
+)
 
 
 # ------------------------------------------------------------ boxmap classes
@@ -211,6 +218,100 @@ def test_geojson_roundtrip_and_dropped_nulls(minitown_table):
             assert props["pc1_class"] in BOX_CLASSES
         assert set(props) == expected_keys
         assert feature["geometry"]["type"] == "Polygon"
+
+
+# Coordinates about a (0, 0) reference: reprs such as 1e-07 and -0.0, and
+# integral values that may be written as JSON ints.
+ORIGINS = st.sampled_from([0.0, -0.0, 1e-07, -2.5e-06, 0.1, -0.3, 1.0, -1.0, 0.123456789])
+SIDES = st.sampled_from([1e-04, 0.001, 0.01, 0.25, 1.0, 0.1 + 0.2])
+
+
+@st.composite
+def rectangles(draw, odd: bool):
+    """One part, a rectangle with maybe a hole, as rings of [lon, lat]
+    positions, open or closed, either way round; if odd, maybe in ints or
+    with an altitude."""
+    x0, y0, w, h = draw(ORIGINS), draw(ORIGINS), draw(SIDES), draw(SIDES)
+    boxes = [(x0, y0, x0 + w, y0 + h)]
+    if draw(st.booleans()):  # a hole
+        boxes.append((x0 + w / 4, y0 + h / 4, x0 + 3 * w / 4, y0 + 3 * h / 4))
+    ints = odd and draw(st.booleans())
+    altitude = draw(st.sampled_from([None, 0, 12.5, -1e-07])) if odd else None
+    rings = []
+    for xa, ya, xb, yb in boxes:
+        ring = [[xa, ya], [xb, ya], [xb, yb], [xa, yb]]
+        if draw(st.booleans()):
+            ring.reverse()
+        if ints:
+            ring = [[int(v) if v == int(v) else v for v in p] for p in ring]
+        if altitude is not None:
+            ring = [p + [altitude] for p in ring]
+        if draw(st.booleans()):  # closed
+            ring.append(list(ring[0]))
+        rings.append(ring)
+    return rings
+
+
+@st.composite
+def geometries(draw):
+    """A Polygon or MultiPolygon geometry object; if odd, maybe with its
+    keys the other way round or a bbox."""
+    odd = draw(st.booleans())
+    if draw(st.booleans()):
+        geometry = {"type": "Polygon", "coordinates": draw(rectangles(odd))}
+    else:
+        parts = draw(st.lists(rectangles(odd), min_size=1, max_size=3))
+        geometry = {"type": "MultiPolygon", "coordinates": parts}
+    if odd and draw(st.booleans()):
+        geometry = {"coordinates": geometry["coordinates"], "type": geometry["type"]}
+    if odd and draw(st.booleans()):
+        geometry["bbox"] = [-1.0, -1, 2.5, 2.5]
+    return geometry
+
+
+TRACT_IDS = st.text(min_size=1, max_size=4) | st.sampled_from(
+    ['t"1', "a\\b", "\u00e9t\u00e9", "\u4e1c", "\U0001f600", "line\nbreak", "\u2028"]
+)
+SCORES = st.floats(width=64) | st.sampled_from([-0.0, 1e16, 1e-07, -5e-07, 1.5e-06, 0.1 + 0.2])
+
+
+@given(
+    st.lists(st.tuples(TRACT_IDS, geometries()), min_size=1, max_size=6, unique_by=lambda f: f[0]),
+    st.data(),
+)
+def test_geojson_equals_the_document_encoded_whole(tmp_path_factory, features, data):
+    doc = {
+        "type": "FeatureCollection",
+        "features": [
+            {"type": "Feature", "properties": {"tract_id": tid}, "geometry": g}
+            for tid, g in features
+        ],
+    }
+    path = tmp_path_factory.mktemp("geojson") / "tracts.geojson"
+    path.write_text(json.dumps(doc))
+    tracts = load_tracts(str(path), 0.0, 0.0)
+    n = len(features)
+    index = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    mapped = data.draw(st.integers(0, 3))
+    # one score column more than the mapped components, which is not echoed
+    size = len(index) * (mapped + 1)
+    scores = np.array(data.draw(st.lists(SCORES, min_size=size, max_size=size)))
+    scores = scores.reshape(len(index), mapped + 1)
+    classes = [
+        data.draw(st.lists(st.sampled_from(BOX_CLASSES), min_size=len(index), max_size=len(index)))
+        for _ in range(mapped)
+    ]
+    reasons = st.text(max_size=8)
+    dropped = [(tid, data.draw(reasons)) for k, (tid, _) in enumerate(features) if k not in index]
+    table = VariableTable(
+        [tracts.ids[t] for t in index],
+        np.zeros((len(index), 10)),
+        np.array(index, dtype=np.intp),
+        dropped=dropped,
+    )
+    stream = emit_geojson(tracts, table, scores, classes)["scores.geojson"]
+    want = scores_geojson_encoder([g for _, g in features], tracts, table, scores, classes)
+    assert "".join(stream) == want
 
 
 # --------------------------------------------------------------- emit: svg
