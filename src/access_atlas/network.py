@@ -11,18 +11,14 @@ measured from, as flat arrays: the stored centroids of the packed
 and all those points.
 
 `read_csv_table` reads all four CSV inputs (the road nodes and edges here,
-the providers and demographics in `ingest`): it matches the header, skips
-blank rows, strips every cell, checks each row's width and returns the
-whole file as columns. It reads the text once. Plain text, with no `"`,
-no CR, no NUL and no line past `csv.field_size_limit()`, is split on
-newlines and commas, and every column is a slice of one flat list of
-cells; any other text, and a file that is not UTF-8, goes through
-`csv.reader` row by row. Both routes give the same columns, row numbers
-and errors. The road loaders parse those columns with array operations
-into `RoadNodes` and `RoadEdges` (lon/lat nodes are projected by
-`geometry.project_points`, the one copy of the projection formula); a bad
-cell is found by mask and reported by the scalar check of its row, so the
-first bad row in file order gives the error.
+the providers and demographics in `ingest`) by `csv.reader`: it matches
+the header, skips blank rows, strips every cell, checks each row's width
+and returns the whole file as columns. The road loaders parse those
+columns with array operations into `RoadNodes` and `RoadEdges` (lon/lat
+nodes are projected by `geometry.project_points`, the one copy of the
+projection formula); a bad cell is found by mask and reported by the
+scalar check of its row, so the first bad row in file order gives the
+error.
 
 `load_road_network` is the road stage of a run, and it has two routes.
 Strictly plain files (ASCII, canonical decimal ids of at most 18 digits,
@@ -40,12 +36,10 @@ runs from the start whenever the numeric route declines. The two share
 
 `build_network` owns node order: it sorts the kept ids once into
 `_node_sort_key` order (decimal ids numerically, then the rest by string),
-and a node is its index in that order. Ids that are all ASCII decimal, of
-at most 18 digits and of distinct value, sort as int64 values; any other
-set sorts by the key. A snap compares a block of points with every node in
-numpy passes, ties going to the lowest index; Dijkstra reads the CSR
-arrays in place and returns a float array, which no CSR row or heap order
-changes.
+and a node is its index in that order. A snap compares a block of points
+with every node in numpy passes, ties going to the lowest index; Dijkstra
+reads the CSR arrays in place and returns a float array, which no CSR row
+or heap order changes.
 """
 
 from __future__ import annotations
@@ -58,7 +52,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
@@ -129,8 +122,6 @@ def _blank(cells: list[str]) -> np.ndarray:
 
 def _repeated(ids: list[str]) -> np.ndarray:
     """Mask of the ids equal to an earlier one."""
-    if len(set(ids)) == len(ids):
-        return np.zeros(len(ids), dtype=bool)
     first: dict[str, int] = {}
     return np.array([first.setdefault(nid, i) != i for i, nid in enumerate(ids)], dtype=bool)
 
@@ -144,34 +135,16 @@ def _float_or_nan(cell: str) -> float:
 
 def _float_column(cells: list[str]) -> np.ndarray:
     """float() of every cell; nan for an empty cell and for one float() rejects."""
-    try:
-        return np.array([float(c) if c else math.nan for c in cells], dtype=float)
-    except ValueError:
-        return np.array([_float_or_nan(c) for c in cells], dtype=float)
+    return np.array([_float_or_nan(c) for c in cells], dtype=float)
 
 
 def _positions(index: dict[str, int], keys: list[str]) -> np.ndarray:
     """index[key] for every key, -1 for a key not in index."""
-    try:
-        return np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
-    except KeyError:
-        return np.array([index.get(k, -1) for k in keys], dtype=np.intp)
+    return np.array([index.get(k, -1) for k in keys], dtype=np.intp)
 
 
 def _id_order(ids: list[str]) -> np.ndarray:
-    """The positions of `ids` in `_node_sort_key` order.
-
-    Ids that are all ASCII decimal, 1 to 18 digits long (so below 2**63),
-    with distinct integer values sort by their int64 values; any other set
-    sorts by the key, one call per id. Both give the same order.
-    """
-    digits = "".join(ids)
-    plain = digits.isascii() and digits.isdecimal()
-    if plain and 0 < min(map(len, ids)) and max(map(len, ids)) <= 18:
-        values = np.fromiter(map(int, ids), dtype=np.int64, count=len(ids))
-        order = np.argsort(values)
-        if (np.diff(values[order]) > 0).all():  # "7" and "007" tie here: the key breaks it
-            return order
+    """The positions of `ids` in `_node_sort_key` order."""
     keys = list(map(_node_sort_key, ids))
     return np.array(sorted(range(len(ids)), key=keys.__getitem__), dtype=np.intp)
 
@@ -189,8 +162,7 @@ def build_network(
     endpoint missing from `nodes`, or with a length that is not positive
     and finite, raises SchemaError naming the endpoints of the first such
     edge in file order.
-    The kept ids are ordered by `_id_order`: as int64 values when they are
-    all plain decimal numbers of distinct value, else by `_node_sort_key`.
+    The kept ids are sorted once, by `_node_sort_key`.
     Each temporary is dropped once its last use is done, so the build's
     peak stays near the size of the arrays it returns.
     Each CSR row keeps edge order; no distance depends on it.
@@ -272,9 +244,9 @@ def _matched_header(
 def read_csv_table(
     path: str, headers: Sequence[tuple[str, ...]], what: str
 ) -> tuple[tuple[str, ...], list[int], list[list[str]]]:
-    """Read a UTF-8 CSV file whole; return the matched entry of `headers`,
-    the row number of every kept row and the stripped cells of every
-    column, one list per header field.
+    """Read a UTF-8 CSV file by `csv.reader`; return the matched entry of
+    `headers`, the row number of every kept row and the stripped cells of
+    every column, one list per header field.
 
     The header matches one of `headers` after stripping and lower-casing its
     cells. Rows whose cells are all blank are skipped; row numbers count the
@@ -283,65 +255,7 @@ def read_csv_table(
     or not CSV raises SchemaError naming the path (and the row). These are
     checks on the whole file, made before the caller sees any cell, so they
     come before every error in a cell, wherever the two lie in the file.
-
-    The file's text is read once. Text with no `"`, no CR, no NUL and no
-    line longer than `csv.field_size_limit()` is split directly: each line
-    is a row, each comma ends a cell, and each column is a slice of one
-    flat list of cells. Any other text, and a file that is not UTF-8, goes
-    through `csv.reader` row by row (`_read_csv_rows`). Both routes give
-    the same columns, row numbers and errors.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        return _read_csv_rows(path, headers, what)
-    if '"' in text or "\r" in text or "\0" in text:
-        return _read_csv_rows(path, headers, what)
-    lines = text.split("\n")
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:  # csv.reader rejects such a cell
-        return _read_csv_rows(path, headers, what)
-    del text
-    if lines[-1] == "":
-        lines.pop()  # the text's final newline, or an empty file
-    if not lines:
-        raise SchemaError(f"{path}: empty {what} file")
-    header = lines[0].split(",") if lines[0] else []  # csv.reader's row of an empty line is []
-    matched = _matched_header(path, header, headers)
-    width = len(header)
-    del lines[0]
-    row_nos = range(2, len(lines) + 2)
-    commas = list(map(str.count, lines, repeat(",")))
-    if commas.count(width - 1) != len(lines):
-        # a row of another width must be blank, and is skipped
-        for row_no, line, n in zip(row_nos, lines, commas):
-            if n != width - 1 and line.replace(",", "").strip():
-                raise SchemaError(f"{path} row {row_no}: expected {width} fields, got {n + 1}")
-        wide = [n == width - 1 for n in commas]
-        lines, row_nos = list(compress(lines, wide)), list(compress(row_nos, wide))
-    del commas
-    # each intermediate goes as soon as the next is made: on a 200k-row
-    # file the lines and the cells are 15 and 40 MiB of objects
-    text, rows = ",".join(lines), len(lines)
-    del lines
-    cells = text.split(",") if rows else []
-    del text
-    columns = [list(map(str.strip, cells[i::width])) for i in range(width)]
-    del cells
-    if "" in columns[0]:  # skip the blank rows of the header's width
-        kept = list(map(any, zip(*columns)))
-        columns = [list(compress(column, kept)) for column in columns]
-        row_nos = compress(row_nos, kept)
-    return matched, list(row_nos), columns
-
-
-def _read_csv_rows(
-    path: str, headers: Sequence[tuple[str, ...]], what: str
-) -> tuple[tuple[str, ...], list[int], list[list[str]]]:
-    """`read_csv_table` by `csv.reader`, one row at a time: the route for
-    quoted cells, CR line ends, NUL, very long cells and text that is not
-    UTF-8."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.reader(fh)
@@ -441,7 +355,7 @@ def load_road_edges(path: str) -> RoadEdges:
 # strips) str.strip would remove the others from the ends of a cell.
 _CSV_SPECIAL = (b'"', b"\r", b"\0")
 _NOT_PLAIN = tuple(bytes([c]) for c in b" \t\x0b\x0c\x1c\x1d\x1e\x1f")
-_ID_DIGITS = 18  # so that every id is below 2**63, as in `_id_order`
+_ID_DIGITS = 18  # so that every id is below 2**63 and fits an int64
 
 
 def _read_plain(path: str, headers: Sequence[tuple[str, ...]]):

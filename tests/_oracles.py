@@ -106,10 +106,10 @@ def bellman_ford(
 def read_csv_table_loop(
     path: str, headers: Sequence[tuple[str, ...]], what: str
 ) -> tuple[tuple[str, ...], list[int], list[list[str]]]:
-    """network.read_csv_table by csv.reader alone, one row at a time, for
-    every text: the header matched, each blank row skipped and each row's
-    width checked as the row is read, and the columns taken from the list
-    of rows at the end."""
+    """network.read_csv_table written out on its own, by csv.reader one row
+    at a time: the header matched inline, each blank row skipped and each
+    row's width checked as the row is read, and the columns taken from the
+    list of rows at the end."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.reader(fh)

@@ -613,6 +613,22 @@ def test_byte_order_marks_give_the_golden_bundle(minitown_dir, tmp_path):
     assert digests == GOLDEN_SHA256
 
 
+def test_quoted_crlf_inputs_give_the_golden_bundle(minitown_dir, tmp_path):
+    # every cell quoted and CRLF line ends, in all four CSVs: the road files
+    # decline the numeric route, and csv.reader reads the same cells
+    work = minitown_copy(minitown_dir, tmp_path)
+    for name in ("providers.csv", "roads_nodes.csv", "roads_edges.csv", "demographics.csv"):
+        with open(work / name, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+        with open(work / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+    assert (work / "roads_edges.csv").read_bytes().startswith(b'"from_node","to_node"')
+    out = tmp_path / "out"
+    assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+    assert digests == GOLDEN_SHA256
+
+
 def test_positions_with_altitude_give_the_golden_bundle(minitown_dir, tmp_path, capsys):
     # RFC 7946 allows a third element (the altitude) in a position; only
     # scores.geojson, which echoes the input geometry, keeps it
