@@ -20,19 +20,19 @@ projection formula); a bad cell is found by mask and reported by the
 scalar check of its row, so the first bad row in file order gives the
 error.
 
-`load_road_network` is the road stage of a run, and it has two routes.
-Strictly plain files (ASCII, canonical decimal ids of at most 18 digits,
-no quote, padding, blank row or row of another width, the length column
-all empty or all filled; `_read_plain` and `load_road_network` list every
-rule) take the numeric route: the ids are read from their digits, numpy's
-C reader parses the coordinate and length columns, the nodes are ordered
-by their int64 ids, each edge end is found by binary search, and an edge
-is kept when its class cell equals an allowed class byte for byte. Any
-other pair of files takes the general route,
+`load_road_network` is the road stage of a run, and it has two routes
+that only read. Strictly plain files (ASCII, canonical decimal ids of at
+most 18 digits, no quote, padding, blank row or row of another width;
+`_read_plain` and `load_road_network` list every rule) take the numeric
+route: the ids are read from their digits, numpy's C reader parses the
+coordinate and length columns, each edge end is found by binary search in
+the int64 ids, and an edge is kept when its class cell equals an allowed
+class byte for byte. Any other pair of files takes the general route,
 `build_network(load_road_edges(...), load_road_nodes(...))`, which also
-runs from the start whenever the numeric route declines. The two share
-`_matched_header`, `project_points`, `exact_hypot` and one CSR build,
-`_csr_network`, and give the same network bit for bit, or the same error.
+runs from the start whenever the numeric route declines. Both end in one
+build, `_build`, which fills the empty lengths, raises the error of a bad
+kept edge, drops isolated nodes and makes the CSR arrays, so the two give
+the same network bit for bit, or the same error.
 
 `build_network` owns node order: it sorts the kept ids once into
 `_node_sort_key` order (decimal ids numerically, then the rest by string),
@@ -155,77 +155,82 @@ def build_network(
     allowed_classes: frozenset[str] | set[str] = DEFAULT_ROAD_CLASSES,
 ) -> RoadNetwork:
     """Assemble the graph from the loaded columns, keeping only edges of
-    allowed classes.
-
-    A nan length is the Euclidean distance between the endpoints.
-    Isolated nodes (no surviving edge) are dropped. A kept edge with an
-    endpoint missing from `nodes`, or with a length that is not positive
-    and finite, raises SchemaError naming the endpoints of the first such
-    edge in file order.
-    The kept ids are sorted once, by `_node_sort_key`.
-    Each temporary is dropped once its last use is done, so the build's
-    peak stays near the size of the arrays it returns.
-    Each CSR row keeps edge order; no distance depends on it.
-
-    This is the general route of `load_road_network`, for road files of
-    any form; strictly plain files take its numeric route, which gives the
-    same network and the same errors.
+    allowed classes, by `_build`: a nan length is the Euclidean distance,
+    a kept edge with a missing endpoint or a length that is not positive
+    and finite raises SchemaError, and isolated nodes are dropped. The kept
+    ids are sorted once, by `_node_sort_key`. This is the general route of
+    `load_road_network`, for road files of any form.
     """
-    kept = np.flatnonzero(np.fromiter(
-        map(allowed_classes.__contains__, edges.road_class),
-        dtype=bool,
-        count=len(edges.road_class),
-    ))
+    classes = edges.road_class
+    keep = np.fromiter(map(allowed_classes.__contains__, classes), bool, len(classes))
+    kept = np.flatnonzero(keep)
     index = dict(zip(nodes.ids, range(len(nodes.ids))))
-    # file positions of the from and to nodes of every kept edge, -1 if missing
-    ends = np.stack([_positions(index, end)[kept] for end in (edges.from_node, edges.to_node)])
+    # file positions of the from and to node of every kept edge, in turn
+    ends = np.empty(2 * len(kept), dtype=np.intp)
+    ends[0::2] = _positions(index, edges.from_node)[kept]
+    ends[1::2] = _positions(index, edges.to_node)[kept]
     del index
     length = edges.length_m[kept]
-    found = (ends >= 0).all(axis=0)
-    euclidean = np.flatnonzero(np.isnan(length) & found)
+    del kept
+
+    def edge_ids(k):  # only an error names an edge: find its row again
+        i = int(np.flatnonzero(keep)[k])
+        return edges.from_node[i], edges.to_node[i]
+
+    def key_order(at):
+        at = at[_id_order(list(map(nodes.ids.__getitem__, at.tolist())))]
+        return at, list(map(nodes.ids.__getitem__, at.tolist()))
+
+    return _build(nodes.xs, nodes.ys, ends, length, edge_ids, key_order)
+
+
+def _build(xs, ys, ends, length, edge_ids, key_order) -> RoadNetwork:
+    """The RoadNetwork of the kept edges, whose from and to nodes lie at
+    positions ends[2k] and ends[2k + 1] of the coordinate arrays (-1 for an
+    id not in the node file) and whose lengths are `length`, nan for the
+    Euclidean distance between them. Both routes of the road stage end here.
+
+    A kept edge with a missing endpoint, or with a length that is not
+    positive and finite, raises SchemaError naming the ids `edge_ids(k)` of
+    the first such edge k in file order. Isolated nodes are dropped:
+    `key_order(at)` takes the positions of the others, in increasing order,
+    and returns them in `_node_sort_key` order of their ids, with those
+    ids. `length` is filled in place, and `ends` is overwritten by ranks
+    and then by the neighbour of each CSR entry, becoming `nbr`, so no
+    second array of its size outlives a step. Each CSR row keeps edge
+    order; no distance depends on it.
+    """
+    found = np.minimum(ends[0::2], ends[1::2]) >= 0
+    fill = np.isnan(length) & found
     with np.errstate(over="ignore", invalid="ignore"):
-        dx = nodes.xs[ends[0, euclidean]] - nodes.xs[ends[1, euclidean]]
-        dy = nodes.ys[ends[0, euclidean]] - nodes.ys[ends[1, euclidean]]
-        length[euclidean] = geometry.exact_hypot(dx, dy)  # not np.hypot, which may be an ulp off
+        if fill.any():  # so an empty node file is never indexed
+            dx, dy = xs[ends[0::2]], ys[ends[0::2]]
+            dx -= xs[ends[1::2]]
+            dy -= ys[ends[1::2]]
+            # not np.hypot, which may be an ulp off
+            np.copyto(length, geometry.exact_hypot(dx, dy), where=fill)
+            del dx, dy
         bad = ~(found & (length > 0) & (length < math.inf))
     if bad.any():
-        j = int(bad.argmax())
-        a, b = edges.from_node[kept[j]], edges.to_node[kept[j]]
-        if not found[j]:
-            missing = a if ends[0, j] < 0 else b
+        k = int(bad.argmax())
+        a, b = edge_ids(k)
+        if not found[k]:
+            missing = a if ends[2 * k] < 0 else b
             raise SchemaError(f"edge {a}-{b}: references missing node {missing!r}")
-        raise SchemaError(f"edge {a}-{b}: non-positive length {float(length[j])}")
-    del kept, found, euclidean, dx, dy, bad
-    used = np.zeros(len(nodes.ids), dtype=bool)
-    used[ends.ravel()] = True
-    at = np.flatnonzero(used)  # file position of each kept node
-    del used
-    at = at[_id_order(list(map(nodes.ids.__getitem__, at.tolist())))]
-    ids = list(map(nodes.ids.__getitem__, at.tolist()))
-    tail = ends.T.ravel()  # from_node, to_node of every kept edge, in turn
-    del ends
-    return _csr_network(ids, nodes.xs, nodes.ys, at, tail, length)
-
-
-def _csr_network(ids, xs, ys, at, tail, length) -> RoadNetwork:
-    """The RoadNetwork of nodes `ids`, which lie at positions `at` of the
-    coordinate arrays, and of the kept edges, whose from and to nodes lie
-    at positions tail[2k] and tail[2k + 1] and whose lengths are `length`.
-    Both routes of the road stage end here. `tail` is overwritten, by
-    ranks and then by the neighbour of each CSR entry, and becomes the
-    network's `nbr`, so no second array of its size outlives a step.
-    """
+        raise SchemaError(f"edge {a}-{b}: non-positive length {float(length[k])}")
+    del found, fill, bad
+    at, ids = key_order(np.flatnonzero(np.bincount(ends, minlength=len(xs))))
     rank = np.empty(len(xs), dtype=np.intp)
     rank[at] = np.arange(len(ids))
-    tail[:] = rank[tail]
+    ends[:] = rank[ends]
     del rank
-    order = np.argsort(tail, kind="stable")
+    order = np.argsort(ends, kind="stable")
     indptr = np.zeros(len(ids) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(tail, minlength=len(ids)), out=indptr[1:])
+    np.cumsum(np.bincount(ends, minlength=len(ids)), out=indptr[1:])
     order ^= 1  # the other end of each CSR entry's edge
-    tail[:] = tail[order]
+    ends[:] = ends[order]
     order >>= 1  # the kept edge of each CSR entry
-    return RoadNetwork(ids, xs[at], ys[at], indptr, tail, length[order])
+    return RoadNetwork(ids, xs[at], ys[at], indptr, ends, length[order])
 
 
 def _matched_header(
@@ -514,7 +519,6 @@ def _plain_road_network(
     if nodes is None:
         return None
     node_ids, xs, ys = nodes
-    del nodes
     plain = _read_plain(edges_path, _EDGE_HEADERS)
     if plain is None:
         return None
@@ -529,39 +533,33 @@ def _plain_road_network(
         wanted[:, j] = ids
     start, end = _cells(ends, 2)
     given = end > start  # a length in the cell
-    filled = bool(given[0])
-    if not (given == filled).all():  # some lengths given and some empty
-        return None
     kept = np.flatnonzero(_equal_cells(body, *_cells(ends, 3), allowed_classes))
-    del body, ends, start, end, given, ids
-    if filled:
-        table = _loadtxt(data, (2,))
-        if table is None or not np.isfinite(table).all():
+    del body, ends, start, end, ids
+    length = None  # no length given: every length is nan, the Euclidean one
+    if given.any():
+        # numpy's reader rejects an empty cell; with both ids read, each
+        # ",," is an empty length, which becomes nan, the Euclidean length
+        table = _loadtxt(data.replace(b",,", b",nan,"), (2,))
+        if table is None or not np.isfinite(table[given]).all():
             return None
         length = table[kept, 0]
         del table
-    del data
+    del data, given
     # the position in id order of each end of every kept edge, found by
     # binary search and then checked to be that id
     wanted = wanted[kept].ravel()
-    tail = np.searchsorted(node_ids, wanted)
-    if not (node_ids[np.minimum(tail, len(node_ids) - 1)] == wanted).all():
+    del kept
+    ends = np.searchsorted(node_ids, wanted)
+    if not (node_ids[np.minimum(ends, len(node_ids) - 1)] == wanted).all():
         return None  # a kept edge's endpoint is not in the node file
     del wanted
-    if not filled:
-        with np.errstate(over="ignore", invalid="ignore"):
-            dx = xs[tail[0::2]] - xs[tail[1::2]]
-            dy = ys[tail[0::2]] - ys[tail[1::2]]
-        length = geometry.exact_hypot(dx, dy)
-        del dx, dy
-    if not ((length > 0) & (length < math.inf)).all():
-        return None
-    used = np.zeros(len(node_ids), dtype=bool)
-    used[tail] = True
-    at = np.flatnonzero(used)
-    del used
-    ids = list(map(str, node_ids[at].tolist()))
-    return _csr_network(ids, xs, ys, at, tail, length)
+    if length is None:  # made only now, so the search above does not hold it
+        length = np.full(len(ends) // 2, math.nan)
+    return _build(
+        xs, ys, ends, length,
+        lambda k: tuple(map(str, node_ids[ends[2 * k : 2 * k + 2]].tolist())),
+        lambda at: (at, list(map(str, node_ids[at].tolist()))),  # ids in increasing order
+    )
 
 
 def load_road_network(
@@ -582,13 +580,13 @@ def load_road_network(
     binary search, and an edge is kept when its class cell equals an
     allowed class byte for byte. Both files must be strictly plain for
     `_read_plain`, their ids decimal numbers as `_decimal_ids` reads them,
-    the node ids distinct, every coordinate
-    finite and valid for `project_points`, the length column empty in
-    every row or filled in every row, and every kept edge must have both
-    endpoints and a positive finite length. Where any of this fails, or
-    the reader rejects a cell, or a read fails, the numeric route declines
-    and the general route runs from the start, so that every error keeps
-    its type, its message and its order.
+    the node ids distinct, every coordinate finite and valid for
+    `project_points`, every given length finite, and every kept edge's
+    endpoints in the node file. Where any of this fails, or the reader
+    rejects a cell, or a read fails, the numeric route declines and the
+    general route runs from the start, so that every error keeps its type,
+    its message and its order. Both routes end in `_build`, which raises
+    the error of a kept edge's length.
     """
     net = _plain_road_network(nodes_path, edges_path, allowed_classes, ref_lon, ref_lat)
     if net is None:

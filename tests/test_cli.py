@@ -2,6 +2,7 @@ import csv
 import gc
 import hashlib
 import json
+import math
 import os
 import pathlib
 import random
@@ -558,23 +559,48 @@ def relabel_road_ids(work):
         (work / name).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
+def give_every_other_euclidean_length(work):
+    """Write every other edge's length as the repr of the Euclidean length
+    between its endpoints, projected as the lon/lat loader projects them:
+    a length column that mixes given and empty cells, and the same graph."""
+    cfg = read_json(work / "config.json")
+    header, *rows = (work / "roads_nodes.csv").read_text(encoding="utf-8").splitlines()
+    ref = cfg["ref_lon"], cfg["ref_lat"]
+    at = {}
+    for line in rows:
+        node_id, lon, lat = line.split(",")
+        at[node_id] = geometry.project_lonlat(float(lon), float(lat), *ref)
+    header, *rows = (work / "roads_edges.csv").read_text(encoding="utf-8").splitlines()
+    for i in range(0, len(rows), 2):
+        a, b, length, road_class = rows[i].split(",")
+        assert length == ""
+        (xa, ya), (xb, yb) = at[a], at[b]
+        rows[i] = f"{a},{b},{math.hypot(xa - xb, ya - yb)!r},{road_class}"  # as geometry.exact_hypot
+    (work / "roads_edges.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
 def test_decimal_road_ids_take_the_numeric_route_to_the_golden_bundle(
     minitown_dir, tmp_path, monkeypatch
 ):
     # minitown's own ids (c11, h11, ...) send its road files to the general
     # route of network.load_road_network; decimal ids send them to the
-    # numeric route, which must give the same bytes
+    # numeric route, which must give the same bytes, with every length
+    # empty and then with every other one given as its Euclidean value
     work = minitown_copy(minitown_dir, tmp_path)
     relabel_road_ids(work)
     assert (work / "roads_edges.csv").read_text().splitlines()[1] == "1,10,,residential"
     paths = []
     real = network.read_csv_table
     monkeypatch.setattr(network, "read_csv_table", lambda path, *a: paths.append(path) or real(path, *a))
-    out = tmp_path / "out"
-    assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
-    assert not [p for p in paths if os.path.basename(p).startswith("roads_")], paths
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
-    assert digests == GOLDEN_SHA256
+    for lengths in ("empty", "mixed"):
+        if lengths == "mixed":
+            give_every_other_euclidean_length(work)
+            assert (work / "roads_edges.csv").read_text().splitlines()[2].endswith(",,residential")
+        out = tmp_path / lengths
+        assert run(["report", "--config", str(work / "config.json"), "--out", str(out)]) == 0
+        assert not [p for p in paths if os.path.basename(p).startswith("roads_")], paths
+        digests = {name: hashlib.sha256(data).hexdigest() for name, data in tree_bytes(out).items()}
+        assert digests == GOLDEN_SHA256, lengths
 
 
 def shuffle_inputs(work, rnd):

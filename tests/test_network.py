@@ -650,8 +650,8 @@ def random_road_files(rng, plain=False):
     alone, so that the node order mixes the two kinds of key or is numeric.
 
     With `plain`, both files are strictly plain for the numeric route of
-    load_road_network: decimal ids of at most 18 digits, no padded cell,
-    no blank row, and the lengths all empty or all given."""
+    load_road_network: decimal ids of at most 18 digits, no padded cell
+    and no blank row; the lengths all empty, all given or mixed."""
     geographic = rng.random() < 0.5
     if plain or rng.random() < 0.3:  # plain decimal ids of up to 18 digits only
         k = int(rng.integers(2, 40))
@@ -671,10 +671,10 @@ def random_road_files(rng, plain=False):
     digits = int(rng.integers(4, 10))
     nodes = [(nid, f"{u:.{digits}f}", f"{v:.{digits}f}") for nid, (u, v) in zip(ids, coords)]
     edges = []
-    no_lengths = plain and rng.random() < 0.5
+    empty_share = float(rng.choice([0.0, 0.5, 1.0])) if plain else 0.4
     for _ in range(int(rng.integers(0, 3 * len(ids)))):
         a, b = rng.choice(len(ids), size=2, replace=False)
-        empty = no_lengths if plain else rng.random() < 0.4
+        empty = rng.random() < empty_share
         length = "" if empty else f"{rng.uniform(0.5, 900):.{digits}f}"
         edges.append((ids[a], ids[b], length, str(rng.choice(CLASSES))))
     text = plain_csv_text if plain else csv_text
@@ -768,10 +768,11 @@ def test_load_road_network_matches_row_loop_on_random_csvs(tmp_path, monkeypatch
     assert accepted[True] >= 110, accepted
 
 
-# A strictly plain file pair that the numeric route takes, and one change
-# to it per rule of that route: (file, old text, new text), or a function
-# of the two texts. Each change sends the pair to the general route, whose
-# network or error load_road_network returns.
+# A strictly plain file pair that the numeric route takes, and changes to
+# it: (file, old text, new text), or a function of the two texts. Each
+# change of PLAIN_DECLINES breaks one rule of that route and sends the pair
+# to the general route; each of PLAIN_TAKES keeps the pair on it. Either
+# way load_road_network returns the general route's network or error.
 PLAIN_NODES = (
     "node_id,lon,lat\n1,-87.7,41.85\n2,-87.69,41.85\n3,-87.69,41.86\n40,-87.7,41.86\n"
 )
@@ -824,8 +825,7 @@ PLAIN_DECLINES = {
     "latitude-out-of-range": ("nodes", "3,-87.69,41.86", "3,-87.69,89.5"),
     "duplicate-id": ("nodes", "40,-87.7,41.86\n", "40,-87.7,41.86\n2,-87.68,41.85\n"),
     "missing-endpoint": ("edges", "1,2,,residential", "1,9,,residential"),
-    "mixed-lengths": ("edges", "2,3,,", "2,3,950.5,"),
-    "zero-length": all_lengths("120.5", "0", "80", "95.25"),
+    "nan-length-beside-empty-ones": ("edges", "2,3,,", "2,3,nan,"),
     "infinite-length-of-a-dropped-edge": all_lengths("120.5", "80", "inf", "95.25"),
     "non-ascii-cell": ("edges", "primary", "prímary"),
     "separator-byte": ("edges", "2,3,,primary", "2,3,,primary\x1c"),
@@ -840,11 +840,19 @@ PLAIN_DECLINES = {
     "header-only-nodes": ("nodes", PLAIN_NODES, "node_id,lon,lat\n"),
 }
 
+# the one build raises the error of a kept edge, or fills an empty length,
+# on either route
+PLAIN_TAKES = {
+    "mixed-lengths": ("edges", "2,3,,", "2,3,950.5,"),
+    "zero-length": all_lengths("120.5", "0", "80", "95.25"),
+    "motorway-to-missing-node": ("edges", "3,40,,motorway", "3,9,,motorway"),
+}
 
-@pytest.mark.parametrize("name", [None, *PLAIN_DECLINES])
-def test_numeric_route_declines_each_file_it_cannot_read_exactly(tmp_path, monkeypatch, name):
+
+def changed_pair_outcomes(tmp_path, monkeypatch, change):
+    """Write the plain pair with `change` made; return load_road_network's
+    outcome, the row loop's, and the paths the general route read."""
     nodes_text, edges_text = PLAIN_NODES, PLAIN_EDGES
-    change = PLAIN_DECLINES.get(name)
     if callable(change):
         nodes_text, edges_text = change(nodes_text, edges_text)
     elif change is not None:
@@ -869,10 +877,23 @@ def test_numeric_route_declines_each_file_it_cannot_read_exactly(tmp_path, monke
         assert got == want
     else:
         assert_same_network(got, want)
+    return got, want, general
+
+
+@pytest.mark.parametrize("name", [None, *PLAIN_DECLINES])
+def test_numeric_route_declines_each_file_it_cannot_read_exactly(tmp_path, monkeypatch, name):
+    got, _, general = changed_pair_outcomes(tmp_path, monkeypatch, PLAIN_DECLINES.get(name))
     # the unchanged pair takes the numeric route, every changed one declines
     assert (general == []) == (name is None), general
     if name is None:
         assert got.ids == ["1", "2", "3", "40"]
+
+
+@pytest.mark.parametrize("name", PLAIN_TAKES)
+def test_numeric_route_takes_each_pair_it_reads(tmp_path, monkeypatch, name):
+    got, want, general = changed_pair_outcomes(tmp_path, monkeypatch, PLAIN_TAKES[name])
+    assert general == []
+    assert isinstance(want, tuple) == (name == "zero-length")
 
 
 def test_numeric_route_declines_a_file_it_cannot_open(tmp_path):
@@ -1051,6 +1072,67 @@ def test_build_peak_stays_near_the_size_of_its_arrays(name):
             tracemalloc.stop()
     arrays = sum(x.nbytes for x in (net.xs, net.ys, net.indptr, net.nbr, net.length))
     assert peak < 2.5 * arrays, (peak, arrays)
+
+
+def write_plain_lattice(tmp_path, k, given):
+    """A k x k lattice of lon/lat road nodes with decimal ids, as a plain
+    file pair, and its paths: every edge whose row number `given` accepts
+    has a length, every other one is empty, and one edge in 50 is of a
+    dropped class."""
+    row_of, col_of = np.divmod(np.arange(k * k), k)
+    lines = ["node_id,lon,lat"] + [
+        f"{i},{REF[0] + c * 5e-4:.7f},{REF[1] + r * 4e-4:.7f}"
+        for i, (r, c) in enumerate(zip(row_of.tolist(), col_of.tolist()))
+    ]
+    nodes_path, edges_path = tmp_path / "lattice_nodes.csv", tmp_path / "lattice_edges.csv"
+    nodes_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    east = np.flatnonzero(col_of < k - 1).tolist()
+    pairs = [(i, i + 1) for i in east] + [(i, i + k) for i in range(k * k - k)]
+    lines = ["from_node,to_node,length_m,road_class"]
+    for j, (a, b) in enumerate(pairs):
+        road_class = "motorway" if j % 50 == 0 else "residential"
+        lines.append(f"{a},{b},{40 + j % 7 * 2.5 if given(j) else ''},{road_class}")
+    edges_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return str(nodes_path), str(edges_path)
+
+
+def test_numeric_route_reads_a_mixed_length_lattice_as_the_general_route(tmp_path, monkeypatch):
+    # the road-graph shape, 160 x 160 nodes, with every other length given:
+    # the numeric route takes the pair and builds the general route's network
+    args = write_plain_lattice(tmp_path, 160, given=lambda j: j % 2 == 1)
+    general = general_route_calls(monkeypatch)
+    got = network.load_road_network(*args, network.DEFAULT_ROAD_CLASSES, *REF)
+    assert general == []
+    nodes_path, edges_path = args
+    want = build_network(load_road_edges(edges_path), load_road_nodes(nodes_path, *REF))
+    assert_same_network(got, want)
+    assert len(got.ids) == 160 * 160
+    # the 160 * 159 odd rows give their lengths, and all are kept: each is
+    # two CSR entries
+    assert np.isin(got.length, 40 + np.arange(7) * 2.5).sum() == 2 * 160 * 159
+
+
+def test_numeric_route_peak_stays_near_the_size_of_its_arrays(tmp_path):
+    # a plain 100 x 100 lattice with every length empty: tracemalloc's peak
+    # over load_road_network stays under 3.5 times the bytes of the arrays
+    # it returns (3.3x measured, as before both routes ended in one build;
+    # the peak is in reading the edge file, whose cell offsets alone take
+    # 32 bytes a row, not in the build)
+    args = write_plain_lattice(tmp_path, 100, given=lambda j: False)
+    network.load_road_network(*args, network.DEFAULT_ROAD_CLASSES, *REF)  # numpy's setup
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        net = network.load_road_network(*args, network.DEFAULT_ROAD_CLASSES, *REF)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    arrays = sum(x.nbytes for x in (net.xs, net.ys, net.indptr, net.nbr, net.length))
+    assert peak < 3.5 * arrays, (peak, arrays)
 
 
 def test_dijkstra_peak_stays_below_the_size_of_the_csr_arrays():
