@@ -119,8 +119,8 @@ def load_config_file(path: str) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ConfigError(f"config {path} is not a UTF-8 JSON file: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     unknown = set(raw) - _FIELD_NAMES

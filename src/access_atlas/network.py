@@ -13,12 +13,10 @@ and all those points.
 `read_csv_table` reads all four CSV inputs (the road nodes and edges here,
 the providers and demographics in `ingest`) by `csv.reader`: it matches
 the header, skips blank rows, strips every cell, checks each row's width
-and returns the whole file as columns. The road loaders parse those
-columns with array operations into `RoadNodes` and `RoadEdges` (lon/lat
-nodes are projected by `geometry.project_points`, the one copy of the
-projection formula); a bad cell is found by mask and reported by the
-scalar check of its row, so the first bad row in file order gives the
-error.
+and returns the whole file as columns. The road loaders check those columns
+one row at a time, in file order, as the other inputs do, so the first
+bad row gives the error; then lon/lat nodes are projected all at once by
+`geometry.project_points`, the one copy of the projection formula.
 
 `load_road_network` is the road stage of a run, and it has two routes
 that only read. Strictly plain files (ASCII, canonical decimal ids of at
@@ -113,29 +111,6 @@ class RoadNetwork:
     indptr: np.ndarray
     nbr: np.ndarray
     length: np.ndarray
-
-
-def _blank(cells: list[str]) -> np.ndarray:
-    """Mask of the empty cells."""
-    return np.fromiter(map(operator.not_, cells), dtype=bool, count=len(cells))
-
-
-def _repeated(ids: list[str]) -> np.ndarray:
-    """Mask of the ids equal to an earlier one."""
-    first: dict[str, int] = {}
-    return np.array([first.setdefault(nid, i) != i for i, nid in enumerate(ids)], dtype=bool)
-
-
-def _float_or_nan(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
-
-
-def _float_column(cells: list[str]) -> np.ndarray:
-    """float() of every cell; nan for an empty cell and for one float() rejects."""
-    return np.array([_float_or_nan(c) for c in cells], dtype=float)
 
 
 def _positions(index: dict[str, int], keys: list[str]) -> np.ndarray:
@@ -306,35 +281,33 @@ def load_road_nodes(
     """Read the node CSV; header decides the coordinate convention.
 
     `node_id,x,y` is taken as projected meters; `node_id,lon,lat` is
-    projected with the supplied reference point at ingest, all at once by
-    `project_points`. An empty or repeated id, a coordinate that is not a
-    finite number, or a point `project_lonlat` rejects raises the error of
-    the first such row.
+    projected with the supplied reference point at ingest. Every row is
+    checked first, in file order: an empty or repeated id, or a coordinate
+    that is not a finite number, raises the error of its row. Then the
+    lon/lat points are projected all at once by `project_points`, and the
+    first point off the local plane raises DomainError naming its row.
     """
     header, row_nos, (ids, raw_u, raw_v) = read_csv_table(path, _NODE_HEADERS, "node")
     geographic = header[1] == "lon"
     if geographic and (ref_lon is None or ref_lat is None):
         raise SchemaError(f"{path}: lon/lat nodes need a projection reference")
-    u, v = _float_column(raw_u), _float_column(raw_v)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok = np.isfinite(u) & np.isfinite(v)
-        if geographic:
-            xs, ys, valid = project_points(u, v, ref_lon, ref_lat)
-            ok &= valid
-        else:
-            xs, ys = u, v
-    bad = ~ok | _blank(ids) | _repeated(ids)
-    if bad.any():  # the checks of the first bad row, in order, raise its error
-        i = int(bad.argmax())
-        nid, row_no = ids[i], row_nos[i]
+    u, v = np.empty(len(ids)), np.empty(len(ids))
+    seen: set[str] = set()
+    for k, (row_no, nid, cell_u, cell_v) in enumerate(zip(row_nos, ids, raw_u, raw_v)):
         if not nid:
             raise SchemaError(f"{path} row {row_no}: empty node_id")
-        if nid in ids[:i]:
+        if nid in seen:
             raise SchemaError(f"{path} row {row_no}: duplicate node_id {nid!r}")
-        x = parse_finite(raw_u[i], f"{path} row {row_no} {header[1]}")
-        y = parse_finite(raw_v[i], f"{path} row {row_no} {header[2]}")
-        if geographic:
-            project_lonlat(x, y, ref_lon, ref_lat, f"{path} row {row_no}: ")
+        seen.add(nid)
+        u[k] = parse_finite(cell_u, f"{path} row {row_no} {header[1]}")
+        v[k] = parse_finite(cell_v, f"{path} row {row_no} {header[2]}")
+    if not geographic:
+        return RoadNodes(ids, u, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys, valid = project_points(u, v, ref_lon, ref_lat)
+    if not valid.all():  # the first point off the plane raises its error
+        k = int(valid.argmin())
+        project_lonlat(float(u[k]), float(v[k]), ref_lon, ref_lat, f"{path} row {row_nos[k]}: ")
     return RoadNodes(ids, xs, ys)
 
 
@@ -345,13 +318,11 @@ def load_road_edges(path: str) -> RoadEdges:
     a finite number, raises the error of the first such row.
     """
     _, row_nos, (a, b, raw_len, road_class) = read_csv_table(path, _EDGE_HEADERS, "edge")
-    length = _float_column(raw_len)
-    bad = _blank(a) | _blank(b) | (~_blank(raw_len) & ~np.isfinite(length))
-    if bad.any():  # the checks of the first bad row, in order, raise its error
-        i = int(bad.argmax())
-        if not a[i] or not b[i]:
-            raise SchemaError(f"{path} row {row_nos[i]}: empty endpoint id")
-        parse_finite(raw_len[i], f"{path} row {row_nos[i]} length_m")
+    length = np.empty(len(a))
+    for k, (row_no, from_id, to_id, cell) in enumerate(zip(row_nos, a, b, raw_len)):
+        if not from_id or not to_id:
+            raise SchemaError(f"{path} row {row_no}: empty endpoint id")
+        length[k] = parse_finite(cell, f"{path} row {row_no} length_m") if cell else math.nan
     return RoadEdges(a, b, length, road_class)
 
 

@@ -142,12 +142,12 @@ def read_csv_table_loop(
 def road_network_loop(
     nodes_path, edges_path, ref_lon=None, ref_lat=None, allowed_classes=DEFAULT_ROAD_CLASSES
 ) -> RoadNetwork:
-    """The road stage one row at a time: every node row checked, parsed and
-    projected by project_lonlat, every edge row checked and parsed, the kept
-    edges checked in file order, the kept ids sorted from a set and each CSR
-    row built as a Python list; a drop-in for
-    build_network(load_road_edges(edges_path), load_road_nodes(nodes_path,
-    ref_lon, ref_lat), allowed_classes)."""
+    """The road stage one row at a time: every node row checked and parsed,
+    then every node projected by project_lonlat in file order, every edge
+    row checked and parsed, the kept edges checked in file order, the kept
+    ids sorted from a set and each CSR row built as a Python list; a
+    drop-in for build_network(load_road_edges(edges_path),
+    load_road_nodes(nodes_path, ref_lon, ref_lat), allowed_classes)."""
     path = nodes_path
     header, row_nos, columns = read_csv_table_loop(
         path, [("node_id", "x", "y"), ("node_id", "lon", "lat")], "node"
@@ -163,11 +163,11 @@ def road_network_loop(
             raise SchemaError(f"{path} row {row_no}: duplicate node_id {nid!r}")
         u = parse_finite(raw_u, f"{path} row {row_no} {header[1]}")
         v = parse_finite(raw_v, f"{path} row {row_no} {header[2]}")
-        if geographic:
+        nodes[nid] = ProjectedPoint(u, v)
+    if geographic:  # only once every row is checked, as for the providers
+        for row_no, (nid, (u, v)) in zip(row_nos, nodes.items()):
             where = f"{path} row {row_no}: "
             nodes[nid] = ProjectedPoint(*project_lonlat(u, v, ref_lon, ref_lat, where))
-        else:
-            nodes[nid] = ProjectedPoint(u, v)
 
     path = edges_path
     _, row_nos, columns = read_csv_table_loop(

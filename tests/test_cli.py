@@ -988,6 +988,22 @@ def test_non_numeric_config_value_exits_4(minitown_dir, tmp_path, capsys):
     assert run(["variables", "--config", str(work / "config.json")]) == 0
 
 
+def test_config_that_is_not_utf8_exits_4(tmp_path):
+    # a config file with a byte UTF-8 cannot decode is an invalid
+    # configuration, as one that is not JSON is: exit 4, and no traceback
+    for name, data in (("bad.json", b'{"seed": "\xff"}'), ("odd.json", b'{"seed": ')):
+        cfg_path = tmp_path / name
+        cfg_path.write_bytes(data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "access_atlas.cli", "report", "--config", str(cfg_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"error: config {cfg_path} is not a UTF-8 JSON file: " in proc.stderr
+
+
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "access_atlas.cli"],
