@@ -9,8 +9,9 @@ renders box-map choropleths.
 import os
 
 # One OpenBLAS thread, set before the first import that loads numpy
-# (.geometry). The package's only BLAS calls are `z.T @ z`, `z @ loadings`
-# and a 10 x 10 `eigh`, all at most n x 10, too small for a second thread;
+# (.geometry). The package's only BLAS calls are `z.T @ z`, `z @ loadings`,
+# a 10 x 10 `eigh` and the Moran pair product (weights times an E x 10
+# block, once per permutation), all too small for a second thread;
 # yet OpenBLAS starts its worker when numpy loads, and that worker
 # busy-waits on another core for 0.1-0.13 s of every process (measured on a
 # 2-vCPU VM). A value already in the environment wins, and so does a BLAS

@@ -321,27 +321,22 @@ def neighbour_sets(adjacency) -> list[set[int]]:
 
 
 def moran_weights_loop(neighbors) -> MoranWeights:
-    """Row-standardised weights one tract at a time, from neighbour sets;
-    a drop-in for stats.moran_weights."""
-    has: list[int] = []
-    starts: list[int] = []
-    nbr: list[int] = []
-    inv_degree: list[float] = []
+    """Pair-form weights one tract at a time, from neighbour sets; a
+    drop-in for stats.moran_weights."""
+    a: list[int] = []
+    b: list[int] = []
+    c: list[float] = []
     for i, neigh in enumerate(neighbors):
-        if not neigh:
-            continue
-        has.append(i)
-        starts.append(len(nbr))
-        nbr.extend(sorted(neigh))
-        inv_degree.append(1.0 / len(neigh))
-    if not has:
+        for j in sorted(neigh):
+            if j > i:
+                a.append(i)
+                b.append(j)
+                c.append(1.0 / len(neigh) + 1.0 / len(neighbors[j]))
+    s0 = sum(1 for neigh in neighbors if neigh)
+    if not s0:
         raise DomainError("no tract has a neighbor; Moran's I is undefined")
     return MoranWeights(
-        has=np.array(has, dtype=np.intp),
-        starts=np.array(starts, dtype=np.intp),
-        nbr=np.array(nbr, dtype=np.intp),
-        inv_degree=np.array(inv_degree, dtype=float),
-        s0=float(len(has)),
+        ab=np.array(a + b, dtype=np.intp), c=np.array(c, dtype=float), s0=float(s0)
     )
 
 

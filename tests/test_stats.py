@@ -449,8 +449,8 @@ def test_morans_i_pseudo_p_definition():
 
 def random_graph_with_islands(rng, n, p_edge):
     """Random symmetric neighbour sets whose islands include the first
-    tract, two consecutive mid-table tracts and the last three, so the CSR
-    starts of the linked tracts skip empty rows at both ends and inside."""
+    tract, two consecutive mid-table tracts and the last three, so the
+    weights skip empty CSR rows at both ends and inside."""
     islands = {0, n // 2, n // 2 + 1, n - 3, n - 2, n - 1}
     linked = [i for i in range(n) if i not in islands]
     neighbors = [set() for _ in range(n)]
@@ -471,7 +471,7 @@ def test_moran_weights_equal_per_tract_loop():
             neighbors[2].add(1)
         got = moran_weights(csr(neighbors))
         want = moran_weights_loop(neighbors)
-        for name in ("has", "starts", "nbr", "inv_degree"):
+        for name in ("ab", "c"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert type(got.s0) is type(want.s0) and got.s0 == want.s0
@@ -494,12 +494,16 @@ def loop_hits(x, neighbors, permutations, seed, exact):
 
 def record_stats(monkeypatch):
     """The (permutation, statistics) pair of every stats._moran_stat call
-    made after this, in call order."""
+    made after this, in call order. Every call of one morans_i, which
+    centres its table once, gets the same two scratch arrays."""
     calls = []
+    scratch = {}  # id of the centred table -> (table, idx, rows); keeps ids unique
     original = stats._moran_stat
 
-    def recorded(z, ss, weights, perm):
-        got = original(z, ss, weights, perm)
+    def recorded(z, ss, weights, perm, idx, rows):
+        first = scratch.setdefault(id(z), (z, idx, rows))
+        assert first[1] is idx and first[2] is rows
+        got = original(z, ss, weights, perm, idx, rows)
         calls.append((perm.copy(), got))
         return got
 
