@@ -78,6 +78,18 @@ def project_lonlat(
     return x, y
 
 
+def project_each(lon, lat, ref_lon: float, ref_lat: float, where):
+    """project_points of arrays of points, returning x and y; the first
+    point that is not valid, at position k, raises project_lonlat's
+    DomainError, its message prefixed by where(k)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y, valid = project_points(lon, lat, ref_lon, ref_lat)
+    if not valid.all():
+        k = int(valid.argmin())
+        project_lonlat(float(lon[k]), float(lat[k]), ref_lon, ref_lat, where(k))
+    return x, y
+
+
 @dataclass(frozen=True, eq=False)
 class Tracts:
     """The tracts of a run, packed once into flat arrays by `pack_tracts`.

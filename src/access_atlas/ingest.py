@@ -34,8 +34,7 @@ from .geometry import (
     Tracts,
     availability_counts,
     pack_tracts,
-    project_lonlat,
-    project_points,
+    project_each,
 )
 from .network import (
     DEFAULT_SNAP_MAX_M,
@@ -243,13 +242,12 @@ def load_tracts(path: str, ref_lon: float, ref_lat: float) -> Tracts:
     del ids
     ids = [joined[a:b] for a, b in zip([0, *stops], stops)]
     del joined
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, y, valid = project_points(lon, lat, ref_lon, ref_lat)
-    if not valid.all():  # the first point off the plane raises its error
-        k = int(valid.argmin())
+
+    def where(k: int) -> str:
         idx = int(np.searchsorted(ends, k, side="right"))
-        where = f"{path}: feature {idx} (tract {ids[idx]}): "
-        project_lonlat(float(lon[k]), float(lat[k]), ref_lon, ref_lat, where)
+        return f"{path}: feature {idx} (tract {ids[idx]}): "
+
+    x, y = project_each(lon, lat, ref_lon, ref_lat, where)
     return pack_tracts(
         ids, lon, lat, x, y, ring_sizes, ring_counts, part_counts, multi, verbatim
     )
@@ -296,12 +294,10 @@ def load_providers(path: str, ref_lon: float, ref_lat: float) -> Providers:
         else:
             radius = KIND_RADII[kind]
         radii.append(radius)
-    lon, lat = np.array(lons, dtype=float), np.array(lats, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, y, valid = project_points(lon, lat, ref_lon, ref_lat)
-    if not valid.all():  # the first point off the plane raises its error
-        k = int(valid.argmin())
-        project_lonlat(lons[k], lats[k], ref_lon, ref_lat, f"{path} row {row_nos[k]}: ")
+    x, y = project_each(
+        np.array(lons, dtype=float), np.array(lats, dtype=float), ref_lon, ref_lat,
+        lambda k: f"{path} row {row_nos[k]}: ",
+    )
     return Providers(ids, kinds, x, y, np.array(radii, dtype=float))
 
 

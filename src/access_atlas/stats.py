@@ -21,11 +21,11 @@ centred once, with its sums of squares, since neither changes when the
 rows are permuted. Permutation t draws one index from an RNG seeded as
 seed + t and applies it to every column, so all columns share one
 permutation stream; each permutation costs one gather of both ends of
-every pair, into rows allocated once per call, and one product of the
-pair weights with the ends' products, and the observed I is the identity
-permutation. A permutation counts as a hit when it is at least as extreme
-as the observed I up to a relative tolerance (MORAN_TIE_RTOL), so exact
-ties are hits whatever order the floating-point sums ran in.
+every pair and one product of the pair weights with the ends' products,
+and the observed I is the identity permutation. A permutation counts as a
+hit when it is at least as extreme as the observed I up to a relative
+tolerance (MORAN_TIE_RTOL), so exact ties are hits whatever order the
+floating-point sums ran in.
 """
 
 from __future__ import annotations
@@ -259,21 +259,16 @@ def moran_weights(adjacency: tuple[np.ndarray, np.ndarray]) -> MoranWeights:
 
 
 def _moran_stat(
-    z: np.ndarray, ss: np.ndarray, weights: MoranWeights, perm: np.ndarray,
-    idx: np.ndarray, rows: np.ndarray,
+    z: np.ndarray, ss: np.ndarray, weights: MoranWeights, perm: np.ndarray
 ) -> np.ndarray:
     """Moran's I of every column of the centred n x p table z with its rows
     permuted by perm; ss holds the column sums of z**2. The numerator is
     sum_k c_k z[perm[a_k]] z[perm[b_k]]: one gather of both ends of every
-    pair into the scratch rows (2E x p, with idx its 2E indices), their
-    product in place and one product with c."""
-    # every index is in range; under mode="raise" a take with out= is
-    # buffered, and twice as slow
-    np.take(perm, weights.ab, out=idx, mode="clip")
-    np.take(z, idx, axis=0, out=rows, mode="clip")
+    pair (2E x p), the product of the two halves and one product with c."""
+    rows = z.take(perm.take(weights.ab), axis=0)
     pairs = len(weights.c)
     head = rows[:pairs]
-    np.multiply(head, rows[pairs:], out=head)
+    head *= rows[pairs:]
     return (len(z) / weights.s0) * (weights.c @ head) / ss
 
 
@@ -292,11 +287,11 @@ def morans_i(
     where z = x - mean(x), w_ij = 1/|N(i)| and S0 is the total weight (see
     MoranWeights). The table is centred once and its sums of squares taken
     once: both are the same for every permutation of the rows, so only the
-    numerator is evaluated per permutation (_moran_stat), into scratch rows
-    allocated once, the observed I being the identity permutation.
-    Permutation t shuffles the rows with an RNG seeded as seed + t, drawn
-    once and applied to every column, so each column's result is
-    independent of execution order and of the other columns. pseudo_p is (hits + 1) / (permutations + 1), where a
+    numerator is evaluated per permutation (_moran_stat), the observed I
+    being the identity permutation. Permutation t shuffles the rows with an
+    RNG seeded as seed + t, drawn once and applied to every column, so each
+    column's result is independent of execution order and of the other
+    columns. pseudo_p is (hits + 1) / (permutations + 1), where a
     permutation is a hit when |I_perm| >= |I| * (1 - MORAN_TIE_RTOL). A
     constant column (so also its permutations) raises ConstantColumnError
     naming it, as in standardize_table.
@@ -316,14 +311,12 @@ def morans_i(
     standardize_table(x, names)  # names the first constant column
     z = x - x.mean(axis=0)
     ss = np.einsum("ij,ij->j", z, z)
-    idx = np.empty(len(weights.ab), dtype=np.intp)
-    rows = np.empty((len(weights.ab), p))
-    observed = _moran_stat(z, ss, weights, np.arange(n), idx, rows)
+    observed = _moran_stat(z, ss, weights, np.arange(n))
     thresholds = np.abs(observed) * (1.0 - MORAN_TIE_RTOL)
     hits = np.zeros(p, dtype=np.int64)
     for t in range(permutations):
         perm = np.random.default_rng(seed + t).permutation(n)
-        hits += np.abs(_moran_stat(z, ss, weights, perm, idx, rows)) >= thresholds
+        hits += np.abs(_moran_stat(z, ss, weights, perm)) >= thresholds
     return [
         MoranResult(
             I=float(observed[j]),

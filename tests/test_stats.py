@@ -494,16 +494,12 @@ def loop_hits(x, neighbors, permutations, seed, exact):
 
 def record_stats(monkeypatch):
     """The (permutation, statistics) pair of every stats._moran_stat call
-    made after this, in call order. Every call of one morans_i, which
-    centres its table once, gets the same two scratch arrays."""
+    made after this, in call order."""
     calls = []
-    scratch = {}  # id of the centred table -> (table, idx, rows); keeps ids unique
     original = stats._moran_stat
 
-    def recorded(z, ss, weights, perm, idx, rows):
-        first = scratch.setdefault(id(z), (z, idx, rows))
-        assert first[1] is idx and first[2] is rows
-        got = original(z, ss, weights, perm, idx, rows)
+    def recorded(z, ss, weights, perm):
+        got = original(z, ss, weights, perm)
         calls.append((perm.copy(), got))
         return got
 
