@@ -144,10 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = load_config_file(args.config) if args.config else RunConfig()
     # every flag's dest is the name of the RunConfig field it overrides
-    for key, value in vars(args).items():
-        if value is not None and key in vars(cfg):
-            setattr(cfg, key, value)
-    cfg.seed = resolve_seed(cfg.seed)
+    flags = {k: v for k, v in vars(args).items() if v is not None and k in RunConfig._fields}
+    cfg = cfg._replace(**flags)
+    cfg = cfg._replace(seed=resolve_seed(cfg.seed))
     cfg.validate()
     return cfg
 

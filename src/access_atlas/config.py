@@ -6,23 +6,26 @@ mode, hinge, thresholds, permutation count, seed). Relative paths resolve
 against the config file's directory.
 """
 
-from __future__ import annotations
+# Annotations are evaluated, not postponed: typing.NamedTuple would compile
+# each field's string annotation into a ForwardRef at import.
 
 import json
 import math
 import os
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .errors import ConfigError, DomainError
-from .network import DEFAULT_ROAD_CLASSES, DEFAULT_SNAP_MAX_M, sampling_grid_size
+from .network import DEFAULT_ROAD_CLASSES, DEFAULT_SNAP_MAX_M, MAX_GRID_K, sampling_grid_size
 
 SEED_ENV_VAR = "ACCESS_ATLAS_SEED"
 
 _PATH_KEYS = ("tracts", "providers", "roads_nodes", "roads_edges", "demographics", "out_dir")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
+    """The settings of one run. A config is immutable: a copy with some
+    fields changed comes from `_replace`."""
+
     tracts: str = ""
     providers: str = ""
     roads_nodes: str = ""
@@ -66,7 +69,8 @@ class RunConfig:
             sampling_grid_size(self.ace_net_mode)
         except DomainError:
             raise ConfigError(
-                f"config: ace_net_mode must be 'centroid' or 'grid-K', got {self.ace_net_mode!r}"
+                f"config: ace_net_mode must be 'centroid' or 'grid-K' with 1 <= K <= {MAX_GRID_K}, "
+                f"got {self.ace_net_mode!r}"
             ) from None
         if not (0 < self.sec_threshold < self.sig_threshold):
             raise ConfigError(
@@ -81,7 +85,7 @@ class RunConfig:
             raise ConfigError(f"config: snap_max_m must be > 0, got {self.snap_max_m}")
 
 
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
+_FIELD_NAMES = set(RunConfig._fields)
 
 _FLOAT_KEYS = ("ref_lon", "ref_lat", "snap_max_m", "hinge", "sig_threshold", "sec_threshold")
 _INT_KEYS = ("moran_permutations", "seed", "components_mapped")
@@ -126,14 +130,14 @@ def load_config_file(path: str) -> RunConfig:
     unknown = set(raw) - _FIELD_NAMES
     if unknown:
         raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
-    cfg = RunConfig()
     base = os.path.dirname(os.path.abspath(path))
+    values = {}
     for key, value in raw.items():
         value = _coerce(key, value)
         if key in _PATH_KEYS and value:
             value = os.path.join(base, value)
-        setattr(cfg, key, value)
-    return cfg
+        values[key] = value
+    return RunConfig(**values)
 
 
 def resolve_seed(current: int | None) -> int:

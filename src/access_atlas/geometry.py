@@ -27,10 +27,11 @@ differ from math.hypot; a pair whose distance lies within
 math.hypot, and every result equals that of the scalar loop.
 """
 
-from __future__ import annotations
+# Annotations are evaluated, not postponed: typing.NamedTuple would compile
+# each field's string annotation into a ForwardRef at import.
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +91,7 @@ def project_each(lon, lat, ref_lon: float, ref_lat: float, where):
     return x, y
 
 
-@dataclass(frozen=True, eq=False)
-class Tracts:
+class Tracts(NamedTuple):
     """The tracts of a run, packed once into flat arrays by `pack_tracts`.
 
     Tract i is ids[i]. Its parts are part_start[i]:part_start[i + 1];

@@ -12,14 +12,15 @@ any missing, unreachable or unsnappable value are dropped with an audit
 reason rather than imputed.
 """
 
-from __future__ import annotations
+# Annotations are evaluated, not postponed: typing.NamedTuple would compile
+# each field's string annotation into a ForwardRef at import.
 
 import json
 import logging
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,8 +88,7 @@ KIND_RADII = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class Providers:
+class Providers(NamedTuple):
     """The provider file, in file order: provider k is ids[k], of kind
     kinds[k], with a buffer of radius[k] meters around (xs[k], ys[k])."""
 
@@ -99,8 +99,7 @@ class Providers:
     radius: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Demographics:
+class Demographics(NamedTuple):
     """The demographic file, in file order: row k of values is tract ids[k],
     its columns in DEMOGRAPHIC_COLUMNS order; an empty cell is nan, never zero."""
 
@@ -108,15 +107,14 @@ class Demographics:
     values: np.ndarray  # shape (m, 8)
 
 
-@dataclass
-class VariableTable:
+class VariableTable(NamedTuple):
     """tract x 10 analysis matrix plus the drop audit; row i is the tract
     index[i] of the loaded Tracts, tract_ids[i]."""
 
     tract_ids: list[str]
     values: np.ndarray  # shape (n, 10), columns per VARIABLE_COLUMNS
     index: np.ndarray
-    dropped: list[tuple[str, str]] = field(default_factory=list)
+    dropped: Sequence[tuple[str, str]] = ()
 
     @property
     def n(self) -> int:
@@ -285,10 +283,10 @@ def load_providers(path: str, ref_lon: float, ref_lat: float) -> Providers:
             kind = kinds[k] = "grocery_large"
         if kind not in KIND_RADII:
             raise SchemaError(f"{path} row {row_no}: unknown provider kind {kind!r}")
-        lons.append(parse_finite(raw_lon, f"{path} row {row_no} lon"))
-        lats.append(parse_finite(raw_lat, f"{path} row {row_no} lat"))
+        lons.append(parse_finite(raw_lon, "{} row {} lon", path, row_no))
+        lats.append(parse_finite(raw_lat, "{} row {} lat", path, row_no))
         if any(raw_radius):
-            radius = parse_finite(raw_radius[0], f"{path} row {row_no} radius_m")
+            radius = parse_finite(raw_radius[0], "{} row {} radius_m", path, row_no)
             if radius <= 0:
                 raise RangeError(f"{path} row {row_no}: radius must be > 0")
         else:
@@ -324,7 +322,7 @@ def load_demographics(path: str) -> Demographics:
             if cell == "":
                 row.append(math.nan)
                 continue
-            v = parse_finite(cell, f"{path} row {row_no}: {name} for tract {tract_id}")
+            v = parse_finite(cell, "{} row {}: {} for tract {}", path, row_no, name, tract_id)
             if name in PERCENT_COLUMNS and not (0.0 <= v <= 100.0):
                 msg = f"tract {tract_id}: {name}={v} outside [0, 100]"
                 raise RangeError(f"{path} row {row_no}: {msg}")

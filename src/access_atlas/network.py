@@ -40,7 +40,8 @@ reads the CSR arrays in place and returns a float array, which no CSR row
 or heap order changes.
 """
 
-from __future__ import annotations
+# Annotations are evaluated, not postponed: typing.NamedTuple would compile
+# each field's string annotation into a ForwardRef at import.
 
 import codecs
 import csv
@@ -49,8 +50,7 @@ import io
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,6 +64,9 @@ DEFAULT_ROAD_CLASSES = frozenset(
 
 DEFAULT_SNAP_MAX_M = 500.0
 
+# grid-K samples K x K points of every tract; the city runs use grid-3
+MAX_GRID_K = 100
+
 _NODE_HEADERS = (("node_id", "x", "y"), ("node_id", "lon", "lat"))
 _EDGE_HEADERS = (("from_node", "to_node", "length_m", "road_class"),)
 
@@ -76,8 +79,7 @@ def _node_sort_key(node_id: str) -> tuple[int, int, str]:
     return (1, 0, node_id)
 
 
-@dataclass(frozen=True, eq=False)
-class RoadNodes:
+class RoadNodes(NamedTuple):
     """The node file, in file order: ids and projected coordinates in meters."""
 
     ids: list[str]
@@ -85,8 +87,7 @@ class RoadNodes:
     ys: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class RoadEdges:
+class RoadEdges(NamedTuple):
     """The edge file, in file order; a nan length means "use the Euclidean
     distance between the endpoints"."""
 
@@ -96,8 +97,7 @@ class RoadEdges:
     road_class: list[str]
 
 
-@dataclass(frozen=True, eq=False)
-class RoadNetwork:
+class RoadNetwork(NamedTuple):
     """Undirected road graph on node indices.
 
     Node i is `ids[i]` at (`xs[i]`, `ys[i]`); `ids` is in `_node_sort_key`
@@ -261,15 +261,16 @@ def read_csv_table(
     ]
 
 
-def parse_finite(cell: str, what: str) -> float:
+def parse_finite(cell: str, what: str, *args) -> float:
     """Parse one numeric cell: SchemaError if it is not a number, RangeError
-    if it is nan or infinite."""
+    if it is nan or infinite. The message starts with what.format(*args),
+    which is formatted only then; a path goes in args, not in what."""
     try:
         v = float(cell)
     except ValueError:
-        raise SchemaError(f"{what}: non-numeric value {cell!r}") from None
+        raise SchemaError(f"{what.format(*args)}: non-numeric value {cell!r}") from None
     if not math.isfinite(v):
-        raise RangeError(f"{what}: non-finite value {cell!r}")
+        raise RangeError(f"{what.format(*args)}: non-finite value {cell!r}")
     return v
 
 
@@ -299,8 +300,8 @@ def load_road_nodes(
         if nid in seen:
             raise SchemaError(f"{path} row {row_no}: duplicate node_id {nid!r}")
         seen.add(nid)
-        u[k] = parse_finite(cell_u, f"{path} row {row_no} {header[1]}")
-        v[k] = parse_finite(cell_v, f"{path} row {row_no} {header[2]}")
+        u[k] = parse_finite(cell_u, "{} row {} {}", path, row_no, header[1])
+        v[k] = parse_finite(cell_v, "{} row {} {}", path, row_no, header[2])
     if not geographic:
         return RoadNodes(ids, u, v)
     xs, ys = project_each(u, v, ref_lon, ref_lat, lambda k: f"{path} row {row_nos[k]}: ")
@@ -318,7 +319,7 @@ def load_road_edges(path: str) -> RoadEdges:
     for k, (row_no, from_id, to_id, cell) in enumerate(zip(row_nos, a, b, raw_len)):
         if not from_id or not to_id:
             raise SchemaError(f"{path} row {row_no}: empty endpoint id")
-        length[k] = parse_finite(cell, f"{path} row {row_no} length_m") if cell else math.nan
+        length[k] = parse_finite(cell, "{} row {} length_m", path, row_no) if cell else math.nan
     return RoadEdges(a, b, length, road_class)
 
 
@@ -648,10 +649,13 @@ def multisource_shortest_distances(
 
 
 def sampling_grid_size(mode: str) -> int | None:
-    """K of ace_net_mode "grid-K", None for "centroid"; DomainError otherwise."""
-    m = re.fullmatch(r"centroid|grid-([1-9][0-9]*)", mode)
-    if m is None:
-        raise DomainError(f"bad sampling mode {mode!r}: expected 'centroid' or 'grid-K'")
+    """K of ace_net_mode "grid-K", 1 <= K <= MAX_GRID_K, None for
+    "centroid"; DomainError otherwise, before any sample is allocated."""
+    m = re.fullmatch(r"centroid|grid-([1-9][0-9]{0,2})", mode)  # int() of 3 digits at most
+    if m is None or (m[1] and int(m[1]) > MAX_GRID_K):
+        raise DomainError(
+            f"bad sampling mode {mode!r}: expected 'centroid' or 'grid-K', 1 <= K <= {MAX_GRID_K}"
+        )
     return int(m[1]) if m[1] else None
 
 

@@ -28,9 +28,10 @@ tolerance (MORAN_TIE_RTOL), so exact ties are hits whatever order the
 floating-point sums ran in.
 """
 
-from __future__ import annotations
+# Annotations are evaluated, not postponed: typing.NamedTuple would compile
+# each field's string annotation into a ForwardRef at import.
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,22 +48,32 @@ NULL_EIGENVALUE_TOL = 1e-9
 MORAN_TIE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ContributorThresholds:
-    """Absolute-loading cutoffs for contributor classification."""
-
+class _Thresholds(NamedTuple):
     significant: float = 0.4000
     secondary: float = 0.1000
 
-    def __post_init__(self) -> None:
+
+class ContributorThresholds(_Thresholds):
+    """Absolute-loading cutoffs for contributor classification."""
+
+    __slots__ = ()
+
+    # a NamedTuple may not define __new__, so the check of
+    # 0 < secondary < significant sits on this subclass
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 < self.secondary < self.significant):
             raise DomainError(
                 f"need 0 < secondary < significant, got {self.secondary}, {self.significant}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
-@dataclass
-class PcaResult:
+class PcaResult(NamedTuple):
     """Eigenvalues (descending), variance proportions, loadings, scores,
     and the correlation matrix they decompose.
 
@@ -82,8 +93,7 @@ class PcaResult:
         return len(self.eigenvalues)
 
 
-@dataclass
-class MoranResult:
+class MoranResult(NamedTuple):
     """Global Moran's I with a permutation-based pseudo p-value."""
 
     I: float
@@ -226,8 +236,7 @@ def loading_profile_correlation(
     return correlation_matrix(loadings.T, names)
 
 
-@dataclass(frozen=True)
-class MoranWeights:
+class MoranWeights(NamedTuple):
     """Row-standardised spatial weights in pair form, as the permutation
     pass reads them.
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 
@@ -57,9 +56,9 @@ def take(columns, rows):
     """The given rows, in that order, of a Providers or a Demographics."""
     rows = [int(k) for k in rows]
     picked = {}
-    for f in dataclasses.fields(columns):
-        v = getattr(columns, f.name)
-        picked[f.name] = [v[k] for k in rows] if isinstance(v, list) else v[rows]
+    for name in columns._fields:
+        v = getattr(columns, name)
+        picked[name] = [v[k] for k in rows] if isinstance(v, list) else v[rows]
     return type(columns)(**picked)
 
 

@@ -435,8 +435,8 @@ def test_report_packs_the_tracts_once(minitown_config, tmp_path, monkeypatch, mo
     # AV_INT, the adjacency, the grid sampler and the box maps all read the
     # one Tracts that load_tracts built
     calls = []
-    init = geometry.Tracts.__init__
-    monkeypatch.setattr(geometry.Tracts, "__init__", lambda *a: calls.append(1) or init(*a))
+    new = geometry.Tracts.__new__
+    monkeypatch.setattr(geometry.Tracts, "__new__", lambda *a: calls.append(1) or new(*a))
     args = ["report", "--config", minitown_config, "--out", str(tmp_path / "out")]
     assert run([*args, "--ace-net-mode", mode]) == 0
     assert len(calls) == 1
@@ -880,7 +880,7 @@ def test_env_seed_fallback(minitown_dir, tmp_path, monkeypatch):
 
 
 def test_bad_ace_net_mode_exits_4(minitown_config, tmp_path):
-    for mode in ("hexgrid", "grid-0", "grid-03", "grid-+3", "grid- 3"):
+    for mode in ("hexgrid", "grid-0", "grid-03", "grid-+3", "grid- 3", "grid-101", "grid-1000000"):
         code = run(
             ["variables", "--config", minitown_config, "--out", str(tmp_path / "out"),
              "--ace-net-mode", mode]
@@ -1045,6 +1045,52 @@ def test_cli_import_loads_no_network_or_mail_modules():
     loaded = set(proc.stdout.split())
     assert "access_atlas.report" in loaded
     assert loaded.isdisjoint({"urllib.request", "http.client", "email.parser"})
+
+
+LEAN_IMPORT_PROBE = """
+import json, sys
+import numpy
+by_numpy = set(sys.modules)
+import access_atlas.cli
+added = sorted({"dataclasses", "numpy.random"} & (set(sys.modules) - by_numpy))
+records = {}
+for name, module in sorted(sys.modules.items()):
+    if name.startswith("access_atlas"):
+        for attr, value in vars(module).items():
+            if (isinstance(value, type) and value.__module__ == name and attr[0] != "_"
+                    and not issubclass(value, Exception)):
+                records[f"{name}.{attr}"] = issubclass(value, tuple) and hasattr(value, "_fields")
+print(json.dumps([added, records]))
+"""
+
+RECORD_TYPES = (
+    "access_atlas.config.RunConfig",
+    "access_atlas.geometry.Tracts",
+    "access_atlas.ingest.Demographics",
+    "access_atlas.ingest.Providers",
+    "access_atlas.ingest.VariableTable",
+    "access_atlas.network.RoadEdges",
+    "access_atlas.network.RoadNetwork",
+    "access_atlas.network.RoadNodes",
+    "access_atlas.stats.ContributorThresholds",
+    "access_atlas.stats.MoranResult",
+    "access_atlas.stats.MoranWeights",
+    "access_atlas.stats.PcaResult",
+)
+
+
+def test_cli_import_generates_no_dataclass_and_loads_no_rng():
+    # a dataclass decorator generates and execs the source of its methods on
+    # every import, about 7 ms of start-up for the twelve record types
+    # (2-vCPU VM); a named tuple class evals only its __new__. numpy.random,
+    # which only Moran needs, loads on first use, unless `import numpy`
+    # loads it itself (numpy 1.24).
+    proc = subprocess.run(
+        [sys.executable, "-c", LEAN_IMPORT_PROBE], capture_output=True, text=True, check=True
+    )
+    added, records = json.loads(proc.stdout)
+    assert added == []
+    assert records == dict.fromkeys(RECORD_TYPES, True)
 
 
 BLAS_PROBE = """

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -56,7 +55,7 @@ def test_load_minitown_tracts(minitown_dir):
 def dicts_held(tracts) -> list[dict]:
     """Every dict reachable from the fields of a Tracts through lists,
     tuples and dicts."""
-    found, todo = [], [getattr(tracts, f.name) for f in dataclasses.fields(tracts)]
+    found, todo = [], [getattr(tracts, name) for name in tracts._fields]
     while todo:
         v = todo.pop()
         if isinstance(v, dict):
@@ -488,7 +487,7 @@ def loaded_rows(loaded):
     """The rows a loader returned: its records, or the row tuples of its columns."""
     if isinstance(loaded, list):
         return loaded
-    columns = [getattr(loaded, f.name) for f in dataclasses.fields(loaded)]
+    columns = [getattr(loaded, name) for name in loaded._fields]
     return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -261,8 +260,8 @@ def test_pca_independent_of_null_space_basis(case, monkeypatch):
     monkeypatch.setattr(stats.np.linalg, "eigh", rotated_eigh)
     for _ in range(5):
         res = pca(table)
-        for field in dataclasses.fields(stats.PcaResult):
-            assert np.array_equal(getattr(res, field.name), getattr(base, field.name)), field.name
+        for name in stats.PcaResult._fields:
+            assert np.array_equal(getattr(res, name), getattr(base, name)), name
 
 
 def test_pca_single_row_rejected():
