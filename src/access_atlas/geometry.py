@@ -10,12 +10,12 @@ deterministic at exact-threshold inputs.
 
 `pack_tracts` builds the one tract structure of a run, `Tracts`: the ring
 segments with ring, part and tract offsets, each tract's area, centroid
-and bbox, and the input positions that scores.geojson echoes. The segment
-starts are the one copy of the ring vertices, which the predicates and the
-SVG read. An area or centroid is a sum taken in vertex order, one vertex
-position at a time across all rings (`_sums_in_order`), so it keeps the
-bits of the scalar shoelace loop; a pairwise sum such as np.add.reduceat
-would not.
+and bbox, and the input positions that scores.geojson echoes. Each segment
+keeps its two endpoints; the segment starts are the ring vertices in order,
+which the predicates and the SVG read. An area or centroid is a sum taken
+in vertex order, one vertex position at a time across all rings
+(`_sums_in_order`), so it keeps the bits of the scalar shoelace loop; a
+pairwise sum such as np.add.reduceat would not.
 
 The predicates (`disks_meet`, behind AV_INT and the grid-K sampler, and
 `queen_adjacency`) take the Tracts and the indices of the tracts they work
@@ -102,10 +102,9 @@ class Tracts(NamedTuple):
     The segments of ring r are ring_seg[r]:ring_seg[r + 1], and those of
     part p are seg_start[p]:seg_start[p + 1] (seg_start is
     ring_seg[part_ring]). Segment s runs from (ax[s], ay[s]) to
-    (ax[s] + dx[s], by[s]), with dx = bx - ax, dy = by - ay and
-    seg2 = dx * dx + dy * dy. The segment starts of a ring are its
-    vertices in order, without the closing repeat: the one copy of the
-    rings.
+    (bx[s], by[s]), and the end of each is the start of the next segment
+    of its ring, the end of the last the ring's first vertex. The segment
+    starts of a ring are its vertices in order, without the closing repeat.
 
     What scores.geojson echoes of the input: lon and lat hold every input
     position as given, and the positions of ring r are
@@ -131,10 +130,8 @@ class Tracts(NamedTuple):
     seg_start: np.ndarray
     ax: np.ndarray
     ay: np.ndarray
+    bx: np.ndarray
     by: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    seg2: np.ndarray
 
 
 def _offsets(counts) -> np.ndarray:
@@ -236,12 +233,10 @@ def pack_tracts(
     vstart = seg_start[part_start[:-1]]  # the first segment of each tract
     low = [np.minimum.reduceat(v, vstart) for v in (ax, ay)]
     high = [np.maximum.reduceat(v, vstart) for v in (ax, ay)]
-    dx, dy = bx - ax, by - ay
     return Tracts(
         list(ids), np.asarray(lon, dtype=float), np.asarray(lat, dtype=float), ring_pos,
         np.asarray(multi, dtype=bool), list(verbatim), part_ring, part_start, ring_seg,
-        area, centroid, np.stack(low + high, axis=1), seg_start, ax, ay, by, dx, dy,
-        dx * dx + dy * dy,
+        area, centroid, np.stack(low + high, axis=1), seg_start, ax, ay, bx, by,
     )
 
 
@@ -298,10 +293,11 @@ def _scan(
     """Minimum boundary distance and odd crossing parity of each query
     point (px[k], py[k]) against part[k].
 
-    Per segment, in the order of a scalar loop: t = ((x - ax) * dx +
-    (y - ay) * dy) / seg2 clamped to [0, 1] (0 on a zero-length segment),
-    the distance hypot(x - (ax + t * dx), y - (ay + t * dy)), and whether
-    the segment crosses the ray cast east from the point. The parity is
+    Per segment, in the order of a scalar loop: dx = bx - ax, dy = by - ay,
+    seg2 = dx * dx + dy * dy, t = ((x - ax) * dx + (y - ay) * dy) / seg2
+    clamped to [0, 1] (0 on a zero-length segment), the distance
+    hypot(x - (ax + t * dx), y - (ay + t * dy)), and whether the segment
+    crosses the ray cast east from the point. The parity is
     bitwise that of the scalar ray cast; with `exact_hypot` the distance
     is bitwise the scalar one too, and with np.hypot it may differ by an
     ulp or so.
@@ -314,8 +310,9 @@ def _scan(
         s, q = _ranges(first[lo:hi], count[lo:hi])
         offsets = np.cumsum(count[lo:hi]) - count[lo:hi]
         x, y = px[lo:hi][q], py[lo:hi][q]
-        ax, ay, dx, dy = tracts.ax[s], tracts.ay[s], tracts.dx[s], tracts.dy[s]
-        seg2 = tracts.seg2[s]
+        ax, ay, by = tracts.ax[s], tracts.ay[s], tracts.by[s]
+        dx, dy = tracts.bx[s] - ax, by - ay
+        seg2 = dx * dx + dy * dy
         ex = x - ax
         ey = y - ay
         degenerate = seg2 == 0.0
@@ -324,7 +321,7 @@ def _scan(
         t[degenerate] = 0.0
         d = hypot(x - (ax + t * dx), y - (ay + t * dy))
         dmin[lo:hi] = np.minimum.reduceat(d, offsets)
-        spans = (ay > y) != (tracts.by[s] > y)
+        spans = (ay > y) != (by > y)
         x_cross = dx * ey / np.where(spans, dy, 1.0) + ax
         odd[lo:hi] = np.logical_xor.reduceat(spans & (x < x_cross), offsets)
     return dmin, odd

@@ -26,11 +26,12 @@ route: the ids are read from their digits, numpy's C reader parses the
 coordinate and length columns, each edge end is found by binary search in
 the int64 ids, and an edge is kept when its class cell equals an allowed
 class byte for byte. Any other pair of files takes the general route,
-`build_network(load_road_edges(...), load_road_nodes(...))`, which also
-runs from the start whenever the numeric route declines. Both end in one
-build, `_build`, which fills the empty lengths, raises the error of a bad
-kept edge, drops isolated nodes and makes the CSR arrays, so the two give
-the same network bit for bit, or the same error.
+`load_road_nodes(...)` and then `build_network(load_road_edges(...),
+nodes)`, so the node file is checked first; it also runs from the start
+whenever the numeric route declines. Both end in one build, `_build`,
+which fills the empty lengths, raises the error of a bad kept edge, drops
+isolated nodes and makes the CSR arrays, so the two give the same network
+bit for bit, or the same error.
 
 `build_network` owns node order: it sorts the kept ids once into
 `_node_sort_key` order (decimal ids numerically, then the rest by string),
@@ -538,9 +539,9 @@ def load_road_network(
     ref_lat: float | None = None,
 ) -> RoadNetwork:
     """Read both road files and build the graph: the network, or the
-    error, of build_network(load_road_edges(edges_path),
-    load_road_nodes(nodes_path, ref_lon, ref_lat), allowed_classes), bit
-    for bit.
+    error, of nodes = load_road_nodes(nodes_path, ref_lon, ref_lat) and
+    then build_network(load_road_edges(edges_path), nodes,
+    allowed_classes), bit for bit; the node file is checked first.
 
     Strictly plain files take a numeric route: the ids are read from their
     digits, numpy's C reader parses the coordinate and length columns, the

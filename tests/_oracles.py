@@ -23,7 +23,9 @@ box-map classes, and json.JSONEncoder(indent=2) over the parsed input
 geometry instead of the scores.geojson layout written from the tract
 arrays. Tests that need scipy compare against it where it is
 installed: csgraph's Dijkstra and LAPACK's eigh through scipy.linalg;
-likewise networkx's multi-source Dijkstra.
+likewise networkx's multi-source Dijkstra. `moran_moments_loop` gives the
+analytic moments of Moran's I under randomisation, from dense weights,
+which the package's permutation null is checked against.
 """
 
 from __future__ import annotations
@@ -146,8 +148,9 @@ def road_network_loop(
     then every node projected by project_lonlat in file order, every edge
     row checked and parsed, the kept edges checked in file order, the kept
     ids sorted from a set and each CSR row built as a Python list; a
-    drop-in for build_network(load_road_edges(edges_path),
-    load_road_nodes(nodes_path, ref_lon, ref_lat), allowed_classes)."""
+    drop-in for nodes = load_road_nodes(nodes_path, ref_lon, ref_lat) and
+    then build_network(load_road_edges(edges_path), nodes,
+    allowed_classes), the node file checked first."""
     path = nodes_path
     header, row_nos, columns = read_csv_table_loop(
         path, [("node_id", "x", "y"), ("node_id", "lon", "lat")], "node"
@@ -357,6 +360,37 @@ def moran_loop(values, neighbors, number=float):
     )
     s0 = sum(1 for neigh in neighbors if neigh)
     return n * num / (s0 * sum(v * v for v in z))
+
+
+def moran_moments_loop(neighbors, values) -> tuple[float, list[float]]:
+    """E[I] = -1/(n - 1) and, for each column of the n x p table `values`,
+    the variance of Moran's I under randomisation (Cliff & Ord 1981), from
+    the dense row-standardised W built one tract at a time:
+
+    Var[I] = [n((n^2 - 3n + 3)S1 - nS2 + 3S0^2)
+              - b2((n^2 - n)S1 - 2nS2 + 6S0^2)] / [(n-1)(n-2)(n-3)S0^2] - E[I]^2
+
+    with S0 = sum_ij w_ij, S1 = 1/2 sum_ij (w_ij + w_ji)^2, S2 = sum_i
+    (w_i. + w_.i)^2 and b2 = n sum z^4 / (sum z^2)^2 of the centred column z."""
+    n = len(neighbors)
+    w = np.zeros((n, n))
+    for i, neigh in enumerate(neighbors):
+        for j in neigh:
+            w[i, j] = 1.0 / len(neigh)
+    s0 = w.sum()
+    s1 = 0.5 * ((w + w.T) ** 2).sum()
+    s2 = ((w.sum(axis=1) + w.sum(axis=0)) ** 2).sum()
+    expected = -1.0 / (n - 1)
+    variances = []
+    for column in np.asarray(values, dtype=float).T:
+        z = column - column.mean()
+        b2 = n * (z**4).sum() / (z**2).sum() ** 2
+        spread = n * ((n * n - 3 * n + 3) * s1 - n * s2 + 3 * s0**2)
+        kurtosis = b2 * ((n * n - n) * s1 - 2 * n * s2 + 6 * s0**2)
+        variances.append(
+            float((spread - kurtosis) / ((n - 1) * (n - 2) * (n - 3) * s0**2) - expected**2)
+        )
+    return expected, variances
 
 
 def _node_id_key(node_id: str) -> tuple[int, int, str]:

@@ -131,6 +131,29 @@ def test_non_utf8_demographics_exits_2(minitown_dir, tmp_path, capsys):
     assert "demographics.csv" in capsys.readouterr().err
 
 
+def test_the_first_bad_input_in_read_order_gives_the_error(minitown_dir, tmp_path, capsys):
+    # a non-numeric provider longitude, a repeated road node id and a
+    # non-numeric demographics cell: the inputs are read tracts, providers,
+    # road nodes, road edges, demographics, so each fault is reported only
+    # once the ones before it are mended
+    work = minitown_copy(minitown_dir, tmp_path)
+    faults = [
+        ("providers.csv", "\ng1,grocery_large,-87.7125,", "\ng1,grocery_large,west,"),
+        ("roads_nodes.csv", "\nc12,", "\nc11,"),
+        ("demographics.csv", "\nt12,11800,", "\nt12,many,"),
+    ]
+    for name, old, new in faults:
+        text = (work / name).read_text()
+        assert old in text
+        (work / name).write_text(text.replace(old, new, 1))
+    args = ["report", "--config", str(work / "config.json"), "--out", str(tmp_path / "out")]
+    for name, old, new in faults:
+        assert run(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {work / name} row ")
+        (work / name).write_text((work / name).read_text().replace(new, old, 1))
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_mode_changes_only_ace_net(minitown_config, tmp_path):
     out_c = tmp_path / "centroid"
     out_g = tmp_path / "grid"

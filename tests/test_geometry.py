@@ -210,6 +210,34 @@ def test_packed_area_centroid_bbox_equal_list_loops(data):
         assert tuple(packed.bounds[i].tolist()) == parts_bounds(polygons)
 
 
+def test_each_segment_ends_where_the_next_one_starts():
+    """Segment s runs from (ax[s], ay[s]) to (bx[s], by[s]): its end is the
+    start of the next segment of its ring, and the end of the ring's last
+    segment is the ring's first vertex. Open and closed rings, a hole, a
+    two-part tract and a repeated vertex, at coordinates that are not
+    round."""
+    third = 1000.0 / 3.0
+    square = [(0.1, 0.2), (third, 0.2), (third, 2 * third), (0.1, 2 * third)]
+    hole = [(50.3, 60.7), (50.3, 90.1), (80.9, 90.1), (80.9, 60.7)]
+    shifted = [(x + 5000.0, y - 7.5) for x, y in square]
+    triangle = [(9001.1, 0.3), (9300.7, 0.3), (9100.9, 250.1), (9001.1, 0.3)]  # closed
+    tracts = [
+        [[square]],
+        [[shifted + shifted[:1], hole]],
+        [[[(x + third, y) for x, y in square]], [triangle]],
+        [[square[:2] + square[1:2] + square[2:]]],
+    ]
+    rings = [ring for parts in tracts for part in parts for ring in part]
+    packed = pack(tracts)
+    assert len(packed.ring_seg) == len(rings) + 1
+    for r, ring in enumerate(rings):
+        lo, hi = packed.ring_seg[r], packed.ring_seg[r + 1]
+        following = [*range(lo + 1, hi), lo]
+        assert packed.bx[lo:hi].tolist() == packed.ax[following].tolist()
+        assert packed.by[lo:hi].tolist() == packed.ay[following].tolist()
+        assert (packed.bx[hi - 1], packed.by[hi - 1]) == ring[0]
+
+
 # ----------------------------------------------------------- point in polygon
 
 

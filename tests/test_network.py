@@ -968,6 +968,29 @@ def test_column_loaders_raise_the_row_loop_error(tmp_path, names):
     assert raised >= 30
 
 
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_the_node_file_error_wins_over_the_edge_file_error(tmp_path, monkeypatch, quoted):
+    # node row 3 repeats id 1 and an edge length is "abc": both routes read
+    # and check the node file first, so its error wins; the plain pair gets
+    # there after the numeric route declines, the quoted pair on the
+    # general route from the start
+    nodes = [["node_id", "lon", "lat"], ["1", *map(str, REF)], ["1", str(REF[0]), "41.86"]]
+    edges = [["from_node", "to_node", "length_m", "road_class"], ["1", "2", "abc", "residential"]]
+    nodes_path, edges_path = tmp_path / "n.csv", tmp_path / "e.csv"
+    for path, rows in ((nodes_path, nodes), (edges_path, edges)):
+        with open(path, "w", newline="", encoding="ascii") as fh:
+            quoting = csv.QUOTE_ALL if quoted else csv.QUOTE_MINIMAL
+            csv.writer(fh, quoting=quoting, lineterminator="\n").writerows(rows)
+    args = (str(nodes_path), str(edges_path))
+    want = (SchemaError, f"{nodes_path} row 3: duplicate node_id '1'")
+    general = general_route_calls(monkeypatch)
+    assert outcome(network.load_road_network, *args, network.DEFAULT_ROAD_CLASSES, *REF) == want
+    assert general == [str(nodes_path)]
+    assert outcome(road_network_loop, *args, *REF) == want
+    # the edge file on its own fails on its length
+    assert "'abc'" in outcome(load_road_edges, str(edges_path))[1]
+
+
 def test_every_node_row_is_checked_before_any_point_is_projected(tmp_path, monkeypatch):
     # row 2 lies off the plane and row 4 repeats an id: as in the provider
     # file, the cell checks of every row come first, so row 4's error wins

@@ -9,6 +9,7 @@ chunk bounds.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -295,6 +296,95 @@ def test_points_in_tract_matches_point_in_polygon(monkeypatch):
     ]:
         for got in each_budget(monkeypatch, lambda: disks_meet(packed, px, py, radius, tract)):
             assert got.tolist() == expected
+
+
+def jagged_side(p, q, pieces, jitter):
+    """The cut points of the side p -> q, in order from p, each moved off
+    the side by up to `jitter` by an RNG seeded with the side's sorted
+    endpoints: q -> p gets the same points, reversed."""
+    a, b = sorted([p, q])
+    rng = random.Random(repr((a, b)))
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    ux, uy = dx / math.hypot(dx, dy), dy / math.hypot(dx, dy)
+    cuts = []
+    for i in range(1, pieces):
+        j = rng.uniform(-jitter, jitter)
+        cuts.append((a[0] + dx * i / pieces - uy * j, a[1] + dy * i / pieces + ux * j))
+    return cuts if (a, b) == (p, q) else cuts[::-1]
+
+
+def jagged_ring(corners, pieces, jitter):
+    """The ring through `corners` with each side cut by jagged_side."""
+    sides = zip(corners, corners[1:] + corners[:1])
+    return [v for p, q in sides for v in (p, *jagged_side(p, q, pieces, jitter))]
+
+
+def on_segment(a, b, t):
+    return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+
+
+def jagged_tessellation():
+    """A 5 x 5 grid of 1 km squares, every side cut into 8 pieces at shared
+    jittered cut points, so four tracts meet at each inner corner. Cell
+    (1, 2) is split in two by a notch whose two ends lie inside one segment
+    of the cell below, where that cell has no vertex (T-junctions), and
+    cell (3, 3) has a jagged hole that an island tract fills. Returns the
+    tracts as lists of Polygon parts, the index of the notch and of the
+    tract below it, and the two T-junction points."""
+    x0, y0, size = 3001.7, -2003.3, 1000.0
+    tracts = []
+
+    def corner(r, c):
+        return (x0 + c * size, y0 + r * size)
+
+    for r in range(5):
+        for c in range(5):
+            square = [corner(r, c), corner(r, c + 1), corner(r + 1, c + 1), corner(r + 1, c)]
+            ring = jagged_ring(square, 8, 20.0)
+            if (r, c) == (1, 2):
+                s, u = on_segment(ring[3], ring[4], 0.3), on_segment(ring[3], ring[4], 0.7)
+                bump = [(s[0], s[1] + 150.0), (u[0], u[1] + 150.0)]
+                notch = [Polygon([[s, u, bump[1], bump[0]]])]
+                junctions = [ProjectedPoint(*s), ProjectedPoint(*u)]
+                ring = ring[:4] + [s, *bump, u] + ring[4:]
+            rings = [ring]
+            if (r, c) == (3, 3):
+                x, y = corner(r, c)
+                inner = [(x + 300, y + 300), (x + 700, y + 300), (x + 700, y + 700), (x + 300, y + 700)]
+                rings.append(jagged_ring(inner, 4, 15.0))
+                island = [Polygon(rings[1:])]
+            tracts.append([Polygon(rings)])
+    tracts += [notch, island]
+    return tracts, len(tracts) - 2, 2, junctions
+
+
+def test_kernel_matches_oracles_on_a_jagged_tessellation(monkeypatch):
+    """Queen adjacency and AV_INT on tracts whose shared sides are jagged,
+    as real tract boundaries are: equal to the scalar loops, with corners
+    where four tracts meet, a pair that touches only at T-junctions, and an
+    island in a hole."""
+    tracts, notch, below, junctions = jagged_tessellation()
+    want = queen_adjacency_loop(tracts)
+    vertices = [{v for part in parts for ring in part.rings for v in ring} for parts in tracts]
+    assert below in want[notch] and not vertices[notch] & vertices[below]  # T-junctions only
+    assert {0, 2, 10, 12} <= want[6]  # diagonal neighbours, at corners of four tracts
+    assert want[len(tracts) - 1] == {18}  # the island touches the rim of its hole only
+    packed, index = pack(tracts), np.arange(len(tracts))
+    for got in each_budget(monkeypatch, lambda: neighbour_sets(queen_adjacency(packed, index))):
+        assert got == want
+
+    rng = np.random.default_rng(909)
+    points = sorted(set().union(*vertices))
+    providers = [(points[k], float(rng.uniform(1.0, 400.0))) for k in rng.choice(len(points), 80)]
+    providers += [(pt, r) for pt in junctions for r in (BOUNDARY_EPS, 0.5, 60.0)]
+    providers.append((ProjectedPoint(3001.7 + 3500.0, -2003.3 + 3500.0), 10.0))  # inside the island
+    providers += [
+        (ProjectedPoint(*xy), float(rng.uniform(1.0, 800.0)))
+        for xy in rng.uniform((2500.0, -2500.0), (8500.0, 3500.0), (40, 2))
+    ]
+    want = [availability_loop(parts, providers) for parts in tracts]
+    for got in each_budget(monkeypatch, lambda: counts_of_disks(packed, index, providers)):
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("budget", [1, 7, 64])
